@@ -10,6 +10,7 @@ from .evaluation import (
     ConstraintViolation,
     CostReport,
     EvaluationError,
+    SolveResult,
     UndefinedGainError,
     check_constraints,
     check_link_capacities,
@@ -17,7 +18,6 @@ from .evaluation import (
     gain,
 )
 from .exact import (
-    ExactResult,
     ExportSizeError,
     SolveBudget,
     export_lp,
@@ -35,10 +35,9 @@ from .graph import (
     ResidualState,
     consume_flow,
     path_bottleneck,
-    restore_flow,
     shortest_paths,
 )
-from .heuristics import PlacementResult, agw, ppcc, spba
+from .heuristics import agw, ppcc, spba
 from .model import (
     MobilityProfile,
     ParseError,
@@ -54,7 +53,6 @@ from .model import (
     placement_from_json,
     placement_structure_violations,
     placement_to_json,
-    v_entry,
     validate_instance,
 )
 from .scenario import GenerationError, ScenarioParams, generate_instance
@@ -68,7 +66,6 @@ __all__ = [
     "DisconnectedGraphError",
     "EdgeNetwork",
     "EvaluationError",
-    "ExactResult",
     "ExportSizeError",
     "GenerationError",
     "InvalidPathError",
@@ -78,7 +75,6 @@ __all__ = [
     "PathInfo",
     "PathTable",
     "Placement",
-    "PlacementResult",
     "ProblemInstance",
     "Resources",
     "ResidualState",
@@ -86,6 +82,7 @@ __all__ = [
     "ScenarioParams",
     "ServiceRequest",
     "SolveBudget",
+    "SolveResult",
     "SweepSpec",
     "UndefinedGainError",
     "Violation",
@@ -108,12 +105,10 @@ __all__ = [
     "placement_structure_violations",
     "placement_to_json",
     "ppcc",
-    "restore_flow",
     "run_sweep",
     "shortest_paths",
     "solve_exact",
     "spba",
     "trial_seed",
-    "v_entry",
     "validate_instance",
 ]

@@ -27,14 +27,27 @@ from .heuristics import agw, ppcc, spba
 from .scenario import ScenarioParams, generate_instance, validate_params
 
 AXES = ("num_candidates", "batch_size", "stay_probability")
-ALGORITHMS = ("exact", "ppcc", "spba", "agw")
+
+# Every placement algorithm by name, as a solver (instance, paths, budget)
+# -> SolveResult; only the exact solver uses the budget. The order is the
+# row order of the result tables. Each entry looks its function up in this
+# module when called, so a wrapper set on the module attribute sees the call.
+SOLVERS = {
+    "exact": lambda instance, paths, budget: solve_exact(instance, paths, budget),
+    "ppcc": lambda instance, paths, budget: ppcc(instance, paths),
+    "spba": lambda instance, paths, budget: spba(instance, paths),
+    "agw": lambda instance, paths, budget: agw(instance, paths),
+}
+ALGORITHMS = tuple(SOLVERS)
 CSV_COLUMNS = ("axis", "value", "algorithm", "mean_cost", "stderr_cost",
                "mean_gain_vs_spba", "mean_gain_vs_agw", "infeasible_count",
                "mean_runtime_ms")
 
-# Exact solves are only allowed on desk-scale instances.
+# Exact solves are only allowed on desk-scale instances, and are limited by
+# expanded nodes only (no wall clock) so that results stay deterministic.
 _DESK_SCALE = {"num_candidates": 6, "batch_size": 3, "chain_length": 3,
                "heads_per_request": 2, "num_destinations": 1}
+_SWEEP_BUDGET = SolveBudget(wall_time_s=None)
 
 
 class EmptyTableError(ValueError):
@@ -119,8 +132,7 @@ def _check_desk_scale(params: ScenarioParams, spec: SweepSpec) -> None:
 
 
 def _run_trial(args) -> list[TrialRecord]:
-    (params, axis, value, trial, seed, algorithms,
-     measure_runtime, budget) = args
+    params, axis, value, trial, seed, algorithms, measure_runtime = args
     instance = generate_instance(params, seed)
     paths = shortest_paths(instance.network, instance.relevant_nodes)
 
@@ -129,23 +141,13 @@ def _run_trial(args) -> list[TrialRecord]:
         if algo not in algorithms:
             continue
         t0 = time.perf_counter()
-        if algo == "exact":
-            res = solve_exact(instance, paths, budget)
-            entry = {"status": res.status,
-                     "cost": res.total,
-                     "unplaced": 0}
-        elif algo == "ppcc":
-            r = ppcc(instance, paths)
-            entry = {"status": "ok", "cost": r.total, "unplaced": len(r.unplaced)}
-        elif algo == "spba":
-            r = spba(instance, paths)
-            entry = {"status": "ok", "cost": r.total, "unplaced": len(r.unplaced)}
-        else:
-            r = agw(instance, paths)
-            entry = {"status": "ok", "cost": r.total, "unplaced": 0}
-        entry["runtime_ms"] = ((time.perf_counter() - t0) * 1000.0
-                               if measure_runtime else 0.0)
-        results[algo] = entry
+        res = SOLVERS[algo](instance, paths, _SWEEP_BUDGET)
+        results[algo] = {
+            "status": res.status, "cost": res.total,
+            "unplaced": len(res.unplaced),
+            "runtime_ms": ((time.perf_counter() - t0) * 1000.0
+                           if measure_runtime else 0.0),
+        }
 
     def gain_vs(algo_cost: float | None, ref: str) -> float | None:
         if ref not in results or algo_cost is None:
@@ -193,14 +195,13 @@ def run_sweep(
     base_seed: int = 0,
     jobs: int = 1,
     measure_runtime: bool = False,
-    budget: SolveBudget | None = None,
 ) -> ResultTable:
     """Run `trials` seeded instances per axis value for each algorithm.
 
     Every algorithm in a trial runs on the same instance. Infeasible exact
     solves are excluded from that row's means and counted. The exact budget
-    defaults to node-limited only (no wall clock) so results stay
-    deterministic. Worker count never affects output.
+    is node-limited only (no wall clock) so results stay deterministic.
+    Worker count never affects output.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -214,8 +215,6 @@ def run_sweep(
     validate_params(base_params)
     if "exact" in algorithms:
         _check_desk_scale(base_params, spec)
-        if budget is None:
-            budget = SolveBudget(wall_time_s=None)
 
     tasks = []
     for value in spec.values:
@@ -223,7 +222,7 @@ def run_sweep(
         for trial in range(trials):
             seed = trial_seed(base_seed, spec.axis, value, trial)
             tasks.append((params, spec.axis, value, trial, seed,
-                          tuple(algorithms), measure_runtime, budget))
+                          tuple(algorithms), measure_runtime))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -313,14 +312,3 @@ def emit_results(table: ResultTable, fmt: str, path: str) -> None:
         raise ValueError(f"unknown format {fmt!r}; expected csv or json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def plot_data(table: ResultTable) -> dict[str, list[tuple[float, float, float]]]:
-    """(x, mean, stderr) triplets per algorithm for external plotting."""
-    out: dict[str, list[tuple[float, float, float]]] = {}
-    for row in table.rows:
-        if row.mean_cost is None:
-            continue
-        out.setdefault(row.algorithm, []).append(
-            (float(row.value), row.mean_cost, row.stderr_cost or 0.0))
-    return out

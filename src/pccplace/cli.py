@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from . import evaluation, exact, heuristics, model, scenario
+from . import exact, model, scenario
 from .bench import SweepSpec, fmt_num
 from .graph import shortest_paths
 
@@ -98,45 +98,28 @@ def _cmd_solve(args) -> int:
     if violations:
         return _fail(EXIT_USAGE, f"invalid instance: {violations[0]}")
     paths = shortest_paths(instance.network, instance.relevant_nodes)
-
-    status = "ok"
-    unplaced: list = []
-    if args.algo == "exact":
-        budget = exact.SolveBudget(
-            max_nodes_expanded=args.budget_nodes,
-            wall_time_s=args.budget_seconds,
-        )
-        res = exact.solve_exact(instance, paths, budget)
-        status = res.status
-        if res.status == "infeasible":
-            return _fail(EXIT_INFEASIBLE, "no feasible placement")
-        if res.placement is None:
-            return _fail(EXIT_BUDGET, "budget exhausted before any feasible placement")
-        placement, cost = res.placement, res.cost
-    elif args.algo in ("ppcc", "spba"):
-        fn = heuristics.ppcc if args.algo == "ppcc" else heuristics.spba
-        r = fn(instance, paths)
-        placement, cost, unplaced = r.placement, r.cost, list(r.unplaced)
-    elif args.algo == "agw":
-        r = heuristics.agw(instance, paths)
-        placement, cost = r.placement, r.cost
-    else:
-        return _fail(EXIT_USAGE, f"unknown algorithm {args.algo!r}")
+    budget = exact.SolveBudget(max_nodes_expanded=args.budget_nodes,
+                               wall_time_s=args.budget_seconds)
+    res = bench_mod.SOLVERS[args.algo](instance, paths, budget)
+    if res.status == "infeasible":
+        return _fail(EXIT_INFEASIBLE, "no feasible placement")
+    if res.placement is None:
+        return _fail(EXIT_BUDGET, "budget exhausted before any feasible placement")
 
     payload = {
         "algorithm": args.algo,
-        "status": status,
-        "total": cost.total,
-        "cost": cost.to_dict(),
+        "status": res.status,
+        "total": res.total,
+        "cost": res.cost.to_dict(),
         "unplaced": [{"request": r, "position": l, "nf": nf}
-                     for (r, l, nf) in unplaced],
-        "placement": model.placement_to_dict(placement),
+                     for (r, l, nf) in res.unplaced],
+        "placement": model.placement_to_dict(res.placement),
     }
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n",
                                   encoding="utf-8")
-    print(fmt_num(cost.total))
-    return EXIT_BUDGET if status == "budget_exceeded" else EXIT_OK
+    print(fmt_num(res.total))
+    return EXIT_BUDGET if res.status == "budget_exceeded" else EXIT_OK
 
 
 def _cmd_export_lp(args) -> int:
@@ -208,6 +191,17 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _at_least(convert, low):
+    """argparse type: `convert` the value and reject it below `low`."""
+    def check(raw: str):
+        value = convert(raw)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"{raw!r} is below {low}")
+        return value
+    check.__name__ = convert.__name__  # argparse names it in its messages
+    return check
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pccplace",
@@ -228,11 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="place one instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--algo", required=True,
-                   choices=["exact", "ppcc", "spba", "agw"])
+    p.add_argument("--algo", required=True, choices=bench_mod.ALGORITHMS)
     p.add_argument("--out", help="write placement + cost report JSON here")
-    p.add_argument("--budget-nodes", type=int, default=10_000_000)
-    p.add_argument("--budget-seconds", type=float, default=60.0)
+    p.add_argument("--budget-nodes", type=_at_least(int, 0), default=10_000_000)
+    p.add_argument("--budget-seconds", type=_at_least(float, 0), default=60.0)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("export-lp", help="write the linearized 0-1 program")
@@ -250,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--params", help="JSON file of generator parameters")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(int, 1), default=1)
     p.add_argument("--format", choices=["csv", "json", "both"], default="csv")
     p.add_argument("--measure-runtime", action="store_true",
                    help="record wall times (makes output nondeterministic)")

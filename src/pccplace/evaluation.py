@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .graph import PathTable, link_key
-from .model import Placement, ProblemInstance
+from .model import Placement, ProblemInstance, placement_index_violations
 
 
 class EvaluationError(ValueError):
@@ -65,6 +65,26 @@ class CostReport:
 
 
 @dataclass(frozen=True)
+class SolveResult:
+    """What every placement algorithm returns.
+
+    `status` is "ok" for a heuristic, and "optimal", "budget_exceeded" or
+    "infeasible" for the exact solver, whose placement and cost are None
+    when it has no feasible point. `unplaced` lists the (request id,
+    position, nf id) chain positions a heuristic could not host.
+    """
+
+    placement: Placement | None
+    cost: CostReport | None
+    status: str
+    unplaced: tuple[tuple[str, int, str], ...] = ()
+
+    @property
+    def total(self) -> float | None:
+        return None if self.cost is None else self.cost.total
+
+
+@dataclass(frozen=True)
 class ConstraintViolation:
     """One violated constraint row: family id, index tuple, and slack (< 0)."""
 
@@ -73,55 +93,28 @@ class ConstraintViolation:
     slack: float
 
 
-def _check_indices(instance: ProblemInstance, placement: Placement) -> dict:
-    """Resolve requests/positions referenced by the placement or raise."""
-    reqs = instance.request_map
-    dests = instance.destination_weights
-    nodes = instance.network.nodes
-    for (r, i, k) in placement.x:
-        req = reqs.get(r)
-        if req is None:
-            raise EvaluationError(f"unknown request {r!r} in x")
-        if i not in req.chain:
-            raise EvaluationError(f"nf {i!r} not in chain of request {r!r}")
-        if k not in nodes:
-            raise EvaluationError(f"unknown node {k!r} in x")
-    for (r, i, k, s, d) in placement.y:
-        req = reqs.get(r)
-        if req is None:
-            raise EvaluationError(f"unknown request {r!r} in y")
-        if i not in req.chain:
-            raise EvaluationError(f"nf {i!r} not in chain of request {r!r}")
-        if s not in req.heads:
-            raise EvaluationError(f"head {s!r} not in heads of request {r!r}")
-        if d not in dests:
-            raise EvaluationError(f"{d!r} is not an evaluation destination")
-        if k not in nodes:
-            raise EvaluationError(f"unknown node {k!r} in y")
-    return reqs
+def _check_indices(instance: ProblemInstance, placement: Placement) -> None:
+    """Raise :class:`EvaluationError` naming the least bad index, if any."""
+    bad = placement_index_violations(instance, placement)
+    if bad:
+        raise EvaluationError(str(bad[0]))
 
 
 def evaluate_cost(
     instance: ProblemInstance,
     placement: Placement,
     paths: PathTable,
-    *,
-    penalty_cost: float | None = None,
-    head_weights: Mapping[tuple[str, str], float] | None = None,
 ) -> CostReport:
     """Compute the itemized objective for `placement`.
 
     Destination weights are the mobility profile extended with the
     attachment node at the stay probability. Hop terms are evaluated
     literally on the visit plan: a missing position contributes nothing to
-    the hop sums and instead incurs `penalty_cost` per (head, destination)
-    pair, weighted like any routed position. `penalty_cost` defaults to
-    twice the largest pairwise path cost. `head_weights` optionally scales
-    each (request id, head) contribution; the default weight is 1.
+    the hop sums and instead incurs a penalty of twice the largest pairwise
+    path cost per (head, destination) pair, weighted like any routed
+    position.
     """
     _check_indices(instance, placement)
-    if penalty_cost is None:
-        penalty_cost = 2.0 * paths.max_cost
     # (request, head, destination, nf) -> node; of duplicate visits the
     # largest node wins, as in the sorted `Placement.visits` view
     visit: dict[tuple[str, str, str, str], str] = {}
@@ -132,7 +125,7 @@ def evaluate_cost(
     routes = [[visit.get((req.id, s, d, nf)) for nf in req.chain]
               for req, s, d in instance.pair_order]
     return cost_of_routes(instance, paths, placement.x, routes,
-                          penalty_cost=penalty_cost, head_weights=head_weights)
+                          penalty_cost=2.0 * paths.max_cost)
 
 
 def cost_of_routes(
@@ -142,7 +135,6 @@ def cost_of_routes(
     routes: Sequence[Sequence[str | None]],
     *,
     penalty_cost: float = 0.0,
-    head_weights: Mapping[tuple[str, str], float] | None = None,
 ) -> CostReport:
     """Itemized objective of a hosting set and a visit plan given per chain.
 
@@ -167,8 +159,6 @@ def cost_of_routes(
     penalty_term = 0.0
     for (req, s, d), nodes in zip(instance.pair_order, routes):
         w = weights[d]
-        if head_weights is not None:
-            w *= head_weights.get((req.id, s), 1.0)
         prev = nodes[0]
         if prev is not None:
             head_term += w * cost(s, prev)
@@ -207,7 +197,8 @@ def check_constraints(
     Capacity budgets are per node-pair bottlenecks of the initial network,
     aggregated over all flows mapped to that pair.
     """
-    reqs = _check_indices(instance, placement)
+    _check_indices(instance, placement)
+    reqs = instance.request_map
     out: list[ConstraintViolation] = []
 
     used: dict[str, list[float]] = {}
@@ -327,10 +318,3 @@ def gain(cost_a: float, cost_b: float) -> float:
     if cost_b == 0:
         raise UndefinedGainError("reference cost is zero; gain undefined")
     return (cost_b - cost_a) / cost_b
-
-
-def violations_to_dicts(violations: list[ConstraintViolation]) -> list[dict[str, Any]]:
-    return [
-        {"constraint": v.constraint, "index": list(v.index), "slack": v.slack}
-        for v in violations
-    ]

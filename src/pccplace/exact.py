@@ -19,9 +19,9 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .evaluation import CostReport, cost_of_routes, evaluate_cost
+from .evaluation import SolveResult, cost_of_routes, evaluate_cost
 from .graph import PathTable, shortest_paths
-from .model import Placement, ProblemInstance, build_placement_per_pair
+from .model import ProblemInstance, build_placement_per_pair
 
 
 class ExportSizeError(ValueError):
@@ -39,15 +39,9 @@ class SolveBudget:
     wall_time_s: float | None = 60.0
 
 
-@dataclass(frozen=True)
-class ExactResult:
-    placement: Placement | None
-    cost: CostReport | None
-    status: str  # "optimal" | "budget_exceeded" | "infeasible"
-
-    @property
-    def total(self) -> float | None:
-        return None if self.cost is None else self.cost.total
+# The exact solver's result type under its earlier name, which the
+# benchmark's tests still import.
+ExactResult = SolveResult
 
 
 @dataclass(frozen=True)
@@ -308,7 +302,7 @@ def solve_exact(
     instance: ProblemInstance,
     paths: PathTable | None = None,
     budget: SolveBudget | None = None,
-) -> ExactResult:
+) -> SolveResult:
     """Optimal placement by best-first branch and bound.
 
     Branching follows the fixed (request, position, head, destination)
@@ -342,9 +336,9 @@ def solve_exact(
     keys = [(v.rid, v.s, v.d, v.l) for v in variables]
     state = _SearchState(instance, paths, variables)
 
-    def result(assignment: Sequence[str], status: str) -> ExactResult:
+    def result(assignment: Sequence[str], status: str) -> SolveResult:
         placement = build_placement_per_pair(instance, dict(zip(keys, assignment)))
-        return ExactResult(placement, evaluate_cost(instance, placement, paths), status)
+        return SolveResult(placement, evaluate_cost(instance, placement, paths), status)
 
     # (total, assignment) of the best complete assignment so far. Complete
     # assignments are evaluated as they are generated, never queued.
@@ -379,7 +373,7 @@ def solve_exact(
                 budget.wall_time_s is not None
                 and time.perf_counter() - start > budget.wall_time_s):
             if best is None:
-                return ExactResult(None, None, "budget_exceeded")
+                return SolveResult(None, None, "budget_exceeded")
             return result(best[1], "budget_exceeded")
         expanded += 1
         state.goto(assignment)
@@ -392,7 +386,7 @@ def solve_exact(
             else:
                 heapq.heappush(heap, (child_bound, assignment + (k,)))
     if best is None:
-        return ExactResult(None, None, "infeasible")
+        return SolveResult(None, None, "infeasible")
     return result(best[1], "optimal")
 
 

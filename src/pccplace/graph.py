@@ -7,7 +7,7 @@ that solvers, heuristics, and test oracles all see identical paths.
 
 `EdgeNetwork` and `PathTable` are immutable and safe to share across
 threads. `ResidualState` is mutable and single-owner; parallel runs must
-each work on their own copy (see :meth:`ResidualState.clone`).
+each build their own.
 """
 
 from __future__ import annotations
@@ -85,9 +85,6 @@ class EdgeNetwork:
             adj[ln.v].append((ln.u, ln.cost))
         return {n: tuple(sorted(nbrs)) for n, nbrs in adj.items()}
 
-    def has_link(self, u: str, v: str) -> bool:
-        return link_key(u, v) in self.link_map
-
     def is_connected(self) -> bool:
         if not self.nodes:
             return False
@@ -119,8 +116,7 @@ class PathTable:
     For every ordered pair (a, b) of relevant nodes the table holds the
     minimal routing cost, the minimal-cost node sequence (lexicographically
     smallest among ties), and the bottleneck capacity (minimum link capacity
-    along the stored sequence; +inf for the (a, a) pair unless a per-node
-    flow limit was supplied).
+    along the stored sequence; +inf for the (a, a) pair).
     """
 
     pairs: dict[tuple[str, str], PathInfo]
@@ -182,7 +178,6 @@ def _dijkstra_lex(network: EdgeNetwork, source: str) -> dict[str, tuple[float, t
 def shortest_paths(
     network: EdgeNetwork,
     relevant: Iterable[str],
-    node_flow_limits: Mapping[str, float] | None = None,
 ) -> PathTable:
     """Build the all-pairs :class:`PathTable` over `relevant` nodes.
 
@@ -190,8 +185,6 @@ def shortest_paths(
         network: connected network; raises :class:`DisconnectedGraphError`
             otherwise.
         relevant: node ids to include (must all be network nodes).
-        node_flow_limits: optional per-node flow tolerance used as the
-            bottleneck of the degenerate (a, a) pair; defaults to +inf.
 
     Cost is symmetric across each unordered pair; the stored sequences for
     (a, b) and (b, a) may differ under cost ties but each is the
@@ -204,7 +197,6 @@ def shortest_paths(
     if not network.is_connected():
         raise DisconnectedGraphError("network graph is not connected")
 
-    limits = dict(node_flow_limits or {})
     link_map = network.link_map
     pairs: dict[tuple[str, str], PathInfo] = {}
     by_source = {a: _dijkstra_lex(network, a) for a in rel}
@@ -212,7 +204,7 @@ def shortest_paths(
         best = by_source[a]
         for b in rel:
             if a == b:
-                pairs[(a, a)] = PathInfo(0.0, (a,), limits.get(a, math.inf))
+                pairs[(a, a)] = PathInfo(0.0, (a,), math.inf)
                 continue
             _, seq = best[b]
             # Canonical cost from the lexicographically smaller endpoint's
@@ -248,9 +240,6 @@ class ResidualState:
         nodes = {k: (mem, cpu) for k, (mem, cpu) in (node_resources or {}).items()}
         return cls(link_remaining=links, node_remaining=nodes)
 
-    def clone(self) -> "ResidualState":
-        return ResidualState(dict(self.link_remaining), dict(self.node_remaining))
-
     def node_fits(self, node: str, demand: tuple[float, float]) -> bool:
         mem, cpu = self.node_remaining.get(node, (0.0, 0.0))
         return demand[0] <= mem and demand[1] <= cpu
@@ -278,8 +267,7 @@ def path_bottleneck(network: EdgeNetwork, path: Sequence[str], residual: Residua
     """Minimum residual capacity over the links of `path`.
 
     A zero-length path (a single node) has bottleneck +inf by convention:
-    node-local hops never constrain flow unless a per-node limit is modeled
-    in the PathTable instead.
+    node-local hops never constrain flow.
     """
     keys = _walk_links(network, path)
     if not keys:
@@ -306,12 +294,4 @@ def consume_flow(residual: ResidualState, network: EdgeNetwork, path: Sequence[s
                 f"on link {k}")
     for k in keys:
         residual.link_remaining[k] -= rate
-    return residual
-
-
-def restore_flow(residual: ResidualState, network: EdgeNetwork, path: Sequence[str], rate: float) -> ResidualState:
-    """Inverse of :func:`consume_flow`: credit `rate` back per traversal."""
-    keys = _walk_links(network, path)
-    for k in keys:
-        residual.link_remaining[k] += rate
     return residual

@@ -16,30 +16,16 @@ anchor baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .evaluation import CostReport, evaluate_cost
+from .evaluation import SolveResult, evaluate_cost
 from .graph import PathTable, ResidualState, consume_flow, path_bottleneck
-from .model import Placement, ProblemInstance, build_placement
-
-
-@dataclass(frozen=True)
-class PlacementResult:
-    placement: Placement
-    cost: CostReport
-    unplaced: tuple[tuple[str, int, str], ...]  # (request id, position, nf id)
-
-    @property
-    def total(self) -> float:
-        return self.cost.total
+from .model import ProblemInstance, build_placement
 
 
 def _greedy_chain_fill(
     instance: ProblemInstance,
     paths: PathTable,
     target: str,
-    penalty_cost: float | None,
-) -> PlacementResult:
+) -> SolveResult:
     """Shared greedy fill toward a fixed target node.
 
     For each request in batch order: pick the head closest to the target,
@@ -62,16 +48,18 @@ def _greedy_chain_fill(
     for req in instance.requests:
         s_star = min(sorted(req.heads), key=lambda s: (paths.cost(s, target), s))
         on_path = [n for n in paths.sequence(s_star, target) if n in candidates]
-        fallback = sorted(
-            (k for k in candidates if k not in set(on_path)),
-            key=lambda k: (paths.cost(s_star, k), k))
         pending = {l: nf for l, nf in enumerate(req.chain, start=1)}
         m = s_star
         # Primary pass over the on-path candidates, then one rescan over the
         # list extended with the remaining candidates (the anchor m moves as
         # functions are hosted, so a rescan can succeed where the first pass
-        # failed on a flow check).
-        for scan in (on_path, on_path + fallback):
+        # failed on a flow check). The rescan list is built only when needed.
+        for scan in (on_path, None):
+            if scan is None:
+                on_set = set(on_path)
+                scan = on_path + sorted(
+                    (k for k in candidates if k not in on_set),
+                    key=lambda k: (paths.cost(s_star, k), k))
             for k in scan:
                 for l in sorted(pending):
                     nf = pending[l]
@@ -92,16 +80,11 @@ def _greedy_chain_fill(
             unplaced.append((req.id, l, pending[l]))
 
     placement = build_placement(instance, hosts)
-    cost = evaluate_cost(instance, placement, paths, penalty_cost=penalty_cost)
-    return PlacementResult(placement, cost, tuple(unplaced))
+    cost = evaluate_cost(instance, placement, paths)
+    return SolveResult(placement, cost, "ok", tuple(unplaced))
 
 
-def ppcc(
-    instance: ProblemInstance,
-    paths: PathTable,
-    *,
-    penalty_cost: float | None = None,
-) -> PlacementResult:
+def ppcc(instance: ProblemInstance, paths: PathTable) -> SolveResult:
     """Probability-prior greedy placement.
 
     The target is the highest-probability evaluation destination (the
@@ -111,15 +94,10 @@ def ppcc(
     weights = instance.destination_weights
     best = max(weights.values())
     target = min(d for d, w in weights.items() if w == best)
-    return _greedy_chain_fill(instance, paths, target, penalty_cost)
+    return _greedy_chain_fill(instance, paths, target)
 
 
-def spba(
-    instance: ProblemInstance,
-    paths: PathTable,
-    *,
-    penalty_cost: float | None = None,
-) -> PlacementResult:
+def spba(instance: ProblemInstance, paths: PathTable) -> SolveResult:
     """Shortest-path-based allocation, oblivious to mobility.
 
     Identical greedy machinery to :func:`ppcc` but always targets the
@@ -127,11 +105,10 @@ def spba(
     probabilities. With no mobility (stay probability 1) its decisions
     coincide with PPCC's and the relative gain is zero.
     """
-    return _greedy_chain_fill(instance, paths, instance.network.attachment,
-                              penalty_cost)
+    return _greedy_chain_fill(instance, paths, instance.network.attachment)
 
 
-def agw(instance: ProblemInstance, paths: PathTable) -> PlacementResult:
+def agw(instance: ProblemInstance, paths: PathTable) -> SolveResult:
     """Everything at the gateway.
 
     Hosts every function of every request at the network gateway with no
@@ -146,4 +123,4 @@ def agw(instance: ProblemInstance, paths: PathTable) -> PlacementResult:
     }
     placement = build_placement(instance, hosts)
     cost = evaluate_cost(instance, placement, paths)
-    return PlacementResult(placement, cost, ())
+    return SolveResult(placement, cost, "ok")

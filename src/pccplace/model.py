@@ -35,15 +35,6 @@ class Resources:
     memory_mb: float
     cpu_cores: float
 
-    def fits_within(self, other: "Resources") -> bool:
-        return self.memory_mb <= other.memory_mb and self.cpu_cores <= other.cpu_cores
-
-    def __add__(self, other: "Resources") -> "Resources":
-        return Resources(self.memory_mb + other.memory_mb, self.cpu_cores + other.cpu_cores)
-
-    def __sub__(self, other: "Resources") -> "Resources":
-        return Resources(self.memory_mb - other.memory_mb, self.cpu_cores - other.cpu_cores)
-
     def as_tuple(self) -> tuple[float, float]:
         return (self.memory_mb, self.cpu_cores)
 
@@ -65,18 +56,6 @@ class ServiceRequest:
     @property
     def length(self) -> int:
         return len(self.chain)
-
-
-def v_entry(request: ServiceRequest, nf_id: str, position: int) -> int:
-    """1 iff the NF at 1-based chain `position` of `request` is `nf_id`.
-
-    Raises IndexError when `position` is outside 1..len(chain).
-    """
-    if not 1 <= position <= len(request.chain):
-        raise IndexError(
-            f"position {position} out of range 1..{len(request.chain)} "
-            f"for request {request.id!r}")
-    return 1 if request.chain[position - 1] == nf_id else 0
 
 
 @dataclass(frozen=True)
@@ -172,14 +151,6 @@ class Placement:
             out.setdefault((r, s, d), {})[i] = k
         return out
 
-    @cached_property
-    def hosted_nodes(self) -> dict[tuple[str, str], set[str]]:
-        """(request, nf) -> set of hosting nodes from x."""
-        out: dict[tuple[str, str], set[str]] = {}
-        for r, i, k in self.x:
-            out.setdefault((r, i), set()).add(k)
-        return out
-
 
 def build_placement(
     instance: ProblemInstance,
@@ -237,7 +208,7 @@ class Violation:
     code: str
     detail: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return f"{self.code}: {self.detail}"
 
 
@@ -332,59 +303,82 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
     return v
 
 
+def placement_index_violations(
+    instance: ProblemInstance, placement: Placement
+) -> list[Violation]:
+    """Placement entries that use indices the instance does not know.
+
+    Reports an unknown request, an nf outside the request's chain, an
+    unknown node, a head outside the request's head set and a destination
+    outside the evaluation destinations. Violations come x entries first,
+    then y entries, each in sorted entry order, so the first one names the
+    least offending entry. The placement is scanned once unsorted and only
+    the violations found are sorted, since :func:`evaluation.evaluate_cost`
+    runs this check on every call.
+    """
+    reqs = instance.request_map
+    dests = instance.destination_weights
+    nodes = instance.network.nodes
+    # (x or y, entry, index of the offending field in the entry, code)
+    found: list[tuple[int, tuple, int, str]] = []
+    for entry in placement.x:
+        r, i, k = entry
+        req = reqs.get(r)
+        if req is None:
+            found.append((0, entry, 0, "UnknownRequest"))
+        elif i not in req.chain:
+            found.append((0, entry, 1, "NFNotInChain"))
+        if k not in nodes:
+            found.append((0, entry, 2, "UnknownNode"))
+    for entry in placement.y:
+        r, i, k, s, d = entry
+        req = reqs.get(r)
+        if req is None:
+            found.append((1, entry, 0, "UnknownRequest"))
+        else:
+            if i not in req.chain:
+                found.append((1, entry, 1, "NFNotInChain"))
+            if s not in req.heads:
+                found.append((1, entry, 3, "HeadNotInRequest"))
+        if k not in nodes:
+            found.append((1, entry, 2, "UnknownNode"))
+        if d not in dests:
+            found.append((1, entry, 4, "UnknownDestination"))
+    found.sort()
+    return [Violation(code, f"{'xy'[part]}[{','.join(entry)}]")
+            for part, entry, _, code in found]
+
+
 def placement_structure_violations(
     instance: ProblemInstance, placement: Placement
 ) -> list[Violation]:
-    """Check the two structural placement invariants.
+    """Check index validity and the two structural placement invariants.
 
     1. every y entry is backed by an x entry (y <= x pointwise);
     2. every (request, head, destination, position) has exactly one visit.
 
-    Index validity (known request/NF/node ids, head in the request's head
-    set) is reported too, since the other checks are meaningless without it.
+    The index violations of :func:`placement_index_violations` come first,
+    since the other checks are meaningless without valid indices.
     """
-    v: list[Violation] = []
-    reqs = {r.id: r for r in instance.requests}
-    dests = set(instance.destination_weights)
-    nodes = instance.network.nodes
-
-    for (r, i, k) in sorted(placement.x):
-        if r not in reqs:
-            v.append(Violation("UnknownRequest", f"x[{r},{i},{k}]"))
-        elif i not in reqs[r].chain:
-            v.append(Violation("NFNotInChain", f"x[{r},{i},{k}]"))
-        if k not in nodes:
-            v.append(Violation("UnknownNode", f"x[{r},{i},{k}]"))
-
+    v = placement_index_violations(instance, placement)
+    reqs = instance.request_map
     counts: dict[tuple[str, str, str, int], int] = {}
     for (r, i, k, s, d) in sorted(placement.y):
         if (r, i, k) not in placement.x:
             v.append(Violation("VisitWithoutHosting", f"y[{r},{i},{k},{s},{d}]"))
-        if r not in reqs:
-            v.append(Violation("UnknownRequest", f"y[{r},{i},{k},{s},{d}]"))
-            continue
-        req = reqs[r]
-        if s not in req.heads:
-            v.append(Violation("HeadNotInRequest", f"y[{r},{i},{k},{s},{d}]"))
-        if d not in dests:
-            v.append(Violation("UnknownDestination", f"y[{r},{i},{k},{s},{d}]"))
-        if i in req.chain:
+        req = reqs.get(r)
+        if req is not None and i in req.chain:
             l = req.chain.index(i) + 1
             counts[(r, s, d, l)] = counts.get((r, s, d, l), 0) + 1
-        else:
-            v.append(Violation("NFNotInChain", f"y[{r},{i},{k},{s},{d}]"))
 
-    for req in instance.requests:
-        for s in sorted(req.heads):
-            for d in sorted(dests):
-                for l in range(1, len(req.chain) + 1):
-                    n = counts.get((req.id, s, d, l), 0)
-                    if n == 0:
-                        v.append(Violation(
-                            "MissingVisit", f"({req.id},{s},{d},l={l})"))
-                    elif n > 1:
-                        v.append(Violation(
-                            "DuplicateVisit", f"({req.id},{s},{d},l={l}): {n} visits"))
+    for req, s, d in instance.pair_order:
+        for l in range(1, len(req.chain) + 1):
+            n = counts.get((req.id, s, d, l), 0)
+            if n == 0:
+                v.append(Violation("MissingVisit", f"({req.id},{s},{d},l={l})"))
+            elif n > 1:
+                v.append(Violation(
+                    "DuplicateVisit", f"({req.id},{s},{d},l={l}): {n} visits"))
     return v
 
 

@@ -1,3 +1,6 @@
+import importlib
+from collections import Counter
+
 import pytest
 
 from pccplace.bench import (
@@ -10,7 +13,9 @@ from pccplace.bench import (
     table_to_json,
     trial_seed,
 )
-from pccplace.scenario import ScenarioParams
+from pccplace.exact import solve_exact
+from pccplace.graph import shortest_paths
+from pccplace.scenario import ScenarioParams, generate_instance
 
 
 def small_params(**overrides):
@@ -160,3 +165,43 @@ class TestEmit:
         assert json_path.read_text().startswith("{")
         with pytest.raises(ValueError, match="format"):
             emit_results(table, "xml", str(tmp_path / "r.xml"))
+
+
+# Module attributes that the per-layer tracer in perfbench/tracing.py
+# replaces with wrappers. The package must look each one up there at call
+# time, or the traced spans read zero.
+TRACED = {
+    "pccplace.bench": ("generate_instance", "shortest_paths", "ppcc", "spba", "agw"),
+    "pccplace.heuristics": ("evaluate_cost", "build_placement"),
+    "pccplace.exact": ("lower_bound", "evaluate_cost", "build_placement_per_pair"),
+}
+
+
+class TestTracedAttributes:
+    def test_calls_go_through_module_attributes(self, monkeypatch):
+        calls = Counter()
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module_name, attrs in TRACED.items():
+            module = importlib.import_module(module_name)
+            for attr in attrs:
+                monkeypatch.setattr(module, attr,
+                                    spy(f"{module_name}.{attr}", getattr(module, attr)))
+
+        run_sweep(SweepSpec(axis="batch_size", values=(2,)), small_params(),
+                  trials=1, algorithms=("ppcc", "spba", "agw"))
+        instance = generate_instance(ScenarioParams(
+            num_candidates=3, batch_size=1, chain_length=(1, 2),
+            heads_per_request=(1, 2), num_destinations=(1, 1)), 0)
+        solve_exact(instance, shortest_paths(instance.network, instance.relevant_nodes))
+
+        # The search evaluates bounds internally; only the public
+        # `lower_bound` attribute has to exist.
+        called = {f"{m}.{a}" for m, attrs in TRACED.items() for a in attrs}
+        called.discard("pccplace.exact.lower_bound")
+        assert {name for name in called if not calls[name]} == set()

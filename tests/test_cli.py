@@ -1,9 +1,12 @@
+import argparse
 import json
 
 import pytest
 
-from pccplace.cli import main
+from pccplace.bench import ALGORITHMS, SOLVERS, SweepSpec, run_sweep, trial_seed
+from pccplace.cli import build_parser, main
 from pccplace.model import instance_to_json
+from pccplace.scenario import ScenarioParams, generate_instance
 
 from conftest import make_instance
 
@@ -123,6 +126,20 @@ class TestSolve:
         bad.write_text("{}")
         assert main(["solve", "--instance", str(bad), "--algo", "ppcc"]) == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--budget-nodes", "-5"), ("--budget-seconds", "-1"),
+        ("--budget-seconds", "nan")])
+    def test_negative_budget_exits_2(self, tiny1_file, flag, value, capsys):
+        assert main(["solve", "--instance", tiny1_file, "--algo", "exact",
+                     flag, value]) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_zero_budget_returns_dive_incumbent(self, tiny1_file, capsys):
+        code = main(["solve", "--instance", tiny1_file, "--algo", "exact",
+                     "--budget-nodes", "0", "--budget-seconds", "0"])
+        assert code == 4
+        assert capsys.readouterr().out.strip() == "6"
+
 
 class TestExportLp:
     def test_output_begins_with_minimize(self, tiny1_file, tmp_path):
@@ -167,6 +184,53 @@ class TestBench:
         assert (out1 / "results.csv").read_bytes() == \
             (out2 / "results.csv").read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_exit_2(self, tmp_path, jobs, capsys):
+        assert main(["bench", "--sweep", "batch_size=2", "--trials", "1",
+                     "--set", "num_candidates=6", "--jobs", jobs,
+                     "--out", str(tmp_path / "r")]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_bad_sweep_exits_2(self, tmp_path, capsys):
         assert main(["bench", "--sweep", "nonsense", "--trials", "1",
                      "--out", str(tmp_path / "r")]) == 2
+
+
+class TestSolverRegistry:
+    def test_one_algorithm_list(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        algo = next(a for a in commands.choices["solve"]._actions
+                    if a.dest == "algo")
+        expected = ("exact", "ppcc", "spba", "agw")
+        assert tuple(algo.choices) == ALGORITHMS == tuple(SOLVERS) == expected
+
+    def test_solve_matches_sweep_record(self, tmp_path):
+        # Node CPU for one function each: trial 0 places everything, in
+        # trial 1 the exact program is infeasible and PPCC/SPBA leave
+        # positions unplaced.
+        params = ScenarioParams(
+            num_candidates=4, batch_size=2, chain_length=(2, 3),
+            heads_per_request=(1, 2), num_destinations=(1, 1),
+            node_cpu_cores=0.3, nf_cpu_cores=(0.25, 0.25))
+        table = run_sweep(SweepSpec("batch_size", (2,)), params, trials=2,
+                          algorithms=ALGORITHMS, base_seed=1)
+        assert {r.status for r in table.records} >= {"optimal", "infeasible"}
+        assert any(r.unplaced for r in table.records)
+        for rec in table.records:
+            assert rec.seed == trial_seed(1, "batch_size", 2, rec.trial)
+            instance = tmp_path / f"{rec.trial}.json"
+            instance.write_text(instance_to_json(generate_instance(params, rec.seed)))
+            out = tmp_path / f"{rec.trial}-{rec.algorithm}.json"
+            code = main(["solve", "--instance", str(instance),
+                         "--algo", rec.algorithm, "--out", str(out)])
+            if rec.status == "infeasible":
+                assert code == 3 and not out.exists()
+                continue
+            assert code == 0
+            payload = json.loads(out.read_text())
+            assert (payload["status"], payload["total"],
+                    len(payload["unplaced"])) == (rec.status, rec.cost,
+                                                  rec.unplaced)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -100,15 +105,6 @@ class TestEvaluateCost:
         # both evaluation destinations (d at 1.0, attachment a at 0.0)
         assert report.penalty_term == 12.0
         assert report.total == 12.0
-        custom = evaluate_cost(tiny1, empty, paths, penalty_cost=100.0)
-        assert custom.penalty_term == 100.0
-
-    def test_head_weights_scale_contributions(self, tiny1):
-        paths = paths_for(tiny1)
-        placement = build_placement(tiny1, {("r1", 1): "b"})
-        report = evaluate_cost(tiny1, placement, paths,
-                               head_weights={("r1", "a"): 2.0})
-        assert report.total == 12.0
 
     def test_unknown_indices_raise(self, tiny1):
         paths = paths_for(tiny1)
@@ -120,6 +116,37 @@ class TestEvaluateCost:
             y=frozenset({("r1", "f1", "b", "z", "d")}))
         with pytest.raises(EvaluationError):
             evaluate_cost(tiny1, bad, paths)
+
+    def test_index_error_names_least_entry_under_any_hash_seed(self):
+        # Three unknown requests in one frozenset: the error must name the
+        # least entry, not whichever the set's hash order yields first.
+        script = textwrap.dedent("""
+            from conftest import PATH_LINKS, make_instance
+            from pccplace.evaluation import EvaluationError, evaluate_cost
+            from pccplace.graph import shortest_paths
+            from pccplace.model import Placement
+
+            inst = make_instance(
+                links=PATH_LINKS, candidates=["b", "c"], gateway="a",
+                attachment="a", requests=[("r1", ["f1"], 1.0, ["a"])],
+                destinations={"d": 1.0})
+            bad = Placement(x=frozenset({("r7", "f1", "c"), ("r8", "f1", "b"),
+                                         ("r9", "f1", "b")}), y=frozenset())
+            try:
+                evaluate_cost(inst, bad,
+                              shortest_paths(inst.network, inst.relevant_nodes))
+            except EvaluationError as exc:
+                print(exc)
+        """)
+        messages = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            messages.add(out.stdout.strip())
+        assert len(messages) == 1
+        assert "r7" in messages.pop()
 
     @given(alpha=st.sampled_from([0.25, 0.5, 2.0, 4.0]))
     def test_rho_scaling_is_exactly_linear(self, alpha):

@@ -15,7 +15,6 @@ from pccplace.model import (
     placement_from_json,
     placement_structure_violations,
     placement_to_json,
-    v_entry,
     validate_instance,
 )
 from pccplace.scenario import ScenarioParams, generate_instance
@@ -25,37 +24,6 @@ from conftest import make_instance
 
 def codes(violations):
     return {v.code for v in violations}
-
-
-class TestVEntry:
-    def test_direct_read(self, tiny1):
-        req = tiny1.requests[0]
-        assert v_entry(req, "f1", 1) == 1
-
-    def test_mismatch(self):
-        inst = make_instance(
-            links=[("a", "b", 1.0)], candidates=["b"], gateway="a",
-            attachment="a",
-            requests=[("r1", ["f3", "f1"], 1.0, ["a"])],
-            destinations={"b": 1.0},
-            catalog={"f1": (10.0, 0.125), "f3": (10.0, 0.125)},
-        )
-        req = inst.requests[0]
-        assert v_entry(req, "f3", 1) == 1
-        assert v_entry(req, "f3", 2) == 0
-        assert v_entry(req, "f1", 2) == 1
-
-    def test_each_position_holds_exactly_one_nf(self, tiny1):
-        req = tiny1.requests[0]
-        for l in range(1, len(req.chain) + 1):
-            assert sum(v_entry(req, nf, l) for nf in tiny1.catalog) == 1
-
-    def test_out_of_range(self, tiny1):
-        req = tiny1.requests[0]
-        with pytest.raises(IndexError):
-            v_entry(req, "f1", 0)
-        with pytest.raises(IndexError):
-            v_entry(req, "f1", 2)
 
 
 class TestValidateInstance:
@@ -246,6 +214,14 @@ class TestPlacementStructure:
         )
         found = codes(placement_structure_violations(tiny1, corrupted))
         assert "DuplicateVisit" in found
+
+    def test_unknown_node_in_y(self, tiny1):
+        good = build_placement(tiny1, {("r1", 1): "b"})
+        corrupted = Placement(x=good.x | {("r1", "f1", "q")},
+                              y=good.y | {("r1", "f1", "q", "a", "d")})
+        found = placement_structure_violations(tiny1, corrupted)
+        assert [str(v) for v in found if v.code == "UnknownNode"] == [
+            "UnknownNode: x[r1,f1,q]", "UnknownNode: y[r1,f1,q,a,d]"]
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_bit_flips_are_caught(self, tiny1, seed):
