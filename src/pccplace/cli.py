@@ -129,7 +129,7 @@ def _cmd_export_lp(args) -> int:
         return _fail(EXIT_USAGE, str(exc))
     try:
         text = exact.export_lp(instance)
-    except exact.ExportSizeError as exc:
+    except ValueError as exc:  # ExportSizeError included
         return _fail(EXIT_USAGE, str(exc))
     Path(args.out).write_text(text, encoding="utf-8")
     print(args.out)

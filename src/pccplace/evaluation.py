@@ -9,19 +9,23 @@ heuristic failed to host, so partially placed batches remain comparable.
 
 Capacity checking follows per-pair bottleneck semantics: each (endpoint,
 endpoint) shortest path has an independent capacity budget, aggregated over
-everything mapped to that pair. :func:`check_link_capacities` offers the
-stricter per-link alternative in which paths sharing a physical link
-contend for its capacity.
+everything mapped to that pair. The loads of these families (5a node
+resources, 5b-5d head, chain and tail flow) are kept by one :class:`Ledger`,
+which the exact search charges visit by visit, :func:`check_constraints`
+charges in batch and the greedy fill uses for node resources. The stricter
+per-link model, in which paths sharing a physical link contend for its
+capacity, is `graph.ResidualState` (the greedy fill's flow checks) and
+:func:`check_link_capacities`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graph import PathTable, link_key
-from .model import Placement, ProblemInstance, placement_index_violations
+from .model import (Placement, ProblemInstance, ServiceRequest,
+                    placement_index_violations)
 
 
 class EvaluationError(ValueError):
@@ -91,6 +95,130 @@ class ConstraintViolation:
     constraint: str
     index: tuple
     slack: float
+
+
+class Ledger:
+    """The loads of capacity families 5a-5d, under per-pair bottleneck budgets.
+
+    Float policy: a load is the running float sum of its charges, in the
+    order they were charged; a hosting's demand is charged once, at the
+    first charge naming its (request, nf, node). Demands and rates are
+    positive, so charging visits one at a time under :meth:`fits` accepts
+    exactly the loads that :meth:`violations` passes, bit for bit, when both
+    charge in one order. :func:`check_constraints` charges in the exact
+    search's variable order (request, position, head, destination), hosting
+    demand at the first visit of each (request, nf, node), then the
+    hostings with no visit in sorted order. Nothing is summed in set order.
+    A node with no entry in `node_resources` has no 5a row (AGW's gateway is
+    unlimited) and :meth:`can_host` refuses it, so solvers host only on
+    nodes with declared resources.
+    """
+
+    def __init__(self, instance: ProblemInstance, paths: PathTable):
+        self._paths = paths
+        self._caps = {k: cap.as_tuple() for k, cap in instance.node_resources.items()}
+        self._demand = {nf: dem.as_tuple() for nf, dem in instance.catalog.items()}
+        # (memory, cpu) per node with a capacity entry
+        self.load = dict.fromkeys(self._caps, (0.0, 0.0))
+        # the hostings charged so far; a dict, so that undo restores it as it
+        # restores the loads
+        self.hosted: dict[tuple[str, str, str], bool] = {}
+        self.flows: tuple[dict[tuple[str, str], float], ...] = ({}, {}, {})  # 5b-5d
+        self._saved: list[tuple[dict, object, object]] = []  # (table, key, old or None)
+        self._marks: list[int] = []
+
+    def visit(self, req: ServiceRequest, l: int, node: str, head: str, dest: str,
+              prevs: Iterable[str], hosting: bool) -> tuple:
+        """Charges of visiting position `l` of `req` at `node` for (head, dest).
+
+        The tuple (hosting or None, nf, node, rate, flows) is resolved once,
+        flows holding a (table, pair, budget) per 5b-5d row; each of `prevs`,
+        the nodes at position l - 1, adds a chain-hop flow. Unless `hosting`
+        is set, the visit charges no node demand.
+        """
+        bottleneck = self._paths.bottleneck
+        head_flow, pair_flow, tail_flow = self.flows
+        flows = []
+        if l == 1:
+            flows.append((head_flow, (head, node), bottleneck(head, node)))
+        for p in prevs:
+            flows.append((pair_flow, (p, node), bottleneck(p, node)))
+        if l == len(req.chain):
+            flows.append((tail_flow, (node, dest), bottleneck(node, dest)))
+        nf = req.chain[l - 1]
+        return ((req.id, nf, node) if hosting else None, nf, node,
+                req.flow_rate_mbps, flows)
+
+    def can_host(self, nf: str, node: str) -> bool:
+        """Whether `node` has room for one more hosting of `nf` (5a)."""
+        load = self.load.get(node)
+        if load is None:
+            return False
+        cap, demand = self._caps[node], self._demand[nf]
+        return load[0] + demand[0] <= cap[0] and load[1] + demand[1] <= cap[1]
+
+    def fits(self, visit: tuple) -> bool:
+        """Whether charging `visit` keeps every load it adds to within capacity."""
+        host, nf, node, rate, flows = visit
+        if host is not None and host not in self.hosted and not self.can_host(nf, node):
+            return False
+        for table, pair, budget in flows:
+            if table.get(pair, 0.0) + rate > budget:
+                return False
+        return True
+
+    def _host(self, host: tuple[str, str, str], nf: str, node: str) -> None:
+        if host not in self.hosted:
+            self._saved.append((self.hosted, host, None))
+            self.hosted[host] = True
+            load = self.load.get(node)
+            if load is not None:
+                self._saved.append((self.load, node, load))
+                demand = self._demand[nf]
+                self.load[node] = (load[0] + demand[0], load[1] + demand[1])
+
+    def host(self, request: str, nf: str, node: str) -> None:
+        """Charge a hosting: its demand, unless it is already hosted."""
+        self._marks.append(len(self._saved))
+        self._host((request, nf, node), nf, node)
+
+    def charge(self, visit: tuple) -> None:
+        """Charge a visit: its hosting as :meth:`host` does, then its flows."""
+        host, nf, node, rate, flows = visit
+        saved = self._saved
+        self._marks.append(len(saved))
+        if host is not None:
+            self._host(host, nf, node)
+        for table, pair, _ in flows:
+            old = table.get(pair)
+            saved.append((table, pair, old))
+            table[pair] = rate if old is None else old + rate
+
+    def undo(self) -> None:
+        """Revert the last :meth:`charge` or :meth:`host` exactly, restoring saved values."""
+        saved = self._saved
+        for _ in range(len(saved) - self._marks.pop()):
+            table, key, old = saved.pop()
+            if old is None:
+                del table[key]
+            else:
+                table[key] = old
+
+    def violations(self) -> list[ConstraintViolation]:
+        """Every 5a-5d row over capacity: by family, then by sorted index."""
+        out = []
+        for k in sorted(self._caps):
+            for cap, load, resource in zip(self._caps[k], self.load[k],
+                                           ("memory_mb", "cpu_cores")):
+                slack = cap - load
+                if slack < 0:
+                    out.append(ConstraintViolation("5a", (k, resource), slack))
+        for family, table in zip(("5b", "5c", "5d"), self.flows):
+            for pair in sorted(table):  # an infinite budget never goes negative
+                slack = self._paths.bottleneck(*pair) - table[pair]
+                if slack < 0:
+                    out.append(ConstraintViolation(family, pair, slack))
+        return out
 
 
 def _check_indices(instance: ProblemInstance, placement: Placement) -> None:
@@ -195,54 +323,31 @@ def check_constraints(
                                 set materialized by the LP export.
 
     Capacity budgets are per node-pair bottlenecks of the initial network,
-    aggregated over all flows mapped to that pair.
+    aggregated over all flows mapped to that pair. Loads are charged to a
+    :class:`Ledger` in the exact search's variable order (see its float
+    policy), so the verdict is the search's, bit for bit.
     """
     _check_indices(instance, placement)
-    reqs = instance.request_map
-    out: list[ConstraintViolation] = []
-
-    used: dict[str, list[float]] = {}
-    for (r, i, k) in placement.x:
-        dem = instance.catalog[i]
-        acc = used.setdefault(k, [0.0, 0.0])
-        acc[0] += dem.memory_mb
-        acc[1] += dem.cpu_cores
-    for k in sorted(instance.node_resources):
-        cap = instance.node_resources[k]
-        mem, cpu = used.get(k, (0.0, 0.0))
-        if cap.memory_mb - mem < 0:
-            out.append(ConstraintViolation("5a", (k, "memory_mb"), cap.memory_mb - mem))
-        if cap.cpu_cores - cpu < 0:
-            out.append(ConstraintViolation("5a", (k, "cpu_cores"), cap.cpu_cores - cpu))
-
-    head_flow: dict[tuple[str, str], float] = {}
-    pair_flow: dict[tuple[str, str], float] = {}
-    tail_flow: dict[tuple[str, str], float] = {}
     y_nodes: dict[tuple[str, str, str, str], list[str]] = {}
     y_sorted = sorted(placement.y)
     for (r, i, k, s, d) in y_sorted:
-        req = reqs[r]
-        if i == req.chain[0]:
-            head_flow[(s, k)] = head_flow.get((s, k), 0.0) + req.flow_rate_mbps
-        if i == req.chain[-1]:
-            tail_flow[(k, d)] = tail_flow.get((k, d), 0.0) + req.flow_rate_mbps
         y_nodes.setdefault((r, s, d, i), []).append(k)
-    # chain flow is the literal sum of y-products, so malformed placements
-    # with duplicate visits charge every implied pair
-    for req, s, d in instance.pair_order:
-        for i, j in zip(req.chain, req.chain[1:]):
-            for ki in y_nodes.get((req.id, s, d, i), ()):
-                for kj in y_nodes.get((req.id, s, d, j), ()):
-                    pair_flow[(ki, kj)] = (
-                        pair_flow.get((ki, kj), 0.0) + req.flow_rate_mbps)
-    for family, flows in (("5b", head_flow), ("5c", pair_flow), ("5d", tail_flow)):
-        for (a, b) in sorted(flows):
-            budget = paths.bottleneck(a, b)
-            if math.isinf(budget):
-                continue
-            slack = budget - flows[(a, b)]
-            if slack < 0:
-                out.append(ConstraintViolation(family, (a, b), slack))
+
+    ledger = Ledger(instance, paths)
+    dests = sorted(instance.destination_weights)
+    for req in instance.requests:
+        pairs = [(s, d) for s in sorted(req.heads) for d in dests]
+        for l, nf in enumerate(req.chain, start=1):
+            for s, d in pairs:
+                # chain flow is the literal sum of y-products, so malformed
+                # placements with duplicate visits charge every implied pair
+                prevs = y_nodes.get((req.id, s, d, req.chain[l - 2]), ()) if l > 1 else ()
+                for k in y_nodes.get((req.id, s, d, nf), ()):
+                    ledger.charge(ledger.visit(req, l, k, s, d, prevs,
+                                               (req.id, nf, k) in placement.x))
+    for (r, i, k) in sorted(placement.x - ledger.hosted.keys()):
+        ledger.host(r, i, k)
+    out = ledger.violations()
 
     for req, s, d in instance.pair_order:
         for l, nf in enumerate(req.chain, start=1):
@@ -283,7 +388,8 @@ def check_link_capacities(
     per-pair budgets of :func:`check_constraints` because paths sharing a
     link contend here. Violations use family id "link".
     """
-    reqs = {r.id: r for r in instance.requests}
+    _check_indices(instance, placement)
+    reqs = instance.request_map
     usage: dict[tuple[str, str], float] = {}
 
     def charge(a: str, b: str, rate: float) -> None:

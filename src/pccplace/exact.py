@@ -19,9 +19,9 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .evaluation import SolveResult, cost_of_routes, evaluate_cost
+from .evaluation import Ledger, SolveResult, cost_of_routes, evaluate_cost
 from .graph import PathTable, shortest_paths
-from .model import ProblemInstance, build_placement_per_pair
+from .model import ProblemInstance, ServiceRequest, build_placement_per_pair
 
 
 class ExportSizeError(ValueError):
@@ -46,18 +46,16 @@ ExactResult = SolveResult
 
 @dataclass(frozen=True)
 class _Var:
-    """One decision: which node hosts chain position `l` of `rid` for (s, d).
+    """One decision: which node hosts chain position `l` of `req` for (s, d).
 
-    `chain` indexes (rid, s, d) in the instance's `pair_order`.
+    `chain` indexes (req, s, d) in the instance's `pair_order`.
     """
 
-    rid: str
+    req: ServiceRequest
     l: int
     s: str
     d: str
     nf: str
-    length: int
-    rate: float
     chain: int
 
 
@@ -69,8 +67,7 @@ def _variables(instance: ProblemInstance) -> list[_Var]:
                   if r is req]
         for l, nf in enumerate(req.chain, start=1):
             for c, s, d in chains:
-                out.append(_Var(req.id, l, s, d, nf, len(req.chain),
-                                req.flow_rate_mbps, c))
+                out.append(_Var(req, l, s, d, nf, c))
     return out
 
 
@@ -106,20 +103,17 @@ def _hop_minimum(
     return min(layer.values())
 
 
-_ABSENT = object()
-
-
 class _SearchState:
-    """Capacity ledger, chain pins and bound terms of one prefix assignment.
+    """Chain pins, bound terms and capacity loads of one prefix assignment.
 
     `assign` extends the prefix by the next variable in branch order and
     `undo` reverts the last one exactly, restoring saved values rather than
     subtracting, so `goto` moves between frontier nodes through their common
-    prefix without float drift. Node demand is charged once per hosted
-    (request, nf, node), however many (head, destination) pairs visit it.
-    The bound of the prefix is its placement term plus, per chain, the
-    weighted `_hop_minimum` over all hops with the chain's positions pinned;
-    only the chain of the changed variable is recomputed, from a cache.
+    prefix without float drift. The capacity loads are a :class:`Ledger`,
+    charged one visit per variable in the checker's order. The bound of the
+    prefix is its placement term plus, per chain, the weighted
+    `_hop_minimum` over all hops with the chain's positions pinned; only the
+    chain of the changed variable is recomputed, from a cache.
     """
 
     def __init__(self, instance: ProblemInstance, paths: PathTable,
@@ -128,17 +122,15 @@ class _SearchState:
         self.paths = paths
         self.variables = variables
         self.candidates = sorted(instance.network.candidates)
+        self.ledger = Ledger(instance, paths)
+        # per variable: (previous chain pin,) -> its visit at each candidate
+        self._visits: list[dict[tuple, dict[str, tuple]]] = [{} for _ in variables]
         self.assignment: list[str] = []
-        self.hosted: dict[tuple[str, str, str], int] = {}
-        self.node_used: dict[str, tuple[float, float]] = {}
-        self.head_flow: dict[tuple[str, str], float] = {}
-        self.pair_flow: dict[tuple[str, str], float] = {}
-        self.tail_flow: dict[tuple[str, str], float] = {}
         self.placement_term = 0.0
         self.pins = [[None] * len(req.chain) for req, _, _ in instance.pair_order]
         self._term_cache: dict[tuple[int, tuple], float] = {}
         self.chain_terms = [self._chain_term(c) for c in range(len(self.pins))]
-        self._journal: list[tuple[list, float, float]] = []
+        self._journal: list[tuple[float, float]] = []
 
     def _chain_term(self, c: int) -> float:
         key = (c, tuple(self.pins[c]))
@@ -150,48 +142,36 @@ class _SearchState:
             self._term_cache[key] = term
         return term
 
+    def _next_visits(self) -> dict[str, tuple]:
+        """The next variable's visit at each candidate, after its chain's pin."""
+        var = self.variables[len(self.assignment)]
+        prevs = (self.pins[var.chain][var.l - 2],) if var.l > 1 else ()
+        cache = self._visits[len(self.assignment)]
+        if prevs not in cache:
+            cache[prevs] = {k: self.ledger.visit(var.req, var.l, k, var.s, var.d,
+                                                 prevs, True)
+                            for k in self.candidates}
+        return cache[prevs]
+
     def bound(self) -> float:
         return self.placement_term + sum(self.chain_terms)
-
-    def can_assign(self, var: _Var, k: str, prev_node: str | None) -> bool:
-        inst = self.instance
-        if (var.rid, var.nf, k) not in self.hosted:
-            cap = inst.node_resources.get(k)
-            if cap is None:
-                return False
-            dem = inst.catalog[var.nf]
-            mem, cpu = self.node_used.get(k, (0.0, 0.0))
-            if mem + dem.memory_mb > cap.memory_mb or cpu + dem.cpu_cores > cap.cpu_cores:
-                return False
-        if var.l == 1:
-            budget = self.paths.bottleneck(var.s, k)
-            if self.head_flow.get((var.s, k), 0.0) + var.rate > budget:
-                return False
-        elif prev_node is not None:
-            budget = self.paths.bottleneck(prev_node, k)
-            if self.pair_flow.get((prev_node, k), 0.0) + var.rate > budget:
-                return False
-        if var.l == var.length:
-            budget = self.paths.bottleneck(k, var.d)
-            if self.tail_flow.get((k, var.d), 0.0) + var.rate > budget:
-                return False
-        return True
 
     def children(self) -> list[tuple[str, float]]:
         """(node, bound) for every feasible value of the next variable."""
         var = self.variables[len(self.assignment)]
         pins = self.pins[var.chain]
-        prev = pins[var.l - 2] if var.l > 1 else None
         others = sum(t for c, t in enumerate(self.chain_terms) if c != var.chain)
+        fits = self.ledger.fits
+        hosted = self.ledger.hosted
         out = []
-        for k in self.candidates:
-            if not self.can_assign(var, k, prev):
+        for k, visit in self._next_visits().items():
+            if not fits(visit):
                 continue
             pins[var.l - 1] = k
             term = self._chain_term(var.chain)
             pins[var.l - 1] = None
             placement_term = self.placement_term
-            if (var.rid, var.nf, k) not in self.hosted:
+            if visit[0] not in hosted:
                 placement_term += self.instance.placing_cost(var.nf, k)
             out.append((k, placement_term + (others + term)))
         return out
@@ -206,50 +186,28 @@ class _SearchState:
         var = self.variables[len(self.assignment)]
         pins = self.pins[var.chain]
         pins[var.l - 1] = k
-        hosted = self.hosted.keys() | {(var.rid, var.nf, k)}
+        hosted = self.ledger.hosted.keys() | {(var.req.id, var.nf, k)}
         total = cost_of_routes(self.instance, self.paths, hosted, self.pins).total
         pins[var.l - 1] = None
         return total
 
     def assign(self, k: str) -> None:
         var = self.variables[len(self.assignment)]
-        saved: list[tuple[dict, object, object]] = []
-
-        def add(table: dict, key: object, amount: float) -> None:
-            old = table.get(key, _ABSENT)
-            saved.append((table, key, old))
-            table[key] = (0.0 if old is _ABSENT else old) + amount
-
-        self._journal.append((saved, self.placement_term, self.chain_terms[var.chain]))
-        host = (var.rid, var.nf, k)
-        if host not in self.hosted:
-            dem = self.instance.catalog[var.nf]
-            mem, cpu = self.node_used.get(k, (0.0, 0.0))
-            saved.append((self.node_used, k, self.node_used.get(k, _ABSENT)))
-            self.node_used[k] = (mem + dem.memory_mb, cpu + dem.cpu_cores)
+        visit = self._next_visits()[k]
+        self._journal.append((self.placement_term, self.chain_terms[var.chain]))
+        if visit[0] not in self.ledger.hosted:
             self.placement_term += self.instance.placing_cost(var.nf, k)
-        add(self.hosted, host, 1)
-        pins = self.pins[var.chain]
-        if var.l == 1:
-            add(self.head_flow, (var.s, k), var.rate)
-        else:
-            add(self.pair_flow, (pins[var.l - 2], k), var.rate)
-        if var.l == var.length:
-            add(self.tail_flow, (k, var.d), var.rate)
-        pins[var.l - 1] = k
+        self.ledger.charge(visit)
+        self.pins[var.chain][var.l - 1] = k
         self.chain_terms[var.chain] = self._chain_term(var.chain)
         self.assignment.append(k)
 
     def undo(self) -> None:
         var = self.variables[len(self.assignment) - 1]
         self.assignment.pop()
-        saved, self.placement_term, self.chain_terms[var.chain] = self._journal.pop()
+        self.placement_term, self.chain_terms[var.chain] = self._journal.pop()
         self.pins[var.chain][var.l - 1] = None
-        for table, key, old in reversed(saved):
-            if old is _ABSENT:
-                del table[key]
-            else:
-                table[key] = old
+        self.ledger.undo()
 
     def goto(self, assignment: Sequence[str]) -> None:
         """Make `assignment` the current prefix via the common prefix."""
@@ -333,7 +291,9 @@ def solve_exact(
     nvars = len(variables)
     if nvars == 0:
         raise ValueError("instance has no chain positions to place")
-    keys = [(v.rid, v.s, v.d, v.l) for v in variables]
+    if not instance.network.candidates:
+        return SolveResult(None, None, "infeasible")
+    keys = [(v.req.id, v.s, v.d, v.l) for v in variables]
     state = _SearchState(instance, paths, variables)
 
     def result(assignment: Sequence[str], status: str) -> SolveResult:
@@ -420,13 +380,16 @@ def export_lp(instance: ProblemInstance, paths: PathTable | None = None) -> str:
     variable, so for single-NF chains the head and tail weights meet on one
     y variable. Zero coefficients are omitted. Capacity rows with infinite
     budgets are omitted. Raises :class:`ExportSizeError` when the model
-    would exceed 10^6 variables.
+    would exceed 10^6 variables, and ValueError when the instance has no
+    candidate node or an id is not LP-safe.
     """
     if paths is None:
         paths = shortest_paths(instance.network, instance.relevant_nodes)
     weights = instance.destination_weights
     dests = sorted(weights)
     candidates = sorted(instance.network.candidates)
+    if not candidates:
+        raise ValueError("instance has no candidate node, so the program has no variables")
     K = len(candidates)
 
     n_x = n_y = n_z = 0

@@ -1,4 +1,4 @@
-"""Edge-network graph: shortest paths, bottlenecks, residual bookkeeping.
+"""Edge-network graph: shortest paths, bottlenecks, residual link capacity.
 
 The network is an undirected weighted graph. Every routing decision in this
 package goes through a :class:`PathTable` built by :func:`shortest_paths`,
@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 class DisconnectedGraphError(ValueError):
@@ -220,37 +220,18 @@ def shortest_paths(
 
 @dataclass
 class ResidualState:
-    """Mutable remaining link capacities and node resources.
+    """Remaining capacity per link: the greedy fill's per-link flow model.
 
-    `link_remaining` holds Mbps per canonical link key; `node_remaining`
-    holds (memory_mb, cpu_cores) per candidate node. Both stay within
-    [0, initial].
+    `link_remaining` holds Mbps per canonical link key, within [0, initial].
+    Paths sharing a link contend for it, which is stricter than the per-pair
+    budgets of `evaluation.Ledger`; node resources are charged there.
     """
 
     link_remaining: dict[tuple[str, str], float]
-    node_remaining: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     @classmethod
-    def from_network(
-        cls,
-        network: EdgeNetwork,
-        node_resources: Mapping[str, tuple[float, float]] | None = None,
-    ) -> "ResidualState":
-        links = {ln.key: ln.capacity_mbps for ln in network.link_map.values()}
-        nodes = {k: (mem, cpu) for k, (mem, cpu) in (node_resources or {}).items()}
-        return cls(link_remaining=links, node_remaining=nodes)
-
-    def node_fits(self, node: str, demand: tuple[float, float]) -> bool:
-        mem, cpu = self.node_remaining.get(node, (0.0, 0.0))
-        return demand[0] <= mem and demand[1] <= cpu
-
-    def consume_node(self, node: str, demand: tuple[float, float]) -> None:
-        if not self.node_fits(node, demand):
-            raise CapacityExceededError(
-                f"node {node!r} cannot host demand {demand}: "
-                f"remaining {self.node_remaining.get(node)}")
-        mem, cpu = self.node_remaining[node]
-        self.node_remaining[node] = (mem - demand[0], cpu - demand[1])
+    def from_network(cls, network: EdgeNetwork) -> "ResidualState":
+        return cls({ln.key: ln.capacity_mbps for ln in network.link_map.values()})
 
 
 def _walk_links(network: EdgeNetwork, path: Sequence[str]) -> list[tuple[str, str]]:

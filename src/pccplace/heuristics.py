@@ -16,7 +16,7 @@ anchor baseline.
 
 from __future__ import annotations
 
-from .evaluation import SolveResult, evaluate_cost
+from .evaluation import Ledger, SolveResult, evaluate_cost
 from .graph import PathTable, ResidualState, consume_flow, path_bottleneck
 from .model import ProblemInstance, build_placement
 
@@ -32,16 +32,16 @@ def _greedy_chain_fill(
     walk the candidates on the head->target shortest path in path order
     (then all remaining candidates by distance from the head as a fallback
     pass), and host the not-yet-hosted chain functions in visiting order
-    wherever node resources and the residual flow from the previous
-    function's node both fit. Flow is committed per hosted hop on the
-    traversed links; positions still unhosted after the fallback pass are
-    reported as unplaced and penalized in the cost report.
+    wherever node resources (an `evaluation.Ledger`) and the residual flow
+    from the previous function's node both fit. Flow is committed per hosted
+    hop on the traversed links (the per-link `ResidualState`); positions
+    still unhosted after the fallback pass are reported as unplaced and
+    penalized in the cost report.
     """
     network = instance.network
     candidates = network.candidates
-    residual = ResidualState.from_network(
-        network,
-        {k: cap.as_tuple() for k, cap in instance.node_resources.items()})
+    ledger = Ledger(instance, paths)
+    residual = ResidualState.from_network(network)
 
     hosts: dict[tuple[str, int], str] = {}
     unplaced: list[tuple[str, int, str]] = []
@@ -63,14 +63,13 @@ def _greedy_chain_fill(
             for k in scan:
                 for l in sorted(pending):
                     nf = pending[l]
-                    demand = instance.catalog[nf].as_tuple()
-                    if not residual.node_fits(k, demand):
+                    if not ledger.can_host(nf, k):
                         continue
                     segment = paths.sequence(m, k)
                     if req.flow_rate_mbps > path_bottleneck(network, segment, residual):
                         continue
                     consume_flow(residual, network, segment, req.flow_rate_mbps)
-                    residual.consume_node(k, demand)
+                    ledger.host(req.id, nf, k)
                     hosts[(req.id, l)] = k
                     del pending[l]
                     m = k

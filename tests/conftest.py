@@ -122,3 +122,19 @@ def tiny1_infeasible():
         destinations={"d": 1.0},
         node_resources={"b": (5.0, 8.0)},
     )
+
+
+def cpu_sum_instance():
+    """Chain f1, f2, f3 of 0.1, 0.2 and 0.3 cores on two 0.6-core nodes.
+
+    0.1 + 0.2 + 0.3 is 0.6000000000000001 in float but 0.6 summed in other
+    orders, so whether all three fit on one node depends on summation order.
+    """
+    return make_instance(
+        links=[("s", "a", 1.0), ("a", "b", 1.0), ("b", "d", 1.0)],
+        candidates=["a", "b"], gateway="s", attachment="s",
+        requests=[("r1", ["f1", "f2", "f3"], 1.0, ["s"])],
+        destinations={"d": 1.0},
+        catalog={"f1": (10.0, 0.1), "f2": (10.0, 0.2), "f3": (10.0, 0.3)},
+        node_resources={"a": (1000.0, 0.6), "b": (1000.0, 0.6)},
+    )

@@ -25,6 +25,17 @@ def infeasible_file(tmp_path, tiny1_infeasible):
     return str(path)
 
 
+@pytest.fixture
+def no_candidate_file(tmp_path):
+    """A valid instance whose network has no candidate node."""
+    inst = make_instance(links=[("a", "b", 1.0)], candidates=[], gateway="a",
+                         attachment="a", requests=[("r1", ["f1"], 1.0, ["a"])],
+                         destinations={"b": 1.0})
+    path = tmp_path / "no_candidate.json"
+    path.write_text(instance_to_json(inst))
+    return str(path)
+
+
 class TestGenerate:
     def test_generate_then_validate(self, tmp_path, capsys):
         out = tmp_path / "i.json"
@@ -103,6 +114,12 @@ class TestSolve:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    def test_exact_without_candidates_exits_3(self, no_candidate_file, capsys):
+        assert main(["validate", "--instance", no_candidate_file]) == 0
+        code = main(["solve", "--instance", no_candidate_file, "--algo", "exact"])
+        assert code == 3
+        assert "error" in json.loads(capsys.readouterr().err)
+
     def test_agw_never_infeasible(self, infeasible_file):
         assert main(["solve", "--instance", infeasible_file,
                      "--algo", "agw"]) == 0
@@ -147,6 +164,24 @@ class TestExportLp:
         assert main(["export-lp", "--instance", tiny1_file,
                      "--out", str(out)]) == 0
         assert out.read_text().startswith("Minimize")
+
+    def test_unsafe_id_exits_2(self, tmp_path, capsys):
+        inst = make_instance(links=[("a", "b", 1.0)], candidates=["b"],
+                             gateway="a", attachment="a",
+                             requests=[("r 1", ["f1"], 1.0, ["a"])],
+                             destinations={"b": 1.0})
+        path = tmp_path / "unsafe.json"
+        path.write_text(instance_to_json(inst))
+        code = main(["export-lp", "--instance", str(path),
+                     "--out", str(tmp_path / "model.lp")])
+        assert code == 2
+        assert "'r 1'" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_no_candidate_exits_2(self, no_candidate_file, tmp_path, capsys):
+        code = main(["export-lp", "--instance", no_candidate_file,
+                     "--out", str(tmp_path / "model.lp")])
+        assert code == 2
+        assert "no candidate" in json.loads(capsys.readouterr().err)["error"]
 
 
 class TestBench:

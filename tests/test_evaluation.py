@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from pccplace.evaluation import (
     EvaluationError,
+    Ledger,
     UndefinedGainError,
     check_constraints,
     check_link_capacities,
@@ -23,7 +25,7 @@ from pccplace.model import (
     build_placement,
 )
 
-from conftest import make_instance
+from conftest import PATH_LINKS, make_instance
 
 
 def paths_for(instance):
@@ -254,7 +256,93 @@ class TestCheckConstraints:
         assert "5i" in families(check_constraints(inst, with_empty_z, paths))
 
 
+class TestLedger:
+    def test_node_accounting(self):
+        inst = make_instance(
+            links=PATH_LINKS, candidates=["b"], gateway="a", attachment="a",
+            requests=[("r1", ["f1", "f2"], 1.0, ["a"])], destinations={"d": 1.0},
+            catalog={"f1": (40.0, 1.0), "f2": (70.0, 1.0)},
+            node_resources={"b": (100.0, 4.0)})
+        ledger = Ledger(inst, paths_for(inst))
+        assert ledger.can_host("f1", "b")
+        ledger.host("r1", "f1", "b")
+        assert ledger.load["b"] == (40.0, 1.0)
+        assert not ledger.can_host("f2", "b")
+        ledger.host("r1", "f1", "b")  # demand is charged once per hosting
+        assert ledger.load["b"] == (40.0, 1.0)
+        ledger.undo()
+        ledger.undo()
+        assert ledger.load["b"] == (0.0, 0.0) and not ledger.hosted
+        assert not ledger.can_host("f1", "a")  # no node_resources entry
+
+    def test_visit_fit_charge_and_violations(self):
+        inst = make_instance(
+            links=[("a", "b", 1.0, 5.0)], candidates=["b"], gateway="a",
+            attachment="a",
+            requests=[("r1", ["f1"], 4.0, ["a"]), ("r2", ["f1"], 4.0, ["a"])],
+            destinations={"b": 1.0})
+        ledger = Ledger(inst, paths_for(inst))
+        r1, r2 = inst.requests
+        first = ledger.visit(r1, 1, "b", "a", "b", (), True)
+        second = ledger.visit(r2, 1, "b", "a", "b", (), True)
+        assert ledger.fits(first)
+        ledger.charge(first)
+        assert not ledger.fits(second)  # head flow 8 over the a->b budget 5
+        ledger.charge(second)
+        assert [(v.constraint, v.index, v.slack) for v in ledger.violations()] \
+            == [("5b", ("a", "b"), -3.0)]
+        ledger.undo()
+        assert ledger.violations() == [] and not ledger.fits(second)
+        ledger.undo()
+        assert ledger.fits(second)
+        assert ledger.flows == ({}, {}, {}) and not ledger.hosted
+
+    def test_verdict_independent_of_hash_seed(self):
+        # 0.1 + 0.2 + 0.3 cores on a 0.6-core node: the checker's verdict
+        # must not depend on the order a frozenset yields its entries, and
+        # what PPCC and the exact search place must pass it.
+        script = textwrap.dedent("""
+            import json
+            from conftest import cpu_sum_instance
+            from pccplace.evaluation import check_constraints
+            from pccplace.exact import solve_exact
+            from pccplace.graph import shortest_paths
+            from pccplace.heuristics import ppcc
+            from pccplace.model import build_placement
+
+            inst = cpu_sum_instance()
+            paths = shortest_paths(inst.network, inst.relevant_nodes)
+            all_a = build_placement(inst, {("r1", l): "a" for l in (1, 2, 3)})
+            out = {"all_a": all_a, "ppcc": ppcc(inst, paths).placement,
+                   "exact": solve_exact(inst, paths).placement}
+            print(json.dumps({
+                name: [(v.constraint, v.index, v.slack)
+                       for v in check_constraints(inst, placement, paths)]
+                for name, placement in out.items()}))
+        """)
+        outputs = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            outputs.add(out.stdout.strip())
+        assert len(outputs) == 1
+        verdicts = json.loads(outputs.pop())
+        assert verdicts["ppcc"] == [] and verdicts["exact"] == []
+        # charged in chain order, the three demands overrun the node
+        assert [v[:2] for v in verdicts["all_a"]] == [["5a", ["a", "cpu_cores"]]]
+
+
 class TestLinkCapacities:
+    def test_unknown_indices_raise(self, tiny1):
+        paths = paths_for(tiny1)
+        good = build_placement(tiny1, {("r1", 1): "b"})
+        for bad in (Placement(x=good.x, y=frozenset({("r9", "f1", "b", "a", "d")})),
+                    Placement(x=good.x, y=frozenset({("r1", "f1", "zz", "a", "d")}))):
+            with pytest.raises(EvaluationError):
+                check_link_capacities(tiny1, bad, paths)
+
     def test_clean_when_flows_fit(self, tiny1):
         paths = paths_for(tiny1)
         placement = build_placement(tiny1, {("r1", 1): "b"})

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+import random
 import re
 
 import pytest
@@ -6,15 +9,17 @@ from pccplace.evaluation import check_constraints, evaluate_cost
 from pccplace.exact import (
     ExportSizeError,
     SolveBudget,
+    _SearchState,
+    _variables,
     export_lp,
     lower_bound,
     solve_exact,
 )
 from pccplace.graph import shortest_paths
-from pccplace.model import build_placement
+from pccplace.model import build_placement, build_placement_per_pair
 from pccplace.scenario import ScenarioParams, generate_instance
 
-from conftest import PATH_LINKS, make_instance
+from conftest import PATH_LINKS, cpu_sum_instance, make_instance
 from oracle import enumerate_optimal
 
 
@@ -30,6 +35,27 @@ def tiny_params(**overrides):
     )
     base.update(overrides)
     return ScenarioParams(**base)
+
+
+def tight_instance(seed):
+    """A generated micro instance with node and link capacities that bind."""
+    inst = generate_instance(tiny_params(num_candidates=2 + seed % 2), seed)
+    rng = random.Random(seed)
+    chains = [nf for r in inst.requests for nf in r.chain]
+    total_mem = sum(inst.catalog[nf].memory_mb for nf in chains)
+    total_cpu = sum(inst.catalog[nf].cpu_cores for nf in chains)
+    node_resources = {
+        k: dataclasses.replace(
+            cap, memory_mb=total_mem * rng.choice((0.45, 0.9, 1.5, 2.5)),
+            cpu_cores=total_cpu * rng.choice((0.6, 0.9, 1.5, 2.5)))
+        for k, cap in inst.node_resources.items()}
+    rate = max(r.flow_rate_mbps for r in inst.requests)
+    links = tuple(dataclasses.replace(
+        ln, capacity_mbps=rate * rng.choice((1.2, 2.4, 6.0)))
+        for ln in inst.network.links)
+    return dataclasses.replace(
+        inst, network=dataclasses.replace(inst.network, links=links),
+        node_resources=node_resources)
 
 
 class TestSolveExact:
@@ -119,6 +145,35 @@ class TestSolveExact:
         assert res.status == "optimal"
         assert res.total == 4.0
         assert check_constraints(inst, res.placement, paths) == []
+
+    def test_search_accepts_exactly_what_the_checker_passes(self):
+        # Every complete assignment of small tight instances: the search's
+        # ledger accepts it, visit by visit, exactly when the checker finds
+        # no 5a-5d row over capacity.
+        mixed = 0
+        for inst in [cpu_sum_instance()] + [tight_instance(i) for i in range(24)]:
+            paths = paths_for(inst)
+            variables = _variables(inst)
+            keys = [(v.req.id, v.s, v.d, v.l) for v in variables]
+            state = _SearchState(inst, paths, variables)
+            outcomes = set()
+            for combo in itertools.product(sorted(inst.network.candidates),
+                                           repeat=len(variables)):
+                state.goto(())
+                accepted = True
+                for k in combo:
+                    if k not in dict(state.children()):
+                        accepted = False
+                        break
+                    state.assign(k)
+                placement = build_placement_per_pair(inst, dict(zip(keys, combo)))
+                rows = {v.constraint for v in check_constraints(inst, placement, paths)}
+                assert accepted == rows.isdisjoint({"5a", "5b", "5c", "5d"}), combo
+                outcomes.add(accepted)
+            mixed += outcomes == {True, False}
+        # capacities bind on about half the instances, so the agreement is
+        # checked on both verdicts
+        assert mixed >= 12
 
 
 class TestLowerBound:

@@ -212,13 +212,3 @@ class TestResiduals:
         res = ResidualState.from_network(net)
         with pytest.raises(CapacityExceededError):
             consume_flow(res, net, ["a", "b", "c"], 1600.0)
-
-    def test_node_accounting(self):
-        net = path_network()
-        res = ResidualState.from_network(net, {"b": (100.0, 4.0)})
-        assert res.node_fits("b", (40.0, 1.0))
-        res.consume_node("b", (40.0, 1.0))
-        assert res.node_remaining["b"] == (60.0, 3.0)
-        assert not res.node_fits("b", (70.0, 1.0))
-        with pytest.raises(CapacityExceededError):
-            res.consume_node("b", (70.0, 1.0))
