@@ -25,16 +25,11 @@ from .exact import (
     solve_exact,
 )
 from .graph import (
-    CapacityExceededError,
     DisconnectedGraphError,
     EdgeNetwork,
-    InvalidPathError,
     Link,
     PathInfo,
     PathTable,
-    ResidualState,
-    consume_flow,
-    path_bottleneck,
     shortest_paths,
 )
 from .heuristics import agw, ppcc, spba
@@ -60,7 +55,6 @@ from .scenario import GenerationError, ScenarioParams, generate_instance
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityExceededError",
     "ConstraintViolation",
     "CostReport",
     "DisconnectedGraphError",
@@ -68,7 +62,6 @@ __all__ = [
     "EvaluationError",
     "ExportSizeError",
     "GenerationError",
-    "InvalidPathError",
     "Link",
     "MobilityProfile",
     "ParseError",
@@ -77,7 +70,6 @@ __all__ = [
     "Placement",
     "ProblemInstance",
     "Resources",
-    "ResidualState",
     "ResultTable",
     "ScenarioParams",
     "ServiceRequest",
@@ -91,7 +83,6 @@ __all__ = [
     "build_placement_per_pair",
     "check_constraints",
     "check_link_capacities",
-    "consume_flow",
     "emit_results",
     "evaluate_cost",
     "export_lp",
@@ -100,7 +91,6 @@ __all__ = [
     "instance_from_json",
     "instance_to_json",
     "lower_bound",
-    "path_bottleneck",
     "placement_from_json",
     "placement_structure_violations",
     "placement_to_json",

@@ -27,6 +27,7 @@ from .heuristics import agw, ppcc, spba
 from .scenario import ScenarioParams, generate_instance, validate_params
 
 AXES = ("num_candidates", "batch_size", "stay_probability")
+INTEGER_AXES = ("num_candidates", "batch_size")
 
 # Every placement algorithm by name, as a solver (instance, paths, budget)
 # -> SolveResult; only the exact solver uses the budget. The order is the
@@ -111,7 +112,7 @@ def fmt_num(x: float) -> str:
 
 
 def _apply_axis(params: ScenarioParams, axis: str, value) -> ScenarioParams:
-    if axis in ("num_candidates", "batch_size"):
+    if axis in INTEGER_AXES:
         return dataclasses.replace(params, **{axis: int(value)})
     if axis == "stay_probability":
         return dataclasses.replace(params, stay_probability=float(value))
@@ -201,7 +202,8 @@ def run_sweep(
     Every algorithm in a trial runs on the same instance. Infeasible exact
     solves are excluded from that row's means and counted. The exact budget
     is node-limited only (no wall clock) so results stay deterministic.
-    Worker count never affects output.
+    Worker count never affects output. Raises ValueError unless the sweep
+    values are distinct, and integral on an integer axis.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -209,6 +211,13 @@ def run_sweep(
         raise ValueError(f"unknown sweep axis {spec.axis!r}; expected one of {AXES}")
     if not spec.values:
         raise ValueError("sweep has no values")
+    if len(set(spec.values)) != len(spec.values):
+        raise ValueError(f"sweep values repeat: {list(spec.values)}")
+    if spec.axis in INTEGER_AXES:
+        for value in spec.values:
+            if not float(value).is_integer():
+                raise ValueError(f"sweep value {value!r} is not an integer, "
+                                 f"as axis {spec.axis} needs")
     unknown = sorted(set(algorithms) - set(ALGORITHMS))
     if unknown:
         raise ValueError(f"unknown algorithm {unknown[0]!r}")

@@ -10,12 +10,15 @@ heuristic failed to host, so partially placed batches remain comparable.
 Capacity checking follows per-pair bottleneck semantics: each (endpoint,
 endpoint) shortest path has an independent capacity budget, aggregated over
 everything mapped to that pair. The loads of these families (5a node
-resources, 5b-5d head, chain and tail flow) are kept by one :class:`Ledger`,
-which the exact search charges visit by visit, :func:`check_constraints`
-charges in batch and the greedy fill uses for node resources. The stricter
-per-link model, in which paths sharing a physical link contend for its
-capacity, is `graph.ResidualState` (the greedy fill's flow checks) and
-:func:`check_link_capacities`.
+resources, 5b-5d head, chain and tail flow) and the stricter per-link flow,
+in which paths sharing a physical link contend for its capacity, are kept
+by one :class:`Ledger`. The exact search charges it visit by visit and
+:func:`check_constraints` in batch (5a-5d). The greedy fill charges node
+resources, and to the link table the hop flow from each request's moving
+anchor to each node it hosts on, with no tail to the destinations.
+:func:`check_link_capacities` charges the link table with every (request,
+head, destination) route, so a greedy placement that fits its own
+reservations can still have "link" rows.
 """
 
 from __future__ import annotations
@@ -98,32 +101,42 @@ class ConstraintViolation:
 
 
 class Ledger:
-    """The loads of capacity families 5a-5d, under per-pair bottleneck budgets.
+    """The loads of capacity families 5a-5d and of every physical link.
+
+    Families 5b-5d are bounded by per-pair bottleneck budgets; the link
+    table holds the flow on each link (by canonical key) against its
+    `capacity_mbps`.
 
     Float policy: a load is the running float sum of its charges, in the
     order they were charged; a hosting's demand is charged once, at the
     first charge naming its (request, nf, node). Demands and rates are
     positive, so charging visits one at a time under :meth:`fits` accepts
     exactly the loads that :meth:`violations` passes, bit for bit, when both
-    charge in one order. :func:`check_constraints` charges in the exact
-    search's variable order (request, position, head, destination), hosting
-    demand at the first visit of each (request, nf, node), then the
-    hostings with no visit in sorted order. Nothing is summed in set order.
-    A node with no entry in `node_resources` has no 5a row (AGW's gateway is
-    unlimited) and :meth:`can_host` refuses it, so solvers host only on
-    nodes with declared resources.
+    charge in one order. :meth:`fits` tests each flow of a charge on its
+    own, so a :meth:`segment` must not cross a link twice; the stored
+    shortest paths are simple, as link costs are positive.
+    :func:`check_constraints` charges in the exact search's variable order
+    (request, position, head, destination), hosting demand at the first
+    visit of each (request, nf, node), then the hostings with no visit in
+    sorted order. Nothing is summed in set order. A node with no entry in
+    `node_resources` has no 5a row (AGW's gateway is unlimited) and
+    :meth:`can_host` refuses it, so solvers host only on nodes with declared
+    resources.
     """
 
     def __init__(self, instance: ProblemInstance, paths: PathTable):
         self._paths = paths
         self._caps = {k: cap.as_tuple() for k, cap in instance.node_resources.items()}
         self._demand = {nf: dem.as_tuple() for nf, dem in instance.catalog.items()}
+        self._link_map = instance.network.link_map
         # (memory, cpu) per node with a capacity entry
         self.load = dict.fromkeys(self._caps, (0.0, 0.0))
         # the hostings charged so far; a dict, so that undo restores it as it
         # restores the loads
         self.hosted: dict[tuple[str, str, str], bool] = {}
         self.flows: tuple[dict[tuple[str, str], float], ...] = ({}, {}, {})  # 5b-5d
+        self.links: dict[tuple[str, str], float] = {}  # Mbps per link key
+        self._segments: dict[tuple[str, str], list] = {}  # (a, b) -> link flows
         self._saved: list[tuple[dict, object, object]] = []  # (table, key, old or None)
         self._marks: list[int] = []
 
@@ -148,6 +161,20 @@ class Ledger:
         nf = req.chain[l - 1]
         return ((req.id, nf, node) if hosting else None, nf, node,
                 req.flow_rate_mbps, flows)
+
+    def segment(self, a: str, b: str, rate: float) -> tuple:
+        """A charge of `rate` Mbps on every link of the stored path a -> b.
+
+        Shaped like a :meth:`visit` with no hosting; a zero-length path
+        (a == b) has no flows, so it always fits and charges nothing.
+        """
+        flows = self._segments.get((a, b))
+        if flows is None:
+            seq = self._paths.sequence(a, b)
+            flows = [(self.links, k, self._link_map[k].capacity_mbps)
+                     for k in map(link_key, seq, seq[1:])]
+            self._segments[(a, b)] = flows
+        return (None, None, None, rate, flows)
 
     def can_host(self, nf: str, node: str) -> bool:
         """Whether `node` has room for one more hosting of `nf` (5a)."""
@@ -205,7 +232,7 @@ class Ledger:
                 table[key] = old
 
     def violations(self) -> list[ConstraintViolation]:
-        """Every 5a-5d row over capacity: by family, then by sorted index."""
+        """Every 5a-5d and "link" row over capacity: by family, then by sorted index."""
         out = []
         for k in sorted(self._caps):
             for cap, load, resource in zip(self._caps[k], self.load[k],
@@ -218,6 +245,10 @@ class Ledger:
                 slack = self._paths.bottleneck(*pair) - table[pair]
                 if slack < 0:
                     out.append(ConstraintViolation(family, pair, slack))
+        for key in sorted(self.links):
+            slack = self._link_map[key].capacity_mbps - self.links[key]
+            if slack < 0:
+                out.append(ConstraintViolation("link", key, slack))
         return out
 
 
@@ -386,37 +417,26 @@ def check_link_capacities(
     link it traverses (head->first, consecutive hosted pairs, last->dest)
     and flags links whose aggregate exceeds capacity. Stricter than the
     per-pair budgets of :func:`check_constraints` because paths sharing a
-    link contend here. Violations use family id "link".
+    link contend here. The segments are charged to the link table of a
+    :class:`Ledger` in `placement.visits` order, so the float policy is the
+    greedy fill's. Violations use family id "link", in sorted link order.
     """
     _check_indices(instance, placement)
     reqs = instance.request_map
-    usage: dict[tuple[str, str], float] = {}
-
-    def charge(a: str, b: str, rate: float) -> None:
-        seq = paths.sequence(a, b)
-        for u, v in zip(seq, seq[1:]):
-            key = link_key(u, v)
-            usage[key] = usage.get(key, 0.0) + rate
-
+    ledger = Ledger(instance, paths)
+    charge, segment = ledger.charge, ledger.segment
     for (r, s, d), visit in placement.visits.items():
         req = reqs[r]
         rate = req.flow_rate_mbps
         chain = req.chain
         if chain[0] in visit:
-            charge(s, visit[chain[0]], rate)
+            charge(segment(s, visit[chain[0]], rate))
         for i, j in zip(chain, chain[1:]):
             if i in visit and j in visit:
-                charge(visit[i], visit[j], rate)
+                charge(segment(visit[i], visit[j], rate))
         if chain[-1] in visit:
-            charge(visit[chain[-1]], d, rate)
-
-    link_map = instance.network.link_map
-    out = []
-    for key in sorted(usage):
-        slack = link_map[key].capacity_mbps - usage[key]
-        if slack < 0:
-            out.append(ConstraintViolation("link", key, slack))
-    return out
+            charge(segment(visit[chain[-1]], d, rate))
+    return ledger.violations()
 
 
 def gain(cost_a: float, cost_b: float) -> float:

@@ -240,10 +240,13 @@ def lower_bound(
     placement costs and capacities that cannot bind it is exact. Fully
     assigned input yields exactly the evaluated total, since every
     relaxation term is then zero; pinning a position never lowers the bound
-    in exact arithmetic.
+    in exact arithmetic. An instance with no candidate node has no feasible
+    point, so its bound is ``math.inf``.
     """
     weights = instance.destination_weights
     candidates = sorted(instance.network.candidates)
+    if not candidates:
+        return math.inf
     routes = [[partial.get((req.id, s, d, l)) for l in range(1, len(req.chain) + 1)]
               for req, s, d in instance.pair_order]
     hosted = {(req.id, nf, k)

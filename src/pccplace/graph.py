@@ -1,13 +1,11 @@
-"""Edge-network graph: shortest paths, bottlenecks, residual link capacity.
+"""Edge-network graph and its all-pairs shortest paths.
 
 The network is an undirected weighted graph. Every routing decision in this
 package goes through a :class:`PathTable` built by :func:`shortest_paths`,
 which breaks cost ties by the lexicographically smallest node sequence so
 that solvers, heuristics, and test oracles all see identical paths.
-
 `EdgeNetwork` and `PathTable` are immutable and safe to share across
-threads. `ResidualState` is mutable and single-owner; parallel runs must
-each build their own.
+threads; link loads are kept by `evaluation.Ledger`.
 """
 
 from __future__ import annotations
@@ -16,19 +14,11 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class DisconnectedGraphError(ValueError):
     """The network graph is not connected; the instance is invalid."""
-
-
-class InvalidPathError(ValueError):
-    """A node sequence uses a link that does not exist in the network."""
-
-
-class CapacityExceededError(ValueError):
-    """A flow commit would drive some residual capacity below zero."""
 
 
 def link_key(u: str, v: str) -> tuple[str, str]:
@@ -216,63 +206,3 @@ def shortest_paths(
             )
             pairs[(a, b)] = PathInfo(cost, seq, bottleneck)
     return PathTable(pairs=pairs, relevant=frozenset(rel))
-
-
-@dataclass
-class ResidualState:
-    """Remaining capacity per link: the greedy fill's per-link flow model.
-
-    `link_remaining` holds Mbps per canonical link key, within [0, initial].
-    Paths sharing a link contend for it, which is stricter than the per-pair
-    budgets of `evaluation.Ledger`; node resources are charged there.
-    """
-
-    link_remaining: dict[tuple[str, str], float]
-
-    @classmethod
-    def from_network(cls, network: EdgeNetwork) -> "ResidualState":
-        return cls({ln.key: ln.capacity_mbps for ln in network.link_map.values()})
-
-
-def _walk_links(network: EdgeNetwork, path: Sequence[str]) -> list[tuple[str, str]]:
-    keys = []
-    for u, v in zip(path, path[1:]):
-        k = link_key(u, v)
-        if k not in network.link_map:
-            raise InvalidPathError(f"no link between {u!r} and {v!r}")
-        keys.append(k)
-    return keys
-
-
-def path_bottleneck(network: EdgeNetwork, path: Sequence[str], residual: ResidualState) -> float:
-    """Minimum residual capacity over the links of `path`.
-
-    A zero-length path (a single node) has bottleneck +inf by convention:
-    node-local hops never constrain flow.
-    """
-    keys = _walk_links(network, path)
-    if not keys:
-        return math.inf
-    return min(residual.link_remaining[k] for k in keys)
-
-
-def consume_flow(residual: ResidualState, network: EdgeNetwork, path: Sequence[str], rate: float) -> ResidualState:
-    """Charge `rate` Mbps on every link of `path`, once per traversal.
-
-    The commit is atomic: if any link's aggregate charge (a link may be
-    traversed more than once by a non-simple walk) would exceed its
-    remaining capacity, raises :class:`CapacityExceededError` and leaves
-    the state untouched. Returns the mutated `residual` for chaining.
-    """
-    keys = _walk_links(network, path)
-    charge: dict[tuple[str, str], float] = {}
-    for k in keys:
-        charge[k] = charge.get(k, 0.0) + rate
-    for k, total in charge.items():
-        if total > residual.link_remaining[k]:
-            raise CapacityExceededError(
-                f"flow {total} exceeds residual {residual.link_remaining[k]} "
-                f"on link {k}")
-    for k in keys:
-        residual.link_remaining[k] -= rate
-    return residual

@@ -4,7 +4,7 @@ PPCC (probability-prior proactive caching-chaining) targets the most
 probable destination, anchors each request at the cache head closest to
 that target, and fills the chain greedily onto candidate nodes along the
 head-to-target shortest path, respecting node resources and per-link
-residual capacity.
+capacity.
 
 SPBA runs the same greedy machinery but is mobility-oblivious: it targets
 the current serving attachment node and never consults the handover
@@ -17,7 +17,7 @@ anchor baseline.
 from __future__ import annotations
 
 from .evaluation import Ledger, SolveResult, evaluate_cost
-from .graph import PathTable, ResidualState, consume_flow, path_bottleneck
+from .graph import PathTable
 from .model import ProblemInstance, build_placement
 
 
@@ -32,16 +32,18 @@ def _greedy_chain_fill(
     walk the candidates on the head->target shortest path in path order
     (then all remaining candidates by distance from the head as a fallback
     pass), and host the not-yet-hosted chain functions in visiting order
-    wherever node resources (an `evaluation.Ledger`) and the residual flow
-    from the previous function's node both fit. Flow is committed per hosted
-    hop on the traversed links (the per-link `ResidualState`); positions
-    still unhosted after the fallback pass are reported as unplaced and
-    penalized in the cost report.
+    wherever node resources and the flow from the previous function's node
+    both fit. One `evaluation.Ledger` keeps both: hosting demand, and the
+    request's rate on every link of each hosted hop (from the anchor, the
+    head or the last hosting node, to the new node) in its link table. No
+    tail flow to the destinations is reserved, so the placement can still
+    have rows in :func:`evaluation.check_link_capacities`, which charges
+    every (request, head, destination) route. Positions still unhosted after
+    the fallback pass are reported as unplaced and penalized in the cost
+    report.
     """
-    network = instance.network
-    candidates = network.candidates
+    candidates = instance.network.candidates
     ledger = Ledger(instance, paths)
-    residual = ResidualState.from_network(network)
 
     hosts: dict[tuple[str, int], str] = {}
     unplaced: list[tuple[str, int, str]] = []
@@ -61,22 +63,24 @@ def _greedy_chain_fill(
                     (k for k in candidates if k not in on_set),
                     key=lambda k: (paths.cost(s_star, k), k))
             for k in scan:
-                for l in sorted(pending):
+                if not pending:
+                    break
+                # pending holds positions in ascending order and only shrinks
+                for l in tuple(pending):
                     nf = pending[l]
                     if not ledger.can_host(nf, k):
                         continue
-                    segment = paths.sequence(m, k)
-                    if req.flow_rate_mbps > path_bottleneck(network, segment, residual):
+                    segment = ledger.segment(m, k, req.flow_rate_mbps)
+                    if not ledger.fits(segment):
                         continue
-                    consume_flow(residual, network, segment, req.flow_rate_mbps)
+                    ledger.charge(segment)
                     ledger.host(req.id, nf, k)
                     hosts[(req.id, l)] = k
                     del pending[l]
                     m = k
             if not pending:
                 break
-        for l in sorted(pending):
-            unplaced.append((req.id, l, pending[l]))
+        unplaced.extend((req.id, l, nf) for l, nf in pending.items())
 
     placement = build_placement(instance, hosts)
     cost = evaluate_cost(instance, placement, paths)

@@ -138,3 +138,20 @@ def cpu_sum_instance():
         catalog={"f1": (10.0, 0.1), "f2": (10.0, 0.2), "f3": (10.0, 0.3)},
         node_resources={"a": (1000.0, 0.6), "b": (1000.0, 0.6)},
     )
+
+
+def flow_sum_instance():
+    """Requests of 0.1, 0.2 and 0.3 Mbps from a to b over one 0.6 Mbps link.
+
+    b is the only candidate and the attachment (stay 1). Charged in batch
+    order the link load reaches 0.1 + 0.2 + 0.3 = 0.6000000000000001, so the
+    third request does not fit, whereas subtracting from what remains leaves
+    0.6 - 0.1 - 0.2 = 0.3, which it would.
+    """
+    return make_instance(
+        links=[("a", "b", 1.0, 0.6)],
+        candidates=["b"], gateway="a", attachment="b",
+        requests=[("r1", ["f1"], 0.1, ["a"]), ("r2", ["f1"], 0.2, ["a"]),
+                  ("r3", ["f1"], 0.3, ["a"])],
+        destinations={}, stay=1.0,
+    )

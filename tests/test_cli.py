@@ -231,6 +231,19 @@ class TestBench:
         assert main(["bench", "--sweep", "nonsense", "--trials", "1",
                      "--out", str(tmp_path / "r")]) == 2
 
+    @pytest.mark.parametrize("sweep, message", [
+        ("batch_size=1.5,2.7", "not an integer"),
+        ("batch_size=1:0.5:3", "not an integer"),
+        ("num_candidates=inf", "not an integer"),
+        ("batch_size=2,2", "repeat"),
+        ("rho_o=0.5,0.25,0.5", "repeat"),
+    ])
+    def test_bad_sweep_values_exit_2(self, tmp_path, capsys, sweep, message):
+        assert main(["bench", "--sweep", sweep, "--trials", "1",
+                     "--set", "num_candidates=6", "--out", str(tmp_path / "r")]) == 2
+        assert message in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "r").exists()
+
 
 class TestSolverRegistry:
     def test_one_algorithm_list(self):

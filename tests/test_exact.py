@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import re
 
@@ -206,6 +207,14 @@ class TestLowerBound:
             if res.status != "optimal":
                 continue
             assert lower_bound(instance, paths, {}) <= res.total + 1e-9
+
+    def test_no_candidate_is_infinite(self):
+        inst = make_instance(links=[("a", "b", 1.0)], candidates=[], gateway="a",
+                             attachment="a", requests=[("r1", ["f1"], 1.0, ["a"])],
+                             destinations={"b": 1.0})
+        paths = paths_for(inst)
+        assert lower_bound(inst, paths, {}) == math.inf
+        assert solve_exact(inst, paths).status == "infeasible"
 
 
 class TestExportLp:

@@ -3,18 +3,10 @@ import random
 
 import pytest
 
-from pccplace.graph import (
-    CapacityExceededError,
-    DisconnectedGraphError,
-    InvalidPathError,
-    ResidualState,
-    consume_flow,
-    link_key,
-    path_bottleneck,
-    shortest_paths,
-)
+from pccplace.evaluation import Ledger
+from pccplace.graph import DisconnectedGraphError, link_key, shortest_paths
 
-from conftest import make_network
+from conftest import PATH_LINKS, make_instance, make_network
 
 
 def brute_force_shortest(network, a, b):
@@ -148,67 +140,90 @@ class TestShortestPaths:
                 assert table.cost(a, b) == table.cost(b, a)
 
 
+def path_ledger(capacities=(2000.0, 1500.0, 2000.0)):
+    """A Ledger over the path network a-b-c-d with the given link capacities."""
+    inst = make_instance(
+        [(u, v, 1.0, cap) for (u, v), cap in zip(("ab", "bc", "cd"), capacities)],
+        candidates=["b", "c"], gateway="a", attachment="a",
+        requests=[("r1", ["f1"], 1.0, ["a"])], destinations={"d": 1.0})
+    return Ledger(inst, shortest_paths(inst.network, sorted(inst.network.nodes)))
+
+
+def link_rows(ledger):
+    return [(v.constraint, v.index, v.slack) for v in ledger.violations()]
+
+
+class TestLedger:
+    """The link table of `evaluation.Ledger`."""
+
+    def test_segment_fits_up_to_the_smallest_capacity(self):
+        ledger = path_ledger()
+        assert ledger.fits(ledger.segment("a", "c", 1500.0))
+        assert not ledger.fits(ledger.segment("a", "c", 1500.5))
+
+    def test_fit_after_charge(self):
+        ledger = path_ledger()
+        ledger.charge(ledger.segment("a", "b", 600.0))
+        assert ledger.fits(ledger.segment("a", "c", 1400.0))
+        assert not ledger.fits(ledger.segment("a", "c", 1400.5))
+        assert ledger.fits(ledger.segment("b", "c", 1500.0))
+
+    def test_charge_64kbps(self):
+        ledger = path_ledger()
+        ledger.charge(ledger.segment("b", "a", 0.064))
+        assert ledger.links == {("a", "b"): 0.064}
+        assert ledger.violations() == []
+
+    def test_two_charges_add_up(self):
+        ledger = path_ledger()
+        ledger.charge(ledger.segment("a", "c", 10.0))
+        ledger.charge(ledger.segment("c", "a", 10.0))
+        assert ledger.links == {("a", "b"): 20.0, ("b", "c"): 20.0}
+
+    def test_rate_above_capacity_does_not_fit(self):
+        ledger = path_ledger()
+        over = ledger.segment("a", "c", 1600.0)
+        assert not ledger.fits(over)
+        ledger.charge(over)  # charging does not test; violations() reports
+        assert link_rows(ledger) == [("link", ("b", "c"), -100.0)]
+
+    def test_undo_restores_loads(self):
+        ledger = path_ledger()
+        ledger.charge(ledger.segment("a", "b", 0.1))
+        ledger.charge(ledger.segment("a", "c", 0.2))
+        ledger.undo()
+        assert ledger.links == {("a", "b"): 0.1}
+        ledger.undo()
+        assert ledger.links == {}
+        assert ledger.fits(ledger.segment("a", "d", 1500.0))
+
+    def test_link_rows_follow_the_families_in_sorted_key_order(self):
+        ledger = path_ledger(capacities=(5.0, 2000.0, 5.0))
+        req = make_instance(PATH_LINKS, ["b"], "a", "a",
+                            [("r1", ["f1"], 6.0, ["a"])], {"d": 1.0}).requests[0]
+        ledger.charge(ledger.segment("d", "c", 6.0))
+        ledger.charge(ledger.visit(req, 1, "b", "a", "d", (), False))
+        ledger.charge(ledger.segment("a", "b", 7.0))
+        assert link_rows(ledger) == [
+            ("5b", ("a", "b"), -1.0),
+            ("5d", ("b", "d"), -1.0),
+            ("link", ("a", "b"), -2.0),
+            ("link", ("c", "d"), -1.0),
+        ]
+
+
 class TestResiduals:
-    def test_bottleneck_min_of_two(self):
-        net = path_network()
-        res = ResidualState.from_network(net)
-        assert path_bottleneck(net, ["a", "b", "c"], res) == 1500.0
+    """Residual link capacity of a zero-length segment: a chain step that
+    stays on one node uses no link."""
 
     def test_single_node_path_is_infinite(self):
-        net = path_network()
-        res = ResidualState.from_network(net)
-        assert math.isinf(path_bottleneck(net, ["a"], res))
-
-    def test_bottleneck_after_consumption(self):
-        net = path_network()
-        res = ResidualState.from_network(net)
-        consume_flow(res, net, ["a", "b"], 600.0)
-        assert path_bottleneck(net, ["a", "b", "c"], res) == 1400.0
-
-    def test_invalid_path_raises(self):
-        net = path_network()
-        res = ResidualState.from_network(net)
-        with pytest.raises(InvalidPathError):
-            path_bottleneck(net, ["a", "c"], res)
-
-    def test_consume_64kbps(self):
-        net = path_network()
-        res = ResidualState.from_network(net)
-        consume_flow(res, net, ["a", "b"], 0.064)
-        assert res.link_remaining[("a", "b")] == pytest.approx(1999.936)
+        ledger = path_ledger()
+        assert ledger.fits(ledger.segment("b", "b", 1e9))
+        assert ledger.fits(ledger.segment("b", "b", float("inf")))
 
     def test_consume_zero_length_path_is_noop(self):
-        net = path_network()
-        res = ResidualState.from_network(net)
-        before = dict(res.link_remaining)
-        consume_flow(res, net, ["a"], 50.0)
-        assert res.link_remaining == before
-
-    def test_two_sequential_consumes_add_up(self):
-        net = path_network()
-        res = ResidualState.from_network(net)
-        consume_flow(res, net, ["a", "b", "c"], 10.0)
-        consume_flow(res, net, ["a", "b", "c"], 10.0)
-        assert res.link_remaining[("a", "b")] == 1980.0
-        assert res.link_remaining[("b", "c")] == 1480.0
-
-    def test_repeated_link_charged_per_traversal(self):
-        net = path_network()
-        res = ResidualState.from_network(net)
-        consume_flow(res, net, ["a", "b", "a"], 10.0)
-        assert res.link_remaining[("a", "b")] == 1980.0
-
-    def test_overcommit_raises_and_leaves_state_untouched(self):
-        net = make_network([("a", "b", 1.0, 15.0)], candidates=["a"],
-                           gateway="a", attachment="a")
-        res = ResidualState.from_network(net)
-        # bottleneck 15 >= 10, but the walk charges the link twice
-        with pytest.raises(CapacityExceededError):
-            consume_flow(res, net, ["a", "b", "a"], 10.0)
-        assert res.link_remaining[("a", "b")] == 15.0
-
-    def test_rate_above_bottleneck_raises(self):
-        net = path_network()
-        res = ResidualState.from_network(net)
-        with pytest.raises(CapacityExceededError):
-            consume_flow(res, net, ["a", "b", "c"], 1600.0)
+        ledger = path_ledger()
+        ledger.charge(ledger.segment("b", "b", 1e9))
+        assert ledger.links == {} and ledger.violations() == []
+        ledger.undo()
+        assert ledger.links == {}

@@ -12,7 +12,7 @@ from pccplace.exact import solve_exact
 from pccplace.model import placement_structure_violations
 from pccplace.scenario import ScenarioParams, generate_instance
 
-from conftest import make_instance
+from conftest import flow_sum_instance, make_instance
 
 
 def paths_for(instance):
@@ -117,6 +117,18 @@ class TestPpcc:
             cap = inst.node_resources[k]
             assert mem <= cap.memory_mb + 1e-9
             assert cpu <= cap.cpu_cores + 1e-9
+
+    @pytest.mark.parametrize("algo", [ppcc, spba])
+    def test_link_flow_sums_as_the_checkers_do(self, algo):
+        # The greedy fill's link reservations and both checkers sum a load in
+        # charge order, so the third request is refused rather than flagged.
+        inst = flow_sum_instance()
+        paths = paths_for(inst)
+        res = algo(inst, paths)
+        assert res.unplaced == (("r3", 1, "f1"),)
+        assert check_link_capacities(inst, res.placement, paths) == []
+        assert [v.constraint for v in check_constraints(inst, res.placement, paths)] \
+            == ["5e"]
 
     def test_determinism(self):
         params = ScenarioParams(num_candidates=10, batch_size=10)
