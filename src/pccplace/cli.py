@@ -74,7 +74,10 @@ def _cmd_generate(args) -> int:
         instance = scenario.generate_instance(params, args.seed)
     except scenario.GenerationError as exc:
         return _fail(EXIT_USAGE, str(exc))
-    Path(args.out).write_text(model.instance_to_json(instance), encoding="utf-8")
+    try:
+        Path(args.out).write_text(model.instance_to_json(instance), encoding="utf-8")
+    except OSError as exc:
+        return _fail(EXIT_USAGE, f"cannot write output: {exc}")
     print(args.out)
     return EXIT_OK
 
@@ -116,8 +119,11 @@ def _cmd_solve(args) -> int:
         "placement": model.placement_to_dict(res.placement),
     }
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n",
-                                  encoding="utf-8")
+        try:
+            Path(args.out).write_text(json.dumps(payload, indent=2) + "\n",
+                                      encoding="utf-8")
+        except OSError as exc:
+            return _fail(EXIT_USAGE, f"cannot write output: {exc}")
     print(fmt_num(res.total))
     return EXIT_BUDGET if res.status == "budget_exceeded" else EXIT_OK
 
@@ -131,7 +137,10 @@ def _cmd_export_lp(args) -> int:
         text = exact.export_lp(instance)
     except ValueError as exc:  # ExportSizeError included
         return _fail(EXIT_USAGE, str(exc))
-    Path(args.out).write_text(text, encoding="utf-8")
+    try:
+        Path(args.out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        return _fail(EXIT_USAGE, f"cannot write output: {exc}")
     print(args.out)
     return EXIT_OK
 
@@ -176,16 +185,19 @@ def _cmd_bench(args) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         return _fail(EXIT_USAGE, str(exc))
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     written = []
-    if args.format in ("csv", "both"):
-        path = outdir / "results.csv"
-        bench_mod.emit_results(table, "csv", str(path))
-        written.append(str(path))
-    if args.format in ("json", "both"):
-        path = outdir / "results.json"
-        bench_mod.emit_results(table, "json", str(path))
-        written.append(str(path))
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        if args.format in ("csv", "both"):
+            path = outdir / "results.csv"
+            bench_mod.emit_results(table, "csv", str(path))
+            written.append(str(path))
+        if args.format in ("json", "both"):
+            path = outdir / "results.json"
+            bench_mod.emit_results(table, "json", str(path))
+            written.append(str(path))
+    except OSError as exc:
+        return _fail(EXIT_USAGE, f"cannot write output: {exc}")
     for path in written:
         print(path)
     return EXIT_OK

@@ -6,6 +6,11 @@ functions, and routing from the last function to each handover destination,
 the three routing families weighted by the destination probabilities. A
 fifth `penalty_term` (zero for fully placed solutions) charges positions a
 heuristic failed to host, so partially placed batches remain comparable.
+:func:`cost_of_routes` computes it from a hosting set and one route per
+(request, head, destination) chain. :func:`evaluate_cost` derives those
+routes from a placement's visit plan, after checking its indices; the exact
+search and the greedy heuristics, which build their routes themselves, call
+:func:`cost_of_routes` directly.
 
 Capacity checking follows per-pair bottleneck semantics: each (endpoint,
 endpoint) shortest path has an independent capacity budget, aggregated over
@@ -259,6 +264,11 @@ def _check_indices(instance: ProblemInstance, placement: Placement) -> None:
         raise EvaluationError(str(bad[0]))
 
 
+def unplaced_penalty(paths: PathTable) -> float:
+    """Cost of one unvisited chain position: twice the largest path cost."""
+    return 2.0 * paths.max_cost
+
+
 def evaluate_cost(
     instance: ProblemInstance,
     placement: Placement,
@@ -269,9 +279,8 @@ def evaluate_cost(
     Destination weights are the mobility profile extended with the
     attachment node at the stay probability. Hop terms are evaluated
     literally on the visit plan: a missing position contributes nothing to
-    the hop sums and instead incurs a penalty of twice the largest pairwise
-    path cost per (head, destination) pair, weighted like any routed
-    position.
+    the hop sums and instead incurs :func:`unplaced_penalty` per (head,
+    destination) pair, weighted like any routed position.
     """
     _check_indices(instance, placement)
     # (request, head, destination, nf) -> node; of duplicate visits the
@@ -284,7 +293,7 @@ def evaluate_cost(
     routes = [[visit.get((req.id, s, d, nf)) for nf in req.chain]
               for req, s, d in instance.pair_order]
     return cost_of_routes(instance, paths, placement.x, routes,
-                          penalty_cost=2.0 * paths.max_cost)
+                          penalty_cost=unplaced_penalty(paths))
 
 
 def cost_of_routes(
@@ -303,8 +312,12 @@ def cost_of_routes(
     position, or None where the position is unvisited. Each term is summed
     in a fixed order (the placement term over sorted hosting decisions, the
     hop and penalty terms over `pair_order`), so equal inputs give
-    bit-identical totals; this is the one implementation of the objective,
-    shared by :func:`evaluate_cost` and the exact search.
+    bit-identical totals. This is the one implementation of the objective,
+    with three callers: :func:`evaluate_cost`, which derives the routes
+    from a placement's visit plan; the exact search, on each complete
+    assignment; and the greedy heuristics, which pass the routes they
+    built with :func:`unplaced_penalty` (``heuristics._solve_result`` says
+    why that report equals :func:`evaluate_cost`'s).
     """
     weights = instance.destination_weights
     placement_term = 0.0

@@ -142,15 +142,25 @@ class PathTable:
         return max((p.cost for p in self.pairs.values()), default=0.0)
 
 
-def _dijkstra_lex(network: EdgeNetwork, source: str) -> dict[str, tuple[float, tuple[str, ...]]]:
+def _dijkstra_lex(
+    network: EdgeNetwork, source: str,
+) -> tuple[dict[str, tuple[float, tuple[str, ...]]], dict[str, float]]:
     """Single-source shortest paths with (cost, node-sequence) lexicographic keys.
 
     With strictly positive link costs the composite key is extension-monotone,
     so the classic lazy-deletion Dijkstra yields, per target, the minimal cost
     and the lexicographically smallest node sequence among minimal-cost paths.
+    The second map holds each node's bottleneck, the least link capacity on
+    its stored sequence (+inf at the source). It is carried down the tree:
+    the relaxation that sets ``best[v]`` from ``u`` sets ``min(bn[u], cap)``,
+    and ``u`` is expanded only with its final sequence, so every entry is
+    the minimum over exactly the links of the stored sequence (``min`` is
+    exact in any order).
     """
     adj = network.adjacency
+    link_map = network.link_map
     best: dict[str, tuple[float, tuple[str, ...]]] = {source: (0.0, (source,))}
+    bn: dict[str, float] = {source: math.inf}
     heap: list[tuple[float, tuple[str, ...], str]] = [(0.0, (source,), source)]
     while heap:
         cost, seq, u = heapq.heappop(heap)
@@ -161,8 +171,9 @@ def _dijkstra_lex(network: EdgeNetwork, source: str) -> dict[str, tuple[float, t
             cur = best.get(v)
             if cur is None or cand < cur:
                 best[v] = cand
+                bn[v] = min(bn[u], link_map[link_key(u, v)].capacity_mbps)
                 heapq.heappush(heap, (cand[0], cand[1], v))
-    return best
+    return best, bn
 
 
 def shortest_paths(
@@ -187,22 +198,16 @@ def shortest_paths(
     if not network.is_connected():
         raise DisconnectedGraphError("network graph is not connected")
 
-    link_map = network.link_map
     pairs: dict[tuple[str, str], PathInfo] = {}
     by_source = {a: _dijkstra_lex(network, a) for a in rel}
     for a in rel:
-        best = by_source[a]
+        best, bn = by_source[a]
         for b in rel:
             if a == b:
                 pairs[(a, a)] = PathInfo(0.0, (a,), math.inf)
                 continue
-            _, seq = best[b]
             # Canonical cost from the lexicographically smaller endpoint's
             # run, so P_ab == P_ba exactly despite float summation order.
-            cost = by_source[min(a, b)][max(a, b)][0]
-            bottleneck = min(
-                link_map[link_key(u, v)].capacity_mbps
-                for u, v in zip(seq, seq[1:])
-            )
-            pairs[(a, b)] = PathInfo(cost, seq, bottleneck)
+            cost = by_source[min(a, b)][0][max(a, b)][0]
+            pairs[(a, b)] = PathInfo(cost, best[b][1], bn[b])
     return PathTable(pairs=pairs, relevant=frozenset(rel))

@@ -16,9 +16,38 @@ anchor baseline.
 
 from __future__ import annotations
 
-from .evaluation import Ledger, SolveResult, evaluate_cost
+from .evaluation import Ledger, SolveResult, cost_of_routes, unplaced_penalty
+# Not called here: perfbench/tracing.py wraps `heuristics.evaluate_cost` by
+# name, so the name stays bound until the benchmark drops that patch
+# (ROADMAP item 5).
+from .evaluation import evaluate_cost  # noqa: F401
 from .graph import PathTable
 from .model import ProblemInstance, build_placement
+
+
+def _solve_result(instance: ProblemInstance, paths: PathTable,
+                  hosts: dict[tuple[str, int], str],
+                  unplaced: tuple[tuple[str, int, str], ...] = ()) -> SolveResult:
+    """The placement of `hosts` and its cost, from one route per request.
+
+    Every chain of a request visits each position at the node hosting it,
+    so the route ``[hosts.get((r, l)) for l in 1..L]`` serves each of its
+    (head, destination) pairs. The report is :func:`evaluation.evaluate_cost`'s,
+    bit for bit: every host key comes from `instance.requests` and every
+    node from the candidates or the gateway, so the placement passes the
+    index check; and `validate_instance` rejects a function repeated within
+    a chain, so each (request, head, destination, nf) has exactly one visit
+    and the routes :func:`evaluation.evaluate_cost` derives from the visit
+    plan are these, given to :func:`cost_of_routes` with the same hosting
+    set and in the same `pair_order` sum order.
+    """
+    route_of = {req.id: [hosts.get((req.id, l)) for l in range(1, len(req.chain) + 1)]
+                for req in instance.requests}
+    routes = [route_of[req.id] for req, _, _ in instance.pair_order]
+    placement = build_placement(instance, hosts)
+    cost = cost_of_routes(instance, paths, placement.x, routes,
+                          penalty_cost=unplaced_penalty(paths))
+    return SolveResult(placement, cost, "ok", unplaced)
 
 
 def _greedy_chain_fill(
@@ -40,13 +69,19 @@ def _greedy_chain_fill(
     have rows in :func:`evaluation.check_link_capacities`, which charges
     every (request, head, destination) route. Positions still unhosted after
     the fallback pass are reported as unplaced and penalized in the cost
-    report.
+    report, which is computed from the hosts as :func:`_solve_result`
+    explains.
+
+    The fallback order, all candidates by (distance from the anchor head,
+    id), is sorted once per anchor head in a call; a request filters out its
+    on-path candidates, and filtering keeps the order of a sorted list.
     """
     candidates = instance.network.candidates
     ledger = Ledger(instance, paths)
 
     hosts: dict[tuple[str, int], str] = {}
     unplaced: list[tuple[str, int, str]] = []
+    by_distance: dict[str, list[str]] = {}  # anchor head -> fallback order
     for req in instance.requests:
         s_star = min(sorted(req.heads), key=lambda s: (paths.cost(s, target), s))
         on_path = [n for n in paths.sequence(s_star, target) if n in candidates]
@@ -58,10 +93,12 @@ def _greedy_chain_fill(
         # failed on a flow check). The rescan list is built only when needed.
         for scan in (on_path, None):
             if scan is None:
+                order = by_distance.get(s_star)
+                if order is None:
+                    order = by_distance[s_star] = sorted(
+                        candidates, key=lambda k: (paths.cost(s_star, k), k))
                 on_set = set(on_path)
-                scan = on_path + sorted(
-                    (k for k in candidates if k not in on_set),
-                    key=lambda k: (paths.cost(s_star, k), k))
+                scan = on_path + [k for k in order if k not in on_set]
             for k in scan:
                 if not pending:
                     break
@@ -82,9 +119,7 @@ def _greedy_chain_fill(
                 break
         unplaced.extend((req.id, l, nf) for l, nf in pending.items())
 
-    placement = build_placement(instance, hosts)
-    cost = evaluate_cost(instance, placement, paths)
-    return SolveResult(placement, cost, "ok", tuple(unplaced))
+    return _solve_result(instance, paths, hosts, tuple(unplaced))
 
 
 def ppcc(instance: ProblemInstance, paths: PathTable) -> SolveResult:
@@ -124,6 +159,4 @@ def agw(instance: ProblemInstance, paths: PathTable) -> SolveResult:
         for req in instance.requests
         for l in range(1, len(req.chain) + 1)
     }
-    placement = build_placement(instance, hosts)
-    cost = evaluate_cost(instance, placement, paths)
-    return SolveResult(placement, cost, "ok")
+    return _solve_result(instance, paths, hosts)

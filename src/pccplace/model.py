@@ -167,14 +167,13 @@ def build_placement(
     x = set()
     y = set()
     for req in instance.requests:
+        pairs = [(s, d) for s in sorted(req.heads) for d in dests]
         for l, nf in enumerate(req.chain, start=1):
             k = hosts.get((req.id, l))
             if k is None:
                 continue
             x.add((req.id, nf, k))
-            for s in sorted(req.heads):
-                for d in dests:
-                    y.add((req.id, nf, k, s, d))
+            y.update([(req.id, nf, k, s, d) for s, d in pairs])
     return Placement(x=frozenset(x), y=frozenset(y))
 
 

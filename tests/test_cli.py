@@ -36,6 +36,13 @@ def no_candidate_file(tmp_path):
     return str(path)
 
 
+def assert_write_error(capsys):
+    """The command printed one JSON line naming the failed write."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].startswith("cannot write output")
+
+
 class TestGenerate:
     def test_generate_then_validate(self, tmp_path, capsys):
         out = tmp_path / "i.json"
@@ -67,6 +74,13 @@ class TestGenerate:
         data = json.loads(out.read_text())
         assert len(data["requests"]) == 3  # CLI flag beats config file
         assert len(data["network"]["candidates"]) == 6
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        code = main(["generate", "--seed", "1", "--set", "num_candidates=4",
+                     "--set", "batch_size=2",
+                     "--out", str(tmp_path / "nodir" / "x.json")])
+        assert code == 2
+        assert_write_error(capsys)
 
 
 class TestValidate:
@@ -157,6 +171,12 @@ class TestSolve:
         assert code == 4
         assert capsys.readouterr().out.strip() == "6"
 
+    def test_unwritable_out_exits_2(self, tiny1_file, tmp_path, capsys):
+        code = main(["solve", "--instance", tiny1_file, "--algo", "ppcc",
+                     "--out", str(tmp_path / "nodir" / "x.json")])
+        assert code == 2
+        assert_write_error(capsys)
+
 
 class TestExportLp:
     def test_output_begins_with_minimize(self, tiny1_file, tmp_path):
@@ -182,6 +202,12 @@ class TestExportLp:
                      "--out", str(tmp_path / "model.lp")])
         assert code == 2
         assert "no candidate" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_unwritable_out_exits_2(self, tiny1_file, tmp_path, capsys):
+        code = main(["export-lp", "--instance", tiny1_file,
+                     "--out", str(tmp_path / "nodir" / "a.lp")])
+        assert code == 2
+        assert_write_error(capsys)
 
 
 class TestBench:
@@ -243,6 +269,15 @@ class TestBench:
                      "--set", "num_candidates=6", "--out", str(tmp_path / "r")]) == 2
         assert message in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "r").exists()
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "r"
+        taken.write_text("keep")
+        code = main(["bench", "--sweep", "batch_size=2", "--trials", "1",
+                     "--set", "num_candidates=6", "--out", str(taken)])
+        assert code == 2
+        assert_write_error(capsys)
+        assert taken.read_text() == "keep"
 
 
 class TestSolverRegistry:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from pccplace.evaluation import Ledger
 from pccplace.graph import DisconnectedGraphError, link_key, shortest_paths
+from pccplace.scenario import ScenarioParams, generate_instance
 
 from conftest import PATH_LINKS, make_instance, make_network
 
@@ -98,6 +100,39 @@ class TestShortestPaths:
         table = shortest_paths(net, ["a", "b"])
         assert math.isinf(table.bottleneck("a", "a"))
         assert math.isinf(table.bottleneck("b", "b"))
+
+    def test_bottleneck_follows_the_tie_break(self):
+        # a-c-d (1 + 2) is found first, then a-b-d (2 + 1) ties on cost and
+        # replaces it as the lexicographically smaller sequence; the bottleneck
+        # is that of the stored, lower-capacity route in both directions.
+        net = make_network(
+            [("a", "b", 2.0, 100.0), ("b", "d", 1.0, 5.0),
+             ("a", "c", 1.0, 100.0), ("c", "d", 2.0, 100.0)],
+            candidates=["a"], gateway="a", attachment="a")
+        table = shortest_paths(net, ["a", "d"])
+        assert table.sequence("a", "d") == ("a", "b", "d")
+        assert table.sequence("d", "a") == ("d", "b", "a")
+        assert table.bottleneck("a", "d") == table.bottleneck("d", "a") == 5.0
+
+    @pytest.mark.parametrize("num_candidates, seed",
+                             [(20, 0), (20, 1), (20, 2), (60, 0), (60, 1)])
+    def test_bottleneck_is_min_over_the_stored_sequence(self, num_candidates, seed):
+        inst = generate_instance(
+            ScenarioParams(num_candidates=num_candidates, batch_size=5), seed)
+        # generated links share one capacity, so draw one per link
+        rng = random.Random(seed)
+        net = dataclasses.replace(inst.network, links=tuple(
+            dataclasses.replace(ln, capacity_mbps=float(rng.randint(1, 50)))
+            for ln in inst.network.links))
+        caps = {ln.key: ln.capacity_mbps for ln in net.links}
+        table = shortest_paths(net, inst.relevant_nodes)
+        for (a, b), info in table.pairs.items():
+            seq = info.nodes
+            if a == b:
+                assert info.bottleneck == math.inf
+            else:
+                assert info.bottleneck == min(
+                    caps[link_key(u, v)] for u, v in zip(seq, seq[1:]))
 
     def test_disconnected_raises(self):
         net = make_network([("a", "b", 1.0)], candidates=["a"], gateway="a",

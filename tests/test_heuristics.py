@@ -227,3 +227,54 @@ class TestSpba:
     def test_unplaced_mirrors_ppcc_mechanics(self, tiny1_infeasible):
         res = spba(tiny1_infeasible, paths_for(tiny1_infeasible))
         assert res.unplaced == (("r1", 1, "f1"),)
+
+
+HEURISTICS = {"ppcc": ppcc, "spba": spba, "agw": agw}
+
+
+class TestCostReport:
+    """The heuristics cost their own routes; the report is evaluate_cost's."""
+
+    @pytest.mark.parametrize("name", HEURISTICS)
+    @pytest.mark.parametrize("params, seed", [
+        # several heads and destinations per request
+        (ScenarioParams(num_candidates=12, batch_size=20,
+                        heads_per_request=(2, 4), num_destinations=(2, 4)), 3),
+        # CPU-tight: positions stay unplaced after the fallback scan
+        (ScenarioParams(num_candidates=10, batch_size=60, node_cpu_cores=1.0), 4),
+        # placement costs set
+        (ScenarioParams(num_candidates=10, batch_size=20, placement_cost=3.5), 5),
+    ], ids=["heads-dests", "cpu-tight", "placement-cost"])
+    def test_equals_evaluate_cost(self, name, params, seed):
+        inst = generate_instance(params, seed)
+        paths = paths_for(inst)
+        res = HEURISTICS[name](inst, paths)
+        assert res.cost == evaluate_cost(inst, res.placement, paths)
+        if params.placement_cost:
+            assert res.cost.placement_term > 0.0
+        if params.node_cpu_cores < 2.0 and name != "agw":
+            assert res.unplaced and res.cost.penalty_term > 0.0
+
+    # Totals (float.hex) and unplaced counts on two CPU-tight instances,
+    # where the fallback scan runs and the penalty term is summed; the
+    # second also has placement costs. Any change to a reported total's
+    # summation order moves a last bit here.
+    @pytest.mark.parametrize("params, seed, pinned", [
+        (ScenarioParams(num_candidates=30, batch_size=200, node_cpu_cores=4.0), 5,
+         {"ppcc": ("0x1.21b6672e51cb7p+18", 191),
+          "spba": ("0x1.21bed628b7f69p+18", 191),
+          "agw": ("0x1.49dac61f5d378p+16", 0)}),
+        (ScenarioParams(num_candidates=30, batch_size=100, node_cpu_cores=1.5,
+                        placement_cost=10.0), 7,
+         {"ppcc": ("0x1.89f3a5511cd1bp+17", 182),
+          "spba": ("0x1.8c08a7c4ae2cdp+17", 182),
+          "agw": ("0x1.8dd7cae25ae54p+15", 0)}),
+    ], ids=["cpu-4", "cpu-1.5-placement-cost"])
+    def test_pinned_totals(self, params, seed, pinned):
+        inst = generate_instance(params, seed)
+        paths = paths_for(inst)
+        got = {}
+        for name, algo in HEURISTICS.items():
+            res = algo(inst, paths)
+            got[name] = (res.total.hex(), len(res.unplaced))
+        assert got == pinned
