@@ -13,7 +13,6 @@ from .evaluation import (
     SolveResult,
     UndefinedGainError,
     check_constraints,
-    check_link_capacities,
     evaluate_cost,
     gain,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "build_placement",
     "build_placement_per_pair",
     "check_constraints",
-    "check_link_capacities",
     "emit_results",
     "evaluate_cost",
     "export_lp",

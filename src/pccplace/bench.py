@@ -202,8 +202,9 @@ def run_sweep(
     Every algorithm in a trial runs on the same instance. Infeasible exact
     solves are excluded from that row's means and counted. The exact budget
     is node-limited only (no wall clock) so results stay deterministic.
-    Worker count never affects output. Raises ValueError unless the sweep
-    values are distinct, and integral on an integer axis.
+    Worker count never affects output. Raises ValueError, before any trial
+    runs, unless the sweep values are distinct, integral on an integer axis,
+    and give valid parameters.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -221,17 +222,17 @@ def run_sweep(
     unknown = sorted(set(algorithms) - set(ALGORITHMS))
     if unknown:
         raise ValueError(f"unknown algorithm {unknown[0]!r}")
-    validate_params(base_params)
-    if "exact" in algorithms:
-        _check_desk_scale(base_params, spec)
 
     tasks = []
     for value in spec.values:
         params = _apply_axis(base_params, spec.axis, value)
+        validate_params(params)  # before any trial runs
         for trial in range(trials):
             seed = trial_seed(base_seed, spec.axis, value, trial)
             tasks.append((params, spec.axis, value, trial, seed,
                           tuple(algorithms), measure_runtime))
+    if "exact" in algorithms:
+        _check_desk_scale(base_params, spec)
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -12,18 +12,14 @@ routes from a placement's visit plan, after checking its indices; the exact
 search and the greedy heuristics, which build their routes themselves, call
 :func:`cost_of_routes` directly.
 
-Capacity checking follows per-pair bottleneck semantics: each (endpoint,
-endpoint) shortest path has an independent capacity budget, aggregated over
-everything mapped to that pair. The loads of these families (5a node
-resources, 5b-5d head, chain and tail flow) and the stricter per-link flow,
-in which paths sharing a physical link contend for its capacity, are kept
-by one :class:`Ledger`. The exact search charges it visit by visit and
-:func:`check_constraints` in batch (5a-5d). The greedy fill charges node
-resources, and to the link table the hop flow from each request's moving
-anchor to each node it hosts on, with no tail to the destinations.
-:func:`check_link_capacities` charges the link table with every (request,
-head, destination) route, so a greedy placement that fits its own
-reservations can still have "link" rows.
+Capacity checking follows the paper's per-pair bottleneck semantics: each
+(endpoint, endpoint) shortest path has an independent capacity budget,
+aggregated over everything mapped to that pair. The loads of these families
+(5a node resources, 5b-5d head, chain and tail flow) are kept by one
+:class:`Ledger`. The exact search charges it visit by visit,
+:func:`check_constraints` in batch, and the greedy fill position by position
+(:meth:`Ledger.place`), each with the charges the checker makes, so what
+either solver places has no 5a-5d row.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import PathTable, link_key
+from .graph import PathTable
 from .model import (Placement, ProblemInstance, ServiceRequest,
                     placement_index_violations)
 
@@ -106,11 +102,13 @@ class ConstraintViolation:
 
 
 class Ledger:
-    """The loads of capacity families 5a-5d and of every physical link.
+    """The loads of capacity families 5a-5d.
 
-    Families 5b-5d are bounded by per-pair bottleneck budgets; the link
-    table holds the flow on each link (by canonical key) against its
-    `capacity_mbps`.
+    Families 5b-5d are bounded by per-pair bottleneck budgets. The exact
+    search and :func:`check_constraints` charge visit by visit
+    (:meth:`visit`, :meth:`fits`, :meth:`charge`); the greedy fill charges a
+    position's visits for all its (head, destination) pairs at once
+    (:meth:`place`).
 
     Float policy: a load is the running float sum of its charges, in the
     order they were charged; a hosting's demand is charged once, at the
@@ -118,8 +116,8 @@ class Ledger:
     positive, so charging visits one at a time under :meth:`fits` accepts
     exactly the loads that :meth:`violations` passes, bit for bit, when both
     charge in one order. :meth:`fits` tests each flow of a charge on its
-    own, so a :meth:`segment` must not cross a link twice; the stored
-    shortest paths are simple, as link costs are positive.
+    own, so a charge must name each (table, pair) at most once, as
+    :meth:`visit` does for distinct `prevs`.
     :func:`check_constraints` charges in the exact search's variable order
     (request, position, head, destination), hosting demand at the first
     visit of each (request, nf, node), then the hostings with no visit in
@@ -133,15 +131,13 @@ class Ledger:
         self._paths = paths
         self._caps = {k: cap.as_tuple() for k, cap in instance.node_resources.items()}
         self._demand = {nf: dem.as_tuple() for nf, dem in instance.catalog.items()}
-        self._link_map = instance.network.link_map
+        self._dests = sorted(instance.destination_weights)
         # (memory, cpu) per node with a capacity entry
         self.load = dict.fromkeys(self._caps, (0.0, 0.0))
         # the hostings charged so far; a dict, so that undo restores it as it
         # restores the loads
         self.hosted: dict[tuple[str, str, str], bool] = {}
         self.flows: tuple[dict[tuple[str, str], float], ...] = ({}, {}, {})  # 5b-5d
-        self.links: dict[tuple[str, str], float] = {}  # Mbps per link key
-        self._segments: dict[tuple[str, str], list] = {}  # (a, b) -> link flows
         self._saved: list[tuple[dict, object, object]] = []  # (table, key, old or None)
         self._marks: list[int] = []
 
@@ -166,20 +162,6 @@ class Ledger:
         nf = req.chain[l - 1]
         return ((req.id, nf, node) if hosting else None, nf, node,
                 req.flow_rate_mbps, flows)
-
-    def segment(self, a: str, b: str, rate: float) -> tuple:
-        """A charge of `rate` Mbps on every link of the stored path a -> b.
-
-        Shaped like a :meth:`visit` with no hosting; a zero-length path
-        (a == b) has no flows, so it always fits and charges nothing.
-        """
-        flows = self._segments.get((a, b))
-        if flows is None:
-            seq = self._paths.sequence(a, b)
-            flows = [(self.links, k, self._link_map[k].capacity_mbps)
-                     for k in map(link_key, seq, seq[1:])]
-            self._segments[(a, b)] = flows
-        return (None, None, None, rate, flows)
 
     def can_host(self, nf: str, node: str) -> bool:
         """Whether `node` has room for one more hosting of `nf` (5a)."""
@@ -226,8 +208,62 @@ class Ledger:
             saved.append((table, pair, old))
             table[pair] = rate if old is None else old + rate
 
+    def place(self, req: ServiceRequest, l: int, node: str,
+              before: str | None, after: str | None) -> bool:
+        """Host position `l` of `req` at `node` if its flows fit; whether it did.
+
+        The caller tests the hosting demand (5a) with :meth:`can_host`
+        first. The flows are those :func:`check_constraints` charges for a
+        placement that visits the position at `node` for every (head,
+        destination) pair, as :func:`model.build_placement` builds it: if
+        l = 1, head flow (s, node) once per destination for each head s;
+        chain flow (before, node) and (node, after) once per pair, where
+        `before` and `after` host positions l - 1 and l + 1 (None while
+        unhosted); and if l = L, tail flow (node, d) once per head for each
+        destination d. The n charges of one pair are added one at a time,
+        so a load matches the checker's bit for bit when requests are
+        placed in batch order and a request's positions on one node in
+        chain order; rates are positive, so testing the last sum covers the
+        earlier ones. A self pair has an infinite budget and is not
+        charged, and the pairs of one call are distinct. A flow over its
+        budget undoes the call's charges, so nothing stays charged unless
+        every flow fits; :meth:`undo` reverts a call that returned True.
+        """
+        head_flow, pair_flow, tail_flow = self.flows
+        dests = self._dests
+        keys = []  # (table, pair, number of charges)
+        if l == 1:
+            for s in req.heads:
+                if s != node:
+                    keys.append((head_flow, (s, node), len(dests)))
+        if before is not None and before != node:
+            keys.append((pair_flow, (before, node), len(req.heads) * len(dests)))
+        if after is not None and after != node:
+            keys.append((pair_flow, (node, after), len(req.heads) * len(dests)))
+        if l == len(req.chain):
+            for d in dests:
+                if d != node:
+                    keys.append((tail_flow, (node, d), len(req.heads)))
+        rate = req.flow_rate_mbps
+        info = self._paths.pairs
+        saved = self._saved
+        self._marks.append(len(saved))
+        for table, pair, n in keys:
+            old = table.get(pair)
+            load = 0.0 if old is None else old
+            for _ in range(n):
+                load += rate
+            saved.append((table, pair, old))
+            table[pair] = load
+            if load > info[pair].bottleneck:
+                self.undo()
+                return False
+        nf = req.chain[l - 1]
+        self._host((req.id, nf, node), nf, node)
+        return True
+
     def undo(self) -> None:
-        """Revert the last :meth:`charge` or :meth:`host` exactly, restoring saved values."""
+        """Revert the last :meth:`charge`, :meth:`host` or :meth:`place` exactly."""
         saved = self._saved
         for _ in range(len(saved) - self._marks.pop()):
             table, key, old = saved.pop()
@@ -237,7 +273,7 @@ class Ledger:
                 table[key] = old
 
     def violations(self) -> list[ConstraintViolation]:
-        """Every 5a-5d and "link" row over capacity: by family, then by sorted index."""
+        """Every 5a-5d row over capacity: by family, then by sorted index."""
         out = []
         for k in sorted(self._caps):
             for cap, load, resource in zip(self._caps[k], self.load[k],
@@ -250,10 +286,6 @@ class Ledger:
                 slack = self._paths.bottleneck(*pair) - table[pair]
                 if slack < 0:
                     out.append(ConstraintViolation(family, pair, slack))
-        for key in sorted(self.links):
-            slack = self._link_map[key].capacity_mbps - self.links[key]
-            if slack < 0:
-                out.append(ConstraintViolation("link", key, slack))
         return out
 
 
@@ -283,8 +315,8 @@ def evaluate_cost(
     destination) pair, weighted like any routed position.
     """
     _check_indices(instance, placement)
-    # (request, head, destination, nf) -> node; of duplicate visits the
-    # largest node wins, as in the sorted `Placement.visits` view
+    # (request, head, destination, nf) -> node; of the duplicate visits of a
+    # malformed placement the largest node wins, whatever the set order
     visit: dict[tuple[str, str, str, str], str] = {}
     for r, i, k, s, d in placement.y:
         have = visit.get((r, s, d, i))
@@ -417,39 +449,6 @@ def check_constraints(
                             out.append(ConstraintViolation(
                                 "5i", (req.id, i, j, ki, kj, s, d), -1.0))
     return out
-
-
-def check_link_capacities(
-    instance: ProblemInstance,
-    placement: Placement,
-    paths: PathTable,
-) -> list[ConstraintViolation]:
-    """Strict per-link capacity check.
-
-    Charges every (request, head, destination) route's flow on each physical
-    link it traverses (head->first, consecutive hosted pairs, last->dest)
-    and flags links whose aggregate exceeds capacity. Stricter than the
-    per-pair budgets of :func:`check_constraints` because paths sharing a
-    link contend here. The segments are charged to the link table of a
-    :class:`Ledger` in `placement.visits` order, so the float policy is the
-    greedy fill's. Violations use family id "link", in sorted link order.
-    """
-    _check_indices(instance, placement)
-    reqs = instance.request_map
-    ledger = Ledger(instance, paths)
-    charge, segment = ledger.charge, ledger.segment
-    for (r, s, d), visit in placement.visits.items():
-        req = reqs[r]
-        rate = req.flow_rate_mbps
-        chain = req.chain
-        if chain[0] in visit:
-            charge(segment(s, visit[chain[0]], rate))
-        for i, j in zip(chain, chain[1:]):
-            if i in visit and j in visit:
-                charge(segment(visit[i], visit[j], rate))
-        if chain[-1] in visit:
-            charge(segment(visit[chain[-1]], d, rate))
-    return ledger.violations()
 
 
 def gain(cost_a: float, cost_b: float) -> float:

@@ -3,8 +3,8 @@
 PPCC (probability-prior proactive caching-chaining) targets the most
 probable destination, anchors each request at the cache head closest to
 that target, and fills the chain greedily onto candidate nodes along the
-head-to-target shortest path, respecting node resources and per-link
-capacity.
+head-to-target shortest path, respecting node resources and the paper's
+per-pair flow budgets.
 
 SPBA runs the same greedy machinery but is mobility-oblivious: it targets
 the current serving attachment node and never consults the handover
@@ -58,22 +58,24 @@ def _greedy_chain_fill(
     """Shared greedy fill toward a fixed target node.
 
     For each request in batch order: pick the head closest to the target,
-    walk the candidates on the head->target shortest path in path order
-    (then all remaining candidates by distance from the head as a fallback
-    pass), and host the not-yet-hosted chain functions in visiting order
-    wherever node resources and the flow from the previous function's node
-    both fit. One `evaluation.Ledger` keeps both: hosting demand, and the
-    request's rate on every link of each hosted hop (from the anchor, the
-    head or the last hosting node, to the new node) in its link table. No
-    tail flow to the destinations is reserved, so the placement can still
-    have rows in :func:`evaluation.check_link_capacities`, which charges
-    every (request, head, destination) route. Positions still unhosted after
-    the fallback pass are reported as unplaced and penalized in the cost
-    report, which is computed from the hosts as :func:`_solve_result`
-    explains.
+    walk the candidates on the head->target shortest path in path order,
+    then all remaining candidates by distance from the head, and at each
+    node host the not-yet-hosted chain positions in chain order wherever
+    the node has room (:meth:`evaluation.Ledger.can_host`) and so do the
+    request's 5b-5d flows as :func:`evaluation.check_constraints` charges
+    them for every (head, destination) pair
+    (:meth:`evaluation.Ledger.place`). So the placement has no 5a-5d row.
+    One pass suffices: loads only grow, and a position's charges only grow
+    as its neighbours get hosted, so a (position, node) that failed once
+    would fail again. Each node is visited once per request, so a
+    request's positions on one node are hosted in chain order, as
+    :meth:`evaluation.Ledger.place`'s float policy needs. Positions still
+    unhosted are reported as unplaced and penalized in the cost report,
+    which is computed from the hosts as :func:`_solve_result` explains.
 
     The fallback order, all candidates by (distance from the anchor head,
-    id), is sorted once per anchor head in a call; a request filters out its
+    id), is sorted once per anchor head in a call, and only for a request
+    that the on-path candidates cannot fill; the request filters out its
     on-path candidates, and filtering keeps the order of a sorted list.
     """
     candidates = instance.network.candidates
@@ -85,12 +87,8 @@ def _greedy_chain_fill(
     for req in instance.requests:
         s_star = min(sorted(req.heads), key=lambda s: (paths.cost(s, target), s))
         on_path = [n for n in paths.sequence(s_star, target) if n in candidates]
-        pending = {l: nf for l, nf in enumerate(req.chain, start=1)}
-        m = s_star
-        # Primary pass over the on-path candidates, then one rescan over the
-        # list extended with the remaining candidates (the anchor m moves as
-        # functions are hosted, so a rescan can succeed where the first pass
-        # failed on a flow check). The rescan list is built only when needed.
+        pending = dict(enumerate(req.chain, start=1))
+        at: list[str | None] = [None] * (len(req.chain) + 2)  # position -> host
         for scan in (on_path, None):
             if scan is None:
                 order = by_distance.get(s_star)
@@ -98,23 +96,16 @@ def _greedy_chain_fill(
                     order = by_distance[s_star] = sorted(
                         candidates, key=lambda k: (paths.cost(s_star, k), k))
                 on_set = set(on_path)
-                scan = on_path + [k for k in order if k not in on_set]
+                scan = [k for k in order if k not in on_set]
             for k in scan:
-                if not pending:
-                    break
                 # pending holds positions in ascending order and only shrinks
                 for l in tuple(pending):
-                    nf = pending[l]
-                    if not ledger.can_host(nf, k):
-                        continue
-                    segment = ledger.segment(m, k, req.flow_rate_mbps)
-                    if not ledger.fits(segment):
-                        continue
-                    ledger.charge(segment)
-                    ledger.host(req.id, nf, k)
-                    hosts[(req.id, l)] = k
-                    del pending[l]
-                    m = k
+                    if (ledger.can_host(pending[l], k)
+                            and ledger.place(req, l, k, at[l - 1], at[l + 1])):
+                        at[l] = hosts[(req.id, l)] = k
+                        del pending[l]
+                if not pending:
+                    break
             if not pending:
                 break
         unplaced.extend((req.id, l, nf) for l, nf in pending.items())

@@ -139,18 +139,6 @@ class Placement:
     y: frozenset[tuple[str, str, str, str, str]]
     z: frozenset[tuple[str, str, str, str, str, str, str]] | None = None
 
-    @cached_property
-    def visits(self) -> dict[tuple[str, str, str], dict[str, str]]:
-        """(request, head, destination) -> {nf -> node} view of y.
-
-        Sorted iteration keeps the view deterministic even for malformed
-        placements that carry duplicate visits for one position.
-        """
-        out: dict[tuple[str, str, str], dict[str, str]] = {}
-        for r, i, k, s, d in sorted(self.y):
-            out.setdefault((r, s, d), {})[i] = k
-        return out
-
 
 def build_placement(
     instance: ProblemInstance,
@@ -296,7 +284,7 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
         for node in sorted(instance.placement_cost[nf]):
             if node not in net.candidates:
                 add("PlacementCostUnknownNode", f"{nf} at {node}")
-            if instance.placement_cost[nf][node] < 0:
+            if not instance.placement_cost[nf][node] >= 0:  # NaN too
                 add("NegativePlacementCost",
                     f"{nf} at {node}: {instance.placement_cost[nf][node]}")
     return v

@@ -105,6 +105,21 @@ class TestRunSweep:
             run_sweep(SweepSpec(axis="nonsense", values=(1,)),
                       small_params(), trials=1)
 
+    def test_invalid_sweep_value_rejected_before_any_trial(self, monkeypatch):
+        import pccplace.bench as bench
+        calls = []
+        real = bench.generate_instance
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "generate_instance", counting)
+        with pytest.raises(ValueError, match="num_candidates"):
+            run_sweep(SweepSpec(axis="num_candidates", values=(20, 0)),
+                      small_params(), trials=3)
+        assert calls == []
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="algorithm"):
             run_sweep(SweepSpec(axis="batch_size", values=(2,)),

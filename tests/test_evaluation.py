@@ -13,7 +13,6 @@ from pccplace.evaluation import (
     Ledger,
     UndefinedGainError,
     check_constraints,
-    check_link_capacities,
     evaluate_cost,
     gain,
 )
@@ -233,6 +232,15 @@ class TestCheckConstraints:
         assert [v for v in violations if v.constraint == "5b"
                 and v.index == ("a", "b")]
 
+    def test_unknown_indices_raise(self, tiny1):
+        paths = paths_for(tiny1)
+        good = build_placement(tiny1, {("r1", 1): "b"})
+        for bad in (Placement(x=good.x, y=frozenset({("r9", "f1", "b", "a", "d")})),
+                    Placement(x=good.x, y=frozenset({("r1", "f1", "zz", "a", "d")})),
+                    Placement(x=frozenset({("r1", "f9", "b")}), y=good.y)):
+            with pytest.raises(EvaluationError):
+                check_constraints(tiny1, bad, paths)
+
     def test_explicit_z_checked(self, tiny1):
         paths = paths_for(tiny1)
         good = build_placement(tiny1, {("r1", 1): "b"})
@@ -297,6 +305,48 @@ class TestLedger:
         assert ledger.fits(second)
         assert ledger.flows == ({}, {}, {}) and not ledger.hosted
 
+    def test_rows_follow_the_families_in_sorted_key_order(self):
+        inst = make_instance(
+            links=[("a", "b", 1.0, 5.0), ("b", "c", 2.0), ("c", "d", 3.0, 5.0)],
+            candidates=["b"], gateway="a", attachment="a",
+            requests=[("r1", ["f1"], 6.0, ["a"])], destinations={"d": 1.0},
+            node_resources={"b": (5.0, 8.0)})
+        ledger = Ledger(inst, paths_for(inst))
+        ledger.charge(ledger.visit(inst.requests[0], 1, "b", "a", "d", (), True))
+        assert [(v.constraint, v.index, v.slack) for v in ledger.violations()] == [
+            ("5a", ("b", "memory_mb"), -5.0),
+            ("5b", ("a", "b"), -1.0),
+            ("5d", ("b", "d"), -1.0),
+        ]
+
+    def test_place_charges_what_the_checker_charges(self):
+        # Heads a and c, destinations d and the attachment a, chain f1 f2 at
+        # b and c, position 2 placed first: every load place leaves equals
+        # the one left by the checker's charging, visit by visit, bit for
+        # bit. Self pairs, whose budget is infinite, are not charged.
+        inst = make_instance(
+            links=PATH_LINKS, candidates=["b", "c"], gateway="a", attachment="a",
+            requests=[("r1", ["f1", "f2"], 0.1, ["a", "c"]),
+                      ("r2", ["f1", "f2"], 0.7, ["a", "c"])],
+            destinations={"d": 0.6}, stay=0.4,
+            catalog={"f1": (10.0, 0.1), "f2": (10.0, 0.2)})
+        paths = paths_for(inst)
+        at = {1: "b", 2: "c"}
+        placed, checked = Ledger(inst, paths), Ledger(inst, paths)
+        for req in inst.requests:
+            assert placed.place(req, 2, "c", None, None)
+            assert placed.place(req, 1, "b", None, "c")
+            for l in (1, 2):
+                prevs = (at[l - 1],) if l > 1 else ()
+                for s in sorted(req.heads):
+                    for d in sorted(inst.destination_weights):
+                        checked.charge(checked.visit(req, l, at[l], s, d, prevs, True))
+        assert placed.load == checked.load
+        assert placed.hosted == checked.hosted
+        assert placed.flows == tuple({pair: load for pair, load in table.items()
+                                      if pair[0] != pair[1]}
+                                     for table in checked.flows)
+
     def test_verdict_independent_of_hash_seed(self):
         # 0.1 + 0.2 + 0.3 cores on a 0.6-core node: the checker's verdict
         # must not depend on the order a frozenset yields its entries, and
@@ -332,36 +382,6 @@ class TestLedger:
         assert verdicts["ppcc"] == [] and verdicts["exact"] == []
         # charged in chain order, the three demands overrun the node
         assert [v[:2] for v in verdicts["all_a"]] == [["5a", ["a", "cpu_cores"]]]
-
-
-class TestLinkCapacities:
-    def test_unknown_indices_raise(self, tiny1):
-        paths = paths_for(tiny1)
-        good = build_placement(tiny1, {("r1", 1): "b"})
-        for bad in (Placement(x=good.x, y=frozenset({("r9", "f1", "b", "a", "d")})),
-                    Placement(x=good.x, y=frozenset({("r1", "f1", "zz", "a", "d")}))):
-            with pytest.raises(EvaluationError):
-                check_link_capacities(tiny1, bad, paths)
-
-    def test_clean_when_flows_fit(self, tiny1):
-        paths = paths_for(tiny1)
-        placement = build_placement(tiny1, {("r1", 1): "b"})
-        assert check_link_capacities(tiny1, placement, paths) == []
-
-    def test_shared_link_contention_detected(self):
-        # two requests, each within the per-pair budget, overload a shared link
-        inst = make_instance(
-            links=[("a", "b", 1.0, 5.0), ("b", "c", 1.0)],
-            candidates=["b", "c"], gateway="a", attachment="a",
-            requests=[("r1", ["f1"], 3.0, ["a"]), ("r2", ["f1"], 3.0, ["a"])],
-            destinations={"c": 1.0},
-        )
-        paths = paths_for(inst)
-        placement = build_placement(inst, {("r1", 1): "b", ("r2", 1): "b"})
-        per_pair = check_constraints(inst, placement, paths)
-        per_link = check_link_capacities(inst, placement, paths)
-        assert [v for v in per_link if v.index == ("a", "b")]
-        assert len(per_link) >= len([v for v in per_pair if v.constraint == "5b"])
 
 
 class TestGain:

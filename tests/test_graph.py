@@ -8,7 +8,7 @@ from pccplace.evaluation import Ledger
 from pccplace.graph import DisconnectedGraphError, link_key, shortest_paths
 from pccplace.scenario import ScenarioParams, generate_instance
 
-from conftest import PATH_LINKS, make_instance, make_network
+from conftest import make_instance, make_network
 
 
 def brute_force_shortest(network, a, b):
@@ -175,90 +175,87 @@ class TestShortestPaths:
                 assert table.cost(a, b) == table.cost(b, a)
 
 
-def path_ledger(capacities=(2000.0, 1500.0, 2000.0)):
-    """A Ledger over the path network a-b-c-d with the given link capacities."""
+def path_ledger(capacities=(2000.0, 1500.0, 2000.0), rates=(1.0,), chain=("f1",)):
+    """A Ledger over the path network a-b-c-d with the given link capacities,
+    and its requests: one per rate, headed at a and bound for d alone."""
     inst = make_instance(
         [(u, v, 1.0, cap) for (u, v), cap in zip(("ab", "bc", "cd"), capacities)],
-        candidates=["b", "c"], gateway="a", attachment="a",
-        requests=[("r1", ["f1"], 1.0, ["a"])], destinations={"d": 1.0})
-    return Ledger(inst, shortest_paths(inst.network, sorted(inst.network.nodes)))
+        candidates=["b", "c"], gateway="a", attachment="d",
+        requests=[(f"r{i}", chain, rate, ["a"]) for i, rate in enumerate(rates, 1)],
+        destinations={}, stay=1.0,
+        catalog={nf: (10.0, 0.125) for nf in ("f1", "f2", "f3")})
+    paths = shortest_paths(inst.network, sorted(inst.network.nodes))
+    return Ledger(inst, paths), inst.requests
 
 
-def link_rows(ledger):
+def rows(ledger):
     return [(v.constraint, v.index, v.slack) for v in ledger.violations()]
 
 
 class TestLedger:
-    """The link table of `evaluation.Ledger`."""
+    """Flow accounting of `evaluation.Ledger` on a path: the budget of a pair
+    is the smallest link capacity on its stored path."""
 
     def test_segment_fits_up_to_the_smallest_capacity(self):
-        ledger = path_ledger()
-        assert ledger.fits(ledger.segment("a", "c", 1500.0))
-        assert not ledger.fits(ledger.segment("a", "c", 1500.5))
+        # head flow a->c crosses the 1500 Mbps link b-c
+        for rate, fits in ((1500.0, True), (1500.5, False)):
+            ledger, (req,) = path_ledger(rates=(rate,))
+            assert ledger.place(req, 1, "c", None, None) is fits
 
     def test_fit_after_charge(self):
-        ledger = path_ledger()
-        ledger.charge(ledger.segment("a", "b", 600.0))
-        assert ledger.fits(ledger.segment("a", "c", 1400.0))
-        assert not ledger.fits(ledger.segment("a", "c", 1400.5))
-        assert ledger.fits(ledger.segment("b", "c", 1500.0))
+        # tail flow b->d crosses b-c: 600 there leaves room for 900, not 900.5
+        ledger, (r1, r2, r3) = path_ledger(rates=(600.0, 900.0, 900.5))
+        assert ledger.place(r1, 1, "b", None, None)
+        assert not ledger.place(r3, 1, "b", None, None)
+        assert ledger.place(r2, 1, "b", None, None)
+        assert ledger.flows[2] == {("b", "d"): 1500.0}
 
     def test_charge_64kbps(self):
-        ledger = path_ledger()
-        ledger.charge(ledger.segment("b", "a", 0.064))
-        assert ledger.links == {("a", "b"): 0.064}
+        ledger, (req,) = path_ledger(rates=(0.064,))
+        assert ledger.place(req, 1, "b", None, None)
+        assert ledger.flows == ({("a", "b"): 0.064}, {}, {("b", "d"): 0.064})
         assert ledger.violations() == []
 
     def test_two_charges_add_up(self):
-        ledger = path_ledger()
-        ledger.charge(ledger.segment("a", "c", 10.0))
-        ledger.charge(ledger.segment("c", "a", 10.0))
-        assert ledger.links == {("a", "b"): 20.0, ("b", "c"): 20.0}
+        ledger, (r1, r2) = path_ledger(rates=(10.0, 10.0))
+        assert ledger.place(r1, 1, "c", None, None)
+        assert ledger.place(r2, 1, "c", None, None)
+        assert ledger.flows == ({("a", "c"): 20.0}, {}, {("c", "d"): 20.0})
 
     def test_rate_above_capacity_does_not_fit(self):
-        ledger = path_ledger()
-        over = ledger.segment("a", "c", 1600.0)
+        ledger, (req,) = path_ledger(rates=(1600.0,))
+        assert not ledger.place(req, 1, "c", None, None)
+        assert ledger.flows == ({}, {}, {}) and not ledger.hosted
+        over = ledger.visit(req, 1, "c", "a", "d", (), True)
         assert not ledger.fits(over)
         ledger.charge(over)  # charging does not test; violations() reports
-        assert link_rows(ledger) == [("link", ("b", "c"), -100.0)]
+        assert rows(ledger) == [("5b", ("a", "c"), -100.0)]
 
     def test_undo_restores_loads(self):
-        ledger = path_ledger()
-        ledger.charge(ledger.segment("a", "b", 0.1))
-        ledger.charge(ledger.segment("a", "c", 0.2))
+        ledger, (r1, r2) = path_ledger(rates=(0.1, 0.2))
+        assert ledger.place(r1, 1, "b", None, None)
+        assert ledger.place(r2, 1, "c", None, None)
         ledger.undo()
-        assert ledger.links == {("a", "b"): 0.1}
+        assert ledger.flows == ({("a", "b"): 0.1}, {}, {("b", "d"): 0.1})
+        assert list(ledger.hosted) == [("r1", "f1", "b")]
         ledger.undo()
-        assert ledger.links == {}
-        assert ledger.fits(ledger.segment("a", "d", 1500.0))
-
-    def test_link_rows_follow_the_families_in_sorted_key_order(self):
-        ledger = path_ledger(capacities=(5.0, 2000.0, 5.0))
-        req = make_instance(PATH_LINKS, ["b"], "a", "a",
-                            [("r1", ["f1"], 6.0, ["a"])], {"d": 1.0}).requests[0]
-        ledger.charge(ledger.segment("d", "c", 6.0))
-        ledger.charge(ledger.visit(req, 1, "b", "a", "d", (), False))
-        ledger.charge(ledger.segment("a", "b", 7.0))
-        assert link_rows(ledger) == [
-            ("5b", ("a", "b"), -1.0),
-            ("5d", ("b", "d"), -1.0),
-            ("link", ("a", "b"), -2.0),
-            ("link", ("c", "d"), -1.0),
-        ]
+        assert ledger.flows == ({}, {}, {}) and not ledger.hosted
+        assert ledger.load["b"] == (0.0, 0.0)
 
 
 class TestResiduals:
-    """Residual link capacity of a zero-length segment: a chain step that
-    stays on one node uses no link."""
+    """A self pair uses no link: consecutive positions on one node charge no
+    chain flow, whatever the rate."""
 
     def test_single_node_path_is_infinite(self):
-        ledger = path_ledger()
-        assert ledger.fits(ledger.segment("b", "b", 1e9))
-        assert ledger.fits(ledger.segment("b", "b", float("inf")))
+        for rate in (1e9, float("inf")):
+            ledger, (req,) = path_ledger(rates=(rate,), chain=("f1", "f2", "f3"))
+            assert ledger.place(req, 2, "c", "c", "c")
+            assert ledger.fits(ledger.visit(req, 2, "c", "a", "d", ("c",), False))
 
     def test_consume_zero_length_path_is_noop(self):
-        ledger = path_ledger()
-        ledger.charge(ledger.segment("b", "b", 1e9))
-        assert ledger.links == {} and ledger.violations() == []
+        ledger, (req,) = path_ledger(rates=(1e9,), chain=("f1", "f2", "f3"))
+        assert ledger.place(req, 2, "c", "c", "c")
+        assert ledger.flows == ({}, {}, {}) and ledger.violations() == []
         ledger.undo()
-        assert ledger.links == {}
+        assert ledger.flows == ({}, {}, {}) and not ledger.hosted

@@ -2,7 +2,6 @@ import pytest
 
 from pccplace.evaluation import (
     check_constraints,
-    check_link_capacities,
     evaluate_cost,
     gain,
 )
@@ -17,6 +16,10 @@ from conftest import flow_sum_instance, make_instance
 
 def paths_for(instance):
     return shortest_paths(instance.network, instance.relevant_nodes)
+
+
+def families(violations):
+    return {v.constraint for v in violations}
 
 
 class TestPpcc:
@@ -105,7 +108,6 @@ class TestPpcc:
         assert res.unplaced == ()
         assert placement_structure_violations(inst, res.placement) == []
         assert check_constraints(inst, res.placement, paths) == []
-        assert check_link_capacities(inst, res.placement, paths) == []
         # node accounting: hosted demands within capacity everywhere
         used = {}
         for (r, nf, k) in res.placement.x:
@@ -119,16 +121,45 @@ class TestPpcc:
             assert cpu <= cap.cpu_cores + 1e-9
 
     @pytest.mark.parametrize("algo", [ppcc, spba])
-    def test_link_flow_sums_as_the_checkers_do(self, algo):
-        # The greedy fill's link reservations and both checkers sum a load in
-        # charge order, so the third request is refused rather than flagged.
+    def test_head_flow_sums_as_the_checker_does(self, algo):
+        # The greedy fill and the checker sum the 5b load of (a, b) in batch
+        # order, so the third request is refused rather than flagged.
         inst = flow_sum_instance()
         paths = paths_for(inst)
         res = algo(inst, paths)
         assert res.unplaced == (("r3", 1, "f1"),)
-        assert check_link_capacities(inst, res.placement, paths) == []
         assert [v.constraint for v in check_constraints(inst, res.placement, paths)] \
             == ["5e"]
+
+    def test_tail_budget_leaves_position_unplaced(self):
+        # Link b-d carries less than the rate, and every route to the
+        # destination d crosses it: no candidate, not even the head a,
+        # has room for the 5d tail flow, so f1 stays unplaced.
+        inst = make_instance(
+            links=[("a", "b", 1.0), ("b", "d", 1.0, 0.5)],
+            candidates=["a", "b"], gateway="a", attachment="a",
+            requests=[("r1", ["f1"], 1.0, ["a"])],
+            destinations={"d": 1.0},
+        )
+        paths = paths_for(inst)
+        for algo in (ppcc, spba):
+            res = algo(inst, paths)
+            assert res.unplaced == (("r1", 1, "f1"),)
+            assert families(check_constraints(inst, res.placement, paths)) == {"5e"}
+
+    @pytest.mark.parametrize("capacity", [20.0, 50.0, 200.0])
+    @pytest.mark.parametrize("algo", [ppcc, spba])
+    def test_binding_links_leave_no_capacity_row(self, algo, capacity):
+        # On these instances the per-pair budgets bind; whatever the greedy
+        # fill hosts must still pass 5a-5d.
+        params = ScenarioParams(num_candidates=12, batch_size=40,
+                                link_capacity_mbps=capacity)
+        for seed in range(6):
+            inst = generate_instance(params, seed=seed)
+            paths = paths_for(inst)
+            res = algo(inst, paths)
+            assert families(check_constraints(inst, res.placement, paths)) \
+                <= {"5e"}
 
     def test_determinism(self):
         params = ScenarioParams(num_candidates=10, batch_size=10)

@@ -73,6 +73,15 @@ class TestValidateInstance:
         found = codes(validate_instance(bad))
         assert {"NonPositiveLinkCost", "SelfLoopLink", "DuplicateLink"} <= found
 
+    @pytest.mark.parametrize("cost", [-1.0, float("nan")])
+    def test_negative_or_nan_placement_cost(self, cost):
+        bad = make_instance(
+            links=[("a", "b", 1.0)], candidates=["b"], gateway="a",
+            attachment="a", requests=[("r1", ["f1"], 1.0, ["a"])],
+            destinations={"b": 1.0}, placement_cost={"f1": {"b": cost}},
+        )
+        assert codes(validate_instance(bad)) == {"NegativePlacementCost"}
+
     def test_missing_node_resources(self):
         bad = make_instance(
             links=[("a", "b", 1.0), ("b", "c", 1.0)],
