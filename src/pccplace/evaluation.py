@@ -245,7 +245,7 @@ class Ledger:
                 if d != node:
                     keys.append((tail_flow, (node, d), len(req.heads)))
         rate = req.flow_rate_mbps
-        info = self._paths.pairs
+        bottleneck = self._paths.bottleneck
         saved = self._saved
         self._marks.append(len(saved))
         for table, pair, n in keys:
@@ -255,7 +255,7 @@ class Ledger:
                 load += rate
             saved.append((table, pair, old))
             table[pair] = load
-            if load > info[pair].bottleneck:
+            if load > bottleneck(*pair):
                 self.undo()
                 return False
         nf = req.chain[l - 1]

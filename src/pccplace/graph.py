@@ -6,15 +6,21 @@ which breaks cost ties by the lexicographically smallest node sequence so
 that solvers, heuristics, and test oracles all see identical paths.
 `EdgeNetwork` and `PathTable` are immutable and safe to share across
 threads; link loads are kept by `evaluation.Ledger`.
+
+The search runs on int node ids, the positions in the sorted id list, so
+int order is id order. A table stores per pair only its cost and its
+bottleneck, and per source the predecessor array of one Dijkstra run;
+node sequences and :class:`PathInfo` records are built when read, since
+the solvers read a sequence at most once per request.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 
 class DisconnectedGraphError(ValueError):
@@ -52,7 +58,8 @@ class EdgeNetwork:
         attachment: the node the end user is currently attached to.
 
     Invariants (checked by ``model.validate_instance``, not here): the graph
-    is connected, all costs and capacities are strictly positive, and
+    is connected, all costs are finite and all costs and capacities are
+    strictly positive, and
     candidates/gateway/attachment are members of ``nodes``.
     """
 
@@ -99,7 +106,6 @@ class PathInfo:
     bottleneck: float
 
 
-@dataclass(frozen=True)
 class PathTable:
     """All-pairs shortest paths over a set of relevant nodes.
 
@@ -107,73 +113,179 @@ class PathTable:
     minimal routing cost, the minimal-cost node sequence (lexicographically
     smallest among ties), and the bottleneck capacity (minimum link capacity
     along the stored sequence; +inf for the (a, a) pair).
+
+    Stored: one cost and one bottleneck dict keyed by the (a, b) id pair,
+    sharing their key tuples, which :meth:`cost` and :meth:`bottleneck`
+    read directly (the exact search and the ledger call them in inner
+    loops); and, per relevant source, the predecessor array of its
+    shortest-path tree over int node ids. Built on access: the node
+    sequence (:meth:`sequence`, :meth:`info`) is walked back from the
+    target along the source's predecessor array, and :attr:`pairs` is a
+    read-only view that builds each :class:`PathInfo` when it is read.
     """
 
-    pairs: dict[tuple[str, str], PathInfo]
-    relevant: frozenset[str]
+    def __init__(self, relevant: frozenset[str], ids: list[str],
+                 index: dict[str, int], costs: dict[tuple[str, str], float],
+                 bottlenecks: dict[tuple[str, str], float],
+                 preds: dict[str, list[int]]):
+        self.relevant = relevant
+        self._ids = ids
+        self._index = index
+        self._costs = costs
+        self._bottlenecks = bottlenecks
+        self._preds = preds
+
+    def _missing(self, a: str, b: str) -> KeyError:
+        return KeyError(f"no path entry for pair ({a!r}, {b!r}); "
+                        f"is the node in the relevant set?")
 
     def info(self, a: str, b: str) -> PathInfo:
-        try:
-            return self.pairs[(a, b)]
-        except KeyError:
-            raise KeyError(f"no path entry for pair ({a!r}, {b!r}); "
-                           f"is the node in the relevant set?") from None
+        return PathInfo(self.cost(a, b), self.sequence(a, b), self._bottlenecks[(a, b)])
 
     # The accessors below look the pair up directly, since the solvers and
-    # the evaluator call them in their inner loops; `info` explains a miss.
+    # the evaluator call them in their inner loops.
     def cost(self, a: str, b: str) -> float:
         try:
-            return self.pairs[(a, b)].cost
+            return self._costs[(a, b)]
         except KeyError:
-            return self.info(a, b).cost
+            raise self._missing(a, b) from None
 
     def sequence(self, a: str, b: str) -> tuple[str, ...]:
-        return self.info(a, b).nodes
+        if (a, b) not in self._costs:
+            raise self._missing(a, b)
+        ids = self._ids
+        return tuple(ids[v] for v in _walk(self._preds[a], self._index[b]))
 
     def bottleneck(self, a: str, b: str) -> float:
         try:
-            return self.pairs[(a, b)].bottleneck
+            return self._bottlenecks[(a, b)]
         except KeyError:
-            return self.info(a, b).bottleneck
+            raise self._missing(a, b) from None
+
+    @property
+    def pairs(self) -> Mapping[tuple[str, str], PathInfo]:
+        """Every (a, b) pair, source-major in id order, to its :class:`PathInfo`."""
+        return _PairView(self)
 
     @cached_property
     def max_cost(self) -> float:
         """Largest pairwise cost in the table (0.0 for a single node)."""
-        return max((p.cost for p in self.pairs.values()), default=0.0)
+        return max(self._costs.values(), default=0.0)
 
 
-def _dijkstra_lex(
-    network: EdgeNetwork, source: str,
-) -> tuple[dict[str, tuple[float, tuple[str, ...]]], dict[str, float]]:
-    """Single-source shortest paths with (cost, node-sequence) lexicographic keys.
+class _PairView(Mapping):
+    """Read-only (a, b) -> :class:`PathInfo` view of a :class:`PathTable`."""
 
-    With strictly positive link costs the composite key is extension-monotone,
-    so the classic lazy-deletion Dijkstra yields, per target, the minimal cost
-    and the lexicographically smallest node sequence among minimal-cost paths.
-    The second map holds each node's bottleneck, the least link capacity on
-    its stored sequence (+inf at the source). It is carried down the tree:
-    the relaxation that sets ``best[v]`` from ``u`` sets ``min(bn[u], cap)``,
-    and ``u`` is expanded only with its final sequence, so every entry is
-    the minimum over exactly the links of the stored sequence (``min`` is
-    exact in any order).
+    def __init__(self, table: PathTable):
+        self._table = table
+
+    def __getitem__(self, pair: tuple[str, str]) -> PathInfo:
+        if pair not in self._table._costs:
+            raise KeyError(pair)
+        return self._table.info(*pair)
+
+    def __contains__(self, pair: object) -> bool:
+        return pair in self._table._costs
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return iter(self._table._costs)
+
+    def __len__(self) -> int:
+        return len(self._table._costs)
+
+
+def _dijkstra(adj: list[list[tuple[int, float, float]]], source: int,
+              ) -> tuple[list[float], list[int], list[float]]:
+    """Single-source shortest paths over int node ids: cost, predecessor, bottleneck.
+
+    Node ids are positions in the sorted id list, so comparing int
+    sequences compares the id sequences. Each target gets the minimal cost
+    and, among minimal-cost paths, the lexicographically smallest node
+    sequence, read back through the returned predecessor array (-1 at the
+    source). Heap entries are (cost, id); a strictly cheaper relaxation
+    replaces the predecessor, and an exactly equal one (rare with float
+    costs) goes to :func:`_tie`.
+
+    Why the tie branch re-processes nodes: with positive costs and no
+    absorption every tied predecessor is strictly cheaper, so it has been
+    popped with its final sequence before the target is. But a cost tiny
+    next to the path cost is absorbed (``c + w == c``): then a node and its
+    tied predecessor share one cost, pop in id order instead of sequence
+    order, and a node's sequence can still shrink after it relaxed its
+    neighbours. :func:`_tie` therefore re-pushes a node whose predecessor
+    it replaces, and a re-popped node re-pushes its children, so every
+    node is processed again after each change to its sequence. At the end
+    each sequence is the smallest over its tied neighbours, which is the
+    one fixed point the tuple-keyed (cost, sequence) Dijkstra reaches.
+
+    The bottleneck is the least link capacity on the final sequence (+inf
+    at the source). It is taken from the final tree after the search, not
+    carried in the relaxation, so it depends only on the final sequences
+    however often absorbed ties re-parent nodes. Nodes are walked in
+    processing order: a node's last processing follows its final
+    predecessor's last one, so each is computed from its predecessor's
+    final value.
     """
-    adj = network.adjacency
-    link_map = network.link_map
-    best: dict[str, tuple[float, tuple[str, ...]]] = {source: (0.0, (source,))}
-    bn: dict[str, float] = {source: math.inf}
-    heap: list[tuple[float, tuple[str, ...], str]] = [(0.0, (source,), source)]
+    n = len(adj)
+    dist = [math.inf] * n
+    pred = [-1] * n
+    link_cap = [math.inf] * n  # capacity of the link (pred[v], v)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    order = []  # every processing, in turn
+    record, pop, push = order.append, heapq.heappop, heapq.heappush
     while heap:
-        cost, seq, u = heapq.heappop(heap)
-        if best.get(u) != (cost, seq):
+        d, u = pop(heap)
+        if d != dist[u]:
             continue  # stale entry
-        for v, w in adj.get(u, ()):
-            cand = (cost + w, seq + (v,))
-            cur = best.get(v)
-            if cur is None or cand < cur:
-                best[v] = cand
-                bn[v] = min(bn[u], link_map[link_key(u, v)].capacity_mbps)
-                heapq.heappush(heap, (cand[0], cand[1], v))
-    return best, bn
+        record(u)
+        for v, w, cap in adj[u]:
+            c = d + w
+            dv = dist[v]
+            if c < dv:
+                dist[v] = c
+                pred[v] = u
+                link_cap[v] = cap
+                push(heap, (c, v))
+            elif c == dv and _tie(pred, u, v):
+                link_cap[v] = cap
+                push(heap, (c, v))
+    bn = [math.inf] * n
+    for v in order:
+        p = pred[v]
+        if p >= 0:
+            b, cap = bn[p], link_cap[v]
+            bn[v] = b if b < cap else cap
+    return dist, pred, bn
+
+
+def _tie(pred: list[int], u: int, v: int) -> bool:
+    """Whether `v`, reached from `u` at exactly its cost, is to be (re)processed.
+
+    Replaces ``pred[v]`` by `u` if the sequence to `u` with `v` appended is
+    smaller than the stored sequence to `v`. Both candidates end in `v`: a
+    bare comparison of the two predecessors' sequences would let a prefix
+    win, though a prefix extended by `v` can still lose. Also true, without
+    a change, when `u` already is ``pred[v]``: then `u` is being processed
+    again because its sequence changed, and so did `v`'s.
+    """
+    p = pred[v]
+    if p == u:
+        return True
+    if _walk(pred, u) + [v] < _walk(pred, p) + [v]:
+        pred[v] = u
+        return True
+    return False
+
+
+def _walk(pred: list[int], v: int) -> list[int]:
+    """The node sequence from the source to `v` along `pred`."""
+    seq = [v]
+    while pred[v] >= 0:
+        v = pred[v]
+        seq.append(v)
+    seq.reverse()
+    return seq
 
 
 def shortest_paths(
@@ -189,7 +301,10 @@ def shortest_paths(
 
     Cost is symmetric across each unordered pair; the stored sequences for
     (a, b) and (b, a) may differ under cost ties but each is the
-    lexicographically smallest in its own direction.
+    lexicographically smallest in its own direction. One :func:`_dijkstra`
+    runs per relevant source, over the int ids of the sorted node list and
+    an adjacency of per-node (neighbour, cost, capacity) lists in
+    neighbour order.
     """
     rel = sorted(set(relevant))
     missing = [n for n in rel if n not in network.nodes]
@@ -198,16 +313,26 @@ def shortest_paths(
     if not network.is_connected():
         raise DisconnectedGraphError("network graph is not connected")
 
-    pairs: dict[tuple[str, str], PathInfo] = {}
-    by_source = {a: _dijkstra_lex(network, a) for a in rel}
-    for a in rel:
-        best, bn = by_source[a]
-        for b in rel:
-            if a == b:
-                pairs[(a, a)] = PathInfo(0.0, (a,), math.inf)
-                continue
-            # Canonical cost from the lexicographically smaller endpoint's
-            # run, so P_ab == P_ba exactly despite float summation order.
-            cost = by_source[min(a, b)][0][max(a, b)][0]
-            pairs[(a, b)] = PathInfo(cost, best[b][1], bn[b])
-    return PathTable(pairs=pairs, relevant=frozenset(rel))
+    ids = sorted(network.nodes)
+    index = {n: i for i, n in enumerate(ids)}
+    adj: list[list[tuple[int, float, float]]] = [[] for _ in ids]
+    for ln in network.link_map.values():
+        u, v = index[ln.u], index[ln.v]
+        adj[u].append((v, ln.cost, ln.capacity_mbps))
+        adj[v].append((u, ln.cost, ln.capacity_mbps))
+    for nbrs in adj:
+        nbrs.sort()
+
+    runs = [_dijkstra(adj, index[a]) for a in rel]
+    at = [index[b] for b in rel]
+    costs: dict[tuple[str, str], float] = {}
+    bottlenecks: dict[tuple[str, str], float] = {}
+    for i, (a, (dist, _, bn)) in enumerate(zip(rel, runs)):
+        for j, (b, ib) in enumerate(zip(rel, at)):
+            key = (a, b)  # shared by both dicts
+            # Canonical cost from the smaller endpoint's run, so
+            # P_ab == P_ba exactly despite float summation order.
+            costs[key] = dist[ib] if i <= j else runs[j][0][at[i]]
+            bottlenecks[key] = bn[ib]
+    return PathTable(frozenset(rel), ids, index, costs, bottlenecks,
+                     {a: pred for a, (_, pred, _) in zip(rel, runs)})

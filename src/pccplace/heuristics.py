@@ -77,6 +77,12 @@ def _greedy_chain_fill(
     id), is sorted once per anchor head in a call, and only for a request
     that the on-path candidates cannot fill; the request filters out its
     on-path candidates, and filtering keeps the order of a sorted list.
+
+    A (nf, node) pair that :meth:`evaluation.Ledger.can_host` refused is
+    not tested again in the call: node loads here only grow, because
+    :meth:`evaluation.Ledger.place` undoes only its own flow charges and
+    charges the hosting demand only after every flow fits. So a refusal is
+    final.
     """
     candidates = instance.network.candidates
     ledger = Ledger(instance, paths)
@@ -84,6 +90,7 @@ def _greedy_chain_fill(
     hosts: dict[tuple[str, int], str] = {}
     unplaced: list[tuple[str, int, str]] = []
     by_distance: dict[str, list[str]] = {}  # anchor head -> fallback order
+    refused: set[tuple[str, str]] = set()  # (nf, node) without room
     for req in instance.requests:
         s_star = min(sorted(req.heads), key=lambda s: (paths.cost(s, target), s))
         on_path = [n for n in paths.sequence(s_star, target) if n in candidates]
@@ -100,8 +107,12 @@ def _greedy_chain_fill(
             for k in scan:
                 # pending holds positions in ascending order and only shrinks
                 for l in tuple(pending):
-                    if (ledger.can_host(pending[l], k)
-                            and ledger.place(req, l, k, at[l - 1], at[l + 1])):
+                    nf = pending[l]
+                    if (nf, k) in refused:
+                        continue
+                    if not ledger.can_host(nf, k):
+                        refused.add((nf, k))
+                    elif ledger.place(req, l, k, at[l - 1], at[l + 1]):
                         at[l] = hosts[(req.id, l)] = k
                         del pending[l]
                 if not pending:

@@ -216,6 +216,8 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
         seen_links.add(ln.key)
         if not ln.cost > 0:
             add("NonPositiveLinkCost", f"link {ln.u}-{ln.v}: cost {ln.cost}")
+        elif ln.cost == math.inf:  # a capacity may be infinite, a cost not
+            add("InfiniteLinkCost", f"link {ln.u}-{ln.v}: cost {ln.cost}")
         if not ln.capacity_mbps > 0:
             add("NonPositiveLinkCapacity", f"link {ln.u}-{ln.v}: capacity {ln.capacity_mbps}")
 

@@ -272,15 +272,18 @@ def generate_instance(params: ScenarioParams, seed: int) -> ProblemInstance:
 
     req_width = len(str(params.batch_size - 1))
     requests = []
+    # `choice` would convert a list population on every call; its draws
+    # depend only on the population's size
+    nf_pool, head_pool = np.asarray(nf_ids), np.asarray(candidates)
     h_lo, h_hi = params.heads_per_request
     c_lo, c_hi = params.chain_length
     for idx in range(params.batch_size):
         rng_req = _rng(seed, "request", idx)
         length = int(rng_req.integers(c_lo, c_hi + 1))
-        chain = tuple(str(f) for f in rng_req.choice(nf_ids, size=length,
+        chain = tuple(str(f) for f in rng_req.choice(nf_pool, size=length,
                                                      replace=False))
         n_heads = min(int(rng_req.integers(h_lo, h_hi + 1)), len(candidates))
-        heads = frozenset(str(h) for h in rng_req.choice(candidates, size=n_heads,
+        heads = frozenset(str(h) for h in rng_req.choice(head_pool, size=n_heads,
                                                          replace=False))
         rate = float(rng_req.uniform(*params.flow_rate_mbps))
         requests.append(ServiceRequest(

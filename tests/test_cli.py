@@ -1,5 +1,7 @@
 import argparse
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -156,6 +158,17 @@ class TestSolve:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert main(["solve", "--instance", str(bad), "--algo", "ppcc"]) == 2
+
+    @pytest.mark.parametrize("algo", ["exact", "ppcc", "spba", "agw"])
+    def test_infinite_link_costs_exit_2(self, tmp_path, tiny1, algo, capsys):
+        net = dataclasses.replace(tiny1.network, links=tuple(
+            dataclasses.replace(ln, cost=math.inf) for ln in tiny1.network.links))
+        path = tmp_path / "inf.json"
+        path.write_text(instance_to_json(dataclasses.replace(tiny1, network=net)))
+        assert main(["solve", "--instance", str(path), "--algo", algo]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "InfiniteLinkCost" in json.loads(captured.err)["error"]
 
     @pytest.mark.parametrize("flag,value", [
         ("--budget-nodes", "-5"), ("--budget-seconds", "-1"),

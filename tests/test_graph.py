@@ -9,6 +9,7 @@ from pccplace.graph import DisconnectedGraphError, link_key, shortest_paths
 from pccplace.scenario import ScenarioParams, generate_instance
 
 from conftest import make_instance, make_network
+import paths_reference
 
 
 def brute_force_shortest(network, a, b):
@@ -119,11 +120,7 @@ class TestShortestPaths:
     def test_bottleneck_is_min_over_the_stored_sequence(self, num_candidates, seed):
         inst = generate_instance(
             ScenarioParams(num_candidates=num_candidates, batch_size=5), seed)
-        # generated links share one capacity, so draw one per link
-        rng = random.Random(seed)
-        net = dataclasses.replace(inst.network, links=tuple(
-            dataclasses.replace(ln, capacity_mbps=float(rng.randint(1, 50)))
-            for ln in inst.network.links))
+        net = redrawn_capacities(inst.network, random.Random(seed))
         caps = {ln.key: ln.capacity_mbps for ln in net.links}
         table = shortest_paths(net, inst.relevant_nodes)
         for (a, b), info in table.pairs.items():
@@ -173,6 +170,84 @@ class TestShortestPaths:
         for a in nodes:
             for b in nodes:
                 assert table.cost(a, b) == table.cost(b, a)
+
+
+def redrawn_capacities(network, rng):
+    """`network` with one capacity per link drawn from `rng` (generated links
+    share one capacity, so bottlenecks would not tell paths apart)."""
+    return dataclasses.replace(network, links=tuple(
+        dataclasses.replace(ln, capacity_mbps=float(rng.randint(1, 50)))
+        for ln in network.links))
+
+
+def random_network(rng, n, costs):
+    """A random connected network on n nodes, link costs drawn from `costs`."""
+    nodes = [f"n{i:02d}" for i in range(n)]
+    present = {link_key(nodes[i], nodes[rng.randrange(i)]) for i in range(1, n)}
+    for _ in range(rng.randrange(0, 2 * n)):
+        present.add(link_key(*rng.sample(nodes, 2)))
+    return make_network([(u, v, rng.choice(costs), float(rng.randint(1, 50)))
+                         for u, v in sorted(present)],
+                        candidates=nodes, gateway=nodes[0], attachment=nodes[-1])
+
+
+def assert_matches_reference(network, relevant):
+    """The table equals the tuple-keyed reference's, pair by pair and bit for bit."""
+    table = shortest_paths(network, relevant)
+    ref = paths_reference.shortest_paths(network, relevant)
+    assert list(table.pairs) == list(ref.pairs)
+    assert len(table.pairs) == len(ref.pairs)
+    for (a, b), info in ref.pairs.items():
+        assert table.cost(a, b).hex() == info.cost.hex(), (a, b)
+        assert table.sequence(a, b) == info.nodes, (a, b)
+        assert table.bottleneck(a, b) == info.bottleneck, (a, b)
+        assert table.pairs[(a, b)] == info
+    assert table.max_cost == ref.max_cost
+    outside = next((n for n in sorted(network.nodes) if n not in table.relevant),
+                   "zz-not-a-node")
+    a = min(table.relevant)
+    with pytest.raises(KeyError) as expected:
+        ref.info(a, outside)
+    for read in (table.info, table.cost, table.sequence, table.bottleneck):
+        with pytest.raises(KeyError) as got:
+            read(a, outside)
+        assert str(got.value) == str(expected.value)
+    with pytest.raises(KeyError) as expected:
+        ref.pairs[(outside, a)]
+    with pytest.raises(KeyError) as got:
+        table.pairs[(outside, a)]
+    assert got.value.args == expected.value.args
+    assert (outside, a) not in table.pairs
+
+
+class TestReferenceDifferential:
+    """`shortest_paths` against a verbatim copy of the tuple-keyed Dijkstra
+    it replaced (`tests/paths_reference.py`)."""
+
+    @pytest.mark.parametrize("num_candidates, seed", [(60, 1), (60, 2), (200, 1)])
+    def test_generated_networks(self, num_candidates, seed):
+        inst = generate_instance(
+            ScenarioParams(num_candidates=num_candidates, batch_size=5), seed)
+        net = redrawn_capacities(inst.network, random.Random(seed))
+        assert_matches_reference(net, inst.relevant_nodes)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integer_costs_with_many_ties(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            net = random_network(rng, rng.randint(10, 60), (1.0, 2.0, 3.0))
+            nodes = sorted(net.nodes)
+            assert_matches_reference(net, nodes)
+            assert_matches_reference(net, rng.sample(nodes, len(nodes) // 2))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_absorbed_tiny_costs(self, seed):
+        # 1.0 + 1e-20 == 1.0: nodes joined by a tiny link share one cost, so
+        # sequences are settled by ties between nodes of equal cost
+        rng = random.Random(seed)
+        for _ in range(50):
+            net = random_network(rng, rng.randint(3, 14), (1e-20, 1e-17, 1.0, 2.0))
+            assert_matches_reference(net, sorted(net.nodes))
 
 
 def path_ledger(capacities=(2000.0, 1500.0, 2000.0), rates=(1.0,), chain=("f1",)):

@@ -73,6 +73,15 @@ class TestValidateInstance:
         found = codes(validate_instance(bad))
         assert {"NonPositiveLinkCost", "SelfLoopLink", "DuplicateLink"} <= found
 
+    def test_infinite_link_cost(self):
+        bad = make_instance(
+            links=[("a", "b", float("inf"), float("inf"))], candidates=["b"],
+            gateway="a", attachment="a", requests=[("r1", ["f1"], 1.0, ["a"])],
+            destinations={"b": 1.0},
+        )
+        # an infinite capacity stays legal
+        assert codes(validate_instance(bad)) == {"InfiniteLinkCost"}
+
     @pytest.mark.parametrize("cost", [-1.0, float("nan")])
     def test_negative_or_nan_placement_cost(self, cost):
         bad = make_instance(

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -58,6 +59,19 @@ class TestGenerateInstance:
         a = instance_to_json(generate_instance(params, seed=99))
         b = instance_to_json(generate_instance(params, seed=99))
         assert a == b
+
+    @pytest.mark.parametrize("params, seed, digest", [
+        (ScenarioParams(), 7,
+         "21dfdea5e3c8eda68a12c9b0e7044f3e4d83e65abd24c9c4eac64b566ee35040"),
+        (ScenarioParams(num_candidates=20, batch_size=200, placement_cost=1.5), 3,
+         "9b65907056b9fc8e8c9a32879a90a6b7112c30c4f32fc893d19ff88d56e09fb7"),
+        (ScenarioParams(num_candidates=200, batch_size=2000), 1,
+         "c691a175e858fc9c58fcfd2a94688d66122a2829a10e7f821009c403b21ddd4e"),
+    ])
+    def test_pinned_bytes(self, params, seed, digest):
+        # generator output is a contract: these digests hold across releases
+        text = instance_to_json(generate_instance(params, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_different_seeds_differ(self):
         params = ScenarioParams(num_candidates=12, batch_size=20)
