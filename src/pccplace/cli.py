@@ -106,19 +106,19 @@ def _cmd_solve(args) -> int:
     res = bench_mod.SOLVERS[args.algo](instance, paths, budget)
     if res.status == "infeasible":
         return _fail(EXIT_INFEASIBLE, "no feasible placement")
-    if res.placement is None:
+    if res.cost is None:
         return _fail(EXIT_BUDGET, "budget exhausted before any feasible placement")
 
-    payload = {
-        "algorithm": args.algo,
-        "status": res.status,
-        "total": res.total,
-        "cost": res.cost.to_dict(),
-        "unplaced": [{"request": r, "position": l, "nf": nf}
-                     for (r, l, nf) in res.unplaced],
-        "placement": model.placement_to_dict(res.placement),
-    }
     if args.out:
+        payload = {
+            "algorithm": args.algo,
+            "status": res.status,
+            "total": res.total,
+            "cost": res.cost.to_dict(),
+            "unplaced": [{"request": r, "position": l, "nf": nf}
+                         for (r, l, nf) in res.unplaced],
+            "placement": model.placement_to_dict(res.placement),
+        }
         try:
             Path(args.out).write_text(json.dumps(payload, indent=2) + "\n",
                                       encoding="utf-8")

@@ -10,7 +10,9 @@ heuristic failed to host, so partially placed batches remain comparable.
 (request, head, destination) chain. :func:`evaluate_cost` derives those
 routes from a placement's visit plan, after checking its indices; the exact
 search and the greedy heuristics, which build their routes themselves, call
-:func:`cost_of_routes` directly.
+:func:`cost_of_routes` directly. The heuristics take the hosting set from
+their per-position hosts too, so they cost a result without building its
+placement; :class:`SolveResult` builds that on first read.
 
 Capacity checking follows the paper's per-pair bottleneck semantics: each
 (endpoint, endpoint) shortest path has an independent capacity budget,
@@ -24,8 +26,9 @@ either solver places has no 5a-5d row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 from .graph import PathTable
 from .model import (Placement, ProblemInstance, ServiceRequest,
@@ -80,12 +83,25 @@ class SolveResult:
     "infeasible" for the exact solver, whose placement and cost are None
     when it has no feasible point. `unplaced` lists the (request id,
     position, nf id) chain positions a heuristic could not host.
+
+    Stored are the cost, the status, the unplaced positions and `build`, a
+    zero-argument callable that returns the placement, or None where the
+    placement is None. :attr:`placement` calls `build` on its first read
+    and keeps the result, so a caller that reads only totals and unplaced
+    counts, as a sweep does, never builds a visit plan. Every solver's
+    `build` is a :func:`functools.partial` of module-level functions, so a
+    result pickles, read or not. Equality, hashing and repr cover the cost,
+    status and unplaced positions only, never `build` or the placement.
     """
 
-    placement: Placement | None
+    build: Callable[[], Placement] | None = field(repr=False, compare=False)
     cost: CostReport | None
     status: str
     unplaced: tuple[tuple[str, int, str], ...] = ()
+
+    @cached_property
+    def placement(self) -> Placement | None:
+        return None if self.build is None else self.build()
 
     @property
     def total(self) -> float | None:

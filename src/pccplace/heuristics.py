@@ -16,6 +16,8 @@ anchor baseline.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .evaluation import Ledger, SolveResult, cost_of_routes, unplaced_penalty
 # Not called here: perfbench/tracing.py wraps `heuristics.evaluate_cost` by
 # name, so the name stays bound until the benchmark drops that patch
@@ -28,26 +30,34 @@ from .model import ProblemInstance, build_placement
 def _solve_result(instance: ProblemInstance, paths: PathTable,
                   hosts: dict[tuple[str, int], str],
                   unplaced: tuple[tuple[str, int, str], ...] = ()) -> SolveResult:
-    """The placement of `hosts` and its cost, from one route per request.
+    """The cost of `hosts`, from one route per request, and its placement
+    as a builder that runs when the placement is first read.
 
     Every chain of a request visits each position at the node hosting it,
     so the route ``[hosts.get((r, l)) for l in 1..L]`` serves each of its
-    (head, destination) pairs. The report is :func:`evaluation.evaluate_cost`'s,
-    bit for bit: every host key comes from `instance.requests` and every
-    node from the candidates or the gateway, so the placement passes the
-    index check; and `validate_instance` rejects a function repeated within
-    a chain, so each (request, head, destination, nf) has exactly one visit
+    (head, destination) pairs. The report is :func:`evaluation.evaluate_cost`'s
+    on ``build_placement(instance, hosts)``, bit for bit: every host key
+    comes from `instance.requests` and every node from the candidates or
+    the gateway, so that placement passes the index check; its hosting set
+    is the set of ``(r, chain[l - 1], k)`` built here from `hosts`, and
+    :func:`cost_of_routes` sums it in sorted order whichever set it is
+    given; and `validate_instance` rejects a function repeated within a
+    chain, so each (request, head, destination, nf) has exactly one visit
     and the routes :func:`evaluation.evaluate_cost` derives from the visit
-    plan are these, given to :func:`cost_of_routes` with the same hosting
-    set and in the same `pair_order` sum order.
+    plan are these, summed in the same `pair_order` order.
+
+    The builder is a :func:`functools.partial` of this module's
+    `build_placement` attribute, looked up now, so the result pickles and a
+    wrapper set on the attribute sees the build.
     """
     route_of = {req.id: [hosts.get((req.id, l)) for l in range(1, len(req.chain) + 1)]
                 for req in instance.requests}
     routes = [route_of[req.id] for req, _, _ in instance.pair_order]
-    placement = build_placement(instance, hosts)
-    cost = cost_of_routes(instance, paths, placement.x, routes,
+    reqs = instance.request_map
+    hosted = {(r, reqs[r].chain[l - 1], k) for (r, l), k in hosts.items()}
+    cost = cost_of_routes(instance, paths, hosted, routes,
                           penalty_cost=unplaced_penalty(paths))
-    return SolveResult(placement, cost, "ok", unplaced)
+    return SolveResult(partial(build_placement, instance, hosts), cost, "ok", unplaced)
 
 
 def _greedy_chain_fill(

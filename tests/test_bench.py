@@ -15,6 +15,7 @@ from pccplace.bench import (
 )
 from pccplace.exact import solve_exact
 from pccplace.graph import shortest_paths
+from pccplace.heuristics import ppcc
 from pccplace.scenario import ScenarioParams, generate_instance
 
 
@@ -210,10 +211,18 @@ class TestTracedAttributes:
 
         run_sweep(SweepSpec(axis="batch_size", values=(2,)), small_params(),
                   trials=1, algorithms=("ppcc", "spba", "agw"))
+        # A sweep reads totals and unplaced counts only, so the heuristics'
+        # placements are never built; a read builds one, once.
+        builds = "pccplace.heuristics.build_placement"
+        assert calls[builds] == 0
         instance = generate_instance(ScenarioParams(
             num_candidates=3, batch_size=1, chain_length=(1, 2),
             heads_per_request=(1, 2), num_destinations=(1, 1)), 0)
-        solve_exact(instance, shortest_paths(instance.network, instance.relevant_nodes))
+        paths = shortest_paths(instance.network, instance.relevant_nodes)
+        res = ppcc(instance, paths)
+        assert res.placement is res.placement
+        assert calls[builds] == 1
+        solve_exact(instance, paths)
 
         # The search evaluates bounds internally, and the heuristics cost
         # their own routes; only these public attributes have to exist.

@@ -184,6 +184,39 @@ class TestSolve:
         assert code == 4
         assert capsys.readouterr().out.strip() == "6"
 
+    def test_budget_stop_without_incumbent_exits_4(self, infeasible_file,
+                                                   tmp_path, capsys):
+        out = tmp_path / "sol.json"
+        code = main(["solve", "--instance", infeasible_file, "--algo", "exact",
+                     "--budget-nodes", "0", "--out", str(out)])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "budget" in json.loads(captured.err)["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algo", ["ppcc", "spba", "agw"])
+    def test_placement_built_only_for_out(self, tiny1_file, tmp_path, algo,
+                                          monkeypatch, capsys):
+        import pccplace.heuristics as heuristics
+
+        calls = []
+        build = heuristics.build_placement
+
+        def spy(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(heuristics, "build_placement", spy)
+        assert main(["solve", "--instance", tiny1_file, "--algo", algo]) == 0
+        assert calls == []
+        out = tmp_path / "sol.json"
+        assert main(["solve", "--instance", tiny1_file, "--algo", algo,
+                     "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert json.loads(out.read_text())["placement"]["x"]
+        assert capsys.readouterr().out.split() == ["6", "6"]
+
     def test_unwritable_out_exits_2(self, tiny1_file, tmp_path, capsys):
         code = main(["solve", "--instance", tiny1_file, "--algo", "ppcc",
                      "--out", str(tmp_path / "nodir" / "x.json")])

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 import re
 
@@ -91,6 +92,12 @@ class TestSolveExact:
         b = solve_exact(tiny1_ext, paths)
         assert a.placement == b.placement
         assert a.total == b.total
+
+    def test_result_pickles_with_its_placement(self, tiny1_ext):
+        res = solve_exact(tiny1_ext, paths_for(tiny1_ext))
+        copy = pickle.loads(pickle.dumps(res))
+        assert copy == res and copy.placement == res.placement
+        assert res.placement is res.placement
 
     def test_budget_exceeded_returns_incumbent(self, tiny1):
         res = solve_exact(tiny1, paths_for(tiny1),

@@ -1,3 +1,6 @@
+import hashlib
+import pickle
+
 import pytest
 
 from pccplace.evaluation import (
@@ -8,7 +11,7 @@ from pccplace.evaluation import (
 from pccplace.graph import shortest_paths
 from pccplace.heuristics import agw, ppcc, spba
 from pccplace.exact import solve_exact
-from pccplace.model import placement_structure_violations
+from pccplace.model import placement_structure_violations, placement_to_json
 from pccplace.scenario import ScenarioParams, generate_instance
 
 from conftest import flow_sum_instance, make_instance
@@ -308,4 +311,43 @@ class TestCostReport:
         for name, algo in HEURISTICS.items():
             res = algo(inst, paths)
             got[name] = (res.total.hex(), len(res.unplaced))
+        assert got == pinned
+
+
+class TestLazyPlacement:
+    """The placement is built on first read and kept; what it holds, the
+    totals and the unplaced counts equal the values computed when every
+    result built its placement eagerly."""
+
+    # (SHA-256 of placement_to_json, total.hex(), len(unplaced)) per
+    # heuristic. The first instance is sweep-large-tight's size; the second
+    # has several heads per request, placement costs and unplaced positions.
+    @pytest.mark.parametrize("params, seed, pinned", [
+        (ScenarioParams(num_candidates=200, batch_size=2000, node_cpu_cores=8.0), 5,
+         {"ppcc": ("56c36d668cb4981f0454d79c124dbffa2fdb8fd1d498d0ba093dedc800278953",
+                   "0x1.91db3c6097f4ap+20", 0),
+          "spba": ("cfd63b6b4358b2c17a5a565fc6e46f54b9c22f814f0e82e530f91e379659e832",
+                   "0x1.91764cf7529ccp+20", 0),
+          "agw": ("339c4c6854e28a14a8a064071b26dc7bc4e9edc9faa92150630f7be6813dde5b",
+                  "0x1.c55e7dffcdccep+20", 0)}),
+        (ScenarioParams(num_candidates=20, batch_size=200, heads_per_request=(2, 4),
+                        node_cpu_cores=2.0, placement_cost=2.5), 5,
+         {"ppcc": ("080b7a9ee2c36d962ce62b29add8cc37126e913342ec1bbf31c2eb934c419027",
+                   "0x1.73aae06698db0p+19", 591),
+          "spba": ("7a1d24796922d9d62e06507e97b98cd9129c4305c396e36b1a4590a4926769aa",
+                   "0x1.736045472d47bp+19", 591),
+          "agw": ("e6898b0ad22633da9d73f86816be04eef82e24b9de47a5ff1ccb05796a819a7d",
+                  "0x1.7d24867c63153p+16", 0)}),
+    ], ids=["K200-R2000-cpu-8", "K20-R200-placement-cost"])
+    def test_pinned_placements(self, params, seed, pinned):
+        inst = generate_instance(params, seed)
+        paths = paths_for(inst)
+        got = {}
+        for name, algo in HEURISTICS.items():
+            res = algo(inst, paths)
+            copy = pickle.loads(pickle.dumps(res))  # unread: the builder travels
+            assert res.placement is res.placement
+            assert copy.placement == res.placement
+            digest = hashlib.sha256(placement_to_json(res.placement).encode()).hexdigest()
+            got[name] = (digest, res.total.hex(), len(res.unplaced))
         assert got == pinned
