@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -156,6 +157,8 @@ def _parse_sweep(spec: str) -> SweepSpec:
         if len(parts) != 3:
             raise ValueError("range sweep must be start:step:stop")
         start, step, stop = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise ValueError("range sweep start, step and stop must be finite")
         if step <= 0:
             raise ValueError("sweep step must be > 0")
         values = []

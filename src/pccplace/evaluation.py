@@ -6,13 +6,21 @@ functions, and routing from the last function to each handover destination,
 the three routing families weighted by the destination probabilities. A
 fifth `penalty_term` (zero for fully placed solutions) charges positions a
 heuristic failed to host, so partially placed batches remain comparable.
-:func:`cost_of_routes` computes it from a hosting set and one route per
-(request, head, destination) chain. :func:`evaluate_cost` derives those
-routes from a placement's visit plan, after checking its indices; the exact
-search and the greedy heuristics, which build their routes themselves, call
-:func:`cost_of_routes` directly. The heuristics take the hosting set from
-their per-position hosts too, so they cost a result without building its
-placement; :class:`SolveResult` builds that on first read.
+
+Two functions compute it; the shape of the caller's routes decides which.
+:func:`cost_of_routes` sums a hosting set and one route per (request, head,
+destination) chain in a Python loop. :func:`evaluate_cost` calls it on a
+placement's visit plan, and the exact search on each complete assignment of
+a desk instance, where a call takes microseconds and numpy's fixed cost
+would dominate. :func:`cost_of_route_array` prices one int route per
+request, the shape of every greedy result, with array operations on
+:attr:`graph.PathTable.cost_matrix`; the heuristics call it without
+building their placement, which :class:`SolveResult` builds on first read.
+Both equal :func:`evaluate_cost` on the same visits bit for bit: each term
+is the same product of the same floats, each family is summed left to right
+in `pair_order` (``np.cumsum`` accumulates in order, unlike ``np.sum``), and
+a term the loop skips is exactly +0.0 in the array, which leaves a
+non-negative running sum unchanged.
 
 Capacity checking follows the paper's per-pair bottleneck semantics: each
 (endpoint, endpoint) shortest path has an independent capacity budget,
@@ -29,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .graph import PathTable
 from .model import (Placement, ProblemInstance, ServiceRequest,
@@ -344,6 +354,15 @@ def evaluate_cost(
                           penalty_cost=unplaced_penalty(paths))
 
 
+def _placement_term(instance: ProblemInstance,
+                    hosted: Iterable[tuple[str, str, str]]) -> float:
+    """Sum of the placing costs of the (request, nf, node) hostings, in sorted order."""
+    term = 0.0
+    for (r, i, k) in sorted(hosted):
+        term += instance.placing_cost(i, k)
+    return term
+
+
 def cost_of_routes(
     instance: ProblemInstance,
     paths: PathTable,
@@ -360,18 +379,15 @@ def cost_of_routes(
     position, or None where the position is unvisited. Each term is summed
     in a fixed order (the placement term over sorted hosting decisions, the
     hop and penalty terms over `pair_order`), so equal inputs give
-    bit-identical totals. This is the one implementation of the objective,
-    with three callers: :func:`evaluate_cost`, which derives the routes
-    from a placement's visit plan; the exact search, on each complete
-    assignment; and the greedy heuristics, which pass the routes they
-    built with :func:`unplaced_penalty` (``heuristics._solve_result`` says
-    why that report equals :func:`evaluate_cost`'s).
+    bit-identical totals. Callers: :func:`evaluate_cost`, which derives
+    the routes from a placement's visit plan, and the exact search, on
+    each complete assignment, whose routes may differ between the chains
+    of one request.
     """
     weights = instance.destination_weights
     placement_term = 0.0
     if instance.placement_cost:  # otherwise every placing cost is zero
-        for (r, i, k) in sorted(hosted):
-            placement_term += instance.placing_cost(i, k)
+        placement_term = _placement_term(instance, hosted)
     cost = paths.cost
     head_term = 0.0
     chain_term = 0.0
@@ -393,6 +409,78 @@ def cost_of_routes(
             penalty_term += w * penalty_cost * missing
     return CostReport.from_terms(placement_term, head_term, chain_term,
                                  tail_term, penalty_term)
+
+
+def cost_of_route_array(
+    instance: ProblemInstance,
+    paths: PathTable,
+    routes: np.ndarray,
+    *,
+    penalty_cost: float = 0.0,
+) -> CostReport:
+    """Itemized objective of one route per request, given as int node ids.
+
+    `routes` has a row per request of `instance.requests` and a column per
+    chain position up to the longest chain: the int node id
+    (:attr:`graph.EdgeNetwork.node_index`) hosting the position, or -1
+    where it is unhosted or past the end of the chain. Every (head,
+    destination) chain of a request visits its positions there, and the
+    hostings are the route entries. The report is :func:`cost_of_routes`'s
+    on those hostings and routes, bit for bit, as the module docstring
+    says; the placement term is its sorted loop, run only when placement
+    costs exist. Caller: ``heuristics._solve_result`` (PPCC, SPBA, AGW,
+    which share `instance.pair_arrays`). One family's terms, one float per
+    chain (and hop), are alive at a time and summed in place.
+    """
+    pairs = instance.pair_arrays
+    matrix = paths.cost_matrix
+    w, req = pairs.weight, pairs.request
+    lengths = np.array([len(r.chain) for r in instance.requests], dtype=np.intp)
+    placement_term = 0.0
+    if instance.placement_cost:
+        ids = instance.network.node_ids
+        placement_term = _placement_term(instance, {
+            (r.id, r.chain[l], ids[k])
+            for r, row in zip(instance.requests, routes.tolist())
+            for l, k in enumerate(row) if k >= 0})
+    # Per family: the costs gathered per chain, times the weight, the
+    # masked terms set to +0.0, then summed. A gather at -1 reads the last
+    # column, which the mask overwrites.
+    first = routes[:, 0][req]
+    terms = matrix[pairs.head, first]
+    terms *= w
+    terms[first < 0] = 0.0
+    head_term = _sequential_sum(terms)
+    before, after = routes[:, :-1], routes[:, 1:]
+    terms = matrix[before, after][req]  # chain-major, then hop order
+    terms *= w[:, None]
+    terms[((before < 0) | (after < 0))[req]] = 0.0
+    chain_term = _sequential_sum(terms)
+    last = routes[np.arange(len(routes)), lengths - 1][req]
+    terms = matrix[last, pairs.dest]
+    terms *= w
+    terms[last < 0] = 0.0
+    tail_term = _sequential_sum(terms)
+    # positions at -1, less those past the end of the chain
+    missing = ((routes < 0).sum(axis=1) - (routes.shape[1] - lengths))[req]
+    terms = w * penalty_cost
+    terms *= missing
+    terms[missing == 0] = 0.0
+    penalty_term = _sequential_sum(terms)
+    return CostReport.from_terms(placement_term, head_term, chain_term,
+                                 tail_term, penalty_term)
+
+
+def _sequential_sum(terms: np.ndarray) -> float:
+    """The float sum of `terms` in C order, added left to right from 0.0;
+    `terms` is overwritten by its running sums.
+
+    ``np.cumsum`` runs ``np.add.accumulate``, which adds strictly in
+    order; ``np.sum`` sums pairwise and ``math.fsum`` or Python 3.12's
+    ``sum`` compensate, so none of them reproduces a loop's ``+=``.
+    """
+    flat = terms.reshape(-1)
+    return float(np.cumsum(flat, out=flat)[-1]) if flat.size else 0.0
 
 
 def check_constraints(

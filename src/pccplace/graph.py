@@ -7,11 +7,13 @@ that solvers, heuristics, and test oracles all see identical paths.
 `EdgeNetwork` and `PathTable` are immutable and safe to share across
 threads; link loads are kept by `evaluation.Ledger`.
 
-The search runs on int node ids, the positions in the sorted id list, so
-int order is id order. A table stores per pair only its cost and its
-bottleneck, and per source the predecessor array of one Dijkstra run;
-node sequences and :class:`PathInfo` records are built when read, since
-the solvers read a sequence at most once per request.
+The search runs on int node ids, the positions in the sorted id list
+(:attr:`EdgeNetwork.node_index`), so int order is id order. A table stores
+per pair its cost and its bottleneck, per source the predecessor array of
+one Dijkstra run, and the read-only cost matrix indexed by int node id
+(:attr:`PathTable.cost_matrix`), which array code reads in place of
+per-pair lookups; node sequences and :class:`PathInfo` records are built
+when read, since the solvers read a sequence at most once per request.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 
 class DisconnectedGraphError(ValueError):
@@ -74,6 +78,16 @@ class EdgeNetwork:
         return {ln.key: ln for ln in self.links}
 
     @cached_property
+    def node_ids(self) -> tuple[str, ...]:
+        """The node ids in sorted order; a node's int id is its position here."""
+        return tuple(sorted(self.nodes))
+
+    @cached_property
+    def node_index(self) -> dict[str, int]:
+        """node id -> int id, its position in :attr:`node_ids`."""
+        return {n: i for i, n in enumerate(self.node_ids)}
+
+    @cached_property
     def adjacency(self) -> dict[str, tuple[tuple[str, float], ...]]:
         """node -> sorted tuple of (neighbor, cost)."""
         adj: dict[str, list[tuple[str, float]]] = {n: [] for n in self.nodes}
@@ -117,20 +131,29 @@ class PathTable:
     Stored: one cost and one bottleneck dict keyed by the (a, b) id pair,
     sharing their key tuples, which :meth:`cost` and :meth:`bottleneck`
     read directly (the exact search and the ledger call them in inner
-    loops); and, per relevant source, the predecessor array of its
-    shortest-path tree over int node ids. Built on access: the node
-    sequence (:meth:`sequence`, :meth:`info`) is walked back from the
-    target along the source's predecessor array, and :attr:`pairs` is a
-    read-only view that builds each :class:`PathInfo` when it is read.
+    loops); the same costs as :attr:`cost_matrix`; and, per relevant
+    source, the predecessor array of its shortest-path tree over int node
+    ids. Built on access: the node sequence (:meth:`sequence`,
+    :meth:`info`) is walked back from the target along the source's
+    predecessor array, and :attr:`pairs` is a read-only view that builds
+    each :class:`PathInfo` when it is read.
+
+    `cost_matrix` is a read-only float64 array, node count by node count,
+    indexed by int node id (:attr:`EdgeNetwork.node_index`): entry [i, j]
+    equals ``cost(a, b)`` bit for bit for relevant nodes a and b with ids
+    i and j, so it is exactly symmetric, and every entry naming a node
+    outside the relevant set is NaN.
     """
 
-    def __init__(self, relevant: frozenset[str], ids: list[str],
-                 index: dict[str, int], costs: dict[tuple[str, str], float],
+    def __init__(self, relevant: frozenset[str], ids: tuple[str, ...],
+                 index: dict[str, int], cost_matrix: np.ndarray,
+                 costs: dict[tuple[str, str], float],
                  bottlenecks: dict[tuple[str, str], float],
                  preds: dict[str, list[int]]):
         self.relevant = relevant
         self._ids = ids
         self._index = index
+        self.cost_matrix = cost_matrix
         self._costs = costs
         self._bottlenecks = bottlenecks
         self._preds = preds
@@ -304,7 +327,9 @@ def shortest_paths(
     lexicographically smallest in its own direction. One :func:`_dijkstra`
     runs per relevant source, over the int ids of the sorted node list and
     an adjacency of per-node (neighbour, cost, capacity) lists in
-    neighbour order.
+    neighbour order. The cost of a pair is taken from the smaller
+    endpoint's run, once, on the cost matrix; the cost dict is filled from
+    the matrix rows, so both hold the same floats.
     """
     rel = sorted(set(relevant))
     missing = [n for n in rel if n not in network.nodes]
@@ -313,8 +338,8 @@ def shortest_paths(
     if not network.is_connected():
         raise DisconnectedGraphError("network graph is not connected")
 
-    ids = sorted(network.nodes)
-    index = {n: i for i, n in enumerate(ids)}
+    ids = network.node_ids
+    index = network.node_index
     adj: list[list[tuple[int, float, float]]] = [[] for _ in ids]
     for ln in network.link_map.values():
         u, v = index[ln.u], index[ln.v]
@@ -323,16 +348,26 @@ def shortest_paths(
     for nbrs in adj:
         nbrs.sort()
 
-    runs = [_dijkstra(adj, index[a]) for a in rel]
-    at = [index[b] for b in rel]
+    preds: dict[str, list[int]] = {}
+    bns: list[list[float]] = []
+    dist = np.empty((len(rel), len(ids)))
+    for i, a in enumerate(rel):  # each run's distance list is dropped once copied
+        dist[i], preds[a], bn = _dijkstra(adj, index[a])
+        bns.append(bn)
+    at = np.array([index[b] for b in rel], dtype=np.intp)
+    dist = dist[:, at]  # relevant x relevant, both in id order
+    # Canonical cost from the smaller endpoint's run: entry [i, j] comes from
+    # row min(i, j), so P_ab == P_ba exactly despite float summation order.
+    i = np.arange(len(rel))
+    canonical = np.where(i[:, None] <= i, dist, dist.T)
+    matrix = np.full((len(ids), len(ids)), np.nan)
+    matrix[at[:, None], at] = canonical
+    matrix.flags.writeable = False
     costs: dict[tuple[str, str], float] = {}
     bottlenecks: dict[tuple[str, str], float] = {}
-    for i, (a, (dist, _, bn)) in enumerate(zip(rel, runs)):
-        for j, (b, ib) in enumerate(zip(rel, at)):
+    for a, row, bn in zip(rel, canonical.tolist(), bns):
+        for b, c, ib in zip(rel, row, at.tolist()):
             key = (a, b)  # shared by both dicts
-            # Canonical cost from the smaller endpoint's run, so
-            # P_ab == P_ba exactly despite float summation order.
-            costs[key] = dist[ib] if i <= j else runs[j][0][at[i]]
+            costs[key] = c
             bottlenecks[key] = bn[ib]
-    return PathTable(frozenset(rel), ids, index, costs, bottlenecks,
-                     {a: pred for a, (_, pred, _) in zip(rel, runs)})
+    return PathTable(frozenset(rel), ids, index, matrix, costs, bottlenecks, preds)

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from functools import partial
 
-from .evaluation import Ledger, SolveResult, cost_of_routes, unplaced_penalty
+import numpy as np
+
+from .evaluation import Ledger, SolveResult, cost_of_route_array, unplaced_penalty
 # Not called here: perfbench/tracing.py wraps `heuristics.evaluate_cost` by
 # name, so the name stays bound until the benchmark drops that patch
 # (ROADMAP item 5).
@@ -34,30 +36,38 @@ def _solve_result(instance: ProblemInstance, paths: PathTable,
     as a builder that runs when the placement is first read.
 
     Every chain of a request visits each position at the node hosting it,
-    so the route ``[hosts.get((r, l)) for l in 1..L]`` serves each of its
-    (head, destination) pairs. The report is :func:`evaluation.evaluate_cost`'s
-    on ``build_placement(instance, hosts)``, bit for bit: every host key
-    comes from `instance.requests` and every node from the candidates or
-    the gateway, so that placement passes the index check; its hosting set
-    is the set of ``(r, chain[l - 1], k)`` built here from `hosts`, and
-    :func:`cost_of_routes` sums it in sorted order whichever set it is
-    given; and `validate_instance` rejects a function repeated within a
-    chain, so each (request, head, destination, nf) has exactly one visit
-    and the routes :func:`evaluation.evaluate_cost` derives from the visit
-    plan are these, summed in the same `pair_order` order.
+    so the route ``[hosts.get((r, l)) for l in 1..L]``, as int node ids,
+    serves each of its (head, destination) pairs. The report is
+    :func:`evaluation.evaluate_cost`'s on ``build_placement(instance, hosts)``,
+    bit for bit: every host key comes from `instance.requests` and every
+    node from the candidates or the gateway, so that placement passes the
+    index check; its hosting set is the set of route entries, which
+    :func:`evaluation.cost_of_route_array` sums in sorted order as
+    :func:`evaluation.cost_of_routes` does; and `validate_instance` rejects
+    a function repeated within a chain, so each (request, head,
+    destination, nf) has exactly one visit and the routes
+    :func:`evaluation.evaluate_cost` derives from the visit plan are these,
+    priced as :func:`evaluation.cost_of_route_array` explains.
 
     The builder is a :func:`functools.partial` of this module's
     `build_placement` attribute, looked up now, so the result pickles and a
     wrapper set on the attribute sees the build.
     """
-    route_of = {req.id: [hosts.get((req.id, l)) for l in range(1, len(req.chain) + 1)]
-                for req in instance.requests}
-    routes = [route_of[req.id] for req, _, _ in instance.pair_order]
-    reqs = instance.request_map
-    hosted = {(r, reqs[r].chain[l - 1], k) for (r, l), k in hosts.items()}
-    cost = cost_of_routes(instance, paths, hosted, routes,
-                          penalty_cost=unplaced_penalty(paths))
+    index = instance.network.node_index
+    width = max(len(req.chain) for req in instance.requests)
+    # an unhosted position, or one past the chain, has no host: index.get(None, -1)
+    routes = np.array([[index.get(hosts.get((req.id, l)), -1) for l in range(1, width + 1)]
+                       for req in instance.requests], dtype=np.intp)
+    cost = cost_of_route_array(instance, paths, routes,
+                               penalty_cost=unplaced_penalty(paths))
     return SolveResult(partial(build_placement, instance, hosts), cost, "ok", unplaced)
+
+
+def _by_distance(paths: PathTable, head: int, candidates: np.ndarray) -> np.ndarray:
+    """The int node ids `candidates`, given in ascending order, sorted by
+    (cost from the int node id `head`, id): a stable sort of their costs
+    keeps equal costs in id order."""
+    return candidates[np.argsort(paths.cost_matrix[head, candidates], kind="stable")]
 
 
 def _greedy_chain_fill(
@@ -84,9 +94,10 @@ def _greedy_chain_fill(
     which is computed from the hosts as :func:`_solve_result` explains.
 
     The fallback order, all candidates by (distance from the anchor head,
-    id), is sorted once per anchor head in a call, and only for a request
-    that the on-path candidates cannot fill; the request filters out its
-    on-path candidates, and filtering keeps the order of a sorted list.
+    id), is sorted once per anchor head in a call (:func:`_by_distance`),
+    and only for a request that the on-path candidates cannot fill; the
+    request filters out its on-path candidates, and filtering keeps the
+    order of a sorted list.
 
     A (nf, node) pair that :meth:`evaluation.Ledger.can_host` refused is
     not tested again in the call: node loads here only grow, because
@@ -95,6 +106,8 @@ def _greedy_chain_fill(
     final.
     """
     candidates = instance.network.candidates
+    ids, index = instance.network.node_ids, instance.network.node_index
+    candidate_ids = np.array(sorted(index[k] for k in candidates), dtype=np.intp)
     ledger = Ledger(instance, paths)
 
     hosts: dict[tuple[str, int], str] = {}
@@ -110,8 +123,8 @@ def _greedy_chain_fill(
             if scan is None:
                 order = by_distance.get(s_star)
                 if order is None:
-                    order = by_distance[s_star] = sorted(
-                        candidates, key=lambda k: (paths.cost(s_star, k), k))
+                    order = by_distance[s_star] = [ids[k] for k in _by_distance(
+                        paths, index[s_star], candidate_ids).tolist()]
                 on_set = set(on_path)
                 scan = [k for k in order if k not in on_set]
             for k in scan:

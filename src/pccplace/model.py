@@ -13,7 +13,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 from .graph import EdgeNetwork, Link
 
@@ -69,6 +71,16 @@ class MobilityProfile:
     stay_probability: float
 
 
+class PairArrays(NamedTuple):
+    """:attr:`ProblemInstance.pair_order` as read-only arrays, one entry per
+    (request, head, destination) chain in that order."""
+
+    request: np.ndarray  # position of the request in `requests`
+    head: np.ndarray  # int node id of the head (`EdgeNetwork.node_index`)
+    dest: np.ndarray  # int node id of the destination
+    weight: np.ndarray  # float64 destination weight
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """The complete, immutable input to every placement algorithm."""
@@ -121,6 +133,21 @@ class ProblemInstance:
         dests = sorted(self.destination_weights)
         return tuple((req, s, d) for req in self.requests
                      for s in sorted(req.heads) for d in dests)
+
+    @cached_property
+    def pair_arrays(self) -> PairArrays:
+        """:attr:`pair_order` as int and float arrays, for array code."""
+        index = self.network.node_index
+        weights = self.destination_weights
+        per_request = [len(req.heads) * len(weights) for req in self.requests]
+        arrays = PairArrays(
+            np.repeat(np.arange(len(self.requests), dtype=np.intp), per_request),
+            np.array([index[s] for _, s, _ in self.pair_order], dtype=np.intp),
+            np.array([index[d] for _, _, d in self.pair_order], dtype=np.intp),
+            np.array([weights[d] for _, _, d in self.pair_order], dtype=np.float64))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ always yields a byte-identical instance.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -93,6 +94,8 @@ def validate_params(params: ScenarioParams) -> None:
         raise ValueError("catalog_size: must be >= 1")
     for name in _RANGE_FIELDS:
         lo, hi = getattr(params, name)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{name}: range bounds must be finite ({lo}, {hi})")
         if lo > hi:
             raise ValueError(f"{name}: empty range ({lo}, {hi})")
         if lo < 0:
@@ -108,11 +111,11 @@ def validate_params(params: ScenarioParams) -> None:
         raise ValueError("heads_per_request: lower bound must be >= 1")
     if params.num_destinations[0] < 1:
         raise ValueError("num_destinations: lower bound must be >= 1")
-    if params.link_capacity_mbps <= 0:
+    if not params.link_capacity_mbps > 0:  # NaN too
         raise ValueError("link_capacity_mbps: must be > 0")
-    if params.node_cpu_cores <= 0:
+    if not params.node_cpu_cores > 0:
         raise ValueError("node_cpu_cores: must be > 0")
-    if params.placement_cost < 0:
+    if not params.placement_cost >= 0:
         raise ValueError("placement_cost: must be >= 0")
     if params.stay_probability is not None and not 0.0 <= params.stay_probability <= 1.0:
         raise ValueError("stay_probability: must be in [0, 1]")

@@ -2,6 +2,9 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -66,6 +69,17 @@ class TestGenerate:
                      "--set", "chain_length=9,3"])
         assert code == 2
         assert "chain_length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["generate", "--seed", "1"],
+        ["bench", "--sweep", "batch_size=2", "--trials", "1"],
+    ], ids=["generate", "bench"])
+    def test_nan_range_exits_2_naming_field(self, tmp_path, capsys, command):
+        code = main(command + ["--set", "num_candidates=6", "--set", "link_cost=nan,5",
+                               "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "link_cost" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "x").exists()
 
     def test_params_file_with_override(self, tmp_path):
         cfg = tmp_path / "params.json"
@@ -314,6 +328,24 @@ class TestBench:
         assert main(["bench", "--sweep", sweep, "--trials", "1",
                      "--set", "num_candidates=6", "--out", str(tmp_path / "r")]) == 2
         assert message in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("sweep", [
+        "stay_probability=0:0.5:inf",
+        "stay_probability=0:0.5:nan",
+        "stay_probability=nan:0.5:1",
+        "stay_probability=0:nan:1",
+    ])
+    def test_non_finite_range_sweep_exits_2(self, tmp_path, sweep):
+        # In a child process with a timeout: a range that never ends fails
+        # this test instead of hanging the suite.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-m", "pccplace.cli", "bench", "--sweep", sweep,
+             "--trials", "1", "--set", "num_candidates=6", "--out", str(tmp_path / "r")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2
+        assert "finite" in json.loads(out.stderr)["error"]
         assert not (tmp_path / "r").exists()
 
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys):

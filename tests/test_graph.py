@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from pccplace.evaluation import Ledger
@@ -203,6 +204,12 @@ def assert_matches_reference(network, relevant):
         assert table.bottleneck(a, b) == info.bottleneck, (a, b)
         assert table.pairs[(a, b)] == info
     assert table.max_cost == ref.max_cost
+    matrix, index = table.cost_matrix, network.node_index
+    assert not matrix.flags.writeable
+    assert np.array_equal(matrix, matrix.T, equal_nan=True)  # exactly symmetric
+    for (a, b) in ref.pairs:
+        assert matrix[index[a], index[b]].hex() == table.cost(a, b).hex(), (a, b)
+    assert np.isnan(matrix).sum() == len(network.nodes) ** 2 - len(ref.pairs)
     outside = next((n for n in sorted(network.nodes) if n not in table.relevant),
                    "zz-not-a-node")
     a = min(table.relevant)

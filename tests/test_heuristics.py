@@ -1,6 +1,9 @@
+import dataclasses
 import hashlib
 import pickle
+import random
 
+import numpy as np
 import pytest
 
 from pccplace.evaluation import (
@@ -9,12 +12,13 @@ from pccplace.evaluation import (
     gain,
 )
 from pccplace.graph import shortest_paths
-from pccplace.heuristics import agw, ppcc, spba
+from pccplace.heuristics import _by_distance, agw, ppcc, spba
 from pccplace.exact import solve_exact
-from pccplace.model import placement_structure_violations, placement_to_json
+from pccplace.model import (MobilityProfile, placement_structure_violations,
+                            placement_to_json)
 from pccplace.scenario import ScenarioParams, generate_instance
 
-from conftest import flow_sum_instance, make_instance
+from conftest import flow_sum_instance, make_instance, make_network
 
 
 def paths_for(instance):
@@ -171,6 +175,34 @@ class TestPpcc:
         assert ppcc(inst, paths).placement == ppcc(inst, paths).placement
 
 
+class TestFallbackOrder:
+    """The greedy's fallback scan visits candidates by (distance from the
+    anchor head, id)."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_costs_keep_id_order(self, seed):
+        # integer link costs: distances take a few values, each shared by
+        # dozens of candidates, enough to show an unstable sort
+        rng = random.Random(seed)
+        nodes = [f"n{i:02d}" for i in range(80)]
+        links = {(nodes[rng.randrange(i)], nodes[i]) for i in range(1, 80)}
+        links |= {tuple(sorted(rng.sample(nodes, 2))) for _ in range(60)}
+        candidates = rng.sample(nodes, 70)
+        net = make_network([(u, v, rng.choice((1.0, 2.0))) for u, v in sorted(links)],
+                           candidates, nodes[0], nodes[1])
+        paths = shortest_paths(net, nodes)
+        index = net.node_index
+        ids = np.array(sorted(index[k] for k in candidates))
+        ties = 0
+        for head in nodes[::7]:
+            want = sorted(candidates, key=lambda k: (paths.cost(head, k), k))
+            got = [net.node_ids[k] for k in _by_distance(paths, index[head], ids)]
+            assert got == want
+            costs = [paths.cost(head, k) for k in want]
+            ties = max(ties, max(costs.count(c) for c in costs))
+        assert ties > 16
+
+
 class TestAgw:
     def test_tiny1_everything_at_gateway(self, tiny1):
         res = agw(tiny1, paths_for(tiny1))
@@ -266,28 +298,61 @@ class TestSpba:
 HEURISTICS = {"ppcc": ppcc, "spba": spba, "agw": agw}
 
 
+def named(case, params, seed):
+    """One parameter set, with `case` as its test id."""
+    return pytest.param(case, params, seed, id=case)
+
+
 class TestCostReport:
     """The heuristics cost their own routes; the report is evaluate_cost's."""
 
     @pytest.mark.parametrize("name", HEURISTICS)
-    @pytest.mark.parametrize("params, seed", [
+    @pytest.mark.parametrize("case, params, seed", [
         # several heads and destinations per request
-        (ScenarioParams(num_candidates=12, batch_size=20,
-                        heads_per_request=(2, 4), num_destinations=(2, 4)), 3),
+        named("heads-dests", ScenarioParams(
+            num_candidates=12, batch_size=20, heads_per_request=(2, 4),
+            num_destinations=(2, 4)), 3),
         # CPU-tight: positions stay unplaced after the fallback scan
-        (ScenarioParams(num_candidates=10, batch_size=60, node_cpu_cores=1.0), 4),
-        # placement costs set
-        (ScenarioParams(num_candidates=10, batch_size=20, placement_cost=3.5), 5),
-    ], ids=["heads-dests", "cpu-tight", "placement-cost"])
-    def test_equals_evaluate_cost(self, name, params, seed):
+        named("cpu-tight", ScenarioParams(
+            num_candidates=10, batch_size=60, node_cpu_cores=1.0), 4),
+        named("placement-cost", ScenarioParams(
+            num_candidates=10, batch_size=20, placement_cost=3.5), 5),
+        # chains of one function: no chain hop
+        named("chain-1", ScenarioParams(
+            num_candidates=10, batch_size=30, chain_length=(1, 1)), 6),
+        # no node has room for any function: every position unplaced
+        named("none-placed", ScenarioParams(
+            num_candidates=10, batch_size=20, node_cpu_cores=0.1), 7),
+        # zero-weight destinations: the attachment at stay 0, the others at 1
+        named("stay-0", ScenarioParams(
+            num_candidates=10, batch_size=20, stay_probability=0.0), 8),
+        named("stay-1", ScenarioParams(
+            num_candidates=10, batch_size=20, stay_probability=1.0), 9),
+        # one head per request, and the attachment as the only destination
+        named("one-head-one-dest", ScenarioParams(
+            num_candidates=10, batch_size=20, heads_per_request=(1, 1)), 10),
+    ])
+    def test_equals_evaluate_cost(self, name, case, params, seed):
         inst = generate_instance(params, seed)
+        if case == "one-head-one-dest":
+            inst = dataclasses.replace(inst, mobility=MobilityProfile({}, 1.0))
+            assert len(inst.pair_order) == len(inst.requests)
         paths = paths_for(inst)
         res = HEURISTICS[name](inst, paths)
-        assert res.cost == evaluate_cost(inst, res.placement, paths)
+        want = evaluate_cost(inst, res.placement, paths)
+        assert ({k: v.hex() for k, v in res.cost.to_dict().items()}
+                == {k: v.hex() for k, v in want.to_dict().items()})
         if params.placement_cost:
             assert res.cost.placement_term > 0.0
-        if params.node_cpu_cores < 2.0 and name != "agw":
+        if case in ("cpu-tight", "none-placed") and name != "agw":
             assert res.unplaced and res.cost.penalty_term > 0.0
+        if case == "none-placed" and name != "agw":
+            assert len(res.unplaced) == sum(len(r.chain) for r in inst.requests)
+            assert res.cost.head_hop_term == res.cost.tail_hop_term == 0.0
+        if case == "chain-1":
+            assert res.cost.chain_hop_term == 0.0
+        if case.startswith("stay-"):
+            assert 0.0 in inst.destination_weights.values()
 
     # Totals (float.hex) and unplaced counts on two CPU-tight instances,
     # where the fallback scan runs and the penalty term is summed; the

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import pytest
 
@@ -146,6 +147,23 @@ class TestParams:
             validate_params(ScenarioParams(batch_size=0))
         with pytest.raises(ValueError, match="stay_probability"):
             validate_params(ScenarioParams(stay_probability=1.5))
+
+    @pytest.mark.parametrize("field, value", [
+        ("link_cost", (math.nan, 5.0)),
+        ("nf_cpu_cores", (math.nan, 0.2)),
+        ("flow_rate_mbps", (0.1, math.nan)),
+        ("node_memory_mb", (math.nan, math.nan)),
+        ("link_cost", (1.0, math.inf)),
+        ("link_capacity_mbps", math.nan),
+        ("node_cpu_cores", math.nan),
+        ("placement_cost", math.nan),
+    ], ids=["link_cost-nan-low", "nf_cpu_cores-nan-low", "flow_rate_mbps-nan-high",
+            "node_memory_mb-nan-both", "link_cost-inf-high", "link_capacity_mbps-nan",
+            "node_cpu_cores-nan", "placement_cost-nan"])
+    def test_non_finite_bound_names_field(self, field, value):
+        # NaN fails every comparison, so each check must be one NaN fails
+        with pytest.raises(ValueError, match=field):
+            validate_params(dataclasses.replace(ScenarioParams(), **{field: value}))
 
     def test_chain_longer_than_catalog_rejected(self):
         with pytest.raises(ValueError, match="chain_length"):
