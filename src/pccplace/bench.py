@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -111,16 +112,19 @@ def fmt_num(x: float) -> str:
     return s
 
 
-def _apply_axis(params: ScenarioParams, axis: str, value) -> ScenarioParams:
+def _axis_value(axis: str, value) -> int | float:
+    """`value` as the type the axis field holds: int on an integer axis,
+    float on stay_probability. `trial_seed` hashes this form, so 10 and
+    10.0 (or 0 and 0.0) give the same trials."""
     if axis in INTEGER_AXES:
-        return dataclasses.replace(params, **{axis: int(value)})
-    if axis == "stay_probability":
-        return dataclasses.replace(params, stay_probability=float(value))
-    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {AXES}")
+        if not float(value).is_integer():
+            raise ValueError(f"sweep value {value!r} is not an integer, "
+                             f"as axis {axis} needs")
+        return int(value)
+    return float(value)
 
 
-def _check_desk_scale(params: ScenarioParams, spec: SweepSpec) -> None:
-    probe = [_apply_axis(params, spec.axis, v) for v in spec.values]
+def _check_desk_scale(probe: list[ScenarioParams]) -> None:
     for p in probe:
         if (p.num_candidates > _DESK_SCALE["num_candidates"]
                 or p.batch_size > _DESK_SCALE["batch_size"]
@@ -133,7 +137,27 @@ def _check_desk_scale(params: ScenarioParams, spec: SweepSpec) -> None:
 
 
 def _run_trial(args) -> list[TrialRecord]:
-    params, axis, value, trial, seed, algorithms, measure_runtime = args
+    """Run one trial with cyclic garbage collection held off.
+
+    A trial's objects are freed by reference counting when it ends; the
+    collections its allocations would trigger find next to nothing. The
+    collector is re-enabled on exit only if it was enabled on entry, so the
+    caller's setting holds, in `--jobs` workers too. Recorded runtimes
+    therefore exclude cyclic-GC pauses.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _trial(*args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _trial(params, axis, value, trial, seed, algorithms,
+           measure_runtime) -> list[TrialRecord]:
+    # generate_instance, shortest_paths and SOLVERS are looked up in this
+    # module at call time, so a wrapper set on the module attribute sees them
     instance = generate_instance(params, seed)
     paths = shortest_paths(instance.network, instance.relevant_nodes)
 
@@ -202,9 +226,11 @@ def run_sweep(
     Every algorithm in a trial runs on the same instance. Infeasible exact
     solves are excluded from that row's means and counted. The exact budget
     is node-limited only (no wall clock) so results stay deterministic.
-    Worker count never affects output. Raises ValueError, before any trial
-    runs, unless the sweep values are distinct, integral on an integer axis,
-    and give valid parameters.
+    Worker count never affects output. Sweep values are taken as the type
+    of their axis field (int, or float for stay_probability) before they
+    seed trials or label rows. Raises ValueError, before any trial runs,
+    unless the sweep values are distinct, integral on an integer axis, and
+    give valid parameters.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -212,27 +238,25 @@ def run_sweep(
         raise ValueError(f"unknown sweep axis {spec.axis!r}; expected one of {AXES}")
     if not spec.values:
         raise ValueError("sweep has no values")
-    if len(set(spec.values)) != len(spec.values):
+    values = tuple(_axis_value(spec.axis, v) for v in spec.values)
+    if len(set(values)) != len(values):
         raise ValueError(f"sweep values repeat: {list(spec.values)}")
-    if spec.axis in INTEGER_AXES:
-        for value in spec.values:
-            if not float(value).is_integer():
-                raise ValueError(f"sweep value {value!r} is not an integer, "
-                                 f"as axis {spec.axis} needs")
     unknown = sorted(set(algorithms) - set(ALGORITHMS))
     if unknown:
         raise ValueError(f"unknown algorithm {unknown[0]!r}")
 
     tasks = []
-    for value in spec.values:
-        params = _apply_axis(base_params, spec.axis, value)
+    probe = []
+    for value in values:
+        params = dataclasses.replace(base_params, **{spec.axis: value})
         validate_params(params)  # before any trial runs
+        probe.append(params)
         for trial in range(trials):
             seed = trial_seed(base_seed, spec.axis, value, trial)
             tasks.append((params, spec.axis, value, trial, seed,
                           tuple(algorithms), measure_runtime))
     if "exact" in algorithms:
-        _check_desk_scale(base_params, spec)
+        _check_desk_scale(probe)
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -242,7 +266,7 @@ def run_sweep(
     records = tuple(rec for batch in per_task for rec in batch)
 
     rows = []
-    for value in spec.values:
+    for value in values:
         for algo in ALGORITHMS:
             if algo not in algorithms:
                 continue

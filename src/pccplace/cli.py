@@ -73,7 +73,7 @@ def _cmd_generate(args) -> int:
         return _fail(EXIT_USAGE, f"invalid params: {exc}")
     try:
         instance = scenario.generate_instance(params, args.seed)
-    except scenario.GenerationError as exc:
+    except (ValueError, scenario.GenerationError) as exc:  # ValueError: the seed
         return _fail(EXIT_USAGE, str(exc))
     try:
         Path(args.out).write_text(model.instance_to_json(instance), encoding="utf-8")
@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_at_least(int, 1), default=1)
     p.add_argument("--format", choices=["csv", "json", "both"], default="csv")
     p.add_argument("--measure-runtime", action="store_true",
-                   help="record wall times (makes output nondeterministic)")
+                   help="record wall times, which exclude cyclic-GC pauses "
+                        "(makes output nondeterministic)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_bench)
     return parser

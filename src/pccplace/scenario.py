@@ -6,6 +6,19 @@ tree, one for degree top-up, one for link costs, and so on; one per request
 for request-level draws). Adding or changing one parameter therefore never
 perturbs draws in unrelated streams, and the same (params, seed) pair
 always yields a byte-identical instance.
+
+Request streams are not built one ``SeedSequence`` and ``PCG64`` at a time.
+With a spawn key, ``SeedSequence`` pads the seed's 32-bit words to its
+4-word pool and then hashes in the key words one by one, each step mixing
+one word into the pool with a hash constant that depends only on how many
+words came before. The pool after the seed and the shared word 7 is
+therefore the same for every request, and only the last word, the request
+index, differs. `_request_state_words` takes that pool from numpy once and
+repeats numpy's arithmetic for the index word and ``generate_state(4,
+uint64)`` as uint32 array operations over all requests; `_pcg64_state`
+applies PCG64's seeding step to each request's words, and one generator is
+set to each state in turn. Both are tested against ``_rng`` itself, so
+stream (7, idx) stays the one the spawn-key contract names.
 """
 
 from __future__ import annotations
@@ -48,6 +61,58 @@ def _rng(seed: int, stream: str, index: int | None = None) -> np.random.Generato
     key = (_STREAMS[stream],) if index is None else (_STREAMS[stream], index)
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=key)))
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier; part of the reproducibility contract.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(const: int, mult: int, steps: int) -> np.ndarray:
+    """`const` and the `steps` constants after it (each the last times
+    `mult` modulo 2**32), as a uint32 column."""
+    out = [const]
+    for _ in range(steps):
+        out.append((out[-1] * mult) & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _request_state_words(seed: int, count: int) -> np.ndarray:
+    """Row idx is ``SeedSequence(entropy=seed, spawn_key=(7, idx))
+    .generate_state(4, np.uint64)``, for every idx < `count`.
+
+    `SeedSequence(entropy=seed, spawn_key=(7,))` has hashed every word but
+    the index into its pool; its hash constant has stepped four times per
+    word hashed. The index word's four hashmix-and-mix steps and
+    ``generate_state`` then run as uint32 array operations over all
+    requests. `seed` must be a non-negative int and `count` at most 2**32.
+    """
+    prefix = np.random.SeedSequence(entropy=seed, spawn_key=(_STREAMS["request"],))
+    hashed = max(4, -(-seed.bit_length() // 32)) + 1  # seed words padded to 4, and 7
+    const = (_INIT_A * pow(_MULT_A, 4 * hashed, 1 << 32)) & _MASK32
+    a = _hash_constants(const, _MULT_A, 4)
+    value = (np.arange(count, dtype=np.uint32) ^ a[:4]) * a[1:]
+    value ^= value >> 16
+    pool = _MIX_MULT_L * prefix.pool[:, None] - _MIX_MULT_R * value  # wraps mod 2**32
+    pool ^= pool >> 16
+    b = _hash_constants(_INIT_B, _MULT_B, 8)  # eight words, from the pool in turn
+    value = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ b[:8]) * b[1:]
+    value ^= value >> 16
+    return np.ascontiguousarray(value.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg64_state(words: list[int]) -> dict[str, Any]:
+    """The ``PCG64.state`` that seeding from these four uint64 words gives."""
+    s0, s1, i0, i1 = words
+    inc = (((i0 << 64) | i1) << 1 | 1) & _MASK128
+    state = ((inc + ((s0 << 64) | s1)) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
 
 
 @dataclass(frozen=True)
@@ -228,6 +293,9 @@ def generate_instance(params: ScenarioParams, seed: int) -> ProblemInstance:
     probability; request chains hold distinct NFs; heads are candidate
     subsets. All numeric draws are uniform within their configured ranges.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed: must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
     validate_params(params)
     ids, candidates, links = _build_graph(params, seed)
     n = len(ids)
@@ -275,19 +343,20 @@ def generate_instance(params: ScenarioParams, seed: int) -> ProblemInstance:
 
     req_width = len(str(params.batch_size - 1))
     requests = []
-    # `choice` would convert a list population on every call; its draws
-    # depend only on the population's size
-    nf_pool, head_pool = np.asarray(nf_ids), np.asarray(candidates)
     h_lo, h_hi = params.heads_per_request
     c_lo, c_hi = params.chain_length
-    for idx in range(params.batch_size):
-        rng_req = _rng(seed, "request", idx)
+    # The mobility draws are done, so its generator is set to each request's
+    # stream (7, idx) in turn. `choice` draws the same indices from a size as
+    # from a population of that size.
+    rng_req = rng_mob
+    for idx, words in enumerate(_request_state_words(seed, params.batch_size).tolist()):
+        rng_req.bit_generator.state = _pcg64_state(words)
         length = int(rng_req.integers(c_lo, c_hi + 1))
-        chain = tuple(str(f) for f in rng_req.choice(nf_pool, size=length,
-                                                     replace=False))
+        chain = tuple(nf_ids[i] for i in rng_req.choice(
+            len(nf_ids), size=length, replace=False).tolist())
         n_heads = min(int(rng_req.integers(h_lo, h_hi + 1)), len(candidates))
-        heads = frozenset(str(h) for h in rng_req.choice(head_pool, size=n_heads,
-                                                         replace=False))
+        heads = frozenset(candidates[i] for i in rng_req.choice(
+            len(candidates), size=n_heads, replace=False).tolist())
         rate = float(rng_req.uniform(*params.flow_rate_mbps))
         requests.append(ServiceRequest(
             id=f"r{idx:0{req_width}d}", chain=chain,

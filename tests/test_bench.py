@@ -1,3 +1,4 @@
+import gc
 import importlib
 from collections import Counter
 
@@ -16,7 +17,7 @@ from pccplace.bench import (
 from pccplace.exact import solve_exact
 from pccplace.graph import shortest_paths
 from pccplace.heuristics import ppcc
-from pccplace.scenario import ScenarioParams, generate_instance
+from pccplace.scenario import GenerationError, ScenarioParams, generate_instance
 
 
 def small_params(**overrides):
@@ -126,6 +127,22 @@ class TestRunSweep:
             run_sweep(SweepSpec(axis="batch_size", values=(2,)),
                       small_params(), trials=1, algorithms=("magic",))
 
+    @pytest.mark.parametrize("axis, as_given, as_typed", [
+        ("stay_probability", (0, 1), (0.0, 1.0)),
+        ("batch_size", (2.0, 3.0), (2, 3)),
+    ])
+    def test_value_type_does_not_change_rows(self, axis, as_given, as_typed):
+        # trial seeds hash the value's repr, so it must be normalised first
+        a = run_sweep(SweepSpec(axis, as_given), small_params(), trials=2)
+        b = run_sweep(SweepSpec(axis, as_typed), small_params(), trials=2)
+        assert table_to_json(a) == table_to_json(b)
+        assert [type(r.value) for r in a.rows] == [
+            type(v) for v in as_typed for _ in a.algorithms]
+
+    def test_repeated_value_across_types_rejected(self):
+        with pytest.raises(ValueError, match="repeat"):
+            run_sweep(SweepSpec("batch_size", (2, 2.0)), small_params(), trials=1)
+
     def test_runtime_zero_by_default(self):
         spec = SweepSpec(axis="batch_size", values=(2,))
         table = run_sweep(spec, small_params(), trials=1)
@@ -135,6 +152,49 @@ class TestRunSweep:
         spec = SweepSpec(axis="batch_size", values=(4,))
         table = run_sweep(spec, small_params(), trials=1, measure_runtime=True)
         assert any(r.mean_runtime_ms > 0.0 for r in table.rows)
+
+
+class TestGarbageCollection:
+    """Trials hold cyclic GC off and leave the caller's setting as found."""
+
+    @pytest.fixture
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_setting_restored(self, restore_gc, monkeypatch, enabled):
+        import pccplace.bench as bench
+        seen = []
+        real = bench.generate_instance
+
+        def recording(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "generate_instance", recording)
+        (gc.enable if enabled else gc.disable)()
+        run_sweep(SweepSpec("batch_size", (2, 3)), small_params(), trials=2)
+        assert seen == [False] * 4
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_setting_restored_when_a_trial_raises(self, restore_gc, monkeypatch,
+                                                  enabled):
+        import pccplace.bench as bench
+
+        def failing(*args, **kwargs):
+            raise GenerationError("no instance")
+
+        monkeypatch.setattr(bench, "generate_instance", failing)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(GenerationError):
+            run_sweep(SweepSpec("batch_size", (2,)), small_params(), trials=1)
+        assert gc.isenabled() is enabled
 
 
 class TestEmit:

@@ -70,6 +70,12 @@ class TestGenerate:
         assert code == 2
         assert "chain_length" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2_naming_seed(self, tmp_path, capsys):
+        code = main(["generate", "--seed", "-1", "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"].startswith("seed: ")
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("command", [
         ["generate", "--seed", "1"],
         ["bench", "--sweep", "batch_size=2", "--trials", "1"],

@@ -2,12 +2,16 @@ import dataclasses
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from pccplace.model import instance_to_json, validate_instance
 from pccplace.scenario import (
     GenerationError,
     ScenarioParams,
+    _pcg64_state,
+    _request_state_words,
+    _rng,
     generate_instance,
     params_from_dict,
     params_to_dict,
@@ -68,11 +72,28 @@ class TestGenerateInstance:
          "9b65907056b9fc8e8c9a32879a90a6b7112c30c4f32fc893d19ff88d56e09fb7"),
         (ScenarioParams(num_candidates=200, batch_size=2000), 1,
          "c691a175e858fc9c58fcfd2a94688d66122a2829a10e7f821009c403b21ddd4e"),
+        # a two-word seed, as trial_seed(0, "stay_probability", 0.5, 1) gives
+        (ScenarioParams(num_candidates=20, batch_size=200, stay_probability=0.5),
+         9041502537324589337,
+         "c8260ec8d5b638aea15a49b7bdae0e19c138b8eca799dc61723c026c20ac608c"),
+        # a five-word seed: one word past SeedSequence's 4-word pool
+        (ScenarioParams(num_candidates=12, batch_size=30), 2**130 + 12345,
+         "b0dbc3fd4d01cb5577a59c743fe5a46cd986682f0745e2358561ca6ea211a2d5"),
     ])
     def test_pinned_bytes(self, params, seed, digest):
         # generator output is a contract: these digests hold across releases
         text = instance_to_json(generate_instance(params, seed))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, 2.5, "3", None])
+    def test_bad_seed_names_seed(self, seed):
+        with pytest.raises(ValueError, match="^seed: "):
+            generate_instance(ScenarioParams(num_candidates=5), seed)
+
+    def test_numpy_integer_seed_equals_int_seed(self):
+        params = ScenarioParams(num_candidates=6, batch_size=5)
+        assert (instance_to_json(generate_instance(params, np.uint64(2**40 + 3)))
+                == instance_to_json(generate_instance(params, 2**40 + 3)))
 
     def test_different_seeds_differ(self):
         params = ScenarioParams(num_candidates=12, batch_size=20)
@@ -189,3 +210,45 @@ class TestParams:
         assert params.num_candidates == 30
         assert params.chain_length == (2, 4)
         assert params.stay_probability is None
+
+
+class TestRequestStreams:
+    """The one-pass request streams against numpy's SeedSequence and PCG64."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**130 + 12345]
+    INDICES = [0, 1, 2**16, 4999]
+
+    @pytest.fixture(scope="class")
+    def words(self):
+        return {seed: _request_state_words(seed, 2**16 + 1) for seed in self.SEEDS}
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words_equal_seed_sequence_state(self, words, seed):
+        for idx in self.INDICES:
+            ref = np.random.SeedSequence(entropy=seed, spawn_key=(7, idx))
+            assert words[seed].dtype == np.uint64
+            assert words[seed][idx].tolist() == ref.generate_state(4, np.uint64).tolist()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_state_equals_seeded_pcg64(self, words, seed):
+        for idx in self.INDICES:
+            ref = np.random.PCG64(
+                np.random.SeedSequence(entropy=seed, spawn_key=(7, idx)))
+            assert _pcg64_state(words[seed][idx].tolist()) == ref.state
+            assert ref.state == _rng(seed, "request", idx).bit_generator.state
+
+    def test_reused_generator_draws_as_a_fresh_stream(self):
+        # a buffered 32-bit half-word must not leak from one request's
+        # stream into the next one's
+        words = _request_state_words(5, 3).tolist()
+        bitgen = np.random.PCG64()
+        reused = np.random.Generator(bitgen)
+        for idx in range(3):
+            bitgen.random_raw()
+            reused.integers(0, 2**31, dtype=np.uint32)  # leaves half a word buffered
+            bitgen.state = _pcg64_state(words[idx])
+            fresh = _rng(5, "request", idx)
+            assert (reused.integers(0, 2**31, size=5, dtype=np.uint32).tolist()
+                    == fresh.integers(0, 2**31, size=5, dtype=np.uint32).tolist())
+            assert reused.choice(10, 4, replace=False).tolist() == \
+                fresh.choice(np.arange(10), 4, replace=False).tolist()
