@@ -201,14 +201,24 @@ def _trial(params, axis, value, trial, seed, algorithms,
 
 
 def _mean_stderr(values: list[float]) -> tuple[float | None, float | None]:
+    """Mean and standard error, each sum added left to right.
+
+    Python 3.12's builtin ``sum`` compensates float sums, so the written
+    loops keep these bits the same on every supported Python.
+    """
     if not values:
         return None, None
     n = len(values)
-    mean = sum(values) / n
+    total = 0.0
+    for v in values:
+        total += v
+    mean = total / n
     if n < 2:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, math.sqrt(var / n)
+    squares = 0.0
+    for v in values:
+        squares += (v - mean) ** 2
+    return mean, math.sqrt(squares / (n - 1) / n)
 
 
 def run_sweep(

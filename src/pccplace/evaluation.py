@@ -10,12 +10,14 @@ heuristic failed to host, so partially placed batches remain comparable.
 Two functions compute it; the shape of the caller's routes decides which.
 :func:`cost_of_routes` sums a hosting set and one route per (request, head,
 destination) chain in a Python loop. :func:`evaluate_cost` calls it on a
-placement's visit plan, and the exact search on each complete assignment of
-a desk instance, where a call takes microseconds and numpy's fixed cost
-would dominate. :func:`cost_of_route_array` prices one int route per
-request, the shape of every greedy result, with array operations on
-:attr:`graph.PathTable.cost_matrix`; the heuristics call it without
-building their placement, which :class:`SolveResult` builds on first read.
+placement's visit plan, and :func:`exact.lower_bound` on a partial
+assignment of a desk instance, where a call takes microseconds and numpy's
+fixed cost would dominate; the exact search keeps its running sums chain
+by chain (``exact._SearchState``). :func:`cost_of_route_array` prices one
+int route per request, the shape of every greedy result, with array
+operations on :attr:`graph.PathTable.cost_matrix`; the heuristics call it
+without building their placement, which :class:`SolveResult` builds on
+first read.
 Both equal :func:`evaluate_cost` on the same visits bit for bit: each term
 is the same product of the same floats, each family is summed left to right
 in `pair_order` (``np.cumsum`` accumulates in order, unlike ``np.sum``), and
@@ -102,12 +104,16 @@ class SolveResult:
     `build` is a :func:`functools.partial` of module-level functions, so a
     result pickles, read or not. Equality, hashing and repr cover the cost,
     status and unplaced positions only, never `build` or the placement.
+    `stats` is the exact solver's :class:`exact.SearchStats` (None for a
+    heuristic); it explains a run and, like `build`, is left out of
+    equality and repr, so it never reaches stdout or a results table.
     """
 
     build: Callable[[], Placement] | None = field(repr=False, compare=False)
     cost: CostReport | None
     status: str
     unplaced: tuple[tuple[str, int, str], ...] = ()
+    stats: object = field(default=None, repr=False, compare=False)
 
     @cached_property
     def placement(self) -> Placement | None:
@@ -380,9 +386,8 @@ def cost_of_routes(
     in a fixed order (the placement term over sorted hosting decisions, the
     hop and penalty terms over `pair_order`), so equal inputs give
     bit-identical totals. Callers: :func:`evaluate_cost`, which derives
-    the routes from a placement's visit plan, and the exact search, on
-    each complete assignment, whose routes may differ between the chains
-    of one request.
+    the routes from a placement's visit plan, and :func:`exact.lower_bound`,
+    whose routes may differ between the chains of one request.
     """
     weights = instance.destination_weights
     placement_term = 0.0

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping, Sequence
 
-from .evaluation import (CostReport, Ledger, SolveResult, cost_of_routes,
-                         evaluate_cost)
+from .evaluation import (CostReport, Ledger, SolveResult, _placement_term,
+                         cost_of_routes, evaluate_cost)
 from .graph import PathTable, shortest_paths
 from .model import (Placement, ProblemInstance, ServiceRequest,
                     build_placement_per_pair)
@@ -42,18 +42,33 @@ class SolveBudget:
     wall_time_s: float | None = 60.0
 
 
+@dataclass(frozen=True)
+class SearchStats:
+    """How much search an exact solve did and why it stopped.
+
+    `expanded` counts frontier nodes expanded (the budget's unit), `leaves`
+    the complete assignments evaluated, the first incumbent's dive
+    included. `stop` is "complete" when the search proved its answer,
+    "node_budget" or "wall_time" when that budget ended it.
+    """
+
+    expanded: int
+    leaves: int
+    stop: str
+
+
 def ExactResult(placement: Placement | None, cost: CostReport | None,
-                status: str) -> SolveResult:
+                status: str, stats: SearchStats | None = None) -> SolveResult:
     """The exact solver's result, from a placement it has built already.
 
     The solver needs its placement for :func:`evaluate_cost`, so the
     builder hands back an equal copy of it (a partial, so the result
     pickles); no placement means no builder. The name is the result type's
-    earlier one, which the benchmark's tests still call with these
-    arguments.
+    earlier one, which the benchmark's tests still call with the first
+    three arguments.
     """
     return SolveResult(None if placement is None else partial(replace, placement),
-                       cost, status)
+                       cost, status, stats=stats)
 
 
 @dataclass(frozen=True)
@@ -115,6 +130,20 @@ def _hop_minimum(
     return min(layer.values())
 
 
+def _extended(sums: tuple[float, float, float],
+              terms: tuple[float, ...]) -> tuple[float, float, float]:
+    """(head, chain, tail) running sums after one more complete chain.
+
+    `terms` are the chain's weighted hop costs in route order: head hop,
+    chain hops, tail hop. Each is added as :func:`cost_of_routes` adds it.
+    """
+    head, chain, tail = sums
+    head += terms[0]
+    for hop in terms[1:-1]:
+        chain += hop
+    return head, chain, tail + terms[-1]
+
+
 class _SearchState:
     """Chain pins, bound terms and capacity loads of one prefix assignment.
 
@@ -124,8 +153,24 @@ class _SearchState:
     prefix without float drift. The capacity loads are a :class:`Ledger`,
     charged one visit per variable in the checker's order. The bound of the
     prefix is its placement term plus, per chain, the weighted
-    `_hop_minimum` over all hops with the chain's positions pinned; only the
-    chain of the changed variable is recomputed, from a cache.
+    `_hop_minimum` over all hops with the chain's positions pinned.
+
+    Rows: a variable's children depend on the prefix only through its own
+    chain's pins (its visit on the previous pin, its chain term on all of
+    them) and through the loads and hostings, which `children` reads live.
+    So each (variable index, pinned prefix of its chain) has one row, built
+    on first use: per candidate in sorted order, its visit, its weighted
+    chain term, its placing cost and, at the chain's last position, the
+    chain's weighted hop costs. `children`, `assign` and `leaf_total` read it.
+
+    Leaf prefix: branch order completes the chains in `pair_order` order,
+    and its last variable is the last position of the last chain. So when a
+    chain completes, the chains before it are complete, and the running
+    head, chain and tail sums of :func:`cost_of_routes`, which sums each
+    family over the chains in `pair_order`, are the previous chain's sums
+    extended by this chain's terms (`_extended`); `assign` pushes them. At a
+    leaf's parent they cover every chain but the last, and a leaf extends
+    them by the last chain's terms with its own node.
     """
 
     def __init__(self, instance: ProblemInstance, paths: PathTable,
@@ -135,83 +180,98 @@ class _SearchState:
         self.variables = variables
         self.candidates = sorted(instance.network.candidates)
         self.ledger = Ledger(instance, paths)
-        # per variable: (previous chain pin,) -> its visit at each candidate
-        self._visits: list[dict[tuple, dict[str, tuple]]] = [{} for _ in variables]
+        # per variable: pinned prefix of its chain -> {node: (visit, chain
+        # term, placing cost, the chain's hop costs or None)}
+        self._rows: list[dict[tuple, dict[str, tuple]]] = [{} for _ in variables]
         self.assignment: list[str] = []
         self.placement_term = 0.0
         self.pins = [[None] * len(req.chain) for req, _, _ in instance.pair_order]
-        self._term_cache: dict[tuple[int, tuple], float] = {}
         self.chain_terms = [self._chain_term(c) for c in range(len(self.pins))]
         self._journal: list[tuple[float, float]] = []
+        # (head, chain, tail) sums after each complete chain, in pair_order
+        self._sums: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)]
 
     def _chain_term(self, c: int) -> float:
-        key = (c, tuple(self.pins[c]))
-        term = self._term_cache.get(key)
-        if term is None:
-            _req, s, d = self.instance.pair_order[c]
-            term = self.instance.destination_weights[d] * _hop_minimum(
-                self.paths, s, d, self.pins[c], self.candidates, True)
-            self._term_cache[key] = term
-        return term
+        _req, s, d = self.instance.pair_order[c]
+        return self.instance.destination_weights[d] * _hop_minimum(
+            self.paths, s, d, self.pins[c], self.candidates, True)
 
-    def _next_visits(self) -> dict[str, tuple]:
-        """The next variable's visit at each candidate, after its chain's pin."""
+    def _row(self) -> dict[str, tuple]:
+        """The next variable's row, for the current pins of its chain."""
         var = self.variables[len(self.assignment)]
-        prevs = (self.pins[var.chain][var.l - 2],) if var.l > 1 else ()
-        cache = self._visits[len(self.assignment)]
-        if prevs not in cache:
-            cache[prevs] = {k: self.ledger.visit(var.req, var.l, k, var.s, var.d,
-                                                 prevs, True)
-                            for k in self.candidates}
-        return cache[prevs]
+        pins = self.pins[var.chain]
+        prefix = tuple(pins[:var.l - 1])
+        rows = self._rows[len(self.assignment)]
+        row = rows.get(prefix)
+        if row is None:
+            w = self.instance.destination_weights[var.d]
+            cost = self.paths.cost
+            row = rows[prefix] = {}
+            for k in self.candidates:
+                visit = self.ledger.visit(var.req, var.l, k, var.s, var.d,
+                                          prefix[-1:], True)
+                pins[var.l - 1] = k
+                terms = None
+                if var.l == len(pins):
+                    nodes = (var.s, *pins, var.d)
+                    terms = tuple(w * cost(a, b) for a, b in zip(nodes, nodes[1:]))
+                row[k] = (visit, self._chain_term(var.chain),
+                          self.instance.placing_cost(var.nf, k), terms)
+            pins[var.l - 1] = None
+        return row
 
     def bound(self) -> float:
-        return self.placement_term + sum(self.chain_terms)
+        terms = 0.0
+        for term in self.chain_terms:
+            terms += term
+        return self.placement_term + terms
 
     def children(self) -> list[tuple[str, float]]:
         """(node, bound) for every feasible value of the next variable."""
         var = self.variables[len(self.assignment)]
-        pins = self.pins[var.chain]
-        others = sum(t for c, t in enumerate(self.chain_terms) if c != var.chain)
+        others = 0.0
+        for c, term in enumerate(self.chain_terms):
+            if c != var.chain:
+                others += term
         fits = self.ledger.fits
         hosted = self.ledger.hosted
+        placement_term = self.placement_term
         out = []
-        for k, visit in self._next_visits().items():
-            if not fits(visit):
-                continue
-            pins[var.l - 1] = k
-            term = self._chain_term(var.chain)
-            pins[var.l - 1] = None
-            placement_term = self.placement_term
-            if visit[0] not in hosted:
-                placement_term += self.instance.placing_cost(var.nf, k)
-            out.append((k, placement_term + (others + term)))
+        for k, (visit, term, place, _) in self._row().items():
+            if fits(visit):
+                # a zero placing cost would add +0.0, which changes nothing
+                charged = (placement_term + place if place and visit[0] not in hosted
+                           else placement_term)
+                out.append((k, charged + (others + term)))
         return out
 
     def leaf_total(self, k: str) -> float:
         """Objective total of the current prefix completed by `k`.
 
         The prefix must lack only the last variable. The total is
-        :func:`cost_of_routes` of the completed state, which equals
-        :func:`evaluate_cost` of the corresponding placement.
+        :func:`cost_of_routes` of the completed state, bit for bit, which
+        equals :func:`evaluate_cost` of the corresponding placement.
         """
         var = self.variables[len(self.assignment)]
-        pins = self.pins[var.chain]
-        pins[var.l - 1] = k
-        hosted = self.ledger.hosted.keys() | {(var.req.id, var.nf, k)}
-        total = cost_of_routes(self.instance, self.paths, hosted, self.pins).total
-        pins[var.l - 1] = None
-        return total
+        head, chain, tail = _extended(self._sums[-1], self._row()[k][3])
+        placement = 0.0
+        if self.instance.placement_cost:  # otherwise every placing cost is zero
+            placement = _placement_term(
+                self.instance, self.ledger.hosted.keys() | {(var.req.id, var.nf, k)})
+        # cost_of_routes adds a penalty term of +0.0, which changes nothing
+        return placement + head + chain + tail
 
     def assign(self, k: str) -> None:
         var = self.variables[len(self.assignment)]
-        visit = self._next_visits()[k]
+        visit, term, place, terms = self._row()[k]
         self._journal.append((self.placement_term, self.chain_terms[var.chain]))
-        if visit[0] not in self.ledger.hosted:
-            self.placement_term += self.instance.placing_cost(var.nf, k)
+        if place and visit[0] not in self.ledger.hosted:
+            self.placement_term += place
         self.ledger.charge(visit)
         self.pins[var.chain][var.l - 1] = k
-        self.chain_terms[var.chain] = self._chain_term(var.chain)
+        self.chain_terms[var.chain] = term
+        if terms is not None:
+            self._sums.append(_extended(self._sums[-1], terms))
         self.assignment.append(k)
 
     def undo(self) -> None:
@@ -219,6 +279,8 @@ class _SearchState:
         self.assignment.pop()
         self.placement_term, self.chain_terms[var.chain] = self._journal.pop()
         self.pins[var.chain][var.l - 1] = None
+        if var.l == len(var.req.chain):
+            self._sums.pop()
         self.ledger.undo()
 
     def goto(self, assignment: Sequence[str]) -> None:
@@ -295,7 +357,8 @@ def solve_exact(
 
     Returns status "optimal" with the proven optimum, "infeasible" when the
     feasible set is empty, or "budget_exceeded" with the best incumbent
-    found (if any) once the node or wall-time budget trips.
+    found (if any) once the node or wall-time budget trips; the result's
+    `stats` is a :class:`SearchStats`.
     """
     if paths is None:
         paths = shortest_paths(instance.network, instance.relevant_nodes)
@@ -307,13 +370,18 @@ def solve_exact(
     if nvars == 0:
         raise ValueError("instance has no chain positions to place")
     if not instance.network.candidates:
-        return ExactResult(None, None, "infeasible")
+        return ExactResult(None, None, "infeasible", SearchStats(0, 0, "complete"))
     keys = [(v.req.id, v.s, v.d, v.l) for v in variables]
     state = _SearchState(instance, paths, variables)
+    expanded = leaves = 0
 
-    def result(assignment: Sequence[str], status: str) -> SolveResult:
-        placement = build_placement_per_pair(instance, dict(zip(keys, assignment)))
-        return ExactResult(placement, evaluate_cost(instance, placement, paths), status)
+    def result(status: str, stop: str) -> SolveResult:
+        stats = SearchStats(expanded, leaves, stop)
+        if best is None:
+            return ExactResult(None, None, status, stats)
+        placement = build_placement_per_pair(instance, dict(zip(keys, best[1])))
+        return ExactResult(placement, evaluate_cost(instance, placement, paths),
+                           status, stats)
 
     # (total, assignment) of the best complete assignment so far. Complete
     # assignments are evaluated as they are generated, never queued.
@@ -321,7 +389,8 @@ def solve_exact(
     limit = math.inf  # nodes with a larger bound cannot win
 
     def offer(k: str) -> None:
-        nonlocal best, limit
+        nonlocal best, limit, leaves
+        leaves += 1
         candidate = (state.leaf_total(k), (*state.assignment, k))
         if best is None or candidate < best:
             best = candidate
@@ -339,17 +408,15 @@ def solve_exact(
 
     start = time.perf_counter()
     heap: list[tuple[float, tuple[str, ...]]] = [(state.bound(), ())]
-    expanded = 0
     while heap:
         bound, assignment = heapq.heappop(heap)
         if bound > limit:
             break  # the search is complete
-        if expanded >= budget.max_nodes_expanded or (
-                budget.wall_time_s is not None
+        if expanded >= budget.max_nodes_expanded:
+            return result("budget_exceeded", "node_budget")
+        if (budget.wall_time_s is not None
                 and time.perf_counter() - start > budget.wall_time_s):
-            if best is None:
-                return ExactResult(None, None, "budget_exceeded")
-            return result(best[1], "budget_exceeded")
+            return result("budget_exceeded", "wall_time")
         expanded += 1
         state.goto(assignment)
         last = len(assignment) == nvars - 1
@@ -360,9 +427,7 @@ def solve_exact(
                 offer(k)
             else:
                 heapq.heappush(heap, (child_bound, assignment + (k,)))
-    if best is None:
-        return ExactResult(None, None, "infeasible")
-    return result(best[1], "optimal")
+    return result("infeasible" if best is None else "optimal", "complete")
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,21 @@ class TestGarbageCollection:
         assert gc.isenabled() is enabled
 
 
+class TestMeanStderr:
+    def test_sums_left_to_right(self):
+        from pccplace.bench import _mean_stderr
+
+        # 1e16 + 1.0 rounds back to 1e16 when added in order; a compensated
+        # sum (math.fsum, or builtin sum on Python 3.12+) gives 1.0
+        assert _mean_stderr([1e16, 1.0, -1e16])[0] == 0.0
+
+    def test_single_value_has_zero_stderr(self):
+        from pccplace.bench import _mean_stderr
+
+        assert _mean_stderr([2.5]) == (2.5, 0.0)
+        assert _mean_stderr([]) == (None, None)
+
+
 class TestEmit:
     def test_csv_shape_and_round_trip(self, tmp_path):
         import csv as csv_mod

@@ -10,6 +10,7 @@ import pytest
 from pccplace.evaluation import check_constraints, evaluate_cost
 from pccplace.exact import (
     ExportSizeError,
+    SearchStats,
     SolveBudget,
     _SearchState,
     _variables,
@@ -105,6 +106,25 @@ class TestSolveExact:
         assert res.status == "budget_exceeded"
         assert res.placement is not None
         assert res.total >= 6.0
+
+    def test_stats_say_how_much_search_and_why_it_stopped(self, tiny1):
+        paths = paths_for(tiny1)
+        res = solve_exact(tiny1, paths)
+        assert res.stats.stop == "complete"
+        assert res.stats.expanded >= 1 and res.stats.leaves >= 1
+        by_nodes = solve_exact(tiny1, paths,
+                               SolveBudget(max_nodes_expanded=1, wall_time_s=None))
+        assert by_nodes.stats.stop == "node_budget" and by_nodes.stats.expanded == 1
+        # a wall budget already spent stops the search before any expansion;
+        # the greedy dive has evaluated its one leaf by then
+        by_time = solve_exact(tiny1, paths, SolveBudget(wall_time_s=-1.0))
+        assert by_time.status == "budget_exceeded"
+        assert by_time.stats == SearchStats(0, 1, "wall_time")
+
+    def test_stats_stay_out_of_equality_and_repr(self, tiny1):
+        res = solve_exact(tiny1, paths_for(tiny1))
+        assert res.stats is not None and "stats" not in repr(res)
+        assert dataclasses.replace(res, stats=None) == res
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_enumeration_oracle(self, seed):
@@ -221,7 +241,9 @@ class TestLowerBound:
                              destinations={"b": 1.0})
         paths = paths_for(inst)
         assert lower_bound(inst, paths, {}) == math.inf
-        assert solve_exact(inst, paths).status == "infeasible"
+        res = solve_exact(inst, paths)
+        assert res.status == "infeasible"
+        assert res.stats == SearchStats(0, 0, "complete")
 
 
 class TestExportLp:
