@@ -44,8 +44,6 @@ from .model import (
     build_placement_per_pair,
     instance_from_json,
     instance_to_json,
-    placement_from_json,
-    placement_structure_violations,
     placement_to_json,
     validate_instance,
 )
@@ -89,8 +87,6 @@ __all__ = [
     "instance_from_json",
     "instance_to_json",
     "lower_bound",
-    "placement_from_json",
-    "placement_structure_violations",
     "placement_to_json",
     "ppcc",
     "run_sweep",

@@ -36,14 +36,17 @@ def _load_params(args) -> scenario.ScenarioParams:
     if getattr(args, "params", None):
         with open(args.params, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+    overrides = {}
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ValueError(f"{item!r}: expected KEY=VALUE")
         key, raw = item.split("=", 1)
         if "," in raw:
-            data[key] = [_coerce(part) for part in raw.split(",")]
+            overrides[key] = [_coerce(part) for part in raw.split(",")]
         else:
-            data[key] = _coerce(raw)
+            overrides[key] = _coerce(raw)
+    if isinstance(data, dict):  # otherwise params_from_dict names its type
+        data = {**data, **overrides}
     return scenario.params_from_dict(data)
 
 
@@ -64,6 +67,19 @@ def _coerce(raw: str):
 def _load_instance(path: str) -> model.ProblemInstance:
     with open(path, "r", encoding="utf-8") as fh:
         return model.instance_from_json(fh.read())
+
+
+def _load_valid_instance(path: str) -> model.ProblemInstance | int:
+    """The instance at `path`, or the usage exit code once the first parse
+    error or invariant violation is reported."""
+    try:
+        instance = _load_instance(path)
+    except (model.ParseError, OSError) as exc:
+        return _fail(EXIT_USAGE, str(exc))
+    violations = model.validate_instance(instance)
+    if violations:
+        return _fail(EXIT_USAGE, f"invalid instance: {violations[0]}")
+    return instance
 
 
 def _cmd_generate(args) -> int:
@@ -94,13 +110,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        instance = _load_instance(args.instance)
-    except (model.ParseError, OSError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    violations = model.validate_instance(instance)
-    if violations:
-        return _fail(EXIT_USAGE, f"invalid instance: {violations[0]}")
+    instance = _load_valid_instance(args.instance)
+    if isinstance(instance, int):
+        return instance
     paths = shortest_paths(instance.network, instance.relevant_nodes)
     budget = exact.SolveBudget(max_nodes_expanded=args.budget_nodes,
                                wall_time_s=args.budget_seconds)
@@ -130,10 +142,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_export_lp(args) -> int:
-    try:
-        instance = _load_instance(args.instance)
-    except (model.ParseError, OSError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    instance = _load_valid_instance(args.instance)
+    if isinstance(instance, int):
+        return instance
     try:
         text = exact.export_lp(instance)
     except ValueError as exc:  # ExportSizeError included

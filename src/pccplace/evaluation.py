@@ -18,11 +18,21 @@ int route per request, the shape of every greedy result, with array
 operations on :attr:`graph.PathTable.cost_matrix`; the heuristics call it
 without building their placement, which :class:`SolveResult` builds on
 first read.
-Both equal :func:`evaluate_cost` on the same visits bit for bit: each term
-is the same product of the same floats, each family is summed left to right
-in `pair_order` (``np.cumsum`` accumulates in order, unlike ``np.sum``), and
-a term the loop skips is exactly +0.0 in the array, which leaves a
-non-negative running sum unchanged.
+
+Both equal :func:`evaluate_cost` on the same visits bit for bit. Each term
+is the same product of the same floats. Each family is summed left to right
+in `pair_order`, the placement term over sorted hostings: ``np.cumsum``
+runs ``np.add.accumulate``, which adds strictly in order, whereas
+``np.sum`` sums pairwise and ``math.fsum`` and Python 3.12's ``sum``
+compensate, so none of those reproduces a loop's ``+=``. A term the loop
+skips is exactly +0.0 in the array, which leaves a non-negative running sum
+unchanged. A greedy result's visits are its routes':
+:func:`model.build_placement` takes its host keys from `instance.requests`
+and its nodes from the candidates or the gateway, so the placement passes
+the index check; its hosting set is the set of route entries; and
+`validate_instance` rejects a function repeated within a chain, so each
+(request, head, destination, nf) has one visit, at the node the route
+names.
 
 Capacity checking follows the paper's per-pair bottleneck semantics: each
 (endpoint, endpoint) shortest path has an independent capacity budget,
@@ -431,11 +441,9 @@ def cost_of_route_array(
     where it is unhosted or past the end of the chain. Every (head,
     destination) chain of a request visits its positions there, and the
     hostings are the route entries. The report is :func:`cost_of_routes`'s
-    on those hostings and routes, bit for bit, as the module docstring
-    says; the placement term is its sorted loop, run only when placement
-    costs exist. Caller: ``heuristics._solve_result`` (PPCC, SPBA, AGW,
-    which share `instance.pair_arrays`). One family's terms, one float per
-    chain (and hop), are alive at a time and summed in place.
+    on those hostings and routes, bit for bit (see the module docstring).
+    Caller: ``heuristics._solve_result`` (PPCC, SPBA, AGW). One family's
+    terms, one float per chain (and hop), are alive at a time.
     """
     pairs = instance.pair_arrays
     matrix = paths.cost_matrix
@@ -477,13 +485,8 @@ def cost_of_route_array(
 
 
 def _sequential_sum(terms: np.ndarray) -> float:
-    """The float sum of `terms` in C order, added left to right from 0.0;
-    `terms` is overwritten by its running sums.
-
-    ``np.cumsum`` runs ``np.add.accumulate``, which adds strictly in
-    order; ``np.sum`` sums pairwise and ``math.fsum`` or Python 3.12's
-    ``sum`` compensate, so none of them reproduces a loop's ``+=``.
-    """
+    """The float sum of `terms` in C order, added left to right from 0.0
+    (see the module docstring); `terms` is overwritten by its running sums."""
     flat = terms.reshape(-1)
     return float(np.cumsum(flat, out=flat)[-1]) if flat.size else 0.0
 
@@ -502,10 +505,6 @@ def check_constraints(
       5d  (node, destination)   last-hop flow within the node->dest budget
       5e  (request, head, destination, position)  visited at least once
       5f  (request, nf, node, head, destination)  visit backed by hosting
-      5g/5h/5i                  product-variable links, checked only when the
-                                placement carries explicit z entries; 5i is
-                                restricted to consecutive chain pairs, the
-                                set materialized by the LP export.
 
     Capacity budgets are per node-pair bottlenecks of the initial network,
     aggregated over all flows mapped to that pair. Loads are charged to a
@@ -542,21 +541,6 @@ def check_constraints(
     for (r, i, k, s, d) in y_sorted:
         if (r, i, k) not in placement.x:
             out.append(ConstraintViolation("5f", (r, i, k, s, d), -1.0))
-
-    if placement.z is not None:
-        y = placement.y
-        for (r, i, j, k, m, s, d) in sorted(placement.z):
-            if (r, i, k, s, d) not in y:
-                out.append(ConstraintViolation("5g", (r, i, j, k, m, s, d), -1.0))
-            if (r, j, m, s, d) not in y:
-                out.append(ConstraintViolation("5h", (r, i, j, k, m, s, d), -1.0))
-        for req, s, d in instance.pair_order:
-            for i, j in zip(req.chain, req.chain[1:]):
-                for ki in y_nodes.get((req.id, s, d, i), ()):
-                    for kj in y_nodes.get((req.id, s, d, j), ()):
-                        if (req.id, i, j, ki, kj, s, d) not in placement.z:
-                            out.append(ConstraintViolation(
-                                "5i", (req.id, i, j, ki, kj, s, d), -1.0))
     return out
 
 

@@ -459,9 +459,11 @@ def export_lp(instance: ProblemInstance, paths: PathTable | None = None) -> str:
     coefficients everywhere). Objective coefficients are merged per
     variable, so for single-NF chains the head and tail weights meet on one
     y variable. Zero coefficients are omitted. Capacity rows with infinite
-    budgets are omitted. Raises :class:`ExportSizeError` when the model
-    would exceed 10^6 variables, and ValueError when the instance has no
-    candidate node or an id is not LP-safe.
+    budgets are omitted: a 5a row for a node resource of infinite capacity,
+    as a 5b-5d row for a pair of infinite bottleneck. Raises
+    :class:`ExportSizeError` when the model would exceed 10^6 variables,
+    and ValueError when the instance has no candidate node or an id is not
+    LP-safe.
     """
     if paths is None:
         paths = shortest_paths(instance.network, instance.relevant_nodes)
@@ -560,8 +562,9 @@ def export_lp(instance: ProblemInstance, paths: PathTable | None = None) -> str:
                 dem = instance.catalog[nf]
                 mem_terms.append(f"{_num(dem.memory_mb)} {xname(req.id, nf, k)}")
                 cpu_terms.append(f"{_num(dem.cpu_cores)} {xname(req.id, nf, k)}")
-        if mem_terms:
+        if mem_terms and not math.isinf(cap.memory_mb):
             row(f"cap_mem_{k}", mem_terms, "<=", cap.memory_mb)
+        if cpu_terms and not math.isinf(cap.cpu_cores):
             row(f"cap_cpu_{k}", cpu_terms, "<=", cap.cpu_cores)
 
     # (5b) head-hop flow budgets per (head, node)

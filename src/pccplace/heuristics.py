@@ -39,15 +39,7 @@ def _solve_result(instance: ProblemInstance, paths: PathTable,
     so the route ``[hosts.get((r, l)) for l in 1..L]``, as int node ids,
     serves each of its (head, destination) pairs. The report is
     :func:`evaluation.evaluate_cost`'s on ``build_placement(instance, hosts)``,
-    bit for bit: every host key comes from `instance.requests` and every
-    node from the candidates or the gateway, so that placement passes the
-    index check; its hosting set is the set of route entries, which
-    :func:`evaluation.cost_of_route_array` sums in sorted order as
-    :func:`evaluation.cost_of_routes` does; and `validate_instance` rejects
-    a function repeated within a chain, so each (request, head,
-    destination, nf) has exactly one visit and the routes
-    :func:`evaluation.evaluate_cost` derives from the visit plan are these,
-    priced as :func:`evaluation.cost_of_route_array` explains.
+    bit for bit, as the :mod:`evaluation` module docstring argues.
 
     The builder is a :func:`functools.partial` of this module's
     `build_placement` attribute, looked up now, so the result pickles and a

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Mapping, NamedTuple
 
@@ -23,7 +23,7 @@ MOBILITY_MASS_TOL = 1e-9
 
 
 class ParseError(ValueError):
-    """Malformed instance/placement JSON; message carries the JSON path."""
+    """Malformed instance JSON; message carries the JSON path."""
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
@@ -155,16 +155,12 @@ class Placement:
     """Solution object: hosting decisions `x` and the visit plan `y`.
 
     x entries are (request, nf, node); y entries are
-    (request, nf, node, head, destination). The pairwise product variable z
-    is derived from y and never stored, except that placements loaded from
-    external files may carry explicit z entries
-    (request, nf_i, nf_j, node_k, node_m, head, destination) which the
-    constraint checker then validates against the y products.
+    (request, nf, node, head, destination). The program's product variable
+    z is the product of two y visits, so it is derived from y, never stored.
     """
 
     x: frozenset[tuple[str, str, str]]
     y: frozenset[tuple[str, str, str, str, str]]
-    z: frozenset[tuple[str, str, str, str, str, str, str]] | None = None
 
 
 def build_placement(
@@ -261,6 +257,8 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
         dem = instance.catalog[nf]
         if not (dem.memory_mb > 0 and dem.cpu_cores > 0):
             add("NonPositiveNFDemand", f"{nf}: {dem.as_tuple()}")
+        elif math.inf in dem.as_tuple():  # a capacity may be infinite, a demand not
+            add("InfiniteNFDemand", f"{nf}: {dem.as_tuple()}")
     for k in sorted(instance.node_resources):
         cap = instance.node_resources[k]
         if k not in net.candidates:
@@ -290,6 +288,8 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
             add("UnknownHeadNode", f"{req.id}: {s}")
         if not req.flow_rate_mbps > 0:
             add("NonPositiveFlowRate", f"{req.id}: {req.flow_rate_mbps}")
+        elif req.flow_rate_mbps == math.inf:
+            add("InfiniteFlowRate", f"{req.id}: {req.flow_rate_mbps}")
 
     mob = instance.mobility
     mass = mob.stay_probability + sum(mob.destinations.values())
@@ -313,9 +313,11 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
         for node in sorted(instance.placement_cost[nf]):
             if node not in net.candidates:
                 add("PlacementCostUnknownNode", f"{nf} at {node}")
-            if not instance.placement_cost[nf][node] >= 0:  # NaN too
-                add("NegativePlacementCost",
-                    f"{nf} at {node}: {instance.placement_cost[nf][node]}")
+            cost = instance.placement_cost[nf][node]
+            if not cost >= 0:  # NaN too
+                add("NegativePlacementCost", f"{nf} at {node}: {cost}")
+            elif cost == math.inf:
+                add("InfinitePlacementCost", f"{nf} at {node}: {cost}")
     return v
 
 
@@ -363,39 +365,6 @@ def placement_index_violations(
     found.sort()
     return [Violation(code, f"{'xy'[part]}[{','.join(entry)}]")
             for part, entry, _, code in found]
-
-
-def placement_structure_violations(
-    instance: ProblemInstance, placement: Placement
-) -> list[Violation]:
-    """Check index validity and the two structural placement invariants.
-
-    1. every y entry is backed by an x entry (y <= x pointwise);
-    2. every (request, head, destination, position) has exactly one visit.
-
-    The index violations of :func:`placement_index_violations` come first,
-    since the other checks are meaningless without valid indices.
-    """
-    v = placement_index_violations(instance, placement)
-    reqs = instance.request_map
-    counts: dict[tuple[str, str, str, int], int] = {}
-    for (r, i, k, s, d) in sorted(placement.y):
-        if (r, i, k) not in placement.x:
-            v.append(Violation("VisitWithoutHosting", f"y[{r},{i},{k},{s},{d}]"))
-        req = reqs.get(r)
-        if req is not None and i in req.chain:
-            l = req.chain.index(i) + 1
-            counts[(r, s, d, l)] = counts.get((r, s, d, l), 0) + 1
-
-    for req, s, d in instance.pair_order:
-        for l in range(1, len(req.chain) + 1):
-            n = counts.get((req.id, s, d, l), 0)
-            if n == 0:
-                v.append(Violation("MissingVisit", f"({req.id},{s},{d},l={l})"))
-            elif n > 1:
-                v.append(Violation(
-                    "DuplicateVisit", f"({req.id},{s},{d},l={l}): {n} visits"))
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -570,46 +539,11 @@ def instance_from_json(text: str) -> ProblemInstance:
 
 
 def placement_to_dict(placement: Placement) -> dict[str, Any]:
-    out: dict[str, Any] = {
+    return {
         "x": [list(t) for t in sorted(placement.x)],
         "y": [list(t) for t in sorted(placement.y)],
     }
-    if placement.z is not None:
-        out["z"] = [list(t) for t in sorted(placement.z)]
-    return out
 
 
 def placement_to_json(placement: Placement) -> str:
     return json.dumps(placement_to_dict(placement), indent=2) + "\n"
-
-
-def _tuple_list(data: Any, path: str, arity: int) -> frozenset:
-    entries = set()
-    for idx, item in enumerate(_require(data, path, list, "array")):
-        p = f"{path}[{idx}]"
-        _require(item, p, list, "array")
-        if len(item) != arity:
-            raise ParseError(p, f"expected {arity} entries, got {len(item)}")
-        entries.add(tuple(_require(e, f"{p}[{j}]", str, "string")
-                          for j, e in enumerate(item)))
-    return frozenset(entries)
-
-
-def placement_from_dict(data: Any) -> Placement:
-    _require(data, "$", dict, "object")
-    keys = ["x", "y"] + (["z"] if isinstance(data, dict) and "z" in data else [])
-    _check_keys(data, "$", keys)
-    z = _tuple_list(data["z"], "$.z", 7) if "z" in data else None
-    return Placement(
-        x=_tuple_list(data["x"], "$.x", 3),
-        y=_tuple_list(data["y"], "$.y", 5),
-        z=z,
-    )
-
-
-def placement_from_json(text: str) -> Placement:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("$", f"invalid JSON: {exc}") from exc
-    return placement_from_dict(data)

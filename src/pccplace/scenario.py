@@ -195,8 +195,27 @@ def params_to_dict(params: ScenarioParams) -> dict[str, Any]:
     return out
 
 
+def _field_number(key: str, value: Any, integer: bool) -> int | float:
+    """`value` as field `key` holds it: an int if `integer` (an integral
+    float such as 20.0 included), else a float. A bool, a non-number or a
+    non-integral value on an integer field raises ValueError naming `key`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key}: expected a number, got {type(value).__name__}")
+    if integer:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{key}: {value!r} is not an integer")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key}: {value!r} is out of float range") from None
+
+
 def params_from_dict(data: Mapping[str, Any]) -> ScenarioParams:
-    """Build params from a config mapping; unknown keys raise ValueError."""
+    """Build params from a config mapping; a non-mapping, an unknown key or
+    a value of the wrong type raises ValueError, naming the key."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"parameters: expected a mapping, got {type(data).__name__}")
     fields = {f.name for f in dataclasses.fields(ScenarioParams)}
     unknown = sorted(set(data) - fields)
     if unknown:
@@ -206,14 +225,13 @@ def params_from_dict(data: Mapping[str, Any]) -> ScenarioParams:
         if key in _RANGE_FIELDS:
             if not isinstance(value, (list, tuple)) or len(value) != 2:
                 raise ValueError(f"{key}: expected [low, high]")
-            cast = int if key in _INT_RANGE_FIELDS else float
-            kwargs[key] = (cast(value[0]), cast(value[1]))
-        elif key in ("num_candidates", "batch_size", "catalog_size"):
-            kwargs[key] = int(value)
-        elif key == "stay_probability":
-            kwargs[key] = None if value is None else float(value)
+            integer = key in _INT_RANGE_FIELDS
+            kwargs[key] = tuple(_field_number(key, v, integer) for v in value)
+        elif key == "stay_probability" and value is None:
+            kwargs[key] = None
         else:
-            kwargs[key] = float(value)
+            kwargs[key] = _field_number(
+                key, value, key in ("num_candidates", "batch_size", "catalog_size"))
     params = ScenarioParams(**kwargs)
     validate_params(params)
     return params

@@ -10,7 +10,9 @@ import pytest
 
 from pccplace.bench import ALGORITHMS, SOLVERS, SweepSpec, run_sweep, trial_seed
 from pccplace.cli import build_parser, main
-from pccplace.model import instance_to_json
+from pccplace.exact import solve_exact
+from pccplace.graph import shortest_paths
+from pccplace.model import instance_to_dict, instance_to_json
 from pccplace.scenario import ScenarioParams, generate_instance
 
 from conftest import make_instance
@@ -48,7 +50,57 @@ def assert_write_error(capsys):
     assert json.loads(err)["error"].startswith("cannot write output")
 
 
+# (params file content or None, --set items, what the error must name)
+BAD_PARAMS = [
+    ("null", [], "parameters"),
+    ("5", [], "parameters"),
+    ("[{}]", ["batch_size=3"], "parameters"),
+    ('{"stay_probability": [0.1, 0.2]}', [], "stay_probability"),
+    ('{"degree": [1.5, 3]}', [], "degree"),
+    ('{"num_candidates": true}', [], "num_candidates"),
+    ('{"link_cost": ["1", 5]}', [], "link_cost"),
+    (None, ["batch_size=2.5"], "batch_size"),
+    (None, ["chain_length=1,2.5"], "chain_length"),
+    (None, ["placement_cost=free"], "placement_cost"),
+    (None, ["link_capacity_mbps=" + "9" * 400], "link_capacity_mbps"),
+]
+BAD_PARAMS_IDS = ["null", "number", "list", "range_on_scalar", "fractional_degree",
+                  "bool", "string_bound", "fractional_batch", "fractional_chain",
+                  "string_scalar", "float_overflow"]
+
+
+def params_args(tmp_path, content, sets):
+    args = []
+    if content is not None:
+        path = tmp_path / "params.json"
+        path.write_text(content)
+        args += ["--params", str(path)]
+    for item in sets:
+        args += ["--set", item]
+    return args
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("content, sets, field", BAD_PARAMS, ids=BAD_PARAMS_IDS)
+    def test_bad_params_exit_2_naming_field(self, tmp_path, capsys, content,
+                                            sets, field):
+        out = tmp_path / "x.json"
+        code = main(["generate", "--seed", "1", "--out", str(out)]
+                    + params_args(tmp_path, content, sets))
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"].startswith(
+            f"invalid params: {field}: ")
+        assert not out.exists()
+
+    def test_integral_float_params_accepted(self, tmp_path):
+        out = tmp_path / "x.json"
+        args = params_args(tmp_path, '{"num_candidates": 6.0, "degree": [2.0, 3]}',
+                           ["batch_size=3.0"])
+        assert main(["generate", "--seed", "1", "--out", str(out)] + args) == 0
+        data = json.loads(out.read_text())
+        assert len(data["network"]["candidates"]) == 6
+        assert len(data["requests"]) == 3
+
     def test_generate_then_validate(self, tmp_path, capsys):
         out = tmp_path / "i.json"
         assert main(["generate", "--seed", "42", "--out", str(out)]) == 0
@@ -124,6 +176,24 @@ class TestValidate:
         assert main(["validate", "--instance", str(path)]) == 2
         out = capsys.readouterr().out
         assert "MobilityMassExceeded" in out
+
+    @pytest.mark.parametrize("field, code", [
+        (("catalog", "f1", "cpu_cores"), "InfiniteNFDemand"),
+        (("requests", 0, "flow_rate_mbps"), "InfiniteFlowRate"),
+        (("placement_cost", "f1", "b"), "InfinitePlacementCost"),
+    ], ids=["nf_demand", "flow_rate", "placement_cost"])
+    def test_infinite_value_exits_2(self, tmp_path, tiny1, capsys, field, code):
+        data = instance_to_dict(tiny1)
+        data["placement_cost"] = {"f1": {"b": 1.0}}
+        *parents, last = field
+        target = data
+        for key in parents:
+            target = target[key]
+        target[last] = math.inf
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", "--instance", str(path)]) == 2
+        assert [v["code"] for v in json.loads(capsys.readouterr().out)] == [code]
 
 
 class TestSolve:
@@ -269,6 +339,45 @@ class TestExportLp:
         assert code == 2
         assert "no candidate" in json.loads(capsys.readouterr().err)["error"]
 
+    def test_invalid_instance_exits_2_naming_violation(self, tmp_path, tiny1,
+                                                       capsys):
+        data = instance_to_dict(tiny1)
+        data["network"]["candidates"].append("q")
+        data["node_resources"]["q"] = {"memory_mb": 1000.0, "cpu_cores": 8.0}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "model.lp"
+        code = main(["export-lp", "--instance", str(path), "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            "invalid instance: CandidateNotANode: q"
+        assert not out.exists()
+
+    def test_infinite_node_capacity_exports_without_its_row(self, tmp_path):
+        pytest.importorskip("scipy.optimize", reason="needs scipy MILP")
+        from lp_check import solve_lp_with_milp
+
+        inst = make_instance(
+            links=[("a", "b", 1.0), ("b", "c", 2.0), ("c", "d", 3.0)],
+            candidates=["b", "c"], gateway="a", attachment="a",
+            requests=[("r1", ["f1", "f2"], 1.0, ["a"]),
+                      ("r2", ["f1"], 1.0, ["a"])],
+            destinations={"d": 1.0},
+            catalog={"f1": (10.0, 1.0), "f2": (10.0, 1.0)},
+            node_resources={"b": (math.inf, 1.0), "c": (1000.0, math.inf)})
+        path = tmp_path / "inf.json"
+        path.write_text(instance_to_json(inst))
+        out = tmp_path / "model.lp"
+        assert main(["validate", "--instance", str(path)]) == 0
+        assert main(["export-lp", "--instance", str(path), "--out", str(out)]) == 0
+        text = out.read_text()
+        rows = {line.split(":")[0].strip() for line in text.splitlines()
+                if line.startswith(" cap_")}
+        assert rows == {"cap_cpu_b", "cap_mem_c"}
+        paths = shortest_paths(inst.network, inst.relevant_nodes)
+        optimum, _ = solve_lp_with_milp(text)
+        assert optimum == pytest.approx(solve_exact(inst, paths).total, abs=1e-9)
+
     def test_unwritable_out_exits_2(self, tiny1_file, tmp_path, capsys):
         code = main(["export-lp", "--instance", tiny1_file,
                      "--out", str(tmp_path / "nodir" / "a.lp")])
@@ -277,6 +386,16 @@ class TestExportLp:
 
 
 class TestBench:
+    @pytest.mark.parametrize("content, sets, field", BAD_PARAMS, ids=BAD_PARAMS_IDS)
+    def test_bad_params_exit_2_naming_field(self, tmp_path, capsys, content,
+                                            sets, field):
+        code = main(["bench", "--sweep", "num_candidates=6", "--trials", "1",
+                     "--out", str(tmp_path / "r")]
+                    + params_args(tmp_path, content, sets))
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"].startswith(f"{field}: ")
+        assert not (tmp_path / "r").exists()
+
     def test_rho_sweep_shape(self, tmp_path):
         outdir = tmp_path / "results"
         code = main([

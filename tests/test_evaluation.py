@@ -241,28 +241,6 @@ class TestCheckConstraints:
             with pytest.raises(EvaluationError):
                 check_constraints(tiny1, bad, paths)
 
-    def test_explicit_z_checked(self, tiny1):
-        paths = paths_for(tiny1)
-        good = build_placement(tiny1, {("r1", 1): "b"})
-        stray = Placement(
-            x=good.x, y=good.y,
-            z=frozenset({("r1", "f1", "f1", "c", "c", "a", "d")}))
-        found = families(check_constraints(tiny1, stray, paths))
-        assert {"5g", "5h"} <= found
-
-    def test_missing_z_for_consecutive_pair_flags_5i(self):
-        inst = make_instance(
-            links=[("a", "b", 1.0), ("b", "c", 2.0), ("c", "d", 3.0)],
-            candidates=["b", "c"], gateway="a", attachment="a",
-            requests=[("r1", ["f1", "f2"], 1.0, ["a"])],
-            destinations={"d": 1.0},
-            catalog={"f1": (10.0, 0.125), "f2": (10.0, 0.125)},
-        )
-        paths = paths_for(inst)
-        base = build_placement(inst, {("r1", 1): "b", ("r1", 2): "c"})
-        with_empty_z = Placement(x=base.x, y=base.y, z=frozenset())
-        assert "5i" in families(check_constraints(inst, with_empty_z, paths))
-
 
 class TestLedger:
     def test_node_accounting(self):

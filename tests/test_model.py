@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from pccplace.evaluation import check_constraints
+from pccplace.graph import shortest_paths
 from pccplace.model import (
     MobilityProfile,
     ParseError,
@@ -12,8 +14,7 @@ from pccplace.model import (
     instance_from_json,
     instance_to_dict,
     instance_to_json,
-    placement_from_json,
-    placement_structure_violations,
+    placement_index_violations,
     placement_to_json,
     validate_instance,
 )
@@ -186,64 +187,55 @@ class TestInstanceSerialization:
 
 class TestPlacementSerialization:
     def test_round_trip(self, tiny1):
+        """A placement file is the sorted x and y entries, and no z."""
         placement = build_placement(tiny1, {("r1", 1): "b"})
-        text = placement_to_json(placement)
-        assert placement_from_json(text) == placement
+        data = json.loads(placement_to_json(placement))
+        assert data == {"x": [["r1", "f1", "b"]],
+                        "y": [["r1", "f1", "b", "a", "a"],
+                              ["r1", "f1", "b", "a", "d"]]}
 
-    def test_z_entries_preserved(self):
-        placement = Placement(
-            x=frozenset({("r1", "f1", "b")}),
-            y=frozenset({("r1", "f1", "b", "a", "d")}),
-            z=frozenset({("r1", "f1", "f2", "b", "c", "a", "d")}),
-        )
-        assert placement_from_json(placement_to_json(placement)) == placement
 
-    def test_bad_arity_rejected(self):
-        with pytest.raises(ParseError):
-            placement_from_json('{"x": [["r1", "f1"]], "y": []}')
+def paths_for(instance):
+    return shortest_paths(instance.network, instance.relevant_nodes)
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ParseError):
-            placement_from_json('{"x": [], "y": [], "w": []}')
+
+def families(violations):
+    return {v.constraint for v in violations}
 
 
 class TestPlacementStructure:
+    """The structural rows of :func:`check_constraints`: 5e (every position
+    visited) and 5f (every visit hosted), plus the index check."""
+
     def test_valid_placement(self, tiny1):
         placement = build_placement(tiny1, {("r1", 1): "b"})
-        assert placement_structure_violations(tiny1, placement) == []
+        assert placement_index_violations(tiny1, placement) == []
+        assert check_constraints(tiny1, placement, paths_for(tiny1)) == []
 
     def test_missing_visit(self, tiny1):
         placement = build_placement(tiny1, {})
-        found = codes(placement_structure_violations(tiny1, placement))
-        assert "MissingVisit" in found
+        found = check_constraints(tiny1, placement, paths_for(tiny1))
+        assert [(v.constraint, v.index) for v in found] == [
+            ("5e", ("r1", "a", "a", 1)), ("5e", ("r1", "a", "d", 1))]
 
     def test_visit_without_hosting(self, tiny1):
         good = build_placement(tiny1, {("r1", 1): "b"})
         corrupted = Placement(x=frozenset(), y=good.y)
-        found = codes(placement_structure_violations(tiny1, corrupted))
-        assert "VisitWithoutHosting" in found
-
-    def test_duplicate_visit(self, tiny1):
-        good = build_placement(tiny1, {("r1", 1): "b"})
-        extra = ("r1", "f1", "c", "a", "d")
-        corrupted = Placement(
-            x=good.x | {("r1", "f1", "c")},
-            y=good.y | {extra},
-        )
-        found = codes(placement_structure_violations(tiny1, corrupted))
-        assert "DuplicateVisit" in found
+        found = check_constraints(tiny1, corrupted, paths_for(tiny1))
+        assert [(v.constraint, v.index) for v in found] == [
+            ("5f", ("r1", "f1", "b", "a", "a")), ("5f", ("r1", "f1", "b", "a", "d"))]
 
     def test_unknown_node_in_y(self, tiny1):
         good = build_placement(tiny1, {("r1", 1): "b"})
         corrupted = Placement(x=good.x | {("r1", "f1", "q")},
                               y=good.y | {("r1", "f1", "q", "a", "d")})
-        found = placement_structure_violations(tiny1, corrupted)
+        found = placement_index_violations(tiny1, corrupted)
         assert [str(v) for v in found if v.code == "UnknownNode"] == [
             "UnknownNode: x[r1,f1,q]", "UnknownNode: y[r1,f1,q,a,d]"]
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_bit_flips_are_caught(self, tiny1, seed):
-        """Any y add/remove or x removal breaks a structural invariant."""
+        """Any y add/remove or x removal breaks 5e or 5f."""
         rng = random.Random(seed)
         good = build_placement(tiny1, {("r1", 1): "b"})
         x, y = set(good.x), set(good.y)
@@ -260,4 +252,5 @@ class TestPlacementStructure:
         else:
             x.remove(rng.choice(sorted(x)))
         corrupted = Placement(x=frozenset(x), y=frozenset(y))
-        assert placement_structure_violations(tiny1, corrupted) != []
+        found = families(check_constraints(tiny1, corrupted, paths_for(tiny1)))
+        assert found == {"5e" if kind == "drop_y" else "5f"}
