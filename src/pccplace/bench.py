@@ -25,7 +25,8 @@ from .evaluation import UndefinedGainError, gain
 from .exact import SolveBudget, solve_exact
 from .graph import shortest_paths
 from .heuristics import agw, ppcc, spba
-from .scenario import ScenarioParams, generate_instance, validate_params
+from .scenario import (ScenarioParams, _field_number, generate_instance,
+                       validate_params)
 
 AXES = ("num_candidates", "batch_size", "stay_probability")
 INTEGER_AXES = ("num_candidates", "batch_size")
@@ -113,15 +114,13 @@ def fmt_num(x: float) -> str:
 
 
 def _axis_value(axis: str, value) -> int | float:
-    """`value` as the type the axis field holds: int on an integer axis,
-    float on stay_probability. `trial_seed` hashes this form, so 10 and
+    """`value` as the type the axis field holds, by the rule
+    `params_from_dict` applies to that field: int on an integer axis
+    (an integral float included), float on stay_probability; a bool, a
+    non-number or a non-integral value on an integer axis raises
+    ValueError naming the axis. `trial_seed` hashes this form, so 10 and
     10.0 (or 0 and 0.0) give the same trials."""
-    if axis in INTEGER_AXES:
-        if not float(value).is_integer():
-            raise ValueError(f"sweep value {value!r} is not an integer, "
-                             f"as axis {axis} needs")
-        return int(value)
-    return float(value)
+    return _field_number(axis, value, axis in INTEGER_AXES)
 
 
 def _check_desk_scale(probe: list[ScenarioParams]) -> None:

@@ -171,6 +171,7 @@ class Ledger:
 
     def __init__(self, instance: ProblemInstance, paths: PathTable):
         self._paths = paths
+        self._budget = paths.bottlenecks
         self._caps = {k: cap.as_tuple() for k, cap in instance.node_resources.items()}
         self._demand = {nf: dem.as_tuple() for nf, dem in instance.catalog.items()}
         self._dests = sorted(instance.destination_weights)
@@ -182,6 +183,8 @@ class Ledger:
         self.flows: tuple[dict[tuple[str, str], float], ...] = ({}, {}, {})  # 5b-5d
         self._saved: list[tuple[dict, object, object]] = []  # (table, key, old or None)
         self._marks: list[int] = []
+        self._request: ServiceRequest | None = None  # the request `_terms` are of
+        self._terms: tuple = ()
 
     def visit(self, req: ServiceRequest, l: int, node: str, head: str, dest: str,
               prevs: Iterable[str], hosting: bool) -> tuple:
@@ -212,6 +215,13 @@ class Ledger:
             return False
         cap, demand = self._caps[node], self._demand[nf]
         return load[0] + demand[0] <= cap[0] and load[1] + demand[1] <= cap[1]
+
+    def full(self, node: str) -> bool:
+        """Whether no NF of the catalog fits `node`'s remaining room (5a), as
+        :meth:`can_host` tests it; a node without a `node_resources` entry
+        is full. Loads never shrink outside :meth:`undo`, so a node full
+        before a run of charges is full after it."""
+        return not any(self.can_host(nf, node) for nf in self._demand)
 
     def fits(self, visit: tuple) -> bool:
         """Whether charging `visit` keeps every load it adds to within capacity."""
@@ -270,24 +280,28 @@ class Ledger:
         charged, and the pairs of one call are distinct. A flow over its
         budget undoes the call's charges, so nothing stays charged unless
         every flow fits; :meth:`undo` reverts a call that returned True.
+        What depends on `req` alone is resolved once for consecutive calls
+        on one request (:meth:`_resolve`), and the budgets are read from
+        :attr:`graph.PathTable.bottlenecks`.
         """
+        if req is not self._request:
+            self._resolve(req)
+        heads, last, rate, n_head, n_pair, n_tail = self._terms
         head_flow, pair_flow, tail_flow = self.flows
-        dests = self._dests
         keys = []  # (table, pair, number of charges)
         if l == 1:
-            for s in req.heads:
+            for s in heads:
                 if s != node:
-                    keys.append((head_flow, (s, node), len(dests)))
+                    keys.append((head_flow, (s, node), n_head))
         if before is not None and before != node:
-            keys.append((pair_flow, (before, node), len(req.heads) * len(dests)))
+            keys.append((pair_flow, (before, node), n_pair))
         if after is not None and after != node:
-            keys.append((pair_flow, (node, after), len(req.heads) * len(dests)))
-        if l == len(req.chain):
-            for d in dests:
+            keys.append((pair_flow, (node, after), n_pair))
+        if l == last:
+            for d in self._dests:
                 if d != node:
-                    keys.append((tail_flow, (node, d), len(req.heads)))
-        rate = req.flow_rate_mbps
-        bottleneck = self._paths.bottleneck
+                    keys.append((tail_flow, (node, d), n_tail))
+        budget = self._budget
         saved = self._saved
         self._marks.append(len(saved))
         for table, pair, n in keys:
@@ -297,12 +311,21 @@ class Ledger:
                 load += rate
             saved.append((table, pair, old))
             table[pair] = load
-            if load > bottleneck(*pair):
+            if load > budget[pair]:
                 self.undo()
                 return False
         nf = req.chain[l - 1]
         self._host((req.id, nf, node), nf, node)
         return True
+
+    def _resolve(self, req: ServiceRequest) -> None:
+        """Set :meth:`place`'s terms of `req`: its sorted heads, last
+        position and rate, and the number of charges per head, chain and
+        tail pair."""
+        heads, dests = len(req.heads), len(self._dests)
+        self._request = req
+        self._terms = (sorted(req.heads), len(req.chain), req.flow_rate_mbps,
+                      dests, heads * dests, heads)
 
     def undo(self) -> None:
         """Revert the last :meth:`charge`, :meth:`host` or :meth:`place` exactly."""

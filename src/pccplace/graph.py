@@ -23,6 +23,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -177,13 +178,24 @@ class PathTable:
         if (a, b) not in self._costs:
             raise self._missing(a, b)
         ids = self._ids
-        return tuple(ids[v] for v in _walk(self._preds[a], self._index[b]))
+        return tuple(ids[v] for v in self.id_sequence(self._index[a], self._index[b]))
+
+    def id_sequence(self, a: int, b: int) -> list[int]:
+        """The stored a -> b node sequence as int node ids, for relevant
+        nodes with int ids `a` and `b` (a fresh list; nothing is checked)."""
+        return _walk(self._preds[self._ids[a]], b)
 
     def bottleneck(self, a: str, b: str) -> float:
         try:
             return self._bottlenecks[(a, b)]
         except KeyError:
             raise self._missing(a, b) from None
+
+    @cached_property
+    def bottlenecks(self) -> Mapping[tuple[str, str], float]:
+        """Read-only (a, b) -> :meth:`bottleneck` view, for loops that read a
+        budget per charge."""
+        return MappingProxyType(self._bottlenecks)
 
     @property
     def pairs(self) -> Mapping[tuple[str, str], PathInfo]:

@@ -85,50 +85,72 @@ def _greedy_chain_fill(
     unhosted are reported as unplaced and penalized in the cost report,
     which is computed from the hosts as :func:`_solve_result` explains.
 
-    The fallback order, all candidates by (distance from the anchor head,
-    id), is sorted once per anchor head in a call (:func:`_by_distance`),
-    and only for a request that the on-path candidates cannot fill; the
-    request filters out its on-path candidates, and filtering keeps the
-    order of a sorted list.
-
-    A (nf, node) pair that :meth:`evaluation.Ledger.can_host` refused is
-    not tested again in the call: node loads here only grow, because
+    Refusals are final. Node loads here only grow, because
     :meth:`evaluation.Ledger.place` undoes only its own flow charges and
-    charges the hosting demand only after every flow fits. So a refusal is
-    final.
+    charges the hosting demand only after every flow fits. So an (nf,
+    node) pair that :meth:`evaluation.Ledger.can_host` refused is not
+    tested again in the call, and a node that refuses something and is
+    :meth:`evaluation.Ledger.full` (no NF of the catalog fits it) would
+    refuse every later test. The scans skip such nodes, which leaves every
+    decision as it was: once node capacity binds, most of a request's
+    fallback tests would hit nodes with no room for anything.
+
+    The scans run on int node ids: the anchor is the first of the sorted
+    head ids at the least cost to the target, the on-path candidates come
+    from the anchor's int predecessor walk, and names are looked up only
+    for the ledger and the hosts. The fallback order, all candidates by
+    (distance from the anchor head, id), is sorted once per anchor head in
+    a call (:func:`_by_distance`), and only for a request that the on-path
+    candidates cannot fill. It is filtered again, without the nodes that
+    have become full, whenever more nodes are full than when the anchor
+    last used it; the request then filters out its on-path nodes.
+    Filtering keeps the order of a sorted list.
     """
-    candidates = instance.network.candidates
     ids, index = instance.network.node_ids, instance.network.node_index
-    candidate_ids = np.array(sorted(index[k] for k in candidates), dtype=np.intp)
+    candidate = [False] * len(ids)
+    for k in instance.network.candidates:
+        candidate[index[k]] = True
+    candidate_ids = np.flatnonzero(candidate)
+    to_target = paths.cost_matrix[:, index[target]].tolist()
     ledger = Ledger(instance, paths)
 
     hosts: dict[tuple[str, int], str] = {}
     unplaced: list[tuple[str, int, str]] = []
-    by_distance: dict[str, list[str]] = {}  # anchor head -> fallback order
-    refused: set[tuple[str, str]] = set()  # (nf, node) without room
+    full = [False] * len(ids)  # int node id -> no NF of the catalog fits
+    n_full = 0
+    fallback: dict[int, tuple[int, list[int]]] = {}  # anchor -> (n_full, order)
+    refused: list[set[str]] = [set() for _ in ids]  # int node id -> NFs without room
     for req in instance.requests:
-        s_star = min(sorted(req.heads), key=lambda s: (paths.cost(s, target), s))
-        on_path = [n for n in paths.sequence(s_star, target) if n in candidates]
+        # the first minimum of the sorted ids: ties go to the smallest id
+        s_star = min(sorted(index[s] for s in req.heads), key=to_target.__getitem__)
+        route = paths.id_sequence(s_star, index[target])
+        on_path = [k for k in route if candidate[k] and not full[k]]
         pending = dict(enumerate(req.chain, start=1))
         at: list[str | None] = [None] * (len(req.chain) + 2)  # position -> host
         for scan in (on_path, None):
             if scan is None:
-                order = by_distance.get(s_star)
+                seen, order = fallback.get(s_star, (-1, None))
                 if order is None:
-                    order = by_distance[s_star] = [ids[k] for k in _by_distance(
-                        paths, index[s_star], candidate_ids).tolist()]
-                on_set = set(on_path)
-                scan = [k for k in order if k not in on_set]
+                    order = _by_distance(paths, s_star, candidate_ids).tolist()
+                if seen != n_full:
+                    order = [k for k in order if not full[k]]
+                fallback[s_star] = (n_full, order)
+                on_set = set(route)
+                scan = (k for k in order if k not in on_set)
             for k in scan:
+                node, no_room = ids[k], refused[k]
                 # pending holds positions in ascending order and only shrinks
                 for l in tuple(pending):
                     nf = pending[l]
-                    if (nf, k) in refused:
+                    if nf in no_room:
                         continue
-                    if not ledger.can_host(nf, k):
-                        refused.add((nf, k))
-                    elif ledger.place(req, l, k, at[l - 1], at[l + 1]):
-                        at[l] = hosts[(req.id, l)] = k
+                    if not ledger.can_host(nf, node):
+                        no_room.add(nf)
+                        if not full[k] and ledger.full(node):
+                            full[k] = True
+                            n_full += 1
+                    elif ledger.place(req, l, node, at[l - 1], at[l + 1]):
+                        at[l] = hosts[(req.id, l)] = node
                         del pending[l]
                 if not pending:
                     break

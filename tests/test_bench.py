@@ -139,6 +139,13 @@ class TestRunSweep:
         assert [type(r.value) for r in a.rows] == [
             type(v) for v in as_typed for _ in a.algorithms]
 
+    @pytest.mark.parametrize("axis", ["batch_size", "num_candidates", "stay_probability"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_sweep_value_rejected(self, axis, value):
+        # float(True).is_integer() holds, but params_from_dict refuses a bool
+        with pytest.raises(ValueError, match=f"^{axis}: expected a number, got bool"):
+            run_sweep(SweepSpec(axis, (value,)), small_params(), trials=1)
+
     def test_repeated_value_across_types_rejected(self):
         with pytest.raises(ValueError, match="repeat"):
             run_sweep(SweepSpec("batch_size", (2, 2.0)), small_params(), trials=1)

@@ -261,6 +261,43 @@ class TestLedger:
         assert ledger.load["b"] == (0.0, 0.0) and not ledger.hosted
         assert not ledger.can_host("f1", "a")  # no node_resources entry
 
+    def _full_instance(self):
+        # f3 is the smallest NF in both resources; cpu binds on b
+        return make_instance(
+            links=PATH_LINKS, candidates=["b"], gateway="a", attachment="a",
+            requests=[("r1", ["f1"], 1.0, ["a"])], destinations={"d": 1.0},
+            catalog={"f1": (40.0, 1.0), "f2": (70.0, 1.5), "f3": (10.0, 0.25)},
+            node_resources={"b": (1000.0, 2.0)})
+
+    def test_node_without_resources_is_full(self):
+        inst = self._full_instance()
+        ledger = Ledger(inst, paths_for(inst))
+        assert ledger.full("a") and ledger.full("c") and ledger.full("d")
+        assert not ledger.full("b")
+
+    @pytest.mark.parametrize("first, fill_ups", [(None, 8), ("f1", 4), ("f2", 2)])
+    def test_full_exactly_when_the_smallest_nf_stops_fitting(self, first, fill_ups):
+        inst = self._full_instance()
+        ledger = Ledger(inst, paths_for(inst))
+        if first is not None:
+            ledger.host("r0", first, "b")
+        for i in range(fill_ups):
+            assert not ledger.full("b") and ledger.can_host("f3", "b")
+            ledger.host(f"r{i + 1}", "f3", "b")
+        assert ledger.full("b") and not ledger.can_host("f3", "b")
+        ledger.undo()  # loads shrink only by undo
+        assert not ledger.full("b")
+
+    def test_full_node_hosts_no_nf(self):
+        inst = self._full_instance()
+        ledger = Ledger(inst, paths_for(inst))
+        for i, nf in enumerate(("f1", "f3", "f3", "f3", "f3")):
+            ledger.host(f"r{i}", nf, "b")
+            verdicts = {nf: ledger.can_host(nf, "b") for nf in inst.catalog}
+            assert ledger.full("b") == (not any(verdicts.values())), verdicts
+        assert ledger.full("b")
+        assert not any(ledger.can_host(nf, k) for nf in inst.catalog for k in "abcd")
+
     def test_visit_fit_charge_and_violations(self):
         inst = make_instance(
             links=[("a", "b", 1.0, 5.0)], candidates=["b"], gateway="a",

@@ -401,7 +401,15 @@ class TestLazyPlacement:
                    "0x1.736045472d47bp+19", 591),
           "agw": ("e6898b0ad22633da9d73f86816be04eef82e24b9de47a5ff1ccb05796a819a7d",
                   "0x1.7d24867c63153p+16", 0)}),
-    ], ids=["K200-R2000-cpu-8", "K20-R200-placement-cost"])
+        # saturation: the nodes fill early and most of the batch goes unplaced
+        (ScenarioParams(num_candidates=200, batch_size=4000, node_cpu_cores=8.0), 5,
+         {"ppcc": ("1d2485fb8ac4a1c0ed287b75a591fef36ca85239a40f4506075459eada53144d",
+                   "0x1.04aee9b24c8e4p+24", 8008),
+          "spba": ("b181fd805d1397cd28361aa3c0b00460b41f47901d8d1e160ba8675fff3aed1b",
+                   "0x1.047d46e8923b0p+24", 7999),
+          "agw": ("a38cc6ab09482fedbd5d7cad8004b78ebd0c6a3bdb9095b000eacd4ba7fd07f6",
+                  "0x1.c36b1eec23062p+21", 0)}),
+    ], ids=["K200-R2000-cpu-8", "K20-R200-placement-cost", "K200-R4000-cpu-8-saturated"])
     def test_pinned_placements(self, params, seed, pinned):
         inst = generate_instance(params, seed)
         paths = paths_for(inst)
