@@ -327,16 +327,18 @@ def placement_index_violations(
     """Placement entries that use indices the instance does not know.
 
     Reports an unknown request, an nf outside the request's chain, an
-    unknown node, a head outside the request's head set and a destination
-    outside the evaluation destinations. Violations come x entries first,
-    then y entries, each in sorted entry order, so the first one names the
-    least offending entry. The placement is scanned once unsorted and only
-    the violations found are sorted, since :func:`evaluation.evaluate_cost`
-    runs this check on every call.
+    unknown node, a network node outside `relevant_nodes` (TransitNode: the
+    path table has no entry for it), a head outside the request's head set
+    and a destination outside the evaluation destinations. Violations come
+    x entries first, then y entries, each in sorted entry order, so the
+    first one names the least offending entry. The placement is scanned once
+    unsorted and only the violations found are sorted, since
+    :func:`evaluation.evaluate_cost` runs this check on every call.
     """
     reqs = instance.request_map
     dests = instance.destination_weights
     nodes = instance.network.nodes
+    relevant = instance.relevant_nodes
     # (x or y, entry, index of the offending field in the entry, code)
     found: list[tuple[int, tuple, int, str]] = []
     for entry in placement.x:
@@ -346,8 +348,8 @@ def placement_index_violations(
             found.append((0, entry, 0, "UnknownRequest"))
         elif i not in req.chain:
             found.append((0, entry, 1, "NFNotInChain"))
-        if k not in nodes:
-            found.append((0, entry, 2, "UnknownNode"))
+        if k not in relevant:
+            found.append((0, entry, 2, "TransitNode" if k in nodes else "UnknownNode"))
     for entry in placement.y:
         r, i, k, s, d = entry
         req = reqs.get(r)
@@ -358,8 +360,8 @@ def placement_index_violations(
                 found.append((1, entry, 1, "NFNotInChain"))
             if s not in req.heads:
                 found.append((1, entry, 3, "HeadNotInRequest"))
-        if k not in nodes:
-            found.append((1, entry, 2, "UnknownNode"))
+        if k not in relevant:
+            found.append((1, entry, 2, "TransitNode" if k in nodes else "UnknownNode"))
         if d not in dests:
             found.append((1, entry, 4, "UnknownDestination"))
     found.sort()

@@ -19,11 +19,43 @@ uint64)`` as uint32 array operations over all requests; `_pcg64_state`
 applies PCG64's seeding step to each request's words, and one generator is
 set to each state in turn. Both are tested against ``_rng`` itself, so
 stream (7, idx) stays the one the spawn-key contract names.
+
+A request's draws are numpy ``Generator`` calls on its stream: ``integers(
+c_lo, c_hi + 1)`` for the chain length, ``choice(catalog_size, length,
+replace=False)`` for the chain, ``integers(h_lo, h_hi + 1)`` for the head
+count (capped at the candidate count), ``choice(num_candidates, count,
+replace=False)`` for the heads and ``uniform(lo, hi)`` for the flow rate.
+`_request_draws` computes the same values with integer code on a block of
+the stream's raw 64-bit outputs (``random_raw``), because numpy's Python-level
+bookkeeping costs more per call than the draws themselves. It repeats
+numpy's algorithms (``numpy/random/src/distributions/distributions.c`` and
+``_generator.pyx``), which consume the stream as follows:
+
+- A 32-bit word is the low half of a raw output, then its high half.
+- ``integers(lo, hi + 1)`` is ``lo + bounded(hi - lo)``. ``bounded(span)``
+  takes no word for a span of 0. Otherwise it is Lemire's method (Lemire
+  2019, ACM TOMACS 29(1)): ``m = word * (span + 1)``; the draw is ``m >>
+  32`` unless the low half of ``m`` is below ``(2**32 - 1 - span) % (span +
+  1)``, in which case the next word is tried. A span of 2**32 or more does
+  the same with 64 bits on the next whole raw output, leaving a buffered
+  half-word buffered.
+- ``choice(n, size, replace=False)`` is Floyd's method (Bentley & Floyd
+  1987, CACM 30(9)): for j in [n - size, n) it picks ``bounded(j)``, or j if
+  that was picked already, then swaps position i with ``bounded(i)`` for i =
+  size - 1 down to 1. When n > 10000 and size > n // 50 numpy shuffles the
+  tail of ``arange(n)`` instead: i from n - 1 down to max(n - size, 1) swaps
+  with ``bounded(i)``, and the picks are the last `size` entries.
+- ``uniform(lo, hi)`` is ``lo + (hi - lo) * ((raw >> 11) * 2**-53)`` on the
+  next whole raw output; a buffered half-word is skipped.
+
+`tests/test_request_draws.py` checks every branch against ``Generator``
+itself, Lemire rejections included.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -66,6 +98,7 @@ def _rng(seed: int, stream: str, index: int | None = None) -> np.random.Generato
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
 # PCG64's 128-bit LCG multiplier; part of the reproducibility contract.
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -113,6 +146,129 @@ def _pcg64_state(words: list[int]) -> dict[str, Any]:
     state = ((inc + ((s0 << 64) | s1)) * _PCG64_MULT + inc) & _MASK128
     return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
             "has_uint32": 0, "uinteger": 0}
+
+
+def _words(raw: np.ndarray) -> list[int]:
+    """The 32-bit words of PCG64's raw outputs, each output's low half first."""
+    return raw.astype("<u8", copy=False).view("<u4").tolist()
+
+
+def _bounded(w: list[int], k: int, span: int) -> tuple[int, int]:
+    """(``integers(0, span + 1)``, next word) drawn from the words `w[k:]`.
+
+    A 64-bit draw after an odd number of words moves the buffered half-word
+    `w[k]` to just past the raw outputs it read, where the next 32-bit draw
+    finds it.
+    """
+    if span == 0:
+        return 0, k
+    n = span + 1
+    if span > _MASK32:
+        q = (k + 1) // 2
+        threshold = (_MASK64 - span) % n
+        m = (w[2 * q] | w[2 * q + 1] << 32) * n
+        while m & _MASK64 < threshold:
+            q += 1
+            m = (w[2 * q] | w[2 * q + 1] << 32) * n
+        if k % 2:
+            w[2 * q + 1] = w[k]
+            return m >> 64, 2 * q + 1
+        return m >> 64, 2 * q + 2
+    m = w[k] * n
+    k += 1
+    if m & _MASK32 < n:
+        threshold = (_MASK32 - span) % n
+        while m & _MASK32 < threshold:
+            m = w[k] * n
+            k += 1
+    return m >> 32, k
+
+
+class _Arange(dict):
+    """``arange(n)`` as a dict of the entries that moved."""
+
+    def __missing__(self, i: int) -> int:
+        return i
+
+
+def _sample(w: list[int], k: int, n: int, size: int) -> tuple[list[int], int]:
+    """(``choice(n, size, replace=False)``, next word) drawn from the words
+    `w[k:]`; n is at most 2**32. `_bounded` is inlined: it runs per pick."""
+    tail = n > 10000 and size > n // 50  # numpy shuffles the tail of arange(n)
+    if tail:
+        picks: Any = _Arange()
+        top, bottom = n - 1, max(n - size, 1)
+    else:  # Floyd's method, then a shuffle
+        picks = [0] if n == size else []  # j = 0 takes no word
+        seen = set(picks)
+        for j in range(max(n - size, 1), n):
+            m = w[k] * (j + 1)
+            k += 1
+            if m & _MASK32 <= j:
+                threshold = (_MASK32 - j) % (j + 1)
+                while m & _MASK32 < threshold:
+                    m = w[k] * (j + 1)
+                    k += 1
+            v = m >> 32
+            if v in seen:
+                v = j
+            seen.add(v)
+            picks.append(v)
+        top, bottom = size - 1, 1
+    for i in range(top, bottom - 1, -1):
+        m = w[k] * (i + 1)
+        k += 1
+        if m & _MASK32 <= i:
+            threshold = (_MASK32 - i) % (i + 1)
+            while m & _MASK32 < threshold:
+                m = w[k] * (i + 1)
+                k += 1
+        j = m >> 32
+        picks[i], picks[j] = picks[j], picks[i]
+    return ([picks[i] for i in range(n - size, n)] if tail else picks), k
+
+
+def _request_draws(
+    bitgen: np.random.PCG64, state_words: list[list[int]],
+    chain_length: tuple[int, int], catalog_size: int,
+    heads_per_request: tuple[int, int], num_candidates: int,
+    flow_rate: tuple[float, float],
+) -> list[tuple[list[int], list[int], float]]:
+    """(chain indices, head indices, flow rate) of each request whose stream
+    `bitgen` is seeded from a row of `state_words` (see the module docstring).
+
+    Each stream's block holds the raw outputs its draws take when no word is
+    rejected; a request that runs past its block reads its stream again with
+    a block twice as long. Lemire's method rejects less than half of the
+    words, so a request that still runs past 256 blocks is a fault, and its
+    IndexError is raised.
+    """
+    (c_lo, c_hi), (h_lo, h_hi), (lo, hi) = chain_length, heads_per_request, flow_rate
+    block = c_hi + min(h_hi, num_candidates) + 1
+    raws = []
+    for words in state_words:
+        bitgen.state = _pcg64_state(words)
+        raws.append(bitgen.random_raw(block))
+    flat = _words(np.concatenate(raws))
+    out = []
+    for i, words in enumerate(state_words):
+        w = flat[2 * block * i:2 * block * (i + 1)]
+        while True:
+            try:
+                length, k = _bounded(w, 0, c_hi - c_lo)
+                chain, k = _sample(w, k, catalog_size, c_lo + length)
+                count, k = _bounded(w, k, h_hi - h_lo)
+                heads, k = _sample(w, k, num_candidates, min(h_lo + count, num_candidates))
+                q = (k + 1) // 2
+                u = (w[2 * q] >> 11 | w[2 * q + 1] << 21) * 2.0**-53
+                break
+            except IndexError:
+                if len(w) > 256 * block:
+                    raise
+                bitgen.state = _pcg64_state(words)
+                w = _words(bitgen.random_raw(len(w)))
+        out.append((chain, heads, lo + (hi - lo) * u))
+    return out
 
 
 @dataclass(frozen=True)
@@ -165,6 +321,8 @@ def validate_params(params: ScenarioParams) -> None:
             raise ValueError(f"{name}: empty range ({lo}, {hi})")
         if lo < 0:
             raise ValueError(f"{name}: negative lower bound {lo}")
+        if name in _INT_RANGE_FIELDS and hi >= 2**63:  # numpy's int64 draws
+            raise ValueError(f"{name}: upper bound {hi} is not below 2**63")
     if params.degree[0] < 1:
         raise ValueError("degree: lower bound must be >= 1")
     if params.chain_length[0] < 1:
@@ -254,33 +412,40 @@ def _build_graph(params: ScenarioParams, seed: int) -> tuple[list[str], list[str
             f"cannot satisfy degree >= {params.degree[0]} with {n} nodes")
     width = len(str(n - 1))
     ids = [f"n{i:0{width}d}" for i in range(n)]
-    is_candidate = [i < n_cand for i in range(n)]
     deg_lo, deg_hi = params.degree
 
     rng_tree = _rng(seed, "tree")
     order = [int(i) for i in rng_tree.permutation(n)]
-    adj: dict[int, set[int]] = {i: set() for i in range(n)}
+    adj: list[set[int]] = [set() for _ in range(n)]
+    cap = [deg_hi] * n_cand + [n] * n_transit  # a transit degree stays below n
 
-    def degree_ok(i: int) -> bool:
-        return not is_candidate[i] or len(adj[i]) < deg_hi
-
+    # Placed nodes under the degree cap, in placement order: a degree only
+    # grows, so a node leaves this list once and for all.
+    attach = [order[0]]
     edges: list[tuple[int, int]] = []
-    for pos in range(1, n):
-        node = order[pos]
-        choices = [order[j] for j in range(pos) if degree_ok(order[j])]
-        if not choices:
+    for node in order[1:]:
+        if not attach:
             raise GenerationError("no attachment point under the degree cap")
-        parent = choices[int(rng_tree.integers(len(choices)))]
+        parent = attach[int(rng_tree.integers(len(attach)))]
         adj[node].add(parent)
         adj[parent].add(node)
         edges.append((node, parent))
+        if len(adj[parent]) == cap[parent]:
+            attach.remove(parent)
+        if cap[node] > 1:
+            attach.append(node)
 
     rng_deg = _rng(seed, "degree")
+    under_cap = bytearray(len(adj[j]) < cap[j] for j in range(n))
     for i in range(n_cand):
         target = int(rng_deg.integers(deg_lo, deg_hi + 1))
+        if len(adj[i]) >= target:
+            continue
+        free = bytearray(under_cap)  # under the cap, not i, not yet adjacent to i
+        for j in adj[i] | {i}:
+            free[j] = 0
         while len(adj[i]) < target:
-            partners = [j for j in range(n)
-                        if j != i and j not in adj[i] and degree_ok(j)]
+            partners = list(itertools.compress(range(n), free))
             if not partners:
                 if len(adj[i]) >= deg_lo:
                     break
@@ -290,6 +455,9 @@ def _build_graph(params: ScenarioParams, seed: int) -> tuple[list[str], list[str
             adj[i].add(j)
             adj[j].add(i)
             edges.append((i, j))
+            free[j] = 0
+            under_cap[j] = len(adj[j]) < cap[j]
+        under_cap[i] = len(adj[i]) < cap[i]
 
     rng_cost = _rng(seed, "link_cost")
     lo, hi = params.link_cost
@@ -360,25 +528,16 @@ def generate_instance(params: ScenarioParams, seed: int) -> ProblemInstance:
     mobility = MobilityProfile(destinations=destinations, stay_probability=stay)
 
     req_width = len(str(params.batch_size - 1))
-    requests = []
-    h_lo, h_hi = params.heads_per_request
-    c_lo, c_hi = params.chain_length
-    # The mobility draws are done, so its generator is set to each request's
-    # stream (7, idx) in turn. `choice` draws the same indices from a size as
-    # from a population of that size.
-    rng_req = rng_mob
-    for idx, words in enumerate(_request_state_words(seed, params.batch_size).tolist()):
-        rng_req.bit_generator.state = _pcg64_state(words)
-        length = int(rng_req.integers(c_lo, c_hi + 1))
-        chain = tuple(nf_ids[i] for i in rng_req.choice(
-            len(nf_ids), size=length, replace=False).tolist())
-        n_heads = min(int(rng_req.integers(h_lo, h_hi + 1)), len(candidates))
-        heads = frozenset(candidates[i] for i in rng_req.choice(
-            len(candidates), size=n_heads, replace=False).tolist())
-        rate = float(rng_req.uniform(*params.flow_rate_mbps))
-        requests.append(ServiceRequest(
-            id=f"r{idx:0{req_width}d}", chain=chain,
-            flow_rate_mbps=rate, heads=heads))
+    # The mobility draws are done, so its bit generator serves the requests.
+    draws = _request_draws(
+        rng_mob.bit_generator, _request_state_words(seed, params.batch_size).tolist(),
+        params.chain_length, len(nf_ids), params.heads_per_request, len(candidates),
+        params.flow_rate_mbps)
+    requests = [ServiceRequest(id=f"r{idx:0{req_width}d}",
+                               chain=tuple(map(nf_ids.__getitem__, chain)),
+                               flow_rate_mbps=rate,
+                               heads=frozenset(map(candidates.__getitem__, heads)))
+                for idx, (chain, heads, rate) in enumerate(draws)]
 
     placement_cost: dict[str, dict[str, float]] = {}
     if params.placement_cost != 0.0:

@@ -118,6 +118,20 @@ class TestEvaluateCost:
         with pytest.raises(EvaluationError):
             evaluate_cost(tiny1, bad, paths)
 
+    @pytest.mark.parametrize("check", [evaluate_cost, check_constraints])
+    def test_transit_node_raises(self, check):
+        # c is a network node, but no candidate, head, destination, gateway
+        # or attachment, so the path table has no entry for it
+        inst = make_instance(
+            links=PATH_LINKS, candidates=["b"], gateway="a", attachment="a",
+            requests=[("r1", ["f1"], 1.0, ["a"])], destinations={"d": 1.0})
+        at_c = build_placement(inst, {("r1", 1): "c"})
+        with pytest.raises(EvaluationError, match=r"^TransitNode: x\[r1,f1,c\]$"):
+            check(inst, at_c, paths_for(inst))
+        visits_c = Placement(x=build_placement(inst, {("r1", 1): "b"}).x, y=at_c.y)
+        with pytest.raises(EvaluationError, match=r"^TransitNode: y\[r1,f1,c,a,a\]$"):
+            check(inst, visits_c, paths_for(inst))
+
     def test_index_error_names_least_entry_under_any_hash_seed(self):
         # Three unknown requests in one frozenset: the error must name the
         # least entry, not whichever the set's hash order yields first.

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import scenario_reference
 from pccplace.model import instance_to_json, validate_instance
 from pccplace.scenario import (
     GenerationError,
     ScenarioParams,
+    _build_graph,
     _pcg64_state,
     _request_state_words,
     _rng,
@@ -79,11 +81,41 @@ class TestGenerateInstance:
         # a five-word seed: one word past SeedSequence's 4-word pool
         (ScenarioParams(num_candidates=12, batch_size=30), 2**130 + 12345,
          "b0dbc3fd4d01cb5577a59c743fe5a46cd986682f0745e2358561ca6ea211a2d5"),
+        # edge shapes: chain length span 0
+        (ScenarioParams(num_candidates=12, batch_size=40, chain_length=(1, 1)), 4,
+         "2b15842d3ca342550e4b487eed797e9157d068b84343ce3b6d7706d7a6a52aee"),
+        # chains as long as the catalog: Floyd's first pick takes no word
+        (ScenarioParams(num_candidates=12, batch_size=40, catalog_size=5,
+                        chain_length=(3, 5)), 5,
+         "9f011ed966a0809c7fcff5bc6a09a7b09543abe43ebea18710c59855017b4b94"),
+        # head counts above the candidate count are capped
+        (ScenarioParams(num_candidates=4, batch_size=40, heads_per_request=(2, 9)), 6,
+         "7976bef97f5a18921280fa88f76ac54fa2c601729b583ba94a4a0c363112f789"),
+        # candidates of degree 1: the tree runs through the transit nodes
+        (ScenarioParams(num_candidates=10, batch_size=20, degree=(1, 1),
+                        transit_fraction=0.5), 0,
+         "80448eea3593852846c8c2f532ebb698858538660db9ce3b14ce0c34208329f4"),
+        # one transit node
+        (ScenarioParams(num_candidates=15, batch_size=30, transit_fraction=0.0), 8,
+         "94441307f5384a5228c757b57f2be31de926f4da5f78c16a1041e48581e946f3"),
     ])
     def test_pinned_bytes(self, params, seed, digest):
         # generator output is a contract: these digests hold across releases
         text = instance_to_json(generate_instance(params, seed))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("params, seed, message", [
+        (ScenarioParams(num_candidates=10, batch_size=5, degree=(1, 1),
+                        transit_fraction=0.0), 0,
+         "no attachment point under the degree cap"),
+        (ScenarioParams(num_candidates=6, batch_size=5, degree=(3, 3),
+                        transit_fraction=0.0), 2,
+         "cannot reach degree 3 for candidate n4"),
+    ])
+    def test_pinned_degree_cap_errors(self, params, seed, message):
+        with pytest.raises(GenerationError) as exc:
+            generate_instance(params, seed)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("seed", [-1, 1.0, 2.5, "3", None])
     def test_bad_seed_names_seed(self, seed):
@@ -186,6 +218,16 @@ class TestParams:
         with pytest.raises(ValueError, match=field):
             validate_params(dataclasses.replace(ScenarioParams(), **{field: value}))
 
+    @pytest.mark.parametrize("field", ["degree", "heads_per_request",
+                                       "num_destinations", "chain_length"])
+    def test_int_range_beyond_int64_names_field(self, field):
+        # numpy's int64 draws raised on these; the request draws do not
+        params = dataclasses.replace(ScenarioParams(catalog_size=2**64),
+                                     **{field: (1, 2**63)})
+        with pytest.raises(ValueError, match=f"^{field}: upper bound"):
+            validate_params(params)
+        validate_params(dataclasses.replace(params, **{field: (1, 2**63 - 1)}))
+
     def test_chain_longer_than_catalog_rejected(self):
         with pytest.raises(ValueError, match="chain_length"):
             validate_params(ScenarioParams(catalog_size=3, chain_length=(3, 5)))
@@ -252,3 +294,28 @@ class TestRequestStreams:
                     == fresh.integers(0, 2**31, size=5, dtype=np.uint32).tolist())
             assert reused.choice(10, 4, replace=False).tolist() == \
                 fresh.choice(np.arange(10), 4, replace=False).tolist()
+
+
+class TestGraphBuilder:
+    """`_build_graph` against `scenario_reference`, which rebuilds its
+    attachment and partner lists for every link: the same links in the same
+    order with the same cost bits, or the same error text."""
+
+    @staticmethod
+    def outcome(build, params, seed):
+        try:
+            ids, candidates, links = build(params, seed)
+        except GenerationError as exc:
+            return str(exc)
+        return ids, candidates, [(l.u, l.v, l.cost.hex(), l.capacity_mbps)
+                                 for l in links]
+
+    @pytest.mark.parametrize("num_candidates", [1, 2, 3, 20, 200])
+    @pytest.mark.parametrize("degree", [(1, 1), (1, 2), (2, 2), (2, 5), (3, 3), (4, 6)])
+    def test_equals_reference(self, num_candidates, degree):
+        for transit_fraction in (0.0, 0.1, 0.5, 1.0):
+            params = ScenarioParams(num_candidates=num_candidates, degree=degree,
+                                    transit_fraction=transit_fraction)
+            for seed in range(2 if num_candidates == 200 else 4):
+                assert (self.outcome(_build_graph, params, seed)
+                        == self.outcome(scenario_reference._build_graph, params, seed))
