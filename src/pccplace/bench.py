@@ -249,7 +249,7 @@ def run_sweep(
         raise ValueError("sweep has no values")
     values = tuple(_axis_value(spec.axis, v) for v in spec.values)
     if len(set(values)) != len(values):
-        raise ValueError(f"sweep values repeat: {list(spec.values)}")
+        raise ValueError(f"sweep values repeat: {list(values)}")
     unknown = sorted(set(algorithms) - set(ALGORITHMS))
     if unknown:
         raise ValueError(f"unknown algorithm {unknown[0]!r}")

@@ -182,8 +182,6 @@ def _parse_sweep(spec: str) -> SweepSpec:
             i += 1
     else:
         values = [float(p) for p in raw.split(",")]
-    if axis in bench_mod.INTEGER_AXES:  # run_sweep rejects what stays a float
-        values = [int(v) if v.is_integer() else v for v in values]
     return SweepSpec(axis=axis, values=tuple(values))
 
 

@@ -171,7 +171,6 @@ class Ledger:
 
     def __init__(self, instance: ProblemInstance, paths: PathTable):
         self._paths = paths
-        self._budget = paths.bottlenecks
         self._caps = {k: cap.as_tuple() for k, cap in instance.node_resources.items()}
         self._demand = {nf: dem.as_tuple() for nf, dem in instance.catalog.items()}
         self._dests = sorted(instance.destination_weights)
@@ -281,8 +280,8 @@ class Ledger:
         budget undoes the call's charges, so nothing stays charged unless
         every flow fits; :meth:`undo` reverts a call that returned True.
         What depends on `req` alone is resolved once for consecutive calls
-        on one request (:meth:`_resolve`), and the budgets are read from
-        :attr:`graph.PathTable.bottlenecks`.
+        on one request (:meth:`_resolve`), and the budgets are read
+        through :meth:`graph.PathTable.bottleneck`.
         """
         if req is not self._request:
             self._resolve(req)
@@ -301,7 +300,7 @@ class Ledger:
             for d in self._dests:
                 if d != node:
                     keys.append((tail_flow, (node, d), n_tail))
-        budget = self._budget
+        bottleneck = self._paths.bottleneck
         saved = self._saved
         self._marks.append(len(saved))
         for table, pair, n in keys:
@@ -311,7 +310,7 @@ class Ledger:
                 load += rate
             saved.append((table, pair, old))
             table[pair] = load
-            if load > budget[pair]:
+            if load > bottleneck(*pair):
                 self.undo()
                 return False
         nf = req.chain[l - 1]
@@ -453,8 +452,6 @@ def cost_of_route_array(
     instance: ProblemInstance,
     paths: PathTable,
     routes: np.ndarray,
-    *,
-    penalty_cost: float = 0.0,
 ) -> CostReport:
     """Itemized objective of one route per request, given as int node ids.
 
@@ -464,7 +461,8 @@ def cost_of_route_array(
     where it is unhosted or past the end of the chain. Every (head,
     destination) chain of a request visits its positions there, and the
     hostings are the route entries. The report is :func:`cost_of_routes`'s
-    on those hostings and routes, bit for bit (see the module docstring).
+    on those hostings and routes with a penalty cost of
+    :func:`unplaced_penalty`, bit for bit (see the module docstring).
     Caller: ``heuristics._solve_result`` (PPCC, SPBA, AGW). One family's
     terms, one float per chain (and hop), are alive at a time.
     """
@@ -499,7 +497,7 @@ def cost_of_route_array(
     tail_term = _sequential_sum(terms)
     # positions at -1, less those past the end of the chain
     missing = ((routes < 0).sum(axis=1) - (routes.shape[1] - lengths))[req]
-    terms = w * penalty_cost
+    terms = w * unplaced_penalty(paths)
     terms *= missing
     terms[missing == 0] = 0.0
     penalty_term = _sequential_sum(terms)

@@ -8,22 +8,23 @@ that solvers, heuristics, and test oracles all see identical paths.
 threads; link loads are kept by `evaluation.Ledger`.
 
 The search runs on int node ids, the positions in the sorted id list
-(:attr:`EdgeNetwork.node_index`), so int order is id order. A table stores
-per pair its cost and its bottleneck, per source the predecessor array of
-one Dijkstra run, and the read-only cost matrix indexed by int node id
-(:attr:`PathTable.cost_matrix`), which array code reads in place of
-per-pair lookups; node sequences and :class:`PathInfo` records are built
+(:attr:`EdgeNetwork.node_index`), so int order is id order. A table keeps
+one store per quantity: per relevant source a cost row and a bottleneck
+row keyed by target, and the predecessor array of its Dijkstra run. The
+costs are also laid out as a matrix indexed by int node id
+(:attr:`PathTable.cost_matrix`), for array code; both hold the floats of
+one computation. Node sequences and :class:`PathInfo` records are built
 when read, since the solvers read a sequence at most once per request.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -129,27 +130,29 @@ class PathTable:
     smallest among ties), and the bottleneck capacity (minimum link capacity
     along the stored sequence; +inf for the (a, a) pair).
 
-    Stored: one cost and one bottleneck dict keyed by the (a, b) id pair,
-    sharing their key tuples, which :meth:`cost` and :meth:`bottleneck`
-    read directly (the exact search and the ledger call them in inner
-    loops); the same costs as :attr:`cost_matrix`; and, per relevant
-    source, the predecessor array of its shortest-path tree over int node
-    ids. Built on access: the node sequence (:meth:`sequence`,
-    :meth:`info`) is walked back from the target along the source's
-    predecessor array, and :attr:`pairs` is a read-only view that builds
-    each :class:`PathInfo` when it is read.
+    Stored, per relevant source a: the cost row and the bottleneck row,
+    dicts keyed by target (``costs[a][b]``, ``bottlenecks[a][b]``), which
+    :meth:`cost` and :meth:`bottleneck` read (the exact search and the
+    ledger call them in inner loops); and the predecessor array of its
+    shortest-path tree over int node ids, from which :meth:`sequence` walks
+    the node sequence back from the target. :attr:`pairs` is a read-only
+    view that builds each :class:`PathInfo` when it is read.
 
-    `cost_matrix` is a read-only float64 array, node count by node count,
-    indexed by int node id (:attr:`EdgeNetwork.node_index`): entry [i, j]
-    equals ``cost(a, b)`` bit for bit for relevant nodes a and b with ids
-    i and j, so it is exactly symmetric, and every entry naming a node
-    outside the relevant set is NaN.
+    `cost_matrix` holds the same costs for array code (the greedy fill's
+    pricing and candidate order), which gathers many costs at once by int
+    id; scalar code (the exact search, the ledger, `export_lp`) reads one
+    float at a time by node id from the rows, with no int id or numpy
+    scalar in between. It is a read-only float64 array, node count by node
+    count, indexed by int node id (:attr:`EdgeNetwork.node_index`): entry
+    [i, j] equals ``cost(a, b)`` bit for bit for relevant nodes a and b
+    with ids i and j, so it is exactly symmetric, and every entry naming a
+    node outside the relevant set is NaN.
     """
 
     def __init__(self, relevant: frozenset[str], ids: tuple[str, ...],
                  index: dict[str, int], cost_matrix: np.ndarray,
-                 costs: dict[tuple[str, str], float],
-                 bottlenecks: dict[tuple[str, str], float],
+                 costs: dict[str, dict[str, float]],
+                 bottlenecks: dict[str, dict[str, float]],
                  preds: dict[str, list[int]]):
         self.relevant = relevant
         self._ids = ids
@@ -164,18 +167,18 @@ class PathTable:
                         f"is the node in the relevant set?")
 
     def info(self, a: str, b: str) -> PathInfo:
-        return PathInfo(self.cost(a, b), self.sequence(a, b), self._bottlenecks[(a, b)])
+        return PathInfo(self.cost(a, b), self.sequence(a, b), self.bottleneck(a, b))
 
     # The accessors below look the pair up directly, since the solvers and
     # the evaluator call them in their inner loops.
     def cost(self, a: str, b: str) -> float:
         try:
-            return self._costs[(a, b)]
+            return self._costs[a][b]
         except KeyError:
             raise self._missing(a, b) from None
 
     def sequence(self, a: str, b: str) -> tuple[str, ...]:
-        if (a, b) not in self._costs:
+        if a not in self.relevant or b not in self.relevant:
             raise self._missing(a, b)
         ids = self._ids
         return tuple(ids[v] for v in self.id_sequence(self._index[a], self._index[b]))
@@ -187,15 +190,9 @@ class PathTable:
 
     def bottleneck(self, a: str, b: str) -> float:
         try:
-            return self._bottlenecks[(a, b)]
+            return self._bottlenecks[a][b]
         except KeyError:
             raise self._missing(a, b) from None
-
-    @cached_property
-    def bottlenecks(self) -> Mapping[tuple[str, str], float]:
-        """Read-only (a, b) -> :meth:`bottleneck` view, for loops that read a
-        budget per charge."""
-        return MappingProxyType(self._bottlenecks)
 
     @property
     def pairs(self) -> Mapping[tuple[str, str], PathInfo]:
@@ -205,7 +202,7 @@ class PathTable:
     @cached_property
     def max_cost(self) -> float:
         """Largest pairwise cost in the table (0.0 for a single node)."""
-        return max(self._costs.values(), default=0.0)
+        return max((max(row.values()) for row in self._costs.values()), default=0.0)
 
 
 class _PairView(Mapping):
@@ -215,18 +212,20 @@ class _PairView(Mapping):
         self._table = table
 
     def __getitem__(self, pair: tuple[str, str]) -> PathInfo:
-        if pair not in self._table._costs:
+        if pair not in self:
             raise KeyError(pair)
         return self._table.info(*pair)
 
     def __contains__(self, pair: object) -> bool:
-        return pair in self._table._costs
+        rel = self._table.relevant
+        return (isinstance(pair, tuple) and len(pair) == 2
+                and pair[0] in rel and pair[1] in rel)
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
-        return iter(self._table._costs)
+        return itertools.product(sorted(self._table.relevant), repeat=2)
 
     def __len__(self) -> int:
-        return len(self._table._costs)
+        return len(self._table.relevant) ** 2
 
 
 def _dijkstra(adj: list[list[tuple[int, float, float]]], source: int,
@@ -340,8 +339,8 @@ def shortest_paths(
     runs per relevant source, over the int ids of the sorted node list and
     an adjacency of per-node (neighbour, cost, capacity) lists in
     neighbour order. The cost of a pair is taken from the smaller
-    endpoint's run, once, on the cost matrix; the cost dict is filled from
-    the matrix rows, so both hold the same floats.
+    endpoint's run, once, into one canonical array; the cost matrix and
+    the cost rows are both filled from it, so they hold the same floats.
     """
     rel = sorted(set(relevant))
     missing = [n for n in rel if n not in network.nodes]
@@ -360,13 +359,14 @@ def shortest_paths(
     for nbrs in adj:
         nbrs.sort()
 
+    rel_ids = [index[b] for b in rel]
     preds: dict[str, list[int]] = {}
-    bns: list[list[float]] = []
+    bottlenecks: dict[str, dict[str, float]] = {}
     dist = np.empty((len(rel), len(ids)))
-    for i, a in enumerate(rel):  # each run's distance list is dropped once copied
+    for i, a in enumerate(rel):  # a run's dist and bn lists are dropped once read
         dist[i], preds[a], bn = _dijkstra(adj, index[a])
-        bns.append(bn)
-    at = np.array([index[b] for b in rel], dtype=np.intp)
+        bottlenecks[a] = dict(zip(rel, map(bn.__getitem__, rel_ids)))
+    at = np.array(rel_ids, dtype=np.intp)
     dist = dist[:, at]  # relevant x relevant, both in id order
     # Canonical cost from the smaller endpoint's run: entry [i, j] comes from
     # row min(i, j), so P_ab == P_ba exactly despite float summation order.
@@ -375,11 +375,5 @@ def shortest_paths(
     matrix = np.full((len(ids), len(ids)), np.nan)
     matrix[at[:, None], at] = canonical
     matrix.flags.writeable = False
-    costs: dict[tuple[str, str], float] = {}
-    bottlenecks: dict[tuple[str, str], float] = {}
-    for a, row, bn in zip(rel, canonical.tolist(), bns):
-        for b, c, ib in zip(rel, row, at.tolist()):
-            key = (a, b)  # shared by both dicts
-            costs[key] = c
-            bottlenecks[key] = bn[ib]
+    costs = {a: dict(zip(rel, row)) for a, row in zip(rel, canonical.tolist())}
     return PathTable(frozenset(rel), ids, index, matrix, costs, bottlenecks, preds)

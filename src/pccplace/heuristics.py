@@ -20,10 +20,10 @@ from functools import partial
 
 import numpy as np
 
-from .evaluation import Ledger, SolveResult, cost_of_route_array, unplaced_penalty
+from .evaluation import Ledger, SolveResult, cost_of_route_array
 # Not called here: perfbench/tracing.py wraps `heuristics.evaluate_cost` by
 # name, so the name stays bound until the benchmark drops that patch
-# (ROADMAP item 5).
+# (ROADMAP item 3).
 from .evaluation import evaluate_cost  # noqa: F401
 from .graph import PathTable
 from .model import ProblemInstance, build_placement
@@ -50,8 +50,7 @@ def _solve_result(instance: ProblemInstance, paths: PathTable,
     # an unhosted position, or one past the chain, has no host: index.get(None, -1)
     routes = np.array([[index.get(hosts.get((req.id, l)), -1) for l in range(1, width + 1)]
                        for req in instance.requests], dtype=np.intp)
-    cost = cost_of_route_array(instance, paths, routes,
-                               penalty_cost=unplaced_penalty(paths))
+    cost = cost_of_route_array(instance, paths, routes)
     return SolveResult(partial(build_placement, instance, hosts), cost, "ok", unplaced)
 
 

@@ -55,10 +55,6 @@ class ServiceRequest:
     flow_rate_mbps: float
     heads: frozenset[str]
 
-    @property
-    def length(self) -> int:
-        return len(self.chain)
-
 
 @dataclass(frozen=True)
 class MobilityProfile:

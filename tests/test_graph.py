@@ -193,11 +193,12 @@ def random_network(rng, n, costs):
 
 
 def assert_matches_reference(network, relevant):
-    """The table equals the tuple-keyed reference's, pair by pair and bit for bit."""
+    """The table equals the tuple-keyed reference's, pair by pair and bit for
+    bit; returns the table."""
     table = shortest_paths(network, relevant)
     ref = paths_reference.shortest_paths(network, relevant)
     assert list(table.pairs) == list(ref.pairs)
-    assert len(table.pairs) == len(ref.pairs)
+    assert len(table.pairs) == len(ref.pairs) == len(table.relevant) ** 2
     for (a, b), info in ref.pairs.items():
         assert table.cost(a, b).hex() == info.cost.hex(), (a, b)
         assert table.sequence(a, b) == info.nodes, (a, b)
@@ -225,6 +226,11 @@ def assert_matches_reference(network, relevant):
         table.pairs[(outside, a)]
     assert got.value.args == expected.value.args
     assert (outside, a) not in table.pairs
+    for key in ("ab", (a,), (a, a, a)):  # not a pair
+        assert key not in table.pairs
+        with pytest.raises(KeyError):
+            table.pairs[key]
+    return table
 
 
 class TestReferenceDifferential:
@@ -246,6 +252,10 @@ class TestReferenceDifferential:
             nodes = sorted(net.nodes)
             assert_matches_reference(net, nodes)
             assert_matches_reference(net, rng.sample(nodes, len(nodes) // 2))
+            last = nodes[-1]  # not drawn, so later networks stay the same
+            table = assert_matches_reference(net, [last])
+            assert table.max_cost == 0.0
+            assert table.bottleneck(last, last) == math.inf
 
     @pytest.mark.parametrize("seed", range(6))
     def test_absorbed_tiny_costs(self, seed):

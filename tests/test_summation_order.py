@@ -1,12 +1,13 @@
-"""Float totals are summed left to right in the modules that price solutions.
+"""Float totals are summed left to right in the modules that price solutions
+and compute path costs.
 
 Summation order is part of the bit-identity contract (exact totals against
-the oracle, pinned sweep digests). ``np.sum`` adds pairwise, and
-``math.fsum`` and Python 3.12's builtin ``sum`` compensate, so none of them
-reproduces a loop's ``+=`` on every supported Python. This test parses the
-pricing modules and fails on any call to them, except where the operands
-are plainly integers: ``sum(1 for ...)`` and ``.sum()`` over a comparison
-(a boolean mask).
+the oracle, pinned sweep digests; path costs feed both). ``np.sum`` adds
+pairwise, and ``math.fsum`` and Python 3.12's builtin ``sum`` compensate,
+so none of them reproduces a loop's ``+=`` on every supported Python. This
+test parses those modules and fails on any call to them, except where
+the operands are plainly integers: ``sum(1 for ...)`` and ``.sum()`` over
+a comparison (a boolean mask).
 """
 
 import ast
@@ -16,7 +17,7 @@ import pytest
 
 import pccplace
 
-MODULES = ("evaluation.py", "exact.py", "heuristics.py", "bench.py")
+MODULES = ("evaluation.py", "exact.py", "heuristics.py", "bench.py", "graph.py")
 
 
 def _is_int_count(call: ast.Call) -> bool:
