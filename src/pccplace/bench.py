@@ -155,6 +155,14 @@ def _run_trial(args) -> list[TrialRecord]:
 
 def _trial(params, axis, value, trial, seed, algorithms,
            measure_runtime) -> list[TrialRecord]:
+    """One trial's records: every algorithm on one instance and its paths.
+
+    Each entry of `results` keeps its algorithm's `SolveResult` until the
+    trial ends, so an algorithm that returns the result of an earlier one
+    (SPBA reusing PPCC's fill, see :mod:`heuristics`) finds it alive. Such
+    an algorithm is recorded with the earlier one's measured runtime, the
+    time of the one fill both share, rather than the time of its lookup.
+    """
     # generate_instance, shortest_paths and SOLVERS are looked up in this
     # module at call time, so a wrapper set on the module attribute sees them
     instance = generate_instance(params, seed)
@@ -166,11 +174,12 @@ def _trial(params, axis, value, trial, seed, algorithms,
             continue
         t0 = time.perf_counter()
         res = SOLVERS[algo](instance, paths, _SWEEP_BUDGET)
+        runtime_ms = (time.perf_counter() - t0) * 1000.0 if measure_runtime else 0.0
+        runtime_ms = next((e["runtime_ms"] for e in results.values() if e["result"] is res),
+                          runtime_ms)
         results[algo] = {
-            "status": res.status, "cost": res.total,
-            "unplaced": len(res.unplaced),
-            "runtime_ms": ((time.perf_counter() - t0) * 1000.0
-                           if measure_runtime else 0.0),
+            "result": res, "status": res.status, "cost": res.total,
+            "unplaced": len(res.unplaced), "runtime_ms": runtime_ms,
         }
 
     def gain_vs(algo_cost: float | None, ref: str) -> float | None:

@@ -178,6 +178,9 @@ def _parse_sweep(spec: str) -> SweepSpec:
             v = round(start + i * step, 10)
             if v > stop + 1e-9:
                 break
+            if values and v == values[-1]:
+                raise ValueError(f"sweep values repeat: step {step!r} is lost "
+                                 "when values are rounded to 10 decimals")
             values.append(v)
             i += 1
     else:
@@ -270,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_at_least(int, 1), default=1)
     p.add_argument("--format", choices=["csv", "json", "both"], default="csv")
     p.add_argument("--measure-runtime", action="store_true",
-                   help="record wall times, which exclude cyclic-GC pauses "
+                   help="record wall times, which exclude cyclic-GC pauses; "
+                        "SPBA is given PPCC's time when both share one fill "
                         "(makes output nondeterministic)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_bench)

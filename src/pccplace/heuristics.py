@@ -12,10 +12,24 @@ probabilities. Its cost is still evaluated under the true mobility profile,
 so it pays for ignoring movement. AGW parks every function at the network
 gateway, whose capacity is treated as unlimited; it is the status-quo
 anchor baseline.
+
+When PPCC's target is the attachment, as it usually is, PPCC and SPBA fill
+toward one target on one instance, so they return one shared result: the
+fill runs once per distinct (instance, paths, target). The module keeps a
+one-slot memo of the last fill that either asked for, holding weak
+references to its instance, paths and result, and its target. A call hits
+when it names the same target and the very same instance and paths
+objects, and that result is still alive; instances and path tables are
+never changed after they are built, so a hit equals a fresh fill in every
+field. The memo pins nothing: once the caller drops the instance, the
+paths or the result, the slot's references are dead and the next call
+fills afresh. Nothing in it refers back to itself, so reference counting
+frees a trial's objects with cyclic garbage collection off.
 """
 
 from __future__ import annotations
 
+import weakref
 from functools import partial
 
 import numpy as np
@@ -160,17 +174,41 @@ def _greedy_chain_fill(
     return _solve_result(instance, paths, hosts, tuple(unplaced))
 
 
+# The last fill `_shared_fill` ran: weak references to its instance, paths
+# and result, and its target (see the module docstring).
+_last_fill: tuple[weakref.ref, weakref.ref, str, weakref.ref] | None = None
+
+
+def _shared_fill(instance: ProblemInstance, paths: PathTable, target: str) -> SolveResult:
+    """``_greedy_chain_fill(instance, paths, target)``, or the very result of
+    the last call here if it named the same target, instance and paths and
+    that result is still alive."""
+    global _last_fill
+    if _last_fill is not None:
+        instance_ref, paths_ref, last_target, result_ref = _last_fill
+        if last_target == target and instance_ref() is instance and paths_ref() is paths:
+            result = result_ref()
+            if result is not None:
+                return result
+    result = _greedy_chain_fill(instance, paths, target)
+    _last_fill = (weakref.ref(instance), weakref.ref(paths), target, weakref.ref(result))
+    return result
+
+
 def ppcc(instance: ProblemInstance, paths: PathTable) -> SolveResult:
     """Probability-prior greedy placement.
 
     The target is the highest-probability evaluation destination (the
     attachment node competes at the stay probability; ties go to the
-    smallest node id). Deterministic given the instance.
+    smallest node id). Deterministic given the instance. When the target is
+    the attachment, the result is the one :func:`spba` returns for the same
+    instance and paths objects while either caller still holds it (see the
+    module docstring).
     """
     weights = instance.destination_weights
     best = max(weights.values())
     target = min(d for d, w in weights.items() if w == best)
-    return _greedy_chain_fill(instance, paths, target)
+    return _shared_fill(instance, paths, target)
 
 
 def spba(instance: ProblemInstance, paths: PathTable) -> SolveResult:
@@ -179,9 +217,11 @@ def spba(instance: ProblemInstance, paths: PathTable) -> SolveResult:
     Identical greedy machinery to :func:`ppcc` but always targets the
     current serving attachment node, never reading the handover
     probabilities. With no mobility (stay probability 1) its decisions
-    coincide with PPCC's and the relative gain is zero.
+    coincide with PPCC's and the relative gain is zero. When PPCC's target
+    is the attachment, the two return one shared result, as :func:`ppcc`
+    says.
     """
-    return _greedy_chain_fill(instance, paths, instance.network.attachment)
+    return _shared_fill(instance, paths, instance.network.attachment)
 
 
 def agw(instance: ProblemInstance, paths: PathTable) -> SolveResult:

@@ -160,6 +160,15 @@ class TestRunSweep:
         table = run_sweep(spec, small_params(), trials=1, measure_runtime=True)
         assert any(r.mean_runtime_ms > 0.0 for r in table.rows)
 
+    def test_shared_fill_time_recorded_for_both(self):
+        # With no mobility PPCC targets the attachment, as SPBA does, so the
+        # two share one fill, and both rows carry that fill's time.
+        spec = SweepSpec(axis="stay_probability", values=(1.0,))
+        table = run_sweep(spec, small_params(), trials=2, measure_runtime=True)
+        for trial in (0, 1):
+            runtime = {r.algorithm: r.runtime_ms for r in table.records if r.trial == trial}
+            assert runtime["ppcc"] == runtime["spba"] > 0.0
+
 
 class TestGarbageCollection:
     """Trials hold cyclic GC off and leave the caller's setting as found."""

@@ -473,6 +473,32 @@ class TestBench:
         assert "finite" in json.loads(out.stderr)["error"]
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("sweep", [
+        "stay_probability=0:1e-12:1",
+        "batch_size=0:1e-12:1",
+        "stay_probability=0.5:3e-11:0.6",
+    ])
+    def test_step_lost_to_rounding_exits_2(self, tmp_path, sweep):
+        # Every value rounds to the one before it, so the range would never
+        # reach its stop. The child caps its own address space and runs
+        # under a timeout: a range that keeps growing fails this test with a
+        # MemoryError instead of filling the machine's memory.
+        cap = 512 << 20
+        code = ("import resource, sys\n"
+                f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+                "from pccplace.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run(
+            [sys.executable, "-c", code, "bench", "--sweep", sweep, "--trials", "1",
+             "--set", "num_candidates=6", "--out", str(tmp_path / "r")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2, out.stderr
+        error = json.loads(out.stderr)["error"]
+        assert "repeat" in error and "step" in error
+        assert not (tmp_path / "r").exists()
+
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
         taken = tmp_path / "r"
         taken.write_text("keep")

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import pickle
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from pccplace.evaluation import (
     gain,
 )
 from pccplace.graph import shortest_paths
-from pccplace.heuristics import _by_distance, agw, ppcc, spba
+from pccplace import heuristics
+from pccplace.heuristics import _by_distance, _greedy_chain_fill, agw, ppcc, spba
 from pccplace.exact import solve_exact
 from pccplace.model import MobilityProfile, placement_to_json
 from pccplace.scenario import ScenarioParams, generate_instance
@@ -299,6 +302,116 @@ HEURISTICS = {"ppcc": ppcc, "spba": spba, "agw": agw}
 def named(case, params, seed):
     """One parameter set, with `case` as its test id."""
     return pytest.param(case, params, seed, id=case)
+
+
+def _ppcc_target(inst):
+    weights = inst.destination_weights
+    best = max(weights.values())
+    return min(d for d, w in weights.items() if w == best)
+
+
+class TestSharedFill:
+    """PPCC and SPBA run one fill per distinct (instance, paths, target)
+    and return that one result, which equals a fresh fill in every field;
+    the memo behind it pins nothing."""
+
+    INSTANCES = {
+        "K20-R200-stay-0": (ScenarioParams(num_candidates=20, batch_size=200,
+                                           stay_probability=0.0), 1),
+        "K20-R200-stay-0.5": (ScenarioParams(num_candidates=20, batch_size=200,
+                                             stay_probability=0.5), 1),
+        "K20-R200-stay-1": (ScenarioParams(num_candidates=20, batch_size=200,
+                                           stay_probability=1.0), 1),
+        "K200-R1000-cpu-8": (ScenarioParams(num_candidates=200, batch_size=1000,
+                                            node_cpu_cores=8.0), 1),
+    }
+
+    @staticmethod
+    def fingerprint(result):
+        return ({field: value.hex() for field, value in result.cost.to_dict().items()},
+                result.status, result.unplaced, result.placement.x, result.placement.y)
+
+    @pytest.mark.parametrize("first, second", [(ppcc, spba), (spba, ppcc)],
+                             ids=["ppcc-first", "spba-first"])
+    @pytest.mark.parametrize("name", INSTANCES)
+    def test_equals_a_fresh_fill(self, name, first, second):
+        params, seed = self.INSTANCES[name]
+        inst = generate_instance(params, seed)
+        paths = paths_for(inst)
+        targets = {ppcc: _ppcc_target(inst), spba: inst.network.attachment}
+        results = {first: first(inst, paths)}
+        results[second] = second(inst, paths)
+        for algo, res in results.items():
+            fresh = _greedy_chain_fill(inst, paths, targets[algo])
+            assert self.fingerprint(res) == self.fingerprint(fresh), algo.__name__
+        shared = targets[ppcc] == targets[spba]
+        assert (results[ppcc] is results[spba]) == shared
+
+    def test_both_cases_are_covered(self):
+        shared = set()
+        for params, seed in self.INSTANCES.values():
+            inst = generate_instance(params, seed)
+            shared.add(_ppcc_target(inst) == inst.network.attachment)
+        assert shared == {True, False}
+
+    @pytest.fixture
+    def fill_calls(self, monkeypatch):
+        """The target of every fill `ppcc` and `spba` run, in call order."""
+        calls = []
+
+        def counting(instance, paths, target):
+            calls.append(target)
+            return _greedy_chain_fill(instance, paths, target)
+
+        monkeypatch.setattr(heuristics, "_greedy_chain_fill", counting)
+        return calls
+
+    def test_one_fill_per_distinct_target(self, fill_calls):
+        params = ScenarioParams(num_candidates=10, batch_size=8, stay_probability=1.0)
+        inst = generate_instance(params, 3)
+        paths = paths_for(inst)
+        p, s, p_again = ppcc(inst, paths), spba(inst, paths), ppcc(inst, paths)
+        assert p is s is p_again
+        assert fill_calls == [inst.network.attachment]
+
+    def test_other_objects_miss(self):
+        params = ScenarioParams(num_candidates=10, batch_size=8, stay_probability=1.0)
+        inst = generate_instance(params, 3)
+        paths = paths_for(inst)
+        p = ppcc(inst, paths)
+        # equal but distinct paths, or an equal copy of the instance, miss
+        other_paths = spba(inst, paths_for(inst))
+        copy = dataclasses.replace(inst)
+        other_instance = spba(copy, paths)
+        assert other_paths is not p and other_instance is not p
+        assert self.fingerprint(other_paths) == self.fingerprint(p)
+        assert self.fingerprint(other_instance) == self.fingerprint(p)
+
+    def test_dropped_result_is_filled_again(self, fill_calls):
+        params = ScenarioParams(num_candidates=10, batch_size=8, stay_probability=1.0)
+        inst = generate_instance(params, 3)
+        paths = paths_for(inst)
+        total = ppcc(inst, paths).total  # the result is dropped at once
+        assert spba(inst, paths).total == total
+        assert len(fill_calls) == 2
+
+    def test_memo_pins_nothing(self):
+        # Trials run with cyclic GC off, so reference counting alone must
+        # free the instance and the paths once the caller drops them.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            params = ScenarioParams(num_candidates=20, batch_size=50, stay_probability=1.0)
+            inst = generate_instance(params, 2)
+            paths = paths_for(inst)
+            p, s = ppcc(inst, paths), spba(inst, paths)
+            assert p is s
+            refs = (weakref.ref(inst), weakref.ref(paths), weakref.ref(p))
+            del inst, paths, p, s
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestCostReport:
