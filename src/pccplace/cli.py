@@ -25,6 +25,11 @@ EXIT_BUDGET = 4
 
 _AXIS_ALIASES = {"rho_o": "stay_probability"}
 
+# The most values a start:step:stop range sweep may have. Each value runs
+# its own trials, so a longer range is refused as a usage error before its
+# value list outgrows memory.
+MAX_SWEEP_VALUES = 10_000
+
 
 def _fail(code: int, message: str) -> int:
     print(json.dumps({"error": message}), file=sys.stderr)
@@ -181,6 +186,9 @@ def _parse_sweep(spec: str) -> SweepSpec:
             if values and v == values[-1]:
                 raise ValueError(f"sweep values repeat: step {step!r} is lost "
                                  "when values are rounded to 10 decimals")
+            if len(values) == MAX_SWEEP_VALUES:
+                raise ValueError(f"range sweep has more than {MAX_SWEEP_VALUES} values; "
+                                 "use a larger step")
             values.append(v)
             i += 1
     else:

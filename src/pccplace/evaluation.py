@@ -40,8 +40,9 @@ aggregated over everything mapped to that pair. The loads of these families
 (5a node resources, 5b-5d head, chain and tail flow) are kept by one
 :class:`Ledger`. The exact search charges it visit by visit,
 :func:`check_constraints` in batch, and the greedy fill position by position
-(:meth:`Ledger.place`), each with the charges the checker makes, so what
-either solver places has no 5a-5d row.
+(:meth:`Ledger.place`), after a prefix of whole chains at their anchors in
+one array pass (:meth:`Ledger.place_chains`), each with the charges the
+checker makes, so what either solver places has no 5a-5d row.
 """
 
 from __future__ import annotations
@@ -150,7 +151,8 @@ class Ledger:
     search and :func:`check_constraints` charge visit by visit
     (:meth:`visit`, :meth:`fits`, :meth:`charge`); the greedy fill charges a
     position's visits for all its (head, destination) pairs at once
-    (:meth:`place`).
+    (:meth:`place`), and first the requests whose whole chains fit at their
+    anchors, all at once (:meth:`place_chains`).
 
     Float policy: a load is the running float sum of its charges, in the
     order they were charged; a hosting's demand is charged once, at the
@@ -163,14 +165,20 @@ class Ledger:
     :func:`check_constraints` charges in the exact search's variable order
     (request, position, head, destination), hosting demand at the first
     visit of each (request, nf, node), then the hostings with no visit in
-    sorted order. Nothing is summed in set order. A node with no entry in
+    sorted order. :meth:`place_chains` charges the loads that its
+    requests' :meth:`place` calls would, each family's with one
+    ``np.bincount`` over its charges in the order those calls make them:
+    bincount adds a bin's weights one at a time in index order from 0.0, so
+    each load is the same running sum, bit for bit
+    (``tests/test_summation_order.py`` checks the property). Nothing is
+    summed in set order. A node with no entry in
     `node_resources` has no 5a row (AGW's gateway is unlimited) and
     :meth:`can_host` refuses it, so solvers host only on nodes with declared
     resources.
     """
 
     def __init__(self, instance: ProblemInstance, paths: PathTable):
-        self._paths = paths
+        self._instance, self._paths = instance, paths
         self._caps = {k: cap.as_tuple() for k, cap in instance.node_resources.items()}
         self._demand = {nf: dem.as_tuple() for nf, dem in instance.catalog.items()}
         self._dests = sorted(instance.destination_weights)
@@ -317,6 +325,77 @@ class Ledger:
         self._host((req.id, nf, node), nf, node)
         return True
 
+    def place_chains(self, anchors: Sequence[int]) -> int:
+        """Host whole chains at their anchors for the longest prefix of
+        requests that fits; the length of that prefix.
+
+        `anchors` holds an int node id (:attr:`graph.EdgeNetwork.node_index`)
+        for each request of a prefix of `instance.requests`. The ledger must
+        have nothing charged. Request r fits if calling :meth:`can_host` and
+        then :meth:`place` at its anchor for l = 1..L, with the anchor
+        before position l > 1 and nothing after it, in batch order, would
+        pass every check for it and for all requests before it. Those calls charge 5a demand at the anchor per position,
+        5b rate per (head, destination) pair whose head is not the anchor,
+        and 5d rate per pair whose destination is not the anchor; a
+        co-located chain charges no 5c. The loads they leave, and only
+        those, are charged here, and the hostings are recorded in (request,
+        position) order, so `load`, `flows` and `hosted` are as after those
+        calls, bit for bit (see the class docstring). Nothing is recorded
+        for :meth:`undo`. The prefix ends at the first anchor without a
+        `node_resources` entry, which :meth:`can_host` refuses.
+
+        Loads only grow, so the prefix of n requests fits exactly when each
+        load after all its charges is within capacity: every earlier check
+        tested a smaller running sum. Each family's loads are one
+        ``np.bincount`` of its charges in charge order, which adds them one
+        at a time from 0.0 as the ledger does. The longest prefix that fits
+        5a is found first, then the longest part of it that fits 5b and 5d,
+        each by testing the whole length and, if it does not fit, by
+        bisection (:func:`_longest_prefix`).
+        """
+        if self.hosted or any(self.flows):
+            raise ValueError("place_chains needs a ledger with nothing charged")
+        instance = self._instance
+        ids = instance.network.node_ids
+        n_ids = len(ids)
+        m = next((r for r, a in enumerate(anchors) if ids[a] not in self._caps), len(anchors))
+        anchors = np.array(anchors[:m], dtype=np.intp)
+        requests = instance.requests[:m]
+        owners = np.repeat(np.arange(m), [len(req.chain) for req in requests])
+        position = {nf: i for i, nf in enumerate(self._demand)}
+        demand = np.array(list(self._demand.values()), dtype=np.float64).reshape(-1, 2)[
+            [position[nf] for req in requests for nf in req.chain]]
+        # 5a first: the flows need testing only over the prefix it leaves
+        nodes = [_Charges(anchors[owners], n_ids, demand[:, j], owners, m,
+                          lambda k, j=j: self._caps[ids[k]][j]) for j in (0, 1)]
+        m = _longest_prefix(nodes, m)
+        pairs = instance.pair_arrays
+        owners = pairs.request[:np.searchsorted(pairs.request, m)]
+        at = anchors[owners]
+        rate = np.array([req.flow_rate_mbps for req in requests[:m]], dtype=np.float64)[owners]
+        bottleneck = self._paths.bottleneck
+
+        def budget(code):
+            a, b = divmod(code, n_ids)
+            return bottleneck(ids[a], ids[b])
+
+        flows = []
+        for start, end in ((pairs.head[:len(at)], at), (at, pairs.dest[:len(at)])):  # 5b, 5d
+            charged = start != end
+            flows.append(_Charges(start[charged] * n_ids + end[charged], n_ids * n_ids,
+                                  rate[charged], owners[charged], m, budget))
+        n = _longest_prefix(flows, m)
+        for (k, memory), (_, cpu) in zip(*(family.loads(n) for family in nodes)):
+            self.load[ids[k]] = (memory, cpu)
+        for table, family in zip(self.flows[::2], flows):
+            for code, load in family.loads(n):
+                a, b = divmod(code, n_ids)
+                table[(ids[a], ids[b])] = load
+        self.hosted.update(((req.id, nf, ids[a]), True)
+                           for req, a in zip(requests[:n], anchors[:n].tolist())
+                           for nf in req.chain)
+        return n
+
     def _resolve(self, req: ServiceRequest) -> None:
         """Set :meth:`place`'s terms of `req`: its sorted heads, last
         position and rate, and the number of charges per head, chain and
@@ -351,6 +430,57 @@ class Ledger:
                 if slack < 0:
                     out.append(ConstraintViolation(family, pair, slack))
         return out
+
+
+class _Charges:
+    """The charges of one capacity family that :meth:`Ledger.place_chains`
+    makes, in charge order, each to a bin (an int node id, or a code for a
+    pair), with the capacity of every bin charged."""
+
+    def __init__(self, keys: np.ndarray, size: int, charges: np.ndarray,
+                 owners: np.ndarray, n_requests: int, capacity: Callable[[int], float]):
+        # keys: the bin of each charge, in [0, size); owners: its request
+        used = np.flatnonzero(np.bincount(keys, minlength=size))
+        slot = np.zeros(size, dtype=np.intp)
+        slot[used] = np.arange(len(used))
+        self.bins = used.tolist()  # the bins charged, ascending
+        self.slots = slot[keys]  # the position in `bins` of each charge's bin
+        self.charges = charges
+        self.ends = np.searchsorted(owners, np.arange(n_requests + 1))  # charges of the first n
+        self.capacity = np.array([capacity(b) for b in self.bins], dtype=np.float64)
+
+    def sums(self, n: int) -> np.ndarray:
+        """Each bin's load after the charges of the first n requests, added
+        in charge order from 0.0."""
+        end = self.ends[n]
+        return np.bincount(self.slots[:end], self.charges[:end], minlength=len(self.bins))
+
+    def fits(self, n: int) -> bool:
+        return not (self.sums(n) > self.capacity).any()
+
+    def loads(self, n: int) -> list[tuple[int, float]]:
+        """(bin, load) of each bin that the first n requests charge, by bin."""
+        sums = self.sums(n).tolist()
+        hit = np.bincount(self.slots[:self.ends[n]], minlength=len(self.bins))
+        return [(self.bins[j], sums[j]) for j in np.flatnonzero(hit).tolist()]
+
+
+def _longest_prefix(families: list[_Charges], m: int) -> int:
+    """The largest n <= m whose first n requests' loads fit every family,
+    tested at m, then by bisection."""
+    def fits(n):
+        return all(family.fits(n) for family in families)
+
+    if fits(m):
+        return m
+    lo, hi = 0, m  # the prefix of lo requests fits, that of hi does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _check_indices(instance: ProblemInstance, placement: Placement) -> None:

@@ -25,12 +25,24 @@ field. The memo pins nothing: once the caller drops the instance, the
 paths or the result, the slot's references are dead and the next call
 fills afresh. Nothing in it refers back to itself, so reference counting
 frees a trial's objects with cyclic garbage collection off.
+
+The fill is request by request, but where capacity does not bind, as in
+the paper's sweeps, it would host each request's whole chain at the head it
+anchors at. So it first charges the longest prefix of requests whose whole
+chains fit at their anchors in one array pass
+(:meth:`evaluation.Ledger.place_chains`), which leaves the ledger as the
+request-by-request fill would, bit for bit, and runs that fill only from
+the first request that does not fit; `_greedy_chain_fill` says why this is
+exact. Every result is priced from one int route per request
+(:func:`_solve_result`), and its (request, position) -> node map is built
+only when its placement is read.
 """
 
 from __future__ import annotations
 
 import weakref
-from functools import partial
+from collections.abc import Iterator, Mapping
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -43,29 +55,59 @@ from .graph import PathTable
 from .model import ProblemInstance, build_placement
 
 
-def _solve_result(instance: ProblemInstance, paths: PathTable,
-                  hosts: dict[tuple[str, int], str],
+def _solve_result(instance: ProblemInstance, paths: PathTable, routes: np.ndarray,
                   unplaced: tuple[tuple[str, int, str], ...] = ()) -> SolveResult:
-    """The cost of `hosts`, from one route per request, and its placement
-    as a builder that runs when the placement is first read.
+    """The cost of the int route array `routes`, and its placement as a
+    builder that runs when the placement is first read.
 
-    Every chain of a request visits each position at the node hosting it,
-    so the route ``[hosts.get((r, l)) for l in 1..L]``, as int node ids,
-    serves each of its (head, destination) pairs. The report is
-    :func:`evaluation.evaluate_cost`'s on ``build_placement(instance, hosts)``,
-    bit for bit, as the :mod:`evaluation` module docstring argues.
+    `routes` has a row per request and a column per position up to the
+    longest chain: the int node id hosting the position, or -1 where it is
+    unhosted or past the chain. Every chain of a request visits each
+    position at the node hosting it, so the row serves each of its (head,
+    destination) pairs. The report is :func:`evaluation.evaluate_cost`'s on
+    the placement, bit for bit, as the :mod:`evaluation` module docstring
+    argues.
 
     The builder is a :func:`functools.partial` of this module's
     `build_placement` attribute, looked up now, so the result pickles and a
-    wrapper set on the attribute sees the build.
+    wrapper set on the attribute sees the build; its hosts map is a
+    :class:`_RouteHosts` of `routes`.
     """
-    index = instance.network.node_index
-    width = max(len(req.chain) for req in instance.requests)
-    # an unhosted position, or one past the chain, has no host: index.get(None, -1)
-    routes = np.array([[index.get(hosts.get((req.id, l)), -1) for l in range(1, width + 1)]
-                       for req in instance.requests], dtype=np.intp)
     cost = cost_of_route_array(instance, paths, routes)
-    return SolveResult(partial(build_placement, instance, hosts), cost, "ok", unplaced)
+    return SolveResult(partial(build_placement, instance, _RouteHosts(instance, routes)),
+                       cost, "ok", unplaced)
+
+
+class _RouteHosts(Mapping):
+    """(request id, 1-based position) -> hosting node of an int route array,
+    as :func:`model.build_placement` takes it; the dict is built on first
+    read."""
+
+    def __init__(self, instance: ProblemInstance, routes: np.ndarray):
+        self._instance, self._routes = instance, routes
+
+    @cached_property
+    def _hosts(self) -> dict[tuple[str, int], str]:
+        ids = self._instance.network.node_ids
+        return {(req.id, l): ids[k]
+                for req, row in zip(self._instance.requests, self._routes.tolist())
+                for l, k in enumerate(row, start=1) if k >= 0}
+
+    def __getitem__(self, key: tuple[str, int]) -> str:
+        return self._hosts[key]
+
+    def __iter__(self) -> Iterator[tuple[str, int]]:
+        return iter(self._hosts)
+
+    def __len__(self) -> int:
+        return len(self._hosts)
+
+
+def _chain_routes(instance: ProblemInstance, nodes) -> np.ndarray:
+    """The route array that hosts each request's whole chain at its node of
+    `nodes` (one int node id per request, or one for all)."""
+    lengths = np.array([len(req.chain) for req in instance.requests], dtype=np.intp)
+    return np.where(np.arange(lengths.max()) < lengths[:, None], np.reshape(nodes, (-1, 1)), -1)
 
 
 def _by_distance(paths: PathTable, head: int, candidates: np.ndarray) -> np.ndarray:
@@ -96,7 +138,8 @@ def _greedy_chain_fill(
     request's positions on one node are hosted in chain order, as
     :meth:`evaluation.Ledger.place`'s float policy needs. Positions still
     unhosted are reported as unplaced and penalized in the cost report,
-    which is computed from the hosts as :func:`_solve_result` explains.
+    which is computed from the hosts, one int route per request, as
+    :func:`_solve_result` explains.
 
     Refusals are final. Node loads here only grow, because
     :meth:`evaluation.Ledger.place` undoes only its own flow charges and
@@ -118,6 +161,23 @@ def _greedy_chain_fill(
     have become full, whenever more nodes are full than when the anchor
     last used it; the request then filters out its on-path nodes.
     Filtering keeps the order of a sorted list.
+
+    The prefix. Until the first request that does not fit whole at its
+    anchor, the fill hosts every request's whole chain there, and
+    :meth:`evaluation.Ledger.place_chains` charges all of those requests
+    at once. Take a request whose anchor s* is a candidate with
+    `node_resources`: s* is the first node of its route, so the on-path
+    scan tests s* first, and before the first refusal no node is full and
+    no (nf, node) refused. If every check passes at s*, the scan hosts all
+    the positions there, in chain order, with no chain flow between them.
+    Loads only grow, so every check of the first n requests passes
+    exactly when the loads after hosting them whole at their anchors are
+    within capacity; `place_chains` finds the longest such prefix and
+    leaves the ledger as the `place` calls would. The prefix therefore
+    ends at the first request that does not fit, or at the first anchor
+    that is no candidate, whichever comes first. Its routes are its
+    anchors, and the scans start from it with nothing full or refused and
+    no fallback order sorted, as they would have.
     """
     ids, index = instance.network.node_ids, instance.network.node_index
     candidate = [False] * len(ids)
@@ -125,17 +185,23 @@ def _greedy_chain_fill(
         candidate[index[k]] = True
     candidate_ids = np.flatnonzero(candidate)
     to_target = paths.cost_matrix[:, index[target]].tolist()
+    requests = instance.requests
+    # per request, the first minimum of the sorted ids: ties go to the smallest id
+    anchors = [min(sorted(index[s] for s in req.heads), key=to_target.__getitem__)
+               for req in requests]
     ledger = Ledger(instance, paths)
+    # whole chains at their anchors, up to the first anchor that is no candidate
+    whole = next((r for r, a in enumerate(anchors) if not candidate[a]), len(anchors))
+    first = ledger.place_chains(anchors[:whole])
+    routes = _chain_routes(instance, anchors)
+    routes[first:] = -1  # the loop below hosts the rest
 
-    hosts: dict[tuple[str, int], str] = {}
     unplaced: list[tuple[str, int, str]] = []
     full = [False] * len(ids)  # int node id -> no NF of the catalog fits
     n_full = 0
     fallback: dict[int, tuple[int, list[int]]] = {}  # anchor -> (n_full, order)
     refused: list[set[str]] = [set() for _ in ids]  # int node id -> NFs without room
-    for req in instance.requests:
-        # the first minimum of the sorted ids: ties go to the smallest id
-        s_star = min(sorted(index[s] for s in req.heads), key=to_target.__getitem__)
+    for req, s_star, row in zip(requests[first:], anchors[first:], routes[first:]):
         route = paths.id_sequence(s_star, index[target])
         on_path = [k for k in route if candidate[k] and not full[k]]
         pending = dict(enumerate(req.chain, start=1))
@@ -163,7 +229,8 @@ def _greedy_chain_fill(
                             full[k] = True
                             n_full += 1
                     elif ledger.place(req, l, node, at[l - 1], at[l + 1]):
-                        at[l] = hosts[(req.id, l)] = node
+                        at[l] = node
+                        row[l - 1] = k
                         del pending[l]
                 if not pending:
                     break
@@ -171,7 +238,7 @@ def _greedy_chain_fill(
                 break
         unplaced.extend((req.id, l, nf) for l, nf in pending.items())
 
-    return _solve_result(instance, paths, hosts, tuple(unplaced))
+    return _solve_result(instance, paths, routes, tuple(unplaced))
 
 
 # The last fill `_shared_fill` ran: weak references to its instance, paths
@@ -231,10 +298,5 @@ def agw(instance: ProblemInstance, paths: PathTable) -> SolveResult:
     capacity accounting (the gateway is modeled as unlimited), so it always
     returns a fully placed solution.
     """
-    g = instance.network.gateway
-    hosts = {
-        (req.id, l): g
-        for req in instance.requests
-        for l in range(1, len(req.chain) + 1)
-    }
-    return _solve_result(instance, paths, hosts)
+    gateway = instance.network.node_index[instance.network.gateway]
+    return _solve_result(instance, paths, _chain_routes(instance, gateway))

@@ -6,7 +6,8 @@ had it, and of the parts of `Ledger` that the fill calls (`__init__`,
 verbatim but for the docstrings, from before full nodes left the fallback
 scan and `Ledger.place` resolved each request once: the fallback order keeps
 every candidate, and `place` rebuilds its flow keys on every call. The fill
-prices its hosts with the package's `_solve_result`.
+prices its hosts with the package's `_solve_result`, as the int route array
+that `_routes` builds from them.
 `tests/test_greedy_differential.py` checks the package's fill against this
 one instance and target at a time.
 """
@@ -147,4 +148,13 @@ def greedy_chain_fill(
                 break
         unplaced.extend((req.id, l, nf) for l, nf in pending.items())
 
-    return _solve_result(instance, paths, hosts, tuple(unplaced))
+    return _solve_result(instance, paths, _routes(instance, hosts), tuple(unplaced))
+
+
+def _routes(instance: ProblemInstance, hosts: dict[tuple[str, int], str]) -> np.ndarray:
+    """`hosts` as the int route array that `_solve_result` prices."""
+    index = instance.network.node_index
+    width = max(len(req.chain) for req in instance.requests)
+    # an unhosted position, or one past the chain, has no host: index.get(None, -1)
+    return np.array([[index.get(hosts.get((req.id, l)), -1) for l in range(1, width + 1)]
+                     for req in instance.requests], dtype=np.intp)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from pccplace.bench import ALGORITHMS, SOLVERS, SweepSpec, run_sweep, trial_seed
-from pccplace.cli import build_parser, main
+from pccplace.cli import MAX_SWEEP_VALUES, _parse_sweep, build_parser, main
 from pccplace.exact import solve_exact
 from pccplace.graph import shortest_paths
 from pccplace.model import instance_to_dict, instance_to_json
@@ -498,6 +498,31 @@ class TestBench:
         error = json.loads(out.stderr)["error"]
         assert "repeat" in error and "step" in error
         assert not (tmp_path / "r").exists()
+
+    def test_range_with_too_many_values_exits_2(self, tmp_path):
+        # 10**10 distinct values: refused at MAX_SWEEP_VALUES + 1, in a child
+        # that caps its own address space, as above
+        cap = 512 << 20
+        code = ("import resource, sys\n"
+                f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+                "from pccplace.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run(
+            [sys.executable, "-c", code, "bench", "--sweep", "stay_probability=0:1e-10:1",
+             "--trials", "1", "--set", "num_candidates=6", "--out", str(tmp_path / "r")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2, out.stderr
+        error = json.loads(out.stderr)["error"]
+        assert f"more than {MAX_SWEEP_VALUES} values" in error
+        assert not (tmp_path / "r").exists()
+
+    def test_range_size_limit_is_inclusive(self):
+        spec = _parse_sweep(f"batch_size=1:1:{MAX_SWEEP_VALUES}")
+        assert spec.values == tuple(float(v) for v in range(1, MAX_SWEEP_VALUES + 1))
+        with pytest.raises(ValueError, match=f"more than {MAX_SWEEP_VALUES} values"):
+            _parse_sweep(f"batch_size=1:1:{MAX_SWEEP_VALUES + 1}")
 
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
         taken = tmp_path / "r"

@@ -8,11 +8,18 @@ so none of them reproduces a loop's ``+=`` on every supported Python. This
 test parses those modules and fails on any call to them, except where
 the operands are plainly integers: ``sum(1 for ...)`` and ``.sum()`` over
 a comparison (a boolean mask).
+
+``np.bincount`` with weights is allowed, and the guard does not flag it: it
+adds each bin's weights one at a time in index order, starting from 0.0,
+which is the loop's ``+=`` bin by bin. ``Ledger.place_chains`` rests on
+this to charge many loads at once, bit for bit as ``Ledger.place`` would;
+`test_bincount_adds_in_index_order` checks the property.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pccplace
@@ -70,3 +77,22 @@ def test_guard_flags(call):
 ])
 def test_guard_allows(call):
     assert float_sums(call) == []
+
+
+def test_bincount_adds_in_index_order():
+    rng = np.random.default_rng(7)
+    weights = rng.random(4096) * 10.0 ** rng.integers(-6, 7, 4096)
+    bins = rng.integers(0, 5, 4096)
+    loops = [0.0] * 5
+    for b, w in zip(bins.tolist(), weights.tolist()):
+        loops[b] += w
+    total = 0.0
+    for w in weights.tolist():
+        total += w
+    # pairwise summation gives other floats on these values ...
+    assert float(np.sum(weights)) != total
+    assert [float(np.sum(weights[bins == b])) for b in range(5)] != loops
+    # ... and bincount gives the loop's, in one bin or many
+    one = np.bincount(np.zeros(len(weights), dtype=np.intp), weights)
+    assert one.tolist()[0].hex() == total.hex()
+    assert [x.hex() for x in np.bincount(bins, weights).tolist()] == [x.hex() for x in loops]
