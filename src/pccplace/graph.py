@@ -8,13 +8,17 @@ that solvers, heuristics, and test oracles all see identical paths.
 threads; link loads are kept by `evaluation.Ledger`.
 
 The search runs on int node ids, the positions in the sorted id list
-(:attr:`EdgeNetwork.node_index`), so int order is id order. A table keeps
-one store per quantity: per relevant source a cost row and a bottleneck
-row keyed by target, and the predecessor array of its Dijkstra run. The
-costs are also laid out as a matrix indexed by int node id
-(:attr:`PathTable.cost_matrix`), for array code; both hold the floats of
-one computation. Node sequences and :class:`PathInfo` records are built
-when read, since the solvers read a sequence at most once per request.
+(:attr:`EdgeNetwork.node_index`), so int order is id order. All relevant
+sources are searched together, by one array relaxation (:func:`_relax`)
+whose floats and trees equal the heap Dijkstra's (:func:`_dijkstra`) bit
+for bit; the heap Dijkstra, the one owner of the tie rule, runs only for a
+source whose tree has a tie. A table keeps one store per quantity: per
+relevant source a cost row and a bottleneck row keyed by target, and the
+predecessor array of its shortest-path tree. The costs are also laid out
+as a matrix indexed by int node id (:attr:`PathTable.cost_matrix`), for
+array code; both hold the floats of one computation. Node sequences and
+:class:`PathInfo` records are built when read, since the solvers read a
+sequence at most once per request.
 """
 
 from __future__ import annotations
@@ -238,7 +242,9 @@ def _dijkstra(adj: list[list[tuple[int, float, float]]], source: int,
     sequence, read back through the returned predecessor array (-1 at the
     source). Heap entries are (cost, id); a strictly cheaper relaxation
     replaces the predecessor, and an exactly equal one (rare with float
-    costs) goes to :func:`_tie`.
+    costs) goes to :func:`_tie`, which owns the tie rule: :func:`_relax`
+    reads a source's tree from its own arrays only where no target has a
+    tie, and runs this function for every other source.
 
     Why the tie branch re-processes nodes: with positive costs and no
     absorption every tied predecessor is strictly cheaper, so it has been
@@ -322,6 +328,98 @@ def _walk(pred: list[int], v: int) -> list[int]:
     return seq
 
 
+def _relax(adj: list[list[tuple[int, float, float]]], sources: list[int],
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shortest paths from every int node id of `sources` at once: cost,
+    predecessor and bottleneck arrays, node by source.
+
+    Column j of each array is what ``_dijkstra(adj, sources[j])`` returns,
+    bit for bit. The costs come from a relaxation of a (node + 1) x source
+    array: 0.0 at each source and +inf elsewhere; in each round every node
+    takes the least of its own value and ``D[u] + w`` over its in-links,
+    one degree position (slot) at a time, through a padded in-neighbour
+    table whose padding points at an extra all-+inf row. The rounds stop at
+    the first that changes nothing.
+
+    Why the floats are Dijkstra's: both are the least left-to-right path
+    sums. Rounding is monotone, so ``fl(d + w)`` never falls as d falls,
+    and with w > 0 it is never below d. So round r reaches, at the latest,
+    the least sum over the paths of at most r links from the least sums of
+    one link fewer; a cycle never lowers a sum, so the rounds end at the
+    least sums. Dijkstra pops each node at its final cost and relaxes every
+    link from there, so it ends at the same least sums.
+
+    The tree. For each target v and source the in-links with ``D[u] + w ==
+    D[v]`` are counted. Dijkstra's final predecessor of v is the tail of
+    such a link, whatever :func:`_tie` did on the way, since a predecessor
+    is set only by a link reaching v at its cost then, and replaced when
+    that cost falls. So where every target but the source has exactly one
+    such link, the tree is unique and equal to Dijkstra's, and the
+    predecessors and link capacities are read from those links. The tails
+    must also be strictly cheaper than their targets, so that no cost is
+    absorbed (``c + w == c``) and the predecessors descend to the source.
+    The bottleneck is then the least capacity up the tree, by pointer
+    doubling; a minimum does not depend on the order. Any other source is
+    run by :func:`_dijkstra`, the one owner of the tie rule, and its
+    columns of the predecessor and bottleneck arrays are replaced by that
+    run's. Generated float networks have no such source; integer and
+    absorbed costs do.
+    """
+    n, m = len(adj), len(sources)
+    deg = max(map(len, adj), default=0)
+    pad = [(n, math.inf, math.inf)]  # the padding in-link, from the +inf row
+    # slot-major in-neighbour table: tails (deg x n), costs, capacities
+    table = np.array([nbrs + pad * (deg - len(nbrs)) for nbrs in adj])
+    tails, costs, caps = table.reshape(n, deg, 3).transpose(2, 1, 0).copy()
+    tails = tails.astype(np.intp)
+    costs = costs[:, :, None]
+    cols = np.arange(m)
+    dist = np.full((n + 1, m), math.inf)
+    dist[sources, cols] = 0.0
+    body = dist[:n]
+    before = np.empty_like(body)
+    while True:
+        np.copyto(before, body)
+        for u, w in zip(tails, costs):
+            near = dist[u]
+            np.minimum(body, np.add(near, w, out=near), out=body)
+        if np.array_equal(before, body):
+            break
+    del before
+
+    ties = np.zeros((n, m), np.intp)
+    pred = np.full((n, m), -1, np.intp)
+    link_cap = np.full((n, m), math.inf)
+    cheaper = np.zeros((n, m), bool)
+    for u, w, cap in zip(tails, costs, caps):
+        near = dist[u]
+        tied = near + w == body
+        ties += tied
+        np.copyto(pred, u[:, None], where=tied)
+        np.copyto(link_cap, cap[:, None], where=tied)
+        np.copyto(cheaper, near < body, where=tied)
+    unique = (ties == 1) & cheaper
+    del ties, cheaper
+    unique[sources, cols] = True  # a source has no tied in-link
+    rerun = np.flatnonzero(~unique.all(axis=0)).tolist()
+
+    # Pointer doubling over flat indices: `up` is the 2**k-th ancestor's
+    # entry, and the bottleneck covers the 2**k links up to it. A source,
+    # and any entry of a rerun column, points at itself.
+    flat = np.arange(n * m).reshape(n, m)
+    up = np.where(unique & (pred >= 0), pred * m + cols, flat)
+    del unique, flat
+    while True:
+        np.minimum(link_cap, link_cap.take(up), out=link_cap)
+        higher = up.take(up)
+        if np.array_equal(higher, up):
+            break
+        up = higher
+    for j in rerun:
+        _, pred[:, j], link_cap[:, j] = _dijkstra(adj, sources[j])
+    return body, pred, link_cap
+
+
 def shortest_paths(
     network: EdgeNetwork,
     relevant: Iterable[str],
@@ -335,12 +433,14 @@ def shortest_paths(
 
     Cost is symmetric across each unordered pair; the stored sequences for
     (a, b) and (b, a) may differ under cost ties but each is the
-    lexicographically smallest in its own direction. One :func:`_dijkstra`
-    runs per relevant source, over the int ids of the sorted node list and
-    an adjacency of per-node (neighbour, cost, capacity) lists in
-    neighbour order. The cost of a pair is taken from the smaller
-    endpoint's run, once, into one canonical array; the cost matrix and
-    the cost rows are both filled from it, so they hold the same floats.
+    lexicographically smallest in its own direction. All relevant sources
+    are searched at once by :func:`_relax`, over the int ids of the sorted
+    node list and an adjacency of per-node (neighbour, cost, capacity)
+    lists in neighbour order; its floats and trees are :func:`_dijkstra`'s,
+    which it runs itself only for a source whose tree has a tie. The cost
+    of a pair is taken from the smaller endpoint's column, once, into one
+    canonical array; the cost matrix and the cost rows are both filled
+    from it, so they hold the same floats.
     """
     rel = sorted(set(relevant))
     missing = [n for n in rel if n not in network.nodes]
@@ -360,16 +460,15 @@ def shortest_paths(
         nbrs.sort()
 
     rel_ids = [index[b] for b in rel]
-    preds: dict[str, list[int]] = {}
-    bottlenecks: dict[str, dict[str, float]] = {}
-    dist = np.empty((len(rel), len(ids)))
-    for i, a in enumerate(rel):  # a run's dist and bn lists are dropped once read
-        dist[i], preds[a], bn = _dijkstra(adj, index[a])
-        bottlenecks[a] = dict(zip(rel, map(bn.__getitem__, rel_ids)))
+    dist, pred, bn = _relax(adj, rel_ids)
     at = np.array(rel_ids, dtype=np.intp)
-    dist = dist[:, at]  # relevant x relevant, both in id order
-    # Canonical cost from the smaller endpoint's run: entry [i, j] comes from
-    # row min(i, j), so P_ab == P_ba exactly despite float summation order.
+    preds = dict(zip(rel, pred.T.tolist()))
+    bottlenecks = {a: dict(zip(rel, row)) for a, row in zip(rel, bn[at].T.tolist())}
+    del pred, bn
+    dist = dist[at].T  # relevant x relevant, source by target, both in id order
+    # Canonical cost from the smaller endpoint's column: entry [i, j] comes
+    # from source min(i, j), so P_ab == P_ba exactly despite float summation
+    # order.
     i = np.arange(len(rel))
     canonical = np.where(i[:, None] <= i, dist, dist.T)
     matrix = np.full((len(ids), len(ids)), np.nan)

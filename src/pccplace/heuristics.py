@@ -117,6 +117,25 @@ def _by_distance(paths: PathTable, head: int, candidates: np.ndarray) -> np.ndar
     return candidates[np.argsort(paths.cost_matrix[head, candidates], kind="stable")]
 
 
+def _anchors(instance: ProblemInstance, paths: PathTable, target: int) -> list[int]:
+    """Per request, the int id of its head at the least cost to the int node
+    id `target`, ties to the smallest id.
+
+    One gather of the target's cost column over each (request, head) of
+    :attr:`model.ProblemInstance.pair_arrays`, whose heads are sorted within
+    a request, then per request the first minimum: a stable sort by
+    (request, cost) puts each request's anchor first in its run.
+    """
+    pairs = instance.pair_arrays
+    step = len(instance.destination_weights)  # each head repeats per destination
+    head, request = pairs.head[::step], pairs.request[::step]
+    order = np.lexsort((paths.cost_matrix[head, target], request))
+    first = np.flatnonzero(np.diff(request, prepend=-1))  # run starts, before and after
+    if len(first) != len(instance.requests):
+        raise ValueError("every request needs at least one head")
+    return head[order[first]].tolist()
+
+
 def _greedy_chain_fill(
     instance: ProblemInstance,
     paths: PathTable,
@@ -184,11 +203,8 @@ def _greedy_chain_fill(
     for k in instance.network.candidates:
         candidate[index[k]] = True
     candidate_ids = np.flatnonzero(candidate)
-    to_target = paths.cost_matrix[:, index[target]].tolist()
     requests = instance.requests
-    # per request, the first minimum of the sorted ids: ties go to the smallest id
-    anchors = [min(sorted(index[s] for s in req.heads), key=to_target.__getitem__)
-               for req in requests]
+    anchors = _anchors(instance, paths, index[target])
     ledger = Ledger(instance, paths)
     # whole chains at their anchors, up to the first anchor that is no candidate
     whole = next((r for r, a in enumerate(anchors) if not candidate[a]), len(anchors))

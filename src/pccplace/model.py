@@ -132,15 +132,23 @@ class ProblemInstance:
 
     @cached_property
     def pair_arrays(self) -> PairArrays:
-        """:attr:`pair_order` as int and float arrays, for array code."""
+        """:attr:`pair_order` as int and float arrays, for array code.
+
+        Built from the requests, not from :attr:`pair_order`'s tuples: int
+        ids are positions in the sorted id list, so each request's sorted
+        head ids are its sorted heads, each repeated once per destination,
+        and the sorted destinations are tiled once per (request, head).
+        """
         index = self.network.node_index
         weights = self.destination_weights
-        per_request = [len(req.heads) * len(weights) for req in self.requests]
+        heads = [sorted(map(index.__getitem__, req.heads)) for req in self.requests]
+        per_request = np.array(list(map(len, heads)), dtype=np.intp)
+        head = np.array([s for row in heads for s in row], dtype=np.intp)
         arrays = PairArrays(
-            np.repeat(np.arange(len(self.requests), dtype=np.intp), per_request),
-            np.array([index[s] for _, s, _ in self.pair_order], dtype=np.intp),
-            np.array([index[d] for _, _, d in self.pair_order], dtype=np.intp),
-            np.array([weights[d] for _, _, d in self.pair_order], dtype=np.float64))
+            np.repeat(np.arange(len(heads), dtype=np.intp), per_request * len(weights)),
+            np.repeat(head, len(weights)),
+            np.tile(np.array([index[d] for d in weights], dtype=np.intp), len(head)),
+            np.tile(np.array(list(weights.values()), dtype=np.float64), len(head)))
         for a in arrays:
             a.flags.writeable = False
         return arrays

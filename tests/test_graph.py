@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
+from pccplace import graph
 from pccplace.evaluation import Ledger
-from pccplace.graph import DisconnectedGraphError, link_key, shortest_paths
+from pccplace.graph import DisconnectedGraphError, EdgeNetwork, link_key, shortest_paths
 from pccplace.scenario import ScenarioParams, generate_instance
 
 from conftest import make_instance, make_network
@@ -351,3 +352,185 @@ class TestResiduals:
         assert ledger.flows == ({}, {}, {}) and ledger.violations() == []
         ledger.undo()
         assert ledger.flows == ({}, {}, {}) and not ledger.hosted
+
+
+def one_node_network():
+    return EdgeNetwork(nodes=frozenset({"a"}), links=(), candidates=frozenset({"a"}),
+                       gateway="a", attachment="a")
+
+
+class TestDegenerateShapes:
+    """Tables of the smallest networks, pinned from the heap Dijkstra's."""
+
+    @pytest.mark.parametrize("relevant", [["a"], []])
+    def test_single_node_without_links(self, relevant):
+        table = shortest_paths(one_node_network(), relevant)
+        assert table.relevant == frozenset(relevant)
+        assert table.max_cost == 0.0
+        assert list(table.pairs) == [(a, a) for a in relevant]
+        assert table.cost_matrix.shape == (1, 1)
+        if relevant:
+            assert table.cost("a", "a") == 0.0
+            assert table.sequence("a", "a") == ("a",)
+            assert table.bottleneck("a", "a") == math.inf
+            assert table.cost_matrix[0, 0] == 0.0
+        else:
+            assert np.isnan(table.cost_matrix[0, 0])
+            with pytest.raises(KeyError):
+                table.cost("a", "a")
+
+    @pytest.mark.parametrize("relevant, at", [("a", 0), ("b", 1)])
+    def test_two_nodes_one_relevant(self, relevant, at):
+        net = make_network([("a", "b", 2.5, 700.0)], candidates=["a"],
+                           gateway="a", attachment="b")
+        table = shortest_paths(net, [relevant])
+        assert table.max_cost == 0.0
+        assert table.cost(relevant, relevant) == 0.0
+        assert table.sequence(relevant, relevant) == (relevant,)
+        assert table.bottleneck(relevant, relevant) == math.inf
+        expected = np.full((2, 2), np.nan)
+        expected[at, at] = 0.0
+        assert np.array_equal(table.cost_matrix, expected, equal_nan=True)
+        other = "b" if relevant == "a" else "a"
+        for read in (table.cost, table.sequence, table.bottleneck):
+            with pytest.raises(KeyError):
+                read(relevant, other)
+
+    def test_disconnected_with_no_relevant_node(self):
+        net = make_network([("a", "b", 1.0)], candidates=["a"], gateway="a",
+                           attachment="a", nodes=["a", "b", "z"])
+        with pytest.raises(DisconnectedGraphError):
+            shortest_paths(net, [])
+
+    def test_relevant_node_outside_the_network(self):
+        net = make_network([("a", "b", 2.5)], candidates=["a"], gateway="a",
+                           attachment="b")
+        with pytest.raises(KeyError, match=r"relevant nodes not in network: \['zz'\]"):
+            shortest_paths(net, ["a", "zz"])
+
+
+@pytest.fixture
+def dijkstra_runs(monkeypatch):
+    """The int source ids `graph._dijkstra` is run for, in call order."""
+    sources = []
+    run = graph._dijkstra
+
+    def counted(adj, source):
+        sources.append(source)
+        return run(adj, source)
+
+    monkeypatch.setattr(graph, "_dijkstra", counted)
+    return sources
+
+
+def dijkstra_table(network, relevant):
+    """Per relevant source, `graph._dijkstra`'s (cost, sequence, bottleneck)
+    rows keyed by target, over the adjacency `shortest_paths` builds."""
+    index, ids = network.node_index, network.node_ids
+    adj = [[] for _ in ids]
+    for ln in network.links:
+        u, v = index[ln.u], index[ln.v]
+        adj[u].append((v, ln.cost, ln.capacity_mbps))
+        adj[v].append((u, ln.cost, ln.capacity_mbps))
+    for nbrs in adj:
+        nbrs.sort()
+    rows = {}
+    for a in sorted(relevant):
+        dist, pred, bn = graph._dijkstra(adj, index[a])
+        rows[a] = {b: (dist[index[b]],
+                       tuple(ids[v] for v in graph._walk(pred, index[b])),
+                       bn[index[b]])
+                   for b in relevant}
+    return rows
+
+
+def assert_matches_dijkstra(network, relevant):
+    """Every cost row, `cost_matrix` entry, bottleneck row and sequence of
+    the table equals the `_dijkstra`-only table's, costs by `.hex()` from
+    the smaller endpoint's run."""
+    table = shortest_paths(network, relevant)
+    rows = dijkstra_table(network, relevant)
+    index = network.node_index
+    for a in rows:
+        for b, (_, seq, bn) in rows[a].items():
+            cost = rows[min(a, b)][max(a, b)][0]
+            assert table.cost(a, b).hex() == cost.hex(), (a, b)
+            assert table.cost_matrix[index[a], index[b]].hex() == cost.hex(), (a, b)
+            assert table.sequence(a, b) == seq, (a, b)
+            assert table.bottleneck(a, b) == bn, (a, b)
+    return table
+
+
+class TestRoutes:
+    """`shortest_paths` reads a source's tree from its relaxation when the
+    tree is unique and strictly increasing, and runs `_dijkstra` for that
+    source otherwise: each route is taken, and only where it should be."""
+
+    @pytest.mark.parametrize("num_candidates, seed",
+                             [(20, 1), (20, 2), (20, 3), (200, 1), (200, 2)])
+    def test_generated_float_graphs_rerun_nothing(self, dijkstra_runs,
+                                                  num_candidates, seed):
+        inst = generate_instance(
+            ScenarioParams(num_candidates=num_candidates, batch_size=5), seed)
+        net = redrawn_capacities(inst.network, random.Random(seed))
+        assert_matches_reference(net, inst.relevant_nodes)
+        assert dijkstra_runs == []
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_integer_ties_rerun(self, dijkstra_runs, seed):
+        rng = random.Random(seed)
+        net = random_network(rng, rng.randint(10, 60), (1.0, 2.0, 3.0))
+        assert_matches_reference(net, sorted(net.nodes))
+        assert dijkstra_runs
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_absorbed_costs_rerun(self, dijkstra_runs, seed):
+        rng = random.Random(seed)
+        net = random_network(rng, 14, (1e-20, 1e-17, 1.0, 2.0))
+        assert_matches_reference(net, sorted(net.nodes))
+        assert dijkstra_runs
+
+    def test_only_tied_sources_rerun(self, dijkstra_runs):
+        # a-c ties a-b-c at cost 2, seen from a and from c; b reaches both
+        # directly, and e through b alone
+        net = make_network(
+            [("a", "b", 1.0, 10.0), ("b", "c", 1.0, 20.0), ("a", "c", 2.0, 30.0),
+             ("b", "e", 1.0, 40.0)],
+            candidates=["a"], gateway="a", attachment="a")
+        table = assert_matches_reference(net, ["a", "b", "c", "e"])
+        ids = net.node_ids
+        assert [ids[v] for v in dijkstra_runs] == ["a", "c"]
+        assert table.sequence("a", "c") == ("a", "b", "c")
+        assert table.bottleneck("a", "c") == 10.0
+        assert table.sequence("e", "c") == ("e", "b", "c")
+
+    def test_only_absorbed_sources_rerun(self, dijkstra_runs):
+        # from c, b costs 1.0 + 1e-20 == 1.0, as much as its predecessor a;
+        # from a and from b every predecessor is strictly cheaper
+        net = make_network([("a", "b", 1e-20, 10.0), ("a", "c", 1.0, 20.0)],
+                           candidates=["a"], gateway="a", attachment="a")
+        table = assert_matches_reference(net, ["a", "b", "c"])
+        assert [net.node_ids[v] for v in dijkstra_runs] == ["c"]
+        assert table.sequence("c", "b") == ("c", "a", "b")
+        assert table.cost("c", "b") == 1.0
+
+
+class TestFuzzAgainstDijkstra:
+    """Random scenario parameters: the table equals a `_dijkstra`-only one."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_parameters(self, seed):
+        rng = random.Random(seed)
+        lo = rng.choice((0.001, 1.0, 5.0))
+        hi = rng.choice((lo, lo * 3, 100.0, 1e6))
+        params = ScenarioParams(
+            num_candidates=rng.randint(1, 90),
+            batch_size=rng.randint(1, 12),
+            degree=rng.choice(((1, 2), (2, 5), (3, 8))),
+            heads_per_request=(1, rng.randint(1, 6)),
+            num_destinations=(1, rng.randint(1, 6)),
+            link_cost=(lo, max(lo, hi)),
+            transit_fraction=rng.choice((0.0, 0.1, 0.5)))
+        inst = generate_instance(params, seed)
+        net = redrawn_capacities(inst.network, rng)
+        assert_matches_dijkstra(net, inst.relevant_nodes)

@@ -204,6 +204,52 @@ class TestFallbackOrder:
         assert ties > 16
 
 
+class TestAnchors:
+    """Each request anchors at its head of least cost to the target, ties
+    to the smallest head id."""
+
+    def test_tied_head_costs_go_to_the_smallest_id(self):
+        # heads b and c are both one link from the target d, a and e two
+        inst = make_instance(
+            links=[("a", "b", 1.0), ("a", "c", 1.0), ("b", "d", 1.0),
+                   ("c", "d", 1.0), ("d", "e", 2.0)],
+            candidates=["b", "c", "e"], gateway="a", attachment="d",
+            requests=[("r1", ["f1"], 1.0, ["c", "b", "a"]),
+                      ("r2", ["f1"], 1.0, ["c", "a"]),
+                      ("r3", ["f1"], 1.0, ["a", "e"])],
+            destinations={}, stay=1.0)
+        paths = paths_for(inst)
+        index, ids = inst.network.node_index, inst.network.node_ids
+        assert paths.cost("b", "d") == paths.cost("c", "d")
+        assert paths.cost("a", "d") == paths.cost("e", "d")
+        anchors = heuristics._anchors(inst, paths, index["d"])
+        assert [ids[k] for k in anchors] == ["b", "c", "a"]
+        res = spba(inst, paths)
+        assert ("r1", "f1", "b") in res.placement.x
+        assert ("r2", "f1", "c") in res.placement.x
+
+    @pytest.mark.parametrize("params, seed", [
+        (ScenarioParams(num_candidates=20, batch_size=200), 1),
+        (ScenarioParams(num_candidates=20, batch_size=200, stay_probability=0.0), 2),
+        (ScenarioParams(num_candidates=40, batch_size=60, link_cost=(1.0, 1.0)), 3),
+    ])
+    def test_equals_per_request_minimum(self, params, seed):
+        # unit link costs make head costs tie often
+        inst = generate_instance(params, seed)
+        paths = paths_for(inst)
+        index = inst.network.node_index
+        ties = 0
+        for target in sorted(inst.destination_weights):
+            column = paths.cost_matrix[:, index[target]].tolist()
+            want = [min(sorted(index[s] for s in req.heads), key=column.__getitem__)
+                    for req in inst.requests]
+            assert heuristics._anchors(inst, paths, index[target]) == want
+            ties += sum(len({column[index[s]] for s in req.heads}) < len(req.heads)
+                        for req in inst.requests)
+        if params.link_cost == (1.0, 1.0):
+            assert ties > 0
+
+
 class TestAgw:
     def test_tiny1_everything_at_gateway(self, tiny1):
         res = agw(tiny1, paths_for(tiny1))

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from pccplace.evaluation import check_constraints
@@ -133,6 +134,51 @@ class TestDestinationWeights:
             destinations={"a": 0.25, "b": 0.25}, stay=0.5,
         )
         assert inst.destination_weights == {"a": 0.75, "b": 0.25}
+
+
+class TestPairArrays:
+    """`pair_arrays` is built from the requests; it equals the arrays read
+    off `pair_order`'s tuples element for element."""
+
+    @staticmethod
+    def from_pair_order(inst):
+        index, weights = inst.network.node_index, inst.destination_weights
+        position = {req.id: r for r, req in enumerate(inst.requests)}
+        order = inst.pair_order
+        return ([position[req.id] for req, _, _ in order],
+                [index[s] for _, s, _ in order],
+                [index[d] for _, _, d in order],
+                [weights[d].hex() for _, _, d in order])
+
+    @pytest.mark.parametrize("params, seed", [
+        (ScenarioParams(), 1),
+        (ScenarioParams(num_candidates=20, batch_size=200), 2),
+        (ScenarioParams(num_candidates=60, batch_size=30, stay_probability=0.0), 3),
+        (ScenarioParams(num_candidates=5, batch_size=40, heads_per_request=(1, 1),
+                        num_destinations=(1, 1), stay_probability=1.0), 4),
+    ])
+    def test_equals_pair_order(self, params, seed):
+        inst = generate_instance(params, seed)
+        request, head, dest, weight = inst.pair_arrays
+        assert request.dtype == head.dtype == dest.dtype == np.intp
+        assert weight.dtype == np.float64
+        assert (request.tolist(), head.tolist(), dest.tolist(),
+                [w.hex() for w in weight.tolist()]) == self.from_pair_order(inst)
+        assert not any(a.flags.writeable for a in inst.pair_arrays)
+
+    def test_hand_built_instance(self):
+        inst = make_instance(
+            links=[("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0)],
+            candidates=["b", "c"], gateway="a", attachment="b",
+            requests=[("r1", ["f1"], 1.0, ["d", "a"]), ("r2", ["f1"], 1.0, ["c"])],
+            destinations={"d": 0.7, "a": 0.1}, stay=0.2)
+        request, head, dest, weight = inst.pair_arrays
+        assert request.tolist() == [0] * 6 + [1] * 3
+        assert head.tolist() == [0, 0, 0, 3, 3, 3, 2, 2, 2]
+        assert dest.tolist() == [0, 1, 3] * 3
+        assert weight.tolist() == [0.1, 0.2, 0.7] * 3
+        assert (request.tolist(), head.tolist(), dest.tolist(),
+                [w.hex() for w in weight.tolist()]) == self.from_pair_order(inst)
 
 
 class TestInstanceSerialization:
