@@ -8,11 +8,13 @@ that solvers, heuristics, and test oracles all see identical paths.
 threads; link loads are kept by `evaluation.Ledger`.
 
 The search runs on int node ids, the positions in the sorted id list
-(:attr:`EdgeNetwork.node_index`), so int order is id order. All relevant
-sources are searched together, by one array relaxation (:func:`_relax`)
-whose floats and trees equal the heap Dijkstra's (:func:`_dijkstra`) bit
-for bit; the heap Dijkstra, the one owner of the tie rule, runs only for a
-source whose tree has a tie. A table keeps one store per quantity: per
+(:attr:`EdgeNetwork.node_index`), so int order is id order. From
+`_RELAX_MIN_NODES` nodes on, all relevant sources are searched together, by
+one array relaxation (:func:`_relax`) whose floats and trees equal the heap
+Dijkstra's (:func:`_dijkstra`) bit for bit; the heap Dijkstra, the one
+owner of the tie rule, runs only for a source whose tree has a tie. A
+smaller network runs the heap Dijkstra for every source, since there the
+relaxation's fixed cost outweighs the searches. A table keeps one store per quantity: per
 relevant source a cost row and a bottleneck row keyed by target, and the
 predecessor array of its shortest-path tree. The costs are also laid out
 as a matrix indexed by int node id (:attr:`PathTable.cost_matrix`), for
@@ -420,6 +422,39 @@ def _relax(adj: list[list[tuple[int, float, float]]], sources: list[int],
     return body, pred, link_cap
 
 
+def _each_source(adj: list[list[tuple[int, float, float]]], sources: list[int],
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_relax`'s arrays from one :func:`_dijkstra` run per source."""
+    shape = (len(adj), len(sources))
+    dist, pred, bn = np.empty(shape), np.empty(shape, np.intp), np.empty(shape)
+    for j, source in enumerate(sources):
+        dist[:, j], pred[:, j], bn[:, j] = _dijkstra(adj, source)
+    return dist, pred, bn
+
+
+# The node count from which `shortest_paths` takes `_relax`; below it the
+# heap runs cost less than the relaxation's hundred or so numpy calls.
+# Generated networks, every relevant source, 2 vCPUs, best of 15, `_relax`
+# against `_each_source`: 6 nodes 0.14 against 0.04 ms, 15 nodes 0.22
+# against 0.21-0.22 ms, 17 nodes 0.23-0.25 against 0.26-0.27 ms, 22 nodes
+# 0.24-0.30 against 0.40-0.42 ms.
+_RELAX_MIN_NODES = 16
+
+
+def _adjacency(network: EdgeNetwork) -> list[list[tuple[int, float, float]]]:
+    """Per int node id, the (neighbour, cost, capacity) of its links in
+    neighbour order."""
+    index = network.node_index
+    adj: list[list[tuple[int, float, float]]] = [[] for _ in index]
+    for ln in network.link_map.values():
+        u, v = index[ln.u], index[ln.v]
+        adj[u].append((v, ln.cost, ln.capacity_mbps))
+        adj[v].append((u, ln.cost, ln.capacity_mbps))
+    for nbrs in adj:
+        nbrs.sort()
+    return adj
+
+
 def shortest_paths(
     network: EdgeNetwork,
     relevant: Iterable[str],
@@ -435,9 +470,10 @@ def shortest_paths(
     (a, b) and (b, a) may differ under cost ties but each is the
     lexicographically smallest in its own direction. All relevant sources
     are searched at once by :func:`_relax`, over the int ids of the sorted
-    node list and an adjacency of per-node (neighbour, cost, capacity)
-    lists in neighbour order; its floats and trees are :func:`_dijkstra`'s,
-    which it runs itself only for a source whose tree has a tie. The cost
+    node list and :func:`_adjacency`; its floats and trees are
+    :func:`_dijkstra`'s, which it runs itself only for a source whose tree
+    has a tie. Below `_RELAX_MIN_NODES` nodes :func:`_dijkstra` runs for
+    every source instead (:func:`_each_source`). The cost
     of a pair is taken from the smaller endpoint's column, once, into one
     canonical array; the cost matrix and the cost rows are both filled
     from it, so they hold the same floats.
@@ -451,16 +487,10 @@ def shortest_paths(
 
     ids = network.node_ids
     index = network.node_index
-    adj: list[list[tuple[int, float, float]]] = [[] for _ in ids]
-    for ln in network.link_map.values():
-        u, v = index[ln.u], index[ln.v]
-        adj[u].append((v, ln.cost, ln.capacity_mbps))
-        adj[v].append((u, ln.cost, ln.capacity_mbps))
-    for nbrs in adj:
-        nbrs.sort()
-
+    adj = _adjacency(network)
     rel_ids = [index[b] for b in rel]
-    dist, pred, bn = _relax(adj, rel_ids)
+    search = _relax if len(ids) >= _RELAX_MIN_NODES else _each_source
+    dist, pred, bn = search(adj, rel_ids)
     at = np.array(rel_ids, dtype=np.intp)
     preds = dict(zip(rel, pred.T.tolist()))
     bottlenecks = {a: dict(zip(rel, row)) for a, row in zip(rel, bn[at].T.tolist())}

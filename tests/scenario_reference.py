@@ -1,16 +1,22 @@
-"""Reference graph builder: every attachment and partner list rebuilt per link.
+"""Reference graph builder and request draws.
 
-A verbatim copy of `_build_graph` as `pccplace.scenario` had it, but for the
-docstring, from before the attachment list was kept in placement order
-across tree nodes and partners were read from a row of open nodes: each tree
-node scans every placed node and each top-up link scans every node with
-`degree_ok`. `tests/test_scenario.py::TestGraphBuilder` checks the package's
-builder against this one.
+`_build_graph` is a verbatim copy of the one `pccplace.scenario` had, but
+for the docstring, from before the attachment list was kept in placement
+order across tree nodes and partners were read from a row of open nodes:
+each tree node scans every placed node and each top-up link scans every
+node with `degree_ok`. `tests/test_scenario.py::TestGraphBuilder` checks the
+package's builder against this one.
+
+`requests` is the generator's request loop from before the draws were read
+from raw PCG64 outputs: numpy ``Generator`` calls on each request's own
+stream, built by `_rng`. `tests/test_request_draws.py` checks the
+generated requests against it.
 """
 
 from __future__ import annotations
 
 from pccplace.graph import Link, link_key
+from pccplace.model import ServiceRequest
 from pccplace.scenario import GenerationError, ScenarioParams, _rng
 
 
@@ -69,3 +75,26 @@ def _build_graph(params: ScenarioParams, seed: int) -> tuple[list[str], list[str
     candidates = [ids[i] for i in range(n_cand)]
     return ids, candidates, links
 
+
+
+def requests(params: ScenarioParams, seed: int) -> list[ServiceRequest]:
+    _, candidates, _ = _build_graph(params, seed)
+    nf_width = len(str(params.catalog_size - 1))
+    nf_ids = [f"f{i:0{nf_width}d}" for i in range(params.catalog_size)]
+    req_width = len(str(params.batch_size - 1))
+    requests = []
+    h_lo, h_hi = params.heads_per_request
+    c_lo, c_hi = params.chain_length
+    for idx in range(params.batch_size):
+        rng_req = _rng(seed, "request", idx)
+        length = int(rng_req.integers(c_lo, c_hi + 1))
+        chain = tuple(nf_ids[i] for i in rng_req.choice(
+            len(nf_ids), size=length, replace=False).tolist())
+        n_heads = min(int(rng_req.integers(h_lo, h_hi + 1)), len(candidates))
+        heads = frozenset(candidates[i] for i in rng_req.choice(
+            len(candidates), size=n_heads, replace=False).tolist())
+        rate = float(rng_req.uniform(*params.flow_rate_mbps))
+        requests.append(ServiceRequest(
+            id=f"r{idx:0{req_width}d}", chain=chain,
+            flow_rate_mbps=rate, heads=heads))
+    return requests

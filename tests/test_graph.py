@@ -461,10 +461,39 @@ def assert_matches_dijkstra(network, relevant):
     return table
 
 
+def relax_reruns(dijkstra_runs, network, relevant):
+    """The nodes `graph._relax` runs `_dijkstra` for, over the adjacency
+    `shortest_paths` builds, whatever the node count; its arrays equal one
+    `_dijkstra` run per source."""
+    adj = graph._adjacency(network)
+    sources = [network.node_index[b] for b in sorted(relevant)]
+    start = len(dijkstra_runs)
+    got = graph._relax(adj, sources)
+    reruns = [network.node_ids[v] for v in dijkstra_runs[start:]]
+    for array, want in zip(got, graph._each_source(adj, sources)):
+        assert np.array_equal(array, want)
+    return reruns
+
+
 class TestRoutes:
     """`shortest_paths` reads a source's tree from its relaxation when the
     tree is unique and strictly increasing, and runs `_dijkstra` for that
-    source otherwise: each route is taken, and only where it should be."""
+    source otherwise: each route is taken, and only where it should be.
+    Below `_RELAX_MIN_NODES` nodes it runs `_dijkstra` for every source, so
+    the small hand graphs call `_relax` directly."""
+
+    @pytest.mark.parametrize("nodes", [2, 15, 16, 40])
+    def test_small_tables_run_each_source(self, monkeypatch, dijkstra_runs, nodes):
+        relaxed = []
+        relax = graph._relax
+        monkeypatch.setattr(graph, "_relax",
+                            lambda adj, sources: relaxed.append(sources) or relax(adj, sources))
+        net = random_network(random.Random(nodes), nodes, (1.0, 2.5, 4.25))
+        assert_matches_reference(net, sorted(net.nodes))
+        if nodes < graph._RELAX_MIN_NODES:
+            assert relaxed == [] and len(dijkstra_runs) == nodes
+        else:
+            assert len(relaxed) == 1
 
     @pytest.mark.parametrize("num_candidates, seed",
                              [(20, 1), (20, 2), (20, 3), (200, 1), (200, 2)])
@@ -488,7 +517,7 @@ class TestRoutes:
         rng = random.Random(seed)
         net = random_network(rng, 14, (1e-20, 1e-17, 1.0, 2.0))
         assert_matches_reference(net, sorted(net.nodes))
-        assert dijkstra_runs
+        assert relax_reruns(dijkstra_runs, net, net.nodes)
 
     def test_only_tied_sources_rerun(self, dijkstra_runs):
         # a-c ties a-b-c at cost 2, seen from a and from c; b reaches both
@@ -498,8 +527,7 @@ class TestRoutes:
              ("b", "e", 1.0, 40.0)],
             candidates=["a"], gateway="a", attachment="a")
         table = assert_matches_reference(net, ["a", "b", "c", "e"])
-        ids = net.node_ids
-        assert [ids[v] for v in dijkstra_runs] == ["a", "c"]
+        assert relax_reruns(dijkstra_runs, net, ["a", "b", "c", "e"]) == ["a", "c"]
         assert table.sequence("a", "c") == ("a", "b", "c")
         assert table.bottleneck("a", "c") == 10.0
         assert table.sequence("e", "c") == ("e", "b", "c")
@@ -510,7 +538,7 @@ class TestRoutes:
         net = make_network([("a", "b", 1e-20, 10.0), ("a", "c", 1.0, 20.0)],
                            candidates=["a"], gateway="a", attachment="a")
         table = assert_matches_reference(net, ["a", "b", "c"])
-        assert [net.node_ids[v] for v in dijkstra_runs] == ["c"]
+        assert relax_reruns(dijkstra_runs, net, ["a", "b", "c"]) == ["c"]
         assert table.sequence("c", "b") == ("c", "a", "b")
         assert table.cost("c", "b") == 1.0
 

@@ -1,13 +1,20 @@
 """The generator's request draws against numpy's own ``Generator`` calls.
 
 `_request_draws` reads each request's raw PCG64 outputs and repeats numpy's
-algorithms in integer code. Here every request is drawn both ways on the
-same stream, ``SeedSequence(seed, spawn_key=(7, idx))``: with
-``integers``, ``choice(replace=False)`` and ``uniform``, as the generator
-once called them, and with `_request_draws`. Populations reach 2**31 + 5,
-where Lemire's method rejects about half of the words, and numpy's
-tail-shuffle branch of ``choice``. No population here makes numpy build a
-large array.
+algorithms in integer code, one request at a time (`_draws_each`) or, from
+`_BATCH_MIN` requests on, for the whole batch in one array pass
+(`_draws_batch`). Here every request is drawn both ways on the same stream,
+``SeedSequence(seed, spawn_key=(7, idx))``: with ``integers``,
+``choice(replace=False)`` and ``uniform``, as the generator once called
+them, and with each of the two paths, the batch pass called directly
+whatever the batch size. Populations reach 2**31 + 5, where Lemire's method
+rejects about half of the words, and numpy's tail-shuffle branch of
+``choice``. No population here makes numpy build a large array.
+
+The batch pass's raw streams are checked against ``PCG64.random_raw``
+itself, and a request with a rejected word must be redrawn by the
+per-request code and still match. `generate_instance` equals
+`scenario_reference.requests` on both sides of `_BATCH_MIN`.
 """
 
 import numpy as np
@@ -15,8 +22,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scenario_reference
 from pccplace import scenario
-from pccplace.scenario import _bounded, _request_draws, _request_state_words
+from pccplace.scenario import (
+    _BATCH_MIN,
+    ScenarioParams,
+    _bounded,
+    _draws_batch,
+    _draws_each,
+    _pcg64_state,
+    _raw_streams,
+    _request_state_words,
+    generate_instance,
+)
 
 SEEDS = [0, 1, 2**32, 2**63 - 1, 2**130 + 12345]
 INDICES = [0, 1, 7, 4999]
@@ -36,7 +54,7 @@ def numpy_draws(seed, idx, chain_length, catalog_size, heads_per_request,
 
 
 class CountingPCG64:
-    """The PCG64 interface `_request_draws` uses, counting ``random_raw`` calls."""
+    """The PCG64 interface the draws use, counting ``random_raw`` calls."""
 
     def __init__(self):
         self.bitgen = np.random.PCG64()
@@ -55,18 +73,23 @@ class CountingPCG64:
         return self.bitgen.random_raw(size)
 
 
-def assert_draws_match(seed, indices, shape, flow_rate=FLOW):
-    """`_request_draws` equals numpy on every request; returns the number of
-    requests that read past their first block."""
-    words = _request_state_words(seed, max(indices) + 1)[indices].tolist()
+def each(bitgen, words, *shape):
+    return _draws_each(bitgen, words.tolist(), *shape)
+
+
+def assert_draws_match(seed, indices, shape, flow_rate=FLOW, draws=each):
+    """`draws` (`each` or `_draws_batch`) equals numpy on every request;
+    returns the number of ``random_raw`` calls it made."""
+    words = _request_state_words(seed, max(indices) + 1)[indices]
     bitgen = CountingPCG64()
-    got = _request_draws(bitgen, words, *shape, flow_rate)
+    got = draws(bitgen, words, *shape, flow_rate)
+    assert len(got) == len(indices)
     for idx, (chain, heads, rate) in zip(indices, got):
         want_chain, want_heads, want_rate = numpy_draws(seed, idx, *shape, flow_rate)
         assert chain == want_chain, (seed, idx)
         assert heads == want_heads, (seed, idx)
         assert rate.hex() == want_rate.hex(), (seed, idx)
-    return bitgen.raw_calls - len(indices)
+    return bitgen.raw_calls
 
 
 # (chain_length, catalog_size, heads_per_request, num_candidates)
@@ -88,10 +111,49 @@ SHAPES = {
 }
 
 
+# Shapes the batch pass hands to `_draws_each` whole: a 64-bit span, or
+# numpy's tail shuffle in ``choice``.
+UNCOVERED = {"tail-shuffle-10001", "tail-shuffle-20000", "64-bit-head-count",
+             "64-bit-after-half-word"}
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
 def test_equals_numpy(seed, shape):
     assert_draws_match(seed, INDICES, shape)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", SHAPES)
+def test_batch_equals_numpy(seed, name):
+    indices = INDICES + list(range(8, 40))
+    raw_calls = assert_draws_match(seed, indices, SHAPES[name], draws=_draws_batch)
+    if name in UNCOVERED:
+        assert raw_calls >= len(indices)
+    elif "rejections" not in name:
+        assert raw_calls == 0  # no word of these spans is rejected here
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_raw_streams_equal_random_raw(seed):
+    words = _request_state_words(seed, 5000)[INDICES]
+    for block in range(1, 61):
+        raw = _raw_streams(words, block)
+        assert raw.dtype == np.uint64 and raw.shape == (len(INDICES), block)
+        for row, state_words in zip(raw, words.tolist()):
+            bitgen = np.random.PCG64()
+            bitgen.state = _pcg64_state(state_words)
+            assert row.tolist() == bitgen.random_raw(block).tolist(), (seed, block)
+
+
+def test_batch_redraws_rejected_requests():
+    # one word a request, about half of them rejected at 2**31 + 5: those
+    # requests, and only those, are drawn again per request, and all still
+    # match numpy
+    indices = list(range(60))
+    shape = ((1, 1), 2**31 + 5, (1, 1), 1)
+    raw_calls = assert_draws_match(3, indices, shape, draws=_draws_batch)
+    assert 10 < raw_calls < 50
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -113,7 +175,7 @@ def test_bounded_equals_integers(seed):
 
 def test_rejections_read_past_the_block():
     # half of the words are rejected at 2**31 + 5: the re-read runs
-    assert assert_draws_match(3, list(range(40)), SHAPES["rejections"]) > 0
+    assert assert_draws_match(3, list(range(40)), SHAPES["rejections"]) > 40
 
 
 def test_fault_raises_after_bounded_rereads(monkeypatch):
@@ -125,13 +187,14 @@ def test_fault_raises_after_bounded_rereads(monkeypatch):
     bitgen = CountingPCG64()
     words = _request_state_words(1, 1).tolist()
     with pytest.raises(IndexError):
-        _request_draws(bitgen, words, *SHAPES["default"], FLOW)
+        _draws_each(bitgen, words, *SHAPES["default"], FLOW)
     assert bitgen.raw_calls == 1 + 8  # the block, then 2, 4, ..., 256 blocks
 
 
 def test_flow_rate_range():
     for flow_rate in [(0.0, 1.0), (5.0, 5.0), (1e-3, 1e300)]:
-        assert_draws_match(11, INDICES, SHAPES["default"], flow_rate)
+        for draws in (each, _draws_batch):
+            assert_draws_match(11, INDICES, SHAPES["default"], flow_rate, draws)
 
 
 @st.composite
@@ -152,3 +215,29 @@ def shapes(draw):
 @given(seed=st.integers(0, 2**130), idx=st.integers(0, 2**16), shape=shapes())
 def test_random_shapes_equal_numpy(seed, idx, shape):
     assert_draws_match(seed, [idx], shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**130), idx=st.integers(0, 2**16), shape=shapes())
+def test_random_shapes_batch_equal_numpy(seed, idx, shape):
+    assert_draws_match(seed, [idx, idx + 1, idx + 5], shape, draws=_draws_batch)
+
+
+def requests_outline(requests):
+    return [(r.id, r.chain, sorted(r.heads), r.flow_rate_mbps.hex()) for r in requests]
+
+
+@pytest.mark.parametrize("batch_size", [_BATCH_MIN - 1, _BATCH_MIN, 2000])
+@pytest.mark.parametrize("seed", [0, 2**130 + 12345])
+def test_generate_instance_equals_reference(batch_size, seed):
+    params = ScenarioParams(num_candidates=30, batch_size=batch_size)
+    assert (requests_outline(generate_instance(params, seed).requests)
+            == requests_outline(scenario_reference.requests(params, seed)))
+
+
+@pytest.mark.parametrize("count, raw_calls", [(_BATCH_MIN - 1, _BATCH_MIN - 1), (_BATCH_MIN, 0)])
+def test_batch_pass_from_batch_min(count, raw_calls):
+    # below `_BATCH_MIN` each request's stream is read by its own call
+    bitgen = CountingPCG64()
+    scenario._request_draws(bitgen, _request_state_words(4, count), *SHAPES["default"], FLOW)
+    assert bitgen.raw_calls == raw_calls
