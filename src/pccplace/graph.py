@@ -14,13 +14,13 @@ one array relaxation (:func:`_relax`) whose floats and trees equal the heap
 Dijkstra's (:func:`_dijkstra`) bit for bit; the heap Dijkstra, the one
 owner of the tie rule, runs only for a source whose tree has a tie. A
 smaller network runs the heap Dijkstra for every source, since there the
-relaxation's fixed cost outweighs the searches. A table keeps one store per quantity: per
-relevant source a cost row and a bottleneck row keyed by target, and the
-predecessor array of its shortest-path tree. The costs are also laid out
-as a matrix indexed by int node id (:attr:`PathTable.cost_matrix`), for
-array code; both hold the floats of one computation. Node sequences and
-:class:`PathInfo` records are built when read, since the solvers read a
-sequence at most once per request.
+relaxation's fixed cost outweighs the searches. A table keeps one store
+per quantity: per relevant source a cost row and a bottleneck row keyed by
+target, and the predecessor array of its shortest-path tree. The costs
+are also laid out as a matrix indexed by int node id
+(:attr:`PathTable.cost_matrix`), for array code; both hold the floats of
+one computation. Node sequences and :class:`PathInfo` records are built
+when read, since the solvers read a sequence at most once per request.
 """
 
 from __future__ import annotations

@@ -49,8 +49,8 @@ numpy's algorithms (``numpy/random/src/distributions/distributions.c`` and
 - ``uniform(lo, hi)`` is ``lo + (hi - lo) * ((raw >> 11) * 2**-53)`` on the
   next whole raw output; a buffered half-word is skipped.
 
-From `_BATCH_MIN` requests on, `_draws_batch` draws the whole batch in one
-uint64 array pass, and each request's draws equal `_draws_each`'s:
+For a large enough batch (below), `_draws_batch` draws the whole batch in
+one uint64 array pass, and each request's draws equal `_draws_each`'s:
 
 - The raw outputs need no generator. Every stream steps the same LCG, s ->
   s * M + inc modulo 2**128, so t steps jump in closed form (Brown 1994,
@@ -70,15 +70,30 @@ uint64 array pass, and each request's draws equal `_draws_each`'s:
   its block holds, so none runs past its block. A request with a word below
   its threshold is drawn again, whole, by `_draws_each`.
 - A shape with a span of 2**32 or more (a 64-bit draw, which also moves the
-  buffered half-word) or a size that can reach numpy's tail shuffle is
-  drawn by `_draws_each` whole.
-- The batch pass costs a fixed number of numpy calls, and the per-request
-  code about 9 us a request. At the default shape (chains of 3-5 of 10
-  NFs, 1-5 heads of 20 candidates; 2 vCPUs, numpy 2.4, best of 15), per
-  request against in the pass, 40 requests take 0.35-0.37 against
-  0.37-0.38 ms, 50 take 0.43-0.47 against 0.39-0.41 ms, 200 take 1.75
-  against 0.60 ms and 2000 take 18.2 against 4.1 ms; hence `_BATCH_MIN` =
-  45.
+  buffered half-word), or with chains or head sets longer than
+  `_BATCH_MAX_LENGTH` = 64, is drawn by `_draws_each` whole. The length
+  bound also keeps numpy's tail shuffle out, which needs a size above n //
+  50 > 200. Longer sets gain nothing, since each pick is checked against
+  every earlier one: heads of 1-150 of 200 candidates take 27.1 ms in the
+  per-request code against 28.8 ms in the pass at 624 requests, and 99
+  against 102 ms at 2000.
+- The pass costs some twenty numpy calls per column, and it has about two
+  columns per raw output of a request's block, while the per-request code
+  costs about 9 us a request at the default shape. So `_request_draws`
+  takes the pass from `_BATCH_PER_OUTPUT` = 4 requests per raw output of
+  the block on. Measured in ms, per-request code / pass (2 vCPUs, numpy
+  2.4, best of 9), at 3, 4 and 5 requests per raw output:
+
+  ======================================  =========  =========  =========
+  shape (block)                           3          4          5
+  ======================================  =========  =========  =========
+  default: chains 3-5, heads 1-5 (11)     0.33/0.41  0.44/0.42  0.55/0.44
+  heads 1-20 of 200 (26)                  1.04/1.02  1.41/1.12  1.78/1.30
+  heads 1-64 of 200 (70)                  5.25/4.64  6.47/5.91  8.29/7.04
+  chains 1-64 of 200 (70)                 4.56/4.67  6.50/5.50  8.33/6.19
+  ======================================  =========  =========  =========
+
+  At 2000 requests the default shape takes 19.2 against 4.2 ms.
 
 `tests/test_request_draws.py` checks every branch of both paths against
 ``Generator`` itself, Lemire rejections included.
@@ -261,7 +276,7 @@ def _sample(w: list[int], k: int, n: int, size: int) -> tuple[list[int], int]:
     return ([picks[i] for i in range(n - size, n)] if tail else picks), k
 
 
-Draws = list[tuple[list[int], list[int], float]]
+_Draws = list[tuple[list[int], list[int], float]]
 
 
 def _request_draws(
@@ -269,15 +284,23 @@ def _request_draws(
     chain_length: tuple[int, int], catalog_size: int,
     heads_per_request: tuple[int, int], num_candidates: int,
     flow_rate: tuple[float, float],
-) -> Draws:
+) -> _Draws:
     """(chain indices, head indices, flow rate) of each request whose stream
     is seeded from a row of `state_words` (see the module docstring): by
-    `_draws_batch` from `_BATCH_MIN` requests on, else by `_draws_each`.
-    `bitgen` is set to the streams the per-request code reads."""
+    `_draws_batch` from `_BATCH_PER_OUTPUT` requests per raw output of a
+    request's block on, else by `_draws_each`. `bitgen` is set to the
+    streams the per-request code reads."""
     shape = (chain_length, catalog_size, heads_per_request, num_candidates, flow_rate)
-    if len(state_words) < _BATCH_MIN:
+    if len(state_words) < _BATCH_PER_OUTPUT * _block(chain_length, heads_per_request,
+                                                     num_candidates):
         return _draws_each(bitgen, state_words.tolist(), *shape)
     return _draws_batch(bitgen, state_words, *shape)
+
+
+def _block(chain_length: tuple[int, int], heads_per_request: tuple[int, int],
+           num_candidates: int) -> int:
+    """The raw outputs a request's draws read when no word is rejected."""
+    return chain_length[1] + min(heads_per_request[1], num_candidates) + 1
 
 
 def _draws_each(
@@ -285,7 +308,7 @@ def _draws_each(
     chain_length: tuple[int, int], catalog_size: int,
     heads_per_request: tuple[int, int], num_candidates: int,
     flow_rate: tuple[float, float],
-) -> Draws:
+) -> _Draws:
     """`_request_draws`, one request at a time, on `bitgen` set to each
     stream in turn.
 
@@ -296,7 +319,7 @@ def _draws_each(
     IndexError is raised.
     """
     (c_lo, c_hi), (h_lo, h_hi), (lo, hi) = chain_length, heads_per_request, flow_rate
-    block = c_hi + min(h_hi, num_candidates) + 1
+    block = _block(chain_length, heads_per_request, num_candidates)
     raws = []
     for words in state_words:
         bitgen.state = _pcg64_state(words)
@@ -323,11 +346,12 @@ def _draws_each(
     return out
 
 
-# The batch size from which `_request_draws` takes the batch pass. Default
-# shape, 2 vCPUs, best of 15, per-request code against the pass: 40
-# requests 0.35-0.37 against 0.37-0.38 ms, 50 requests 0.43-0.47 against
-# 0.39-0.41 ms, 200 requests 1.75 against 0.60 ms.
-_BATCH_MIN = 45
+# `_request_draws` takes the batch pass from this many requests per raw
+# output of a request's block (44 requests at the default shape), and the
+# pass draws chains and head sets up to `_BATCH_MAX_LENGTH` long; see the
+# module docstring for the measurements.
+_BATCH_PER_OUTPUT = 4
+_BATCH_MAX_LENGTH = 64
 
 # uint64 operands for the batch pass: numpy 1.x casts uint64 combined with
 # a Python int to float64.
@@ -388,9 +412,10 @@ def _raw_streams(state_words: np.ndarray, block: int) -> np.ndarray:
 
 
 def _covered(n: int, size: int) -> bool:
-    """Whether ``choice(n, k, replace=False)`` is Floyd's method on 32-bit
-    words for every k up to `size`."""
-    return n <= 2**32 and not (n > 10000 and size > n // 50)
+    """Whether the batch pass draws ``choice(n, k, replace=False)`` for
+    every k up to `size`: by Floyd's method on 32-bit words, and no longer
+    than `_BATCH_MAX_LENGTH`. numpy's tail shuffle needs k > n // 50 > 200."""
+    return n <= 2**32 and size <= _BATCH_MAX_LENGTH
 
 
 def _draws_batch(
@@ -398,16 +423,15 @@ def _draws_batch(
     chain_length: tuple[int, int], catalog_size: int,
     heads_per_request: tuple[int, int], num_candidates: int,
     flow_rate: tuple[float, float],
-) -> Draws:
+) -> _Draws:
     """`_request_draws` for every request at once, by uint64 array code.
 
     The raw outputs come from `_raw_streams`, and every draw runs over the
     requests as a column: the word a request reads next is at its own
     position `at` in the flat word array. Words are read as if none is
     rejected; a request with a rejected word is drawn again by
-    `_draws_each`. A shape with a 64-bit span, or for which numpy's
-    ``choice`` shuffles the tail of ``arange(n)``, is drawn by
-    `_draws_each` whole.
+    `_draws_each`. A shape with a 64-bit span, or with chains or head sets
+    longer than `_BATCH_MAX_LENGTH`, is drawn by `_draws_each` whole.
     """
     (c_lo, c_hi), (h_lo, h_hi), (lo, hi) = chain_length, heads_per_request, flow_rate
     h_top = min(h_hi, num_candidates)
@@ -415,7 +439,7 @@ def _draws_batch(
             and _covered(num_candidates, h_top)):
         return _draws_each(bitgen, state_words.tolist(), chain_length, catalog_size,
                            heads_per_request, num_candidates, flow_rate)
-    block = c_hi + h_top + 1
+    block = _block(chain_length, heads_per_request, num_candidates)
     raw = _raw_streams(state_words, block)
     count = len(raw)
     words = raw.astype("<u8").view("<u4").astype(np.uint64).ravel()

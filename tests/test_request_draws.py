@@ -1,9 +1,9 @@
 """The generator's request draws against numpy's own ``Generator`` calls.
 
 `_request_draws` reads each request's raw PCG64 outputs and repeats numpy's
-algorithms in integer code, one request at a time (`_draws_each`) or, from
-`_BATCH_MIN` requests on, for the whole batch in one array pass
-(`_draws_batch`). Here every request is drawn both ways on the same stream,
+algorithms in integer code, one request at a time (`_draws_each`) or, for a
+batch of `_BATCH_PER_OUTPUT` requests per raw output of a request's block
+or more, for the whole batch in one array pass (`_draws_batch`). Here every request is drawn both ways on the same stream,
 ``SeedSequence(seed, spawn_key=(7, idx))``: with ``integers``,
 ``choice(replace=False)`` and ``uniform``, as the generator once called
 them, and with each of the two paths, the batch pass called directly
@@ -14,7 +14,7 @@ rejects about half of the words, and numpy's tail-shuffle branch of
 The batch pass's raw streams are checked against ``PCG64.random_raw``
 itself, and a request with a rejected word must be redrawn by the
 per-request code and still match. `generate_instance` equals
-`scenario_reference.requests` on both sides of `_BATCH_MIN`.
+`scenario_reference.requests` on both sides of that batch size.
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import scenario_reference
 from pccplace import scenario
 from pccplace.scenario import (
-    _BATCH_MIN,
+    _BATCH_PER_OUTPUT,
     ScenarioParams,
     _bounded,
     _draws_batch,
@@ -108,13 +108,14 @@ SHAPES = {
     "count-rejections": ((1, 3), 10, (1, 2**31 + 4), 7),
     "64-bit-head-count": ((1, 3), 10, (1, 2**40), 7),
     "64-bit-after-half-word": ((2, 2), 3, (2**33, 2**33 + 2**35), 9),
+    "longest-in-batch": ((1, 64), 64, (1, 64), 200),  # _BATCH_MAX_LENGTH
 }
 
 
-# Shapes the batch pass hands to `_draws_each` whole: a 64-bit span, or
-# numpy's tail shuffle in ``choice``.
-UNCOVERED = {"tail-shuffle-10001", "tail-shuffle-20000", "64-bit-head-count",
-             "64-bit-after-half-word"}
+# Shapes the batch pass hands to `_draws_each` whole: a 64-bit span, or a
+# chain or head set longer than 64, numpy's tail shuffle among them.
+UNCOVERED = {"wide", "tail-shuffle-10001", "tail-shuffle-20000", "floyd-at-the-edges",
+             "64-bit-head-count", "64-bit-after-half-word"}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -227,7 +228,10 @@ def requests_outline(requests):
     return [(r.id, r.chain, sorted(r.heads), r.flow_rate_mbps.hex()) for r in requests]
 
 
-@pytest.mark.parametrize("batch_size", [_BATCH_MIN - 1, _BATCH_MIN, 2000])
+DEFAULT_BATCH_MIN = _BATCH_PER_OUTPUT * (5 + 5 + 1)  # chains and heads up to 5
+
+
+@pytest.mark.parametrize("batch_size", [DEFAULT_BATCH_MIN - 1, DEFAULT_BATCH_MIN, 2000])
 @pytest.mark.parametrize("seed", [0, 2**130 + 12345])
 def test_generate_instance_equals_reference(batch_size, seed):
     params = ScenarioParams(num_candidates=30, batch_size=batch_size)
@@ -235,9 +239,13 @@ def test_generate_instance_equals_reference(batch_size, seed):
             == requests_outline(scenario_reference.requests(params, seed)))
 
 
-@pytest.mark.parametrize("count, raw_calls", [(_BATCH_MIN - 1, _BATCH_MIN - 1), (_BATCH_MIN, 0)])
-def test_batch_pass_from_batch_min(count, raw_calls):
-    # below `_BATCH_MIN` each request's stream is read by its own call
+@pytest.mark.parametrize("shape", [SHAPES["default"], ((3, 5), 10, (1, 20), 200)])
+@pytest.mark.parametrize("below", [True, False])
+def test_batch_pass_from_batch_min(shape, below):
+    # the crossover is `_BATCH_PER_OUTPUT` requests per raw output of a
+    # request's block; below it each request's stream is read by its own call
+    (_, c_hi), _, (_, h_hi), num_candidates = shape
+    count = _BATCH_PER_OUTPUT * (c_hi + min(h_hi, num_candidates) + 1) - below
     bitgen = CountingPCG64()
-    scenario._request_draws(bitgen, _request_state_words(4, count), *SHAPES["default"], FLOW)
-    assert bitgen.raw_calls == raw_calls
+    scenario._request_draws(bitgen, _request_state_words(4, count), *shape, FLOW)
+    assert bitgen.raw_calls == (count if below else 0)
