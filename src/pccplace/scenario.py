@@ -435,7 +435,7 @@ def _draws_batch(
     """
     (c_lo, c_hi), (h_lo, h_hi), (lo, hi) = chain_length, heads_per_request, flow_rate
     h_top = min(h_hi, num_candidates)
-    if not (max(c_hi - c_lo, h_hi - h_lo) <= _MASK32 and _covered(catalog_size, c_hi)
+    if not (h_hi - h_lo <= _MASK32 and _covered(catalog_size, c_hi)
             and _covered(num_candidates, h_top)):
         return _draws_each(bitgen, state_words.tolist(), chain_length, catalog_size,
                            heads_per_request, num_candidates, flow_rate)

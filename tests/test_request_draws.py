@@ -3,13 +3,14 @@
 `_request_draws` reads each request's raw PCG64 outputs and repeats numpy's
 algorithms in integer code, one request at a time (`_draws_each`) or, for a
 batch of `_BATCH_PER_OUTPUT` requests per raw output of a request's block
-or more, for the whole batch in one array pass (`_draws_batch`). Here every request is drawn both ways on the same stream,
-``SeedSequence(seed, spawn_key=(7, idx))``: with ``integers``,
-``choice(replace=False)`` and ``uniform``, as the generator once called
-them, and with each of the two paths, the batch pass called directly
-whatever the batch size. Populations reach 2**31 + 5, where Lemire's method
-rejects about half of the words, and numpy's tail-shuffle branch of
-``choice``. No population here makes numpy build a large array.
+or more, for the whole batch in one array pass (`_draws_batch`). Here
+every request is drawn both ways on the same stream, ``SeedSequence(seed,
+spawn_key=(7, idx))``: with ``integers``, ``choice(replace=False)`` and
+``uniform``, as the generator once called them, and with each of the two
+paths, the batch pass called directly whatever the batch size.
+Populations reach 2**31 + 5, where Lemire's method rejects about half of
+the words, and numpy's tail-shuffle branch of ``choice``. No population
+here makes numpy build a large array.
 
 The batch pass's raw streams are checked against ``PCG64.random_raw``
 itself, and a request with a rejected word must be redrawn by the
@@ -148,9 +149,8 @@ def test_raw_streams_equal_random_raw(seed):
 
 
 def test_batch_redraws_rejected_requests():
-    # one word a request, about half of them rejected at 2**31 + 5: those
-    # requests, and only those, are drawn again per request, and all still
-    # match numpy
+    # one word a request, about half of them rejected at 2**31 + 5: some
+    # requests, not all, are drawn again per request, and all match numpy
     indices = list(range(60))
     shape = ((1, 1), 2**31 + 5, (1, 1), 1)
     raw_calls = assert_draws_match(3, indices, shape, draws=_draws_batch)
