@@ -38,7 +38,11 @@ Capacity checking follows the paper's per-pair bottleneck semantics: each
 (endpoint, endpoint) shortest path has an independent capacity budget,
 aggregated over everything mapped to that pair. The loads of these families
 (5a node resources, 5b-5d head, chain and tail flow) are kept by one
-:class:`Ledger`. The exact search charges it visit by visit,
+:class:`Ledger`, in one representation: 5a loads by int node id, 5b-5d
+loads by the int pair code that also indexes the path table's budgets;
+node ids reappear only in its hosting keys and violation rows, and code
+order is id order.
+The exact search charges it visit by visit,
 :func:`check_constraints` in batch, and the greedy fill position by position
 (:meth:`Ledger.place`), after a prefix of whole chains at their anchors in
 one array pass (:meth:`Ledger.place_chains`), each with the charges the
@@ -47,6 +51,7 @@ checker makes, so what either solver places has no 5a-5d row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -154,6 +159,20 @@ class Ledger:
     (:meth:`place`), and first the requests whose whole chains fit at their
     anchors, all at once (:meth:`place_chains`).
 
+    One representation, on int node ids (:attr:`graph.EdgeNetwork.node_index`):
+    `load` is a list indexed by int node id, holding (memory, cpu) for a
+    node with a `node_resources` entry and None for any other; each 5b-5d
+    table of `flows` is a dict keyed by the pair code ``a * n + b`` of int
+    ids a and b (n the node count), the code that indexes
+    :attr:`graph.PathTable.bottleneck_list`, from which every budget is
+    read. :meth:`place`, :meth:`can_host` and :meth:`full` take int ids;
+    :meth:`visit` takes node ids and resolves them to codes once per visit.
+    `hosted` keeps (request, nf, node id) keys, which the exact search and
+    :func:`check_constraints` read. Beyond those keys, node ids are looked
+    up only in :meth:`violations`, which lists rows by int id and by code:
+    int order is id order (node ids are numbered in sorted order), and code
+    a * n + b orders pairs by a, then b, so that is sorted id order.
+
     Float policy: a load is the running float sum of its charges, in the
     order they were charged; a hosting's demand is charged once, at the
     first charge naming its (request, nf, node). Demands and rates are
@@ -178,17 +197,25 @@ class Ledger:
     """
 
     def __init__(self, instance: ProblemInstance, paths: PathTable):
+        network = instance.network
         self._instance, self._paths = instance, paths
-        self._caps = {k: cap.as_tuple() for k, cap in instance.node_resources.items()}
+        self._ids, self._index = network.node_ids, network.node_index
+        self._n = len(self._ids)
+        self._budgets = paths.bottleneck_list
+        # (memory, cpu) capacity per int node id, None without an entry
+        self._caps: list[tuple[float, float] | None] = [None] * self._n
+        for k, cap in instance.node_resources.items():
+            self._caps[self._index[k]] = cap.as_tuple()
         self._demand = {nf: dem.as_tuple() for nf, dem in instance.catalog.items()}
-        self._dests = sorted(instance.destination_weights)
-        # (memory, cpu) per node with a capacity entry
-        self.load = dict.fromkeys(self._caps, (0.0, 0.0))
+        self._dests = sorted(self._index[d] for d in instance.destination_weights)
+        # (memory, cpu) per int node id with a capacity entry, else None
+        self.load: list[tuple[float, float] | None] = [
+            None if cap is None else (0.0, 0.0) for cap in self._caps]
         # the hostings charged so far; a dict, so that undo restores it as it
         # restores the loads
         self.hosted: dict[tuple[str, str, str], bool] = {}
-        self.flows: tuple[dict[tuple[str, str], float], ...] = ({}, {}, {})  # 5b-5d
-        self._saved: list[tuple[dict, object, object]] = []  # (table, key, old or None)
+        self.flows: tuple[dict[int, float], ...] = ({}, {}, {})  # 5b-5d, by pair code
+        self._saved: list[tuple[object, object, object]] = []  # (table, key, old or None)
         self._marks: list[int] = []
         self._request: ServiceRequest | None = None  # the request `_terms` are of
         self._terms: tuple = ()
@@ -197,37 +224,46 @@ class Ledger:
               prevs: Iterable[str], hosting: bool) -> tuple:
         """Charges of visiting position `l` of `req` at `node` for (head, dest).
 
-        The tuple (hosting or None, nf, node, rate, flows) is resolved once,
-        flows holding a (table, pair, budget) per 5b-5d row; each of `prevs`,
-        the nodes at position l - 1, adds a chain-hop flow. Unless `hosting`
-        is set, the visit charges no node demand.
+        The tuple (hosting or None, nf, int node id, rate, flows) is
+        resolved once, flows holding a (table, pair code, budget) per 5b-5d
+        row; each of `prevs`, the nodes at position l - 1, adds a chain-hop
+        flow. Unless `hosting` is set, the visit charges no node demand.
+        Nodes are given by id, and must be relevant to the path table, as
+        the exact search's candidates and the nodes of a placement that
+        passes the index check are.
         """
-        bottleneck = self._paths.bottleneck
+        budgets, index, n = self._budgets, self._index, self._n
+        k = index[node]
         head_flow, pair_flow, tail_flow = self.flows
         flows = []
         if l == 1:
-            flows.append((head_flow, (head, node), bottleneck(head, node)))
+            code = index[head] * n + k
+            flows.append((head_flow, code, budgets[code]))
         for p in prevs:
-            flows.append((pair_flow, (p, node), bottleneck(p, node)))
+            code = index[p] * n + k
+            flows.append((pair_flow, code, budgets[code]))
         if l == len(req.chain):
-            flows.append((tail_flow, (node, dest), bottleneck(node, dest)))
+            code = k * n + index[dest]
+            flows.append((tail_flow, code, budgets[code]))
         nf = req.chain[l - 1]
-        return ((req.id, nf, node) if hosting else None, nf, node,
+        return ((req.id, nf, node) if hosting else None, nf, k,
                 req.flow_rate_mbps, flows)
 
-    def can_host(self, nf: str, node: str) -> bool:
-        """Whether `node` has room for one more hosting of `nf` (5a)."""
-        load = self.load.get(node)
+    def can_host(self, nf: str, node: int) -> bool:
+        """Whether the int node id `node` has room for one more hosting of
+        `nf` (5a)."""
+        load = self.load[node]
         if load is None:
             return False
         cap, demand = self._caps[node], self._demand[nf]
         return load[0] + demand[0] <= cap[0] and load[1] + demand[1] <= cap[1]
 
-    def full(self, node: str) -> bool:
-        """Whether no NF of the catalog fits `node`'s remaining room (5a), as
-        :meth:`can_host` tests it; a node without a `node_resources` entry
-        is full. Loads never shrink outside :meth:`undo`, so a node full
-        before a run of charges is full after it."""
+    def full(self, node: int) -> bool:
+        """Whether no NF of the catalog fits the int node id `node`'s
+        remaining room (5a), as :meth:`can_host` tests it; a node without a
+        `node_resources` entry is full. Loads never shrink outside
+        :meth:`undo`, so a node full before a run of charges is full after
+        it."""
         return not any(self.can_host(nf, node) for nf in self._demand)
 
     def fits(self, visit: tuple) -> bool:
@@ -240,20 +276,21 @@ class Ledger:
                 return False
         return True
 
-    def _host(self, host: tuple[str, str, str], nf: str, node: str) -> None:
+    def _host(self, host: tuple[str, str, str], nf: str, node: int) -> None:
         if host not in self.hosted:
             self._saved.append((self.hosted, host, None))
             self.hosted[host] = True
-            load = self.load.get(node)
+            load = self.load[node]
             if load is not None:
                 self._saved.append((self.load, node, load))
                 demand = self._demand[nf]
                 self.load[node] = (load[0] + demand[0], load[1] + demand[1])
 
     def host(self, request: str, nf: str, node: str) -> None:
-        """Charge a hosting: its demand, unless it is already hosted."""
+        """Charge a hosting at the node id `node`: its demand, unless it is
+        already hosted."""
         self._marks.append(len(self._saved))
-        self._host((request, nf, node), nf, node)
+        self._host((request, nf, node), nf, self._index[node])
 
     def charge(self, visit: tuple) -> None:
         """Charge a visit: its hosting as :meth:`host` does, then its flows."""
@@ -267,9 +304,10 @@ class Ledger:
             saved.append((table, pair, old))
             table[pair] = rate if old is None else old + rate
 
-    def place(self, req: ServiceRequest, l: int, node: str,
-              before: str | None, after: str | None) -> bool:
-        """Host position `l` of `req` at `node` if its flows fit; whether it did.
+    def place(self, req: ServiceRequest, l: int, node: int,
+              before: int | None, after: int | None) -> bool:
+        """Host position `l` of `req` at the int node id `node` if its flows
+        fit; whether it did.
 
         The caller tests the hosting demand (5a) with :meth:`can_host`
         first. The flows are those :func:`check_constraints` charges for a
@@ -277,133 +315,133 @@ class Ledger:
         destination) pair, as :func:`model.build_placement` builds it: if
         l = 1, head flow (s, node) once per destination for each head s;
         chain flow (before, node) and (node, after) once per pair, where
-        `before` and `after` host positions l - 1 and l + 1 (None while
-        unhosted); and if l = L, tail flow (node, d) once per head for each
-        destination d. The n charges of one pair are added one at a time,
-        so a load matches the checker's bit for bit when requests are
-        placed in batch order and a request's positions on one node in
-        chain order; rates are positive, so testing the last sum covers the
-        earlier ones. A self pair has an infinite budget and is not
-        charged, and the pairs of one call are distinct. A flow over its
-        budget undoes the call's charges, so nothing stays charged unless
-        every flow fits; :meth:`undo` reverts a call that returned True.
-        What depends on `req` alone is resolved once for consecutive calls
-        on one request (:meth:`_resolve`), and the budgets are read
-        through :meth:`graph.PathTable.bottleneck`.
+        `before` and `after` are the int ids hosting positions l - 1 and
+        l + 1 (None while unhosted); and if l = L, tail flow (node, d) once
+        per head for each destination d. The n charges of one pair are
+        added one at a time, so a load matches the checker's bit for bit
+        when requests are placed in batch order and a request's positions
+        on one node in chain order; rates are positive, so testing the last
+        sum covers the earlier ones. A self pair has an infinite budget and
+        is not charged, and the pairs of one call are distinct. A flow over
+        its budget undoes the call's charges, so nothing stays charged
+        unless every flow fits; :meth:`undo` reverts a call that returned
+        True. What depends on `req` alone is resolved once for consecutive
+        calls on one request (:meth:`_resolve`).
         """
         if req is not self._request:
             self._resolve(req)
         heads, last, rate, n_head, n_pair, n_tail = self._terms
         head_flow, pair_flow, tail_flow = self.flows
-        keys = []  # (table, pair, number of charges)
+        n = self._n
+        keys = []  # (table, pair code, number of charges)
         if l == 1:
             for s in heads:
                 if s != node:
-                    keys.append((head_flow, (s, node), n_head))
+                    keys.append((head_flow, s * n + node, n_head))
         if before is not None and before != node:
-            keys.append((pair_flow, (before, node), n_pair))
+            keys.append((pair_flow, before * n + node, n_pair))
         if after is not None and after != node:
-            keys.append((pair_flow, (node, after), n_pair))
+            keys.append((pair_flow, node * n + after, n_pair))
         if l == last:
+            row = node * n
             for d in self._dests:
                 if d != node:
-                    keys.append((tail_flow, (node, d), n_tail))
-        bottleneck = self._paths.bottleneck
+                    keys.append((tail_flow, row + d, n_tail))
+        budgets = self._budgets
         saved = self._saved
         self._marks.append(len(saved))
-        for table, pair, n in keys:
-            old = table.get(pair)
+        for table, code, count in keys:
+            old = table.get(code)
             load = 0.0 if old is None else old
-            for _ in range(n):
+            for _ in range(count):
                 load += rate
-            saved.append((table, pair, old))
-            table[pair] = load
-            if load > bottleneck(*pair):
+            saved.append((table, code, old))
+            table[code] = load
+            if load > budgets[code]:
                 self.undo()
                 return False
         nf = req.chain[l - 1]
-        self._host((req.id, nf, node), nf, node)
+        self._host((req.id, nf, self._ids[node]), nf, node)
         return True
 
     def place_chains(self, anchors: Sequence[int]) -> int:
         """Host whole chains at their anchors for the longest prefix of
         requests that fits; the length of that prefix.
 
-        `anchors` holds an int node id (:attr:`graph.EdgeNetwork.node_index`)
-        for each request of a prefix of `instance.requests`. The ledger must
-        have nothing charged. Request r fits if calling :meth:`can_host` and
-        then :meth:`place` at its anchor for l = 1..L, with the anchor
-        before position l > 1 and nothing after it, in batch order, would
-        pass every check for it and for all requests before it. Those calls charge 5a demand at the anchor per position,
-        5b rate per (head, destination) pair whose head is not the anchor,
-        and 5d rate per pair whose destination is not the anchor; a
-        co-located chain charges no 5c. The loads they leave, and only
-        those, are charged here, and the hostings are recorded in (request,
-        position) order, so `load`, `flows` and `hosted` are as after those
-        calls, bit for bit (see the class docstring). Nothing is recorded
-        for :meth:`undo`. The prefix ends at the first anchor without a
-        `node_resources` entry, which :meth:`can_host` refuses.
+        `anchors` holds an int node id for each request of a prefix of
+        `instance.requests`. The ledger must have nothing charged. Request
+        r fits if calling :meth:`can_host` and then :meth:`place` at its
+        anchor for l = 1..L, with the anchor before position l > 1 and
+        nothing after it, in batch order, would pass every check for it and
+        for all requests before it. Those calls charge 5a demand at the
+        anchor per position, 5b rate per (head, destination) pair whose
+        head is not the anchor, and 5d rate per pair whose destination is
+        not the anchor; a co-located chain charges no 5c. The loads they
+        leave, and only those, are charged here, and the hostings are
+        recorded in (request, position) order, so `load`, `flows` and
+        `hosted` are as after those calls, bit for bit (see the class
+        docstring). Nothing is recorded for :meth:`undo`. The prefix ends
+        at the first anchor without a `node_resources` entry, which
+        :meth:`can_host` refuses.
 
         Loads only grow, so the prefix of n requests fits exactly when each
         load after all its charges is within capacity: every earlier check
         tested a smaller running sum. Each family's loads are one
         ``np.bincount`` of its charges in charge order, which adds them one
-        at a time from 0.0 as the ledger does. The longest prefix that fits
-        5a is found first, then the longest part of it that fits 5b and 5d,
-        each by testing the whole length and, if it does not fit, by
-        bisection (:func:`_longest_prefix`).
+        at a time from 0.0 as the ledger does, and each family's capacities
+        are gathered by bin from an array: node capacities by int id,
+        budgets from :attr:`graph.PathTable.bottleneck_matrix` by pair
+        code. The longest prefix that fits 5a is found first, then the
+        longest part of it that fits 5b and 5d, each by testing the whole
+        length and, if it does not fit, by bisection
+        (:func:`_longest_prefix`).
         """
         if self.hosted or any(self.flows):
             raise ValueError("place_chains needs a ledger with nothing charged")
-        instance = self._instance
-        ids = instance.network.node_ids
-        n_ids = len(ids)
-        m = next((r for r, a in enumerate(anchors) if ids[a] not in self._caps), len(anchors))
+        instance, caps, n_ids = self._instance, self._caps, self._n
+        m = next((r for r, a in enumerate(anchors) if caps[a] is None), len(anchors))
         anchors = np.array(anchors[:m], dtype=np.intp)
         requests = instance.requests[:m]
         owners = np.repeat(np.arange(m), [len(req.chain) for req in requests])
         position = {nf: i for i, nf in enumerate(self._demand)}
         demand = np.array(list(self._demand.values()), dtype=np.float64).reshape(-1, 2)[
             [position[nf] for req in requests for nf in req.chain]]
+        capacity = np.array([(math.nan, math.nan) if cap is None else cap for cap in caps],
+                            dtype=np.float64).reshape(-1, 2)
         # 5a first: the flows need testing only over the prefix it leaves
-        nodes = [_Charges(anchors[owners], n_ids, demand[:, j], owners, m,
-                          lambda k, j=j: self._caps[ids[k]][j]) for j in (0, 1)]
+        nodes = [_Charges(anchors[owners], n_ids, demand[:, j], owners, m, capacity[:, j])
+                 for j in (0, 1)]
         m = _longest_prefix(nodes, m)
         pairs = instance.pair_arrays
         owners = pairs.request[:np.searchsorted(pairs.request, m)]
         at = anchors[owners]
         rate = np.array([req.flow_rate_mbps for req in requests[:m]], dtype=np.float64)[owners]
-        bottleneck = self._paths.bottleneck
-
-        def budget(code):
-            a, b = divmod(code, n_ids)
-            return bottleneck(ids[a], ids[b])
-
+        budgets = self._paths.bottleneck_matrix.reshape(-1)
         flows = []
         for start, end in ((pairs.head[:len(at)], at), (at, pairs.dest[:len(at)])):  # 5b, 5d
             charged = start != end
             flows.append(_Charges(start[charged] * n_ids + end[charged], n_ids * n_ids,
-                                  rate[charged], owners[charged], m, budget))
+                                  rate[charged], owners[charged], m, budgets))
         n = _longest_prefix(flows, m)
         for (k, memory), (_, cpu) in zip(*(family.loads(n) for family in nodes)):
-            self.load[ids[k]] = (memory, cpu)
+            self.load[k] = (memory, cpu)
         for table, family in zip(self.flows[::2], flows):
-            for code, load in family.loads(n):
-                a, b = divmod(code, n_ids)
-                table[(ids[a], ids[b])] = load
+            table.update(family.loads(n))
+        ids = self._ids
         self.hosted.update(((req.id, nf, ids[a]), True)
                            for req, a in zip(requests[:n], anchors[:n].tolist())
                            for nf in req.chain)
         return n
 
     def _resolve(self, req: ServiceRequest) -> None:
-        """Set :meth:`place`'s terms of `req`: its sorted heads, last
-        position and rate, and the number of charges per head, chain and
-        tail pair."""
+        """Set :meth:`place`'s terms of `req`: its head int ids in order,
+        last position and rate, and the number of charges per head, chain
+        and tail pair."""
         heads, dests = len(req.heads), len(self._dests)
+        index = self._index
         self._request = req
-        self._terms = (sorted(req.heads), len(req.chain), req.flow_rate_mbps,
-                      dests, heads * dests, heads)
+        self._terms = (sorted(index[s] for s in req.heads), len(req.chain),
+                       req.flow_rate_mbps, dests, heads * dests, heads)
 
     def undo(self) -> None:
         """Revert the last :meth:`charge`, :meth:`host` or :meth:`place` exactly."""
@@ -416,30 +454,38 @@ class Ledger:
                 table[key] = old
 
     def violations(self) -> list[ConstraintViolation]:
-        """Every 5a-5d row over capacity: by family, then by sorted index."""
+        """Every 5a-5d row over capacity: by family, then by sorted index.
+
+        Rows are listed by int node id and by pair code, which is sorted
+        node id order (see the class docstring)."""
+        ids, n = self._ids, self._n
         out = []
-        for k in sorted(self._caps):
-            for cap, load, resource in zip(self._caps[k], self.load[k],
-                                           ("memory_mb", "cpu_cores")):
-                slack = cap - load
+        for k, (caps, load) in enumerate(zip(self._caps, self.load)):
+            if caps is None:
+                continue
+            for cap, used, resource in zip(caps, load, ("memory_mb", "cpu_cores")):
+                slack = cap - used
                 if slack < 0:
-                    out.append(ConstraintViolation("5a", (k, resource), slack))
+                    out.append(ConstraintViolation("5a", (ids[k], resource), slack))
+        budgets = self._budgets
         for family, table in zip(("5b", "5c", "5d"), self.flows):
-            for pair in sorted(table):  # an infinite budget never goes negative
-                slack = self._paths.bottleneck(*pair) - table[pair]
+            for code in sorted(table):  # an infinite budget never goes negative
+                slack = budgets[code] - table[code]
                 if slack < 0:
-                    out.append(ConstraintViolation(family, pair, slack))
+                    a, b = divmod(code, n)
+                    out.append(ConstraintViolation(family, (ids[a], ids[b]), slack))
         return out
 
 
 class _Charges:
     """The charges of one capacity family that :meth:`Ledger.place_chains`
-    makes, in charge order, each to a bin (an int node id, or a code for a
-    pair), with the capacity of every bin charged."""
+    makes, in charge order, each to a bin (an int node id, or a pair
+    code), with the capacity of every bin charged."""
 
     def __init__(self, keys: np.ndarray, size: int, charges: np.ndarray,
-                 owners: np.ndarray, n_requests: int, capacity: Callable[[int], float]):
-        # keys: the bin of each charge, in [0, size); owners: its request
+                 owners: np.ndarray, n_requests: int, capacity: np.ndarray):
+        # keys: the bin of each charge, in [0, size); owners: its request;
+        # capacity: the capacity of each bin in [0, size)
         used = np.flatnonzero(np.bincount(keys, minlength=size))
         slot = np.zeros(size, dtype=np.intp)
         slot[used] = np.arange(len(used))
@@ -447,7 +493,7 @@ class _Charges:
         self.slots = slot[keys]  # the position in `bins` of each charge's bin
         self.charges = charges
         self.ends = np.searchsorted(owners, np.arange(n_requests + 1))  # charges of the first n
-        self.capacity = np.array([capacity(b) for b in self.bins], dtype=np.float64)
+        self.capacity = capacity[used]
 
     def sums(self, n: int) -> np.ndarray:
         """Each bin's load after the charges of the first n requests, added

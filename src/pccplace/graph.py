@@ -14,13 +14,15 @@ one array relaxation (:func:`_relax`) whose floats and trees equal the heap
 Dijkstra's (:func:`_dijkstra`) bit for bit; the heap Dijkstra, the one
 owner of the tie rule, runs only for a source whose tree has a tie. A
 smaller network runs the heap Dijkstra for every source, since there the
-relaxation's fixed cost outweighs the searches. A table keeps one store
-per quantity: per relevant source a cost row and a bottleneck row keyed by
-target, and the predecessor array of its shortest-path tree. The costs
-are also laid out as a matrix indexed by int node id
-(:attr:`PathTable.cost_matrix`), for array code; both hold the floats of
-one computation. Node sequences and :class:`PathInfo` records are built
-when read, since the solvers read a sequence at most once per request.
+relaxation's fixed cost outweighs the searches. A table keeps its costs
+and bottlenecks as node-by-node matrices indexed by int node id
+(:attr:`PathTable.cost_matrix`, :attr:`PathTable.bottleneck_matrix`), for
+array code, and as flat lists of their Python floats indexed by the pair
+code ``i * n + j``, for scalar code; both hold the floats of one
+computation. Per relevant source it keeps the predecessor array of its
+shortest-path tree. Node sequences and :class:`PathInfo` records are
+built when read, since the solvers read a sequence at most once per
+request.
 """
 
 from __future__ import annotations
@@ -136,36 +138,43 @@ class PathTable:
     smallest among ties), and the bottleneck capacity (minimum link capacity
     along the stored sequence; +inf for the (a, a) pair).
 
-    Stored, per relevant source a: the cost row and the bottleneck row,
-    dicts keyed by target (``costs[a][b]``, ``bottlenecks[a][b]``), which
-    :meth:`cost` and :meth:`bottleneck` read (the exact search and the
-    ledger call them in inner loops); and the predecessor array of its
-    shortest-path tree over int node ids, from which :meth:`sequence` walks
-    the node sequence back from the target. :attr:`pairs` is a read-only
-    view that builds each :class:`PathInfo` when it is read.
+    Stored: `cost_matrix` and `bottleneck_matrix`, read-only float64
+    arrays, node count by node count, indexed by int node id
+    (:attr:`EdgeNetwork.node_index`), NaN wherever an entry names a node
+    outside the relevant set; the same floats as two flat lists of Python
+    floats, `cost_list` and `bottleneck_list`, where entry ``i * n + j``
+    (the pair code, n the node count) is entry [i, j] of the matrix; and,
+    per relevant source, the predecessor array of its shortest-path tree
+    over int node ids, from which :meth:`sequence` walks the node sequence
+    back from the target. `max_cost` is the largest cost, one max over the
+    relevant block of the cost matrix taken when the table is built, since
+    every priced result reads it. :attr:`pairs` is a read-only view that
+    builds each :class:`PathInfo` when it is read.
 
-    `cost_matrix` holds the same costs for array code (the greedy fill's
-    pricing and candidate order), which gathers many costs at once by int
-    id; scalar code (the exact search, the ledger, `export_lp`) reads one
-    float at a time by node id from the rows, with no int id or numpy
-    scalar in between. It is a read-only float64 array, node count by node
-    count, indexed by int node id (:attr:`EdgeNetwork.node_index`): entry
-    [i, j] equals ``cost(a, b)`` bit for bit for relevant nodes a and b
-    with ids i and j, so it is exactly symmetric, and every entry naming a
-    node outside the relevant set is NaN.
+    Array code (the greedy fill's pricing and candidate order, the
+    ledger's prefix pass) gathers many entries at once from the matrices.
+    Scalar code reads one Python float at a time from the lists, with no
+    numpy scalar in between: :meth:`cost` and :meth:`bottleneck` by node
+    id (the exact search, `export_lp`), the ledger by pair code. Pair codes
+    sort as their (a, b) pairs do, since int order is id order. Entry [i,
+    j] of the cost matrix equals ``cost(a, b)`` for relevant nodes a and b
+    with ids i and j, so it is exactly symmetric.
     """
 
     def __init__(self, relevant: frozenset[str], ids: tuple[str, ...],
                  index: dict[str, int], cost_matrix: np.ndarray,
-                 costs: dict[str, dict[str, float]],
-                 bottlenecks: dict[str, dict[str, float]],
-                 preds: dict[str, list[int]]):
+                 bottleneck_matrix: np.ndarray, preds: dict[str, list[int]],
+                 max_cost: float):
         self.relevant = relevant
+        self.max_cost = max_cost  # 0.0 for a single node
         self._ids = ids
-        self._index = index
+        self._n = len(ids)
+        # relevant node id -> int id; any other node is a KeyError
+        self._at = {a: index[a] for a in relevant}
         self.cost_matrix = cost_matrix
-        self._costs = costs
-        self._bottlenecks = bottlenecks
+        self.bottleneck_matrix = bottleneck_matrix
+        self.cost_list: list[float] = cost_matrix.ravel().tolist()
+        self.bottleneck_list: list[float] = bottleneck_matrix.ravel().tolist()
         self._preds = preds
 
     def _missing(self, a: str, b: str) -> KeyError:
@@ -178,16 +187,18 @@ class PathTable:
     # The accessors below look the pair up directly, since the solvers and
     # the evaluator call them in their inner loops.
     def cost(self, a: str, b: str) -> float:
+        at = self._at
         try:
-            return self._costs[a][b]
+            return self.cost_list[at[a] * self._n + at[b]]
         except KeyError:
             raise self._missing(a, b) from None
 
     def sequence(self, a: str, b: str) -> tuple[str, ...]:
-        if a not in self.relevant or b not in self.relevant:
+        at = self._at
+        if a not in at or b not in at:
             raise self._missing(a, b)
         ids = self._ids
-        return tuple(ids[v] for v in self.id_sequence(self._index[a], self._index[b]))
+        return tuple(ids[v] for v in self.id_sequence(at[a], at[b]))
 
     def id_sequence(self, a: int, b: int) -> list[int]:
         """The stored a -> b node sequence as int node ids, for relevant
@@ -195,8 +206,9 @@ class PathTable:
         return _walk(self._preds[self._ids[a]], b)
 
     def bottleneck(self, a: str, b: str) -> float:
+        at = self._at
         try:
-            return self._bottlenecks[a][b]
+            return self.bottleneck_list[at[a] * self._n + at[b]]
         except KeyError:
             raise self._missing(a, b) from None
 
@@ -204,11 +216,6 @@ class PathTable:
     def pairs(self) -> Mapping[tuple[str, str], PathInfo]:
         """Every (a, b) pair, source-major in id order, to its :class:`PathInfo`."""
         return _PairView(self)
-
-    @cached_property
-    def max_cost(self) -> float:
-        """Largest pairwise cost in the table (0.0 for a single node)."""
-        return max((max(row.values()) for row in self._costs.values()), default=0.0)
 
 
 class _PairView(Mapping):
@@ -475,8 +482,8 @@ def shortest_paths(
     has a tie. Below `_RELAX_MIN_NODES` nodes :func:`_dijkstra` runs for
     every source instead (:func:`_each_source`). The cost
     of a pair is taken from the smaller endpoint's column, once, into one
-    canonical array; the cost matrix and the cost rows are both filled
-    from it, so they hold the same floats.
+    canonical array; the cost matrix is filled from it, and the cost list
+    from the matrix, so they hold the same floats.
     """
     rel = sorted(set(relevant))
     missing = [n for n in rel if n not in network.nodes]
@@ -493,16 +500,19 @@ def shortest_paths(
     dist, pred, bn = search(adj, rel_ids)
     at = np.array(rel_ids, dtype=np.intp)
     preds = dict(zip(rel, pred.T.tolist()))
-    bottlenecks = {a: dict(zip(rel, row)) for a, row in zip(rel, bn[at].T.tolist())}
-    del pred, bn
+    del pred
     dist = dist[at].T  # relevant x relevant, source by target, both in id order
     # Canonical cost from the smaller endpoint's column: entry [i, j] comes
     # from source min(i, j), so P_ab == P_ba exactly despite float summation
     # order.
     i = np.arange(len(rel))
     canonical = np.where(i[:, None] <= i, dist, dist.T)
-    matrix = np.full((len(ids), len(ids)), np.nan)
-    matrix[at[:, None], at] = canonical
-    matrix.flags.writeable = False
-    costs = {a: dict(zip(rel, row)) for a, row in zip(rel, canonical.tolist())}
-    return PathTable(frozenset(rel), ids, index, matrix, costs, bottlenecks, preds)
+    matrices = []
+    for block in (canonical, bn[at].T):
+        matrix = np.full((len(ids), len(ids)), np.nan)
+        matrix[at[:, None], at] = block
+        matrix.flags.writeable = False
+        matrices.append(matrix)
+    # costs are >= 0, so the initial 0.0 changes only an empty table's max
+    max_cost = float(canonical.max(initial=0.0))
+    return PathTable(frozenset(rel), ids, index, *matrices, preds, max_cost)

@@ -49,7 +49,7 @@ import numpy as np
 from .evaluation import Ledger, SolveResult, cost_of_route_array
 # Not called here: perfbench/tracing.py wraps `heuristics.evaluate_cost` by
 # name, so the name stays bound until the benchmark drops that patch
-# (ROADMAP item 3).
+# (ROADMAP item 4).
 from .evaluation import evaluate_cost  # noqa: F401
 from .graph import PathTable
 from .model import ProblemInstance, build_placement
@@ -170,10 +170,10 @@ def _greedy_chain_fill(
     decision as it was: once node capacity binds, most of a request's
     fallback tests would hit nodes with no room for anything.
 
-    The scans run on int node ids: the anchor is the first of the sorted
-    head ids at the least cost to the target, the on-path candidates come
-    from the anchor's int predecessor walk, and names are looked up only
-    for the ledger and the hosts. The fallback order, all candidates by
+    The scans run on int node ids, and so do the ledger calls: the anchor
+    is the first of the sorted head ids at the least cost to the target,
+    the on-path candidates come from the anchor's int predecessor walk, and
+    no node id is looked up in the loop. The fallback order, all candidates by
     (distance from the anchor head, id), is sorted once per anchor head in
     a call (:func:`_by_distance`), and only for a request that the on-path
     candidates cannot fill. It is filtered again, without the nodes that
@@ -221,7 +221,7 @@ def _greedy_chain_fill(
         route = paths.id_sequence(s_star, index[target])
         on_path = [k for k in route if candidate[k] and not full[k]]
         pending = dict(enumerate(req.chain, start=1))
-        at: list[str | None] = [None] * (len(req.chain) + 2)  # position -> host
+        at: list[int | None] = [None] * (len(req.chain) + 2)  # position -> int host id
         for scan in (on_path, None):
             if scan is None:
                 seen, order = fallback.get(s_star, (-1, None))
@@ -233,19 +233,19 @@ def _greedy_chain_fill(
                 on_set = set(route)
                 scan = (k for k in order if k not in on_set)
             for k in scan:
-                node, no_room = ids[k], refused[k]
+                no_room = refused[k]
                 # pending holds positions in ascending order and only shrinks
                 for l in tuple(pending):
                     nf = pending[l]
                     if nf in no_room:
                         continue
-                    if not ledger.can_host(nf, node):
+                    if not ledger.can_host(nf, k):
                         no_room.add(nf)
-                        if not full[k] and ledger.full(node):
+                        if not full[k] and ledger.full(k):
                             full[k] = True
                             n_full += 1
-                    elif ledger.place(req, l, node, at[l - 1], at[l + 1]):
-                        at[l] = node
+                    elif ledger.place(req, l, k, at[l - 1], at[l + 1]):
+                        at[l] = k
                         row[l - 1] = k
                         del pending[l]
                 if not pending:

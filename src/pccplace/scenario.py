@@ -676,12 +676,11 @@ def _build_graph(params: ScenarioParams, seed: int) -> tuple[list[str], list[str
             under_cap[j] = len(adj[j]) < cap[j]
         under_cap[i] = len(adj[i]) < cap[i]
 
-    rng_cost = _rng(seed, "link_cost")
-    lo, hi = params.link_cost
-    links = []
-    for a, b in sorted(link_key(ids[u], ids[v]) for u, v in edges):
-        links.append(Link(u=a, v=b, cost=float(rng_cost.uniform(lo, hi)),
-                          capacity_mbps=params.link_capacity_mbps))
+    # One sized draw gives the floats of one scalar draw per link, in order.
+    keys = sorted(link_key(ids[u], ids[v]) for u, v in edges)
+    costs = _rng(seed, "link_cost").uniform(*params.link_cost, size=len(keys)).tolist()
+    links = [Link(u=a, v=b, cost=cost, capacity_mbps=params.link_capacity_mbps)
+             for (a, b), cost in zip(keys, costs)]
     candidates = [ids[i] for i in range(n_cand)]
     return ids, candidates, links
 
@@ -713,13 +712,10 @@ def generate_instance(params: ScenarioParams, seed: int) -> ProblemInstance:
         attachment=attachment,
     )
 
-    rng_res = _rng(seed, "node_resources")
-    mem_lo, mem_hi = params.node_memory_mb
-    node_resources = {
-        k: Resources(memory_mb=float(rng_res.uniform(mem_lo, mem_hi)),
-                     cpu_cores=params.node_cpu_cores)
-        for k in candidates
-    }
+    memory = _rng(seed, "node_resources").uniform(
+        *params.node_memory_mb, size=len(candidates)).tolist()
+    node_resources = {k: Resources(memory_mb=mb, cpu_cores=params.node_cpu_cores)
+                      for k, mb in zip(candidates, memory)}
 
     rng_cat = _rng(seed, "catalog")
     nf_width = len(str(params.catalog_size - 1))

@@ -26,6 +26,9 @@ from pccplace.model import (
 
 from conftest import PATH_LINKS, make_instance
 
+# int node ids of PATH_LINKS' path a-b-c-d (positions in sorted id order)
+A, B, C, D = range(4)
+
 
 def paths_for(instance):
     return shortest_paths(instance.network, instance.relevant_nodes)
@@ -264,16 +267,17 @@ class TestLedger:
             catalog={"f1": (40.0, 1.0), "f2": (70.0, 1.0)},
             node_resources={"b": (100.0, 4.0)})
         ledger = Ledger(inst, paths_for(inst))
-        assert ledger.can_host("f1", "b")
+        assert ledger.can_host("f1", B)
         ledger.host("r1", "f1", "b")
-        assert ledger.load["b"] == (40.0, 1.0)
-        assert not ledger.can_host("f2", "b")
+        assert ledger.load[B] == (40.0, 1.0)
+        assert not ledger.can_host("f2", B)
         ledger.host("r1", "f1", "b")  # demand is charged once per hosting
-        assert ledger.load["b"] == (40.0, 1.0)
+        assert ledger.load[B] == (40.0, 1.0)
         ledger.undo()
         ledger.undo()
-        assert ledger.load["b"] == (0.0, 0.0) and not ledger.hosted
-        assert not ledger.can_host("f1", "a")  # no node_resources entry
+        assert ledger.load[B] == (0.0, 0.0) and not ledger.hosted
+        assert not ledger.can_host("f1", A)  # no node_resources entry
+        assert ledger.load[A] is None
 
     def _full_instance(self):
         # f3 is the smallest NF in both resources; cpu binds on b
@@ -286,8 +290,8 @@ class TestLedger:
     def test_node_without_resources_is_full(self):
         inst = self._full_instance()
         ledger = Ledger(inst, paths_for(inst))
-        assert ledger.full("a") and ledger.full("c") and ledger.full("d")
-        assert not ledger.full("b")
+        assert ledger.full(A) and ledger.full(C) and ledger.full(D)
+        assert not ledger.full(B)
 
     @pytest.mark.parametrize("first, fill_ups", [(None, 8), ("f1", 4), ("f2", 2)])
     def test_full_exactly_when_the_smallest_nf_stops_fitting(self, first, fill_ups):
@@ -296,21 +300,21 @@ class TestLedger:
         if first is not None:
             ledger.host("r0", first, "b")
         for i in range(fill_ups):
-            assert not ledger.full("b") and ledger.can_host("f3", "b")
+            assert not ledger.full(B) and ledger.can_host("f3", B)
             ledger.host(f"r{i + 1}", "f3", "b")
-        assert ledger.full("b") and not ledger.can_host("f3", "b")
+        assert ledger.full(B) and not ledger.can_host("f3", B)
         ledger.undo()  # loads shrink only by undo
-        assert not ledger.full("b")
+        assert not ledger.full(B)
 
     def test_full_node_hosts_no_nf(self):
         inst = self._full_instance()
         ledger = Ledger(inst, paths_for(inst))
         for i, nf in enumerate(("f1", "f3", "f3", "f3", "f3")):
             ledger.host(f"r{i}", nf, "b")
-            verdicts = {nf: ledger.can_host(nf, "b") for nf in inst.catalog}
-            assert ledger.full("b") == (not any(verdicts.values())), verdicts
-        assert ledger.full("b")
-        assert not any(ledger.can_host(nf, k) for nf in inst.catalog for k in "abcd")
+            verdicts = {nf: ledger.can_host(nf, B) for nf in inst.catalog}
+            assert ledger.full(B) == (not any(verdicts.values())), verdicts
+        assert ledger.full(B)
+        assert not any(ledger.can_host(nf, k) for nf in inst.catalog for k in (A, B, C, D))
 
     def test_visit_fit_charge_and_violations(self):
         inst = make_instance(
@@ -348,6 +352,35 @@ class TestLedger:
             ("5d", ("b", "d"), -1.0),
         ]
 
+    def test_rows_in_id_order_where_ids_do_not_sort_numerically(self):
+        # "n10" < "n2" < "n9": rows follow node id order in every family, as
+        # the int ids and pair codes they are kept by do; numeric order
+        # would put n9 before n10
+        inst = make_instance(
+            links=[("n10", "n2", 1.0, 5.0), ("n2", "n9", 1.0, 5.0), ("n10", "n9", 1.0, 5.0)],
+            candidates=["n10", "n2", "n9"], gateway="n2", attachment="n9",
+            requests=[("r1", ["f1", "f2"], 6.0, ["n9", "n10"]),
+                      ("r2", ["f1", "f2"], 6.0, ["n9", "n10"])],
+            destinations={"n10": 0.5}, stay=0.5,
+            catalog={"f1": (10.0, 0.125), "f2": (10.0, 0.125)},
+            node_resources={k: (5.0, 8.0) for k in ("n10", "n2", "n9")})
+        # charged r1 first, so the 5c and 5d tables fill out of id order
+        placement = build_placement(inst, {("r1", 1): "n2", ("r1", 2): "n9",
+                                           ("r2", 1): "n2", ("r2", 2): "n10"})
+        got = [(v.constraint, v.index, v.slack)
+               for v in check_constraints(inst, placement, paths_for(inst))]
+        assert got == [
+            ("5a", ("n10", "memory_mb"), -5.0),
+            ("5a", ("n2", "memory_mb"), -15.0),
+            ("5a", ("n9", "memory_mb"), -5.0),
+            ("5b", ("n10", "n2"), -19.0),
+            ("5b", ("n9", "n2"), -19.0),
+            ("5c", ("n2", "n10"), -19.0),
+            ("5c", ("n2", "n9"), -19.0),
+            ("5d", ("n10", "n9"), -7.0),
+            ("5d", ("n9", "n10"), -7.0),
+        ]
+
     def test_place_charges_what_the_checker_charges(self):
         # Heads a and c, destinations d and the attachment a, chain f1 f2 at
         # b and c, position 2 placed first: every load place leaves equals
@@ -363,8 +396,8 @@ class TestLedger:
         at = {1: "b", 2: "c"}
         placed, checked = Ledger(inst, paths), Ledger(inst, paths)
         for req in inst.requests:
-            assert placed.place(req, 2, "c", None, None)
-            assert placed.place(req, 1, "b", None, "c")
+            assert placed.place(req, 2, C, None, None)
+            assert placed.place(req, 1, B, None, C)
             for l in (1, 2):
                 prevs = (at[l - 1],) if l > 1 else ()
                 for s in sorted(req.heads):
@@ -373,7 +406,7 @@ class TestLedger:
         assert placed.load == checked.load
         assert placed.hosted == checked.hosted
         assert placed.flows == tuple({pair: load for pair, load in table.items()
-                                      if pair[0] != pair[1]}
+                                      if pair // 4 != pair % 4}  # no self pair
                                      for table in checked.flows)
 
     def test_verdict_independent_of_hash_seed(self):

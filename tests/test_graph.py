@@ -206,12 +206,25 @@ def assert_matches_reference(network, relevant):
         assert table.bottleneck(a, b) == info.bottleneck, (a, b)
         assert table.pairs[(a, b)] == info
     assert table.max_cost == ref.max_cost
+    assert table.max_cost == max(info.cost for info in ref.pairs.values())
+    assert type(table.max_cost) is float
     matrix, index = table.cost_matrix, network.node_index
     assert not matrix.flags.writeable
     assert np.array_equal(matrix, matrix.T, equal_nan=True)  # exactly symmetric
     for (a, b) in ref.pairs:
         assert matrix[index[a], index[b]].hex() == table.cost(a, b).hex(), (a, b)
     assert np.isnan(matrix).sum() == len(network.nodes) ** 2 - len(ref.pairs)
+    # the bottleneck matrix, and both flat lists by pair code i * n + j
+    size, bottlenecks = len(network.nodes), table.bottleneck_matrix
+    assert not bottlenecks.flags.writeable
+    assert np.array_equal(np.isnan(bottlenecks), np.isnan(matrix))
+    for (a, b) in ref.pairs:
+        i, j = index[a], index[b]
+        assert bottlenecks[i, j] == table.bottleneck(a, b), (a, b)
+        for got, want in ((table.cost_list[i * size + j], table.cost(a, b)),
+                          (table.bottleneck_list[i * size + j], table.bottleneck(a, b))):
+            assert type(got) is float and got.hex() == want.hex(), (a, b)
+    assert len(table.cost_list) == len(table.bottleneck_list) == size * size
     outside = next((n for n in sorted(network.nodes) if n not in table.relevant),
                    "zz-not-a-node")
     a = min(table.relevant)
@@ -221,6 +234,12 @@ def assert_matches_reference(network, relevant):
         with pytest.raises(KeyError) as got:
             read(a, outside)
         assert str(got.value) == str(expected.value)
+    for read in (table.cost, table.bottleneck):  # the other endpoint too
+        with pytest.raises(KeyError) as got:
+            read(outside, a)
+        assert str(got.value) == str(KeyError(
+            f"no path entry for pair ({outside!r}, {a!r}); "
+            f"is the node in the relevant set?"))
     with pytest.raises(KeyError) as expected:
         ref.pairs[(outside, a)]
     with pytest.raises(KeyError) as got:
@@ -281,6 +300,15 @@ def path_ledger(capacities=(2000.0, 1500.0, 2000.0), rates=(1.0,), chain=("f1",)
     return Ledger(inst, paths), inst.requests
 
 
+# int node ids of the path network a-b-c-d (positions in sorted id order)
+A, B, C, D = range(4)
+
+
+def code(a, b):
+    """The ledger's pair code of int ids a and b on the four-node path."""
+    return a * 4 + b
+
+
 def rows(ledger):
     return [(v.constraint, v.index, v.slack) for v in ledger.violations()]
 
@@ -293,31 +321,31 @@ class TestLedger:
         # head flow a->c crosses the 1500 Mbps link b-c
         for rate, fits in ((1500.0, True), (1500.5, False)):
             ledger, (req,) = path_ledger(rates=(rate,))
-            assert ledger.place(req, 1, "c", None, None) is fits
+            assert ledger.place(req, 1, C, None, None) is fits
 
     def test_fit_after_charge(self):
         # tail flow b->d crosses b-c: 600 there leaves room for 900, not 900.5
         ledger, (r1, r2, r3) = path_ledger(rates=(600.0, 900.0, 900.5))
-        assert ledger.place(r1, 1, "b", None, None)
-        assert not ledger.place(r3, 1, "b", None, None)
-        assert ledger.place(r2, 1, "b", None, None)
-        assert ledger.flows[2] == {("b", "d"): 1500.0}
+        assert ledger.place(r1, 1, B, None, None)
+        assert not ledger.place(r3, 1, B, None, None)
+        assert ledger.place(r2, 1, B, None, None)
+        assert ledger.flows[2] == {code(B, D): 1500.0}
 
     def test_charge_64kbps(self):
         ledger, (req,) = path_ledger(rates=(0.064,))
-        assert ledger.place(req, 1, "b", None, None)
-        assert ledger.flows == ({("a", "b"): 0.064}, {}, {("b", "d"): 0.064})
+        assert ledger.place(req, 1, B, None, None)
+        assert ledger.flows == ({code(A, B): 0.064}, {}, {code(B, D): 0.064})
         assert ledger.violations() == []
 
     def test_two_charges_add_up(self):
         ledger, (r1, r2) = path_ledger(rates=(10.0, 10.0))
-        assert ledger.place(r1, 1, "c", None, None)
-        assert ledger.place(r2, 1, "c", None, None)
-        assert ledger.flows == ({("a", "c"): 20.0}, {}, {("c", "d"): 20.0})
+        assert ledger.place(r1, 1, C, None, None)
+        assert ledger.place(r2, 1, C, None, None)
+        assert ledger.flows == ({code(A, C): 20.0}, {}, {code(C, D): 20.0})
 
     def test_rate_above_capacity_does_not_fit(self):
         ledger, (req,) = path_ledger(rates=(1600.0,))
-        assert not ledger.place(req, 1, "c", None, None)
+        assert not ledger.place(req, 1, C, None, None)
         assert ledger.flows == ({}, {}, {}) and not ledger.hosted
         over = ledger.visit(req, 1, "c", "a", "d", (), True)
         assert not ledger.fits(over)
@@ -326,14 +354,14 @@ class TestLedger:
 
     def test_undo_restores_loads(self):
         ledger, (r1, r2) = path_ledger(rates=(0.1, 0.2))
-        assert ledger.place(r1, 1, "b", None, None)
-        assert ledger.place(r2, 1, "c", None, None)
+        assert ledger.place(r1, 1, B, None, None)
+        assert ledger.place(r2, 1, C, None, None)
         ledger.undo()
-        assert ledger.flows == ({("a", "b"): 0.1}, {}, {("b", "d"): 0.1})
+        assert ledger.flows == ({code(A, B): 0.1}, {}, {code(B, D): 0.1})
         assert list(ledger.hosted) == [("r1", "f1", "b")]
         ledger.undo()
         assert ledger.flows == ({}, {}, {}) and not ledger.hosted
-        assert ledger.load["b"] == (0.0, 0.0)
+        assert ledger.load[B] == (0.0, 0.0)
 
 
 class TestResiduals:
@@ -343,12 +371,12 @@ class TestResiduals:
     def test_single_node_path_is_infinite(self):
         for rate in (1e9, float("inf")):
             ledger, (req,) = path_ledger(rates=(rate,), chain=("f1", "f2", "f3"))
-            assert ledger.place(req, 2, "c", "c", "c")
+            assert ledger.place(req, 2, C, C, C)
             assert ledger.fits(ledger.visit(req, 2, "c", "a", "d", ("c",), False))
 
     def test_consume_zero_length_path_is_noop(self):
         ledger, (req,) = path_ledger(rates=(1e9,), chain=("f1", "f2", "f3"))
-        assert ledger.place(req, 2, "c", "c", "c")
+        assert ledger.place(req, 2, C, C, C)
         assert ledger.flows == ({}, {}, {}) and ledger.violations() == []
         ledger.undo()
         assert ledger.flows == ({}, {}, {}) and not ledger.hosted

@@ -34,12 +34,11 @@ def replay(instance, paths, anchors):
     each whole chain at its anchor, up to the first request that does not
     fit (its charges undone); and the number of requests charged."""
     ledger = Ledger(instance, paths)
-    ids = instance.network.node_ids
     for r, (req, a) in enumerate(zip(instance.requests, anchors)):
-        node, placed = ids[a], 0
+        placed = 0
         for l, nf in enumerate(req.chain, start=1):
-            if not (ledger.can_host(nf, node)
-                    and ledger.place(req, l, node, node if l > 1 else None, None)):
+            if not (ledger.can_host(nf, a)
+                    and ledger.place(req, l, a, a if l > 1 else None, None)):
                 for _ in range(placed):
                     ledger.undo()
                 return ledger, r
@@ -53,9 +52,10 @@ def exact(x):
 
 
 def state(ledger):
-    """The ledger's loads, flows and hostings, every float exactly."""
-    return ({k: tuple(map(exact, load)) for k, load in ledger.load.items()},
-            [{pair: exact(load) for pair, load in table.items()} for table in ledger.flows],
+    """The ledger's loads by int node id, flows by pair code and hostings,
+    every float exactly."""
+    return ([None if load is None else tuple(map(exact, load)) for load in ledger.load],
+            [{code: exact(load) for code, load in table.items()} for table in ledger.flows],
             list(ledger.hosted))
 
 
@@ -151,7 +151,7 @@ class TestAgainstReplay:
         inst = chain_instance()
         paths = shortest_paths(inst.network, inst.relevant_nodes)
         ledger = Ledger(inst, paths)
-        assert ledger.place(inst.requests[0], 1, "k", None, None)
+        assert ledger.place(inst.requests[0], 1, at_k(inst)[0], None, None)
         with pytest.raises(ValueError, match="nothing charged"):
             ledger.place_chains(at_k(inst))
 

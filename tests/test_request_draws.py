@@ -148,13 +148,34 @@ def test_raw_streams_equal_random_raw(seed):
             assert row.tolist() == bitgen.random_raw(block).tolist(), (seed, block)
 
 
-def test_batch_redraws_rejected_requests():
-    # one word a request, about half of them rejected at 2**31 + 5: some
-    # requests, not all, are drawn again per request, and all match numpy
+def test_batch_redraws_rejected_requests(monkeypatch):
+    # One word a request: the chain's single pick from 2**31 + 5, the low
+    # half of the stream's first raw output. Lemire's method rejects it when
+    # the low half of word * (2**31 + 5) is below (2**32 - 1 - span) %
+    # (span + 1) = 2**31 - 5, about half of the time. Exactly the requests
+    # with a rejected word are handed to `_draws_each`, in batch order, and
+    # all match numpy.
     indices = list(range(60))
-    shape = ((1, 1), 2**31 + 5, (1, 1), 1)
-    raw_calls = assert_draws_match(3, indices, shape, draws=_draws_batch)
-    assert 10 < raw_calls < 50
+    span = 2**31 + 4
+    shape = ((1, 1), span + 1, (1, 1), 1)
+    words = _request_state_words(3, len(indices))
+    rejected = []
+    for idx in indices:
+        raw = np.random.PCG64(np.random.SeedSequence(3, spawn_key=(7, idx))).random_raw(1)
+        word = int(raw[0]) & 0xFFFF_FFFF
+        if (word * (span + 1)) & 0xFFFF_FFFF < (2**32 - 1 - span) % (span + 1):
+            rejected.append(idx)
+    assert 10 < len(rejected) < 50
+    handed = []
+    draws_each = scenario._draws_each
+
+    def spy(bitgen, state_words, *args):
+        handed.extend(map(tuple, state_words))
+        return draws_each(bitgen, state_words, *args)
+
+    monkeypatch.setattr(scenario, "_draws_each", spy)
+    assert_draws_match(3, indices, shape, draws=_draws_batch)
+    assert handed == [tuple(words[idx].tolist()) for idx in rejected]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
