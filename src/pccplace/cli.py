@@ -205,7 +205,7 @@ def _cmd_bench(args) -> int:
             spec, params, args.trials, algorithms,
             base_seed=args.seed, jobs=args.jobs,
             measure_runtime=args.measure_runtime)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, scenario.GenerationError) as exc:
         return _fail(EXIT_USAGE, str(exc))
     outdir = Path(args.out)
     written = []

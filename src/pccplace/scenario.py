@@ -7,96 +7,88 @@ for request-level draws). Adding or changing one parameter therefore never
 perturbs draws in unrelated streams, and the same (params, seed) pair
 always yields a byte-identical instance.
 
-Request streams are not built one ``SeedSequence`` and ``PCG64`` at a time.
-With a spawn key, ``SeedSequence`` pads the seed's 32-bit words to its
-4-word pool and then hashes in the key words one by one, each step mixing
-one word into the pool with a hash constant that depends only on how many
-words came before. The pool after the seed and the shared word 7 is
-therefore the same for every request, and only the last word, the request
-index, differs. `_request_state_words` takes that pool from numpy once and
-repeats numpy's arithmetic for the index word and ``generate_state(4,
-uint64)`` as uint32 array operations over all requests. For a small batch
-`_pcg64_state` applies PCG64's seeding step to each request's words, and
-one generator is set to each state in turn. Both are tested against
-``_rng`` itself, so stream (7, idx) stays the one the spawn-key contract
-names.
+Request idx draws from its own stream, spawn key (7, idx), with numpy
+``Generator`` calls: ``integers(c_lo, c_hi + 1)`` for the chain length,
+``choice(catalog_size, length, replace=False)`` for the chain, ``integers(
+h_lo, h_hi + 1)`` for the head count (capped at the candidate count),
+``choice(num_candidates, count, replace=False)`` for the heads and
+``uniform(lo, hi)`` for the flow rate. `_draws_each` makes exactly those
+calls. For a large batch numpy's per-call bookkeeping costs more than the
+draws, so `_draws_batch` computes the same values for the whole batch in one
+uint64 array pass. It repeats what numpy's algorithms
+(``numpy/random/src/distributions/distributions.c`` and ``_generator.pyx``)
+do with 32-bit words, each the low half of a raw 64-bit output, then its
+high half:
 
-A request's draws are numpy ``Generator`` calls on its stream: ``integers(
-c_lo, c_hi + 1)`` for the chain length, ``choice(catalog_size, length,
-replace=False)`` for the chain, ``integers(h_lo, h_hi + 1)`` for the head
-count (capped at the candidate count), ``choice(num_candidates, count,
-replace=False)`` for the heads and ``uniform(lo, hi)`` for the flow rate.
-`_request_draws` computes the same values with integer code on a block of
-the stream's raw 64-bit outputs (``random_raw``), because numpy's Python-level
-bookkeeping costs more per call than the draws themselves. It repeats
-numpy's algorithms (``numpy/random/src/distributions/distributions.c`` and
-``_generator.pyx``), which consume the stream as follows:
-
-- A 32-bit word is the low half of a raw output, then its high half.
 - ``integers(lo, hi + 1)`` is ``lo + bounded(hi - lo)``. ``bounded(span)``
   takes no word for a span of 0. Otherwise it is Lemire's method (Lemire
   2019, ACM TOMACS 29(1)): ``m = word * (span + 1)``; the draw is ``m >>
   32`` unless the low half of ``m`` is below ``(2**32 - 1 - span) % (span +
-  1)``, in which case the next word is tried. A span of 2**32 or more does
-  the same with 64 bits on the next whole raw output, leaving a buffered
-  half-word buffered.
+  1)``, in which case the next word is tried.
 - ``choice(n, size, replace=False)`` is Floyd's method (Bentley & Floyd
   1987, CACM 30(9)): for j in [n - size, n) it picks ``bounded(j)``, or j if
   that was picked already, then swaps position i with ``bounded(i)`` for i =
-  size - 1 down to 1. When n > 10000 and size > n // 50 numpy shuffles the
-  tail of ``arange(n)`` instead: i from n - 1 down to max(n - size, 1) swaps
-  with ``bounded(i)``, and the picks are the last `size` entries.
+  size - 1 down to 1.
 - ``uniform(lo, hi)`` is ``lo + (hi - lo) * ((raw >> 11) * 2**-53)`` on the
-  next whole raw output; a buffered half-word is skipped.
+  next whole raw output.
 
-For a large enough batch (below), `_draws_batch` draws the whole batch in
-one uint64 array pass, and each request's draws equal `_draws_each`'s:
+The pass builds no generator:
 
-- The raw outputs need no generator. Every stream steps the same LCG, s ->
-  s * M + inc modulo 2**128, so t steps jump in closed form (Brown 1994,
-  "Random number generation with arbitrary strides"). Output t of a stream
-  seeded with x = inc + initstate reads the state x * M**(t + 2) + inc *
-  (1 + M + ... + M**(t + 1)): seeding steps once from x, and each output
-  steps once more. PCG64 outputs a state by XSL-RR, ``rotr64(hi ^ lo, hi
-  >> 58)`` (O'Neill 2014, HMC-CS-2014-0905). `_raw_streams` takes the jump
-  constants as Python ints per block length and the products as uint64
-  array operations on 32-bit halves.
+- With a spawn key, ``SeedSequence`` pads the seed's 32-bit words to its
+  4-word pool and then hashes in the key words one by one, each step mixing
+  one word into the pool with a hash constant that depends only on how many
+  words came before. The pool after the seed and the shared word 7 is
+  therefore the same for every request. `_request_state_words` takes it
+  from numpy once and repeats numpy's arithmetic for the index word and
+  ``generate_state(4, uint64)`` as uint32 array operations.
+- Every stream steps the same LCG, s -> s * M + inc modulo 2**128, so t
+  steps jump in closed form (Brown 1994, "Random number generation with
+  arbitrary strides"). PCG64 outputs a state by XSL-RR, ``rotr64(hi ^ lo,
+  hi >> 58)`` (O'Neill 2014, HMC-CS-2014-0905). `_raw_streams` takes the
+  jump constants as Python ints per block length and the products as
+  uint64 array operations on 32-bit halves.
 - The draws listed above run column by column: each one over all requests
   at once, each request reading its own next word. Every word is taken as
   accepted. Lemire's method returns ``m >> 32`` of the first word whose
   ``m`` has a low half not below the threshold, so for a request with no
   word below its threshold one word per draw is what numpy reads, and its
   values, picks and swaps are numpy's. Such a request reads only the words
-  its block holds, so none runs past its block. A request with a word below
-  its threshold is drawn again, whole, by `_draws_each`.
-- A shape with a span of 2**32 or more (a 64-bit draw, which also moves the
-  buffered half-word), or with chains or head sets longer than
-  `_BATCH_MAX_LENGTH` = 64, is drawn by `_draws_each` whole. The length
-  bound also keeps numpy's tail shuffle out, which needs a size above n //
-  50 > 200. Longer sets gain nothing, since each pick is checked against
-  every earlier one: heads of 1-150 of 200 candidates take 27.1 ms in the
-  per-request code against 28.8 ms in the pass at 624 requests, and 99
-  against 102 ms at 2000.
-- The pass costs some twenty numpy calls per column, and it has about two
-  columns per raw output of a request's block, while the per-request code
-  costs about 9 us a request at the default shape. So `_request_draws`
-  takes the pass from `_BATCH_PER_OUTPUT` = 4 requests per raw output of
-  the block on. Measured in ms, per-request code / pass (2 vCPUs, numpy
-  2.4, best of 9), at 3, 4 and 5 requests per raw output:
+  its block holds. A request with a word below its threshold is drawn
+  again by `_draws_each`.
 
-  ======================================  =========  =========  =========
-  shape (block)                           3          4          5
-  ======================================  =========  =========  =========
-  default: chains 3-5, heads 1-5 (11)     0.33/0.41  0.44/0.42  0.55/0.44
-  heads 1-20 of 200 (26)                  1.04/1.02  1.41/1.12  1.78/1.30
-  heads 1-64 of 200 (70)                  5.25/4.64  6.47/5.91  8.29/7.04
-  chains 1-64 of 200 (70)                 4.56/4.67  6.50/5.50  8.33/6.19
-  ======================================  =========  =========  =========
+`_request_draws` hands a batch to `_draws_each` whole when the pass does not
+cover its shape: a span of 2**32 or more (numpy's 64-bit draw, which also
+moves a buffered half-word), or chains or head sets longer than
+`_BATCH_MAX_LENGTH` = 64. The length bound also keeps numpy's tail shuffle
+out, which needs a size above n // 50 > 200. Longer sets gain nothing, since
+each pick is checked against every earlier one: heads of 1-150 of 200
+candidates take 49.5 ms in numpy against 46.6 ms in the pass at 624
+requests, and 119 against 123 ms at 2000.
 
-  At 2000 requests the default shape takes 19.2 against 4.2 ms.
+The pass costs some twenty numpy calls per column, and it has about two
+columns per raw output of a request's block, while numpy's own calls cost
+about 70 us a request. So `_request_draws` takes the pass from
+`_BATCH_PER_OUTPUT` = 1 request per raw output of the block on. Measured in
+ms, numpy / pass (2 vCPUs, numpy 2.4, best of 9), at 0.5, 1 and 2 requests
+per raw output:
 
-`tests/test_request_draws.py` checks every branch of both paths against
-``Generator`` itself, Lemire rejections included.
+======================================  =========  =========  =========
+shape (block)                           0.5        1          2
+======================================  =========  =========  =========
+default: chains 3-5, heads 1-5 (11)     0.45/0.83  0.81/0.85  1.56/0.85
+heads 1-20 of 200 (26)                  0.93/1.82  1.88/1.90  3.74/2.05
+heads 1-64 of 200 (70)                  2.59/5.03  5.17/5.55  9.64/7.97
+chains 1-64 of 200 (70)                 2.48/4.97  5.10/5.80  10.16/8.20
+======================================  =========  =========  =========
+
+At 2000 requests the default shape takes 145 against 8.6 ms. Per-request
+integer code repeating numpy's algorithms on raw outputs would beat both on
+batches of 2 to 43 requests at the default shape, by up to about 0.6 ms a
+batch (0.29 against 0.86 ms at 11 requests). No benchmark workload draws
+such a batch, so the package keeps numpy's own calls there.
+
+`tests/test_request_draws.py` checks both paths against ``Generator``
+itself, Lemire rejections included.
 """
 
 from __future__ import annotations
@@ -106,7 +98,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -163,21 +155,21 @@ def _hash_constants(const: int, mult: int, steps: int) -> np.ndarray:
     return np.array(out, dtype=np.uint32)[:, None]
 
 
-def _request_state_words(seed: int, count: int) -> np.ndarray:
-    """Row idx is ``SeedSequence(entropy=seed, spawn_key=(7, idx))
-    .generate_state(4, np.uint64)``, for every idx < `count`.
+def _request_state_words(seed: int, indices: np.ndarray) -> np.ndarray:
+    """Row i is ``SeedSequence(entropy=seed, spawn_key=(7, indices[i]))
+    .generate_state(4, np.uint64)``.
 
     `SeedSequence(entropy=seed, spawn_key=(7,))` has hashed every word but
     the index into its pool; its hash constant has stepped four times per
     word hashed. The index word's four hashmix-and-mix steps and
     ``generate_state`` then run as uint32 array operations over all
-    requests. `seed` must be a non-negative int and `count` at most 2**32.
+    requests. `seed` must be a non-negative int and every index below 2**32.
     """
     prefix = np.random.SeedSequence(entropy=seed, spawn_key=(_STREAMS["request"],))
     hashed = max(4, -(-seed.bit_length() // 32)) + 1  # seed words padded to 4, and 7
     const = (_INIT_A * pow(_MULT_A, 4 * hashed, 1 << 32)) & _MASK32
     a = _hash_constants(const, _MULT_A, 4)
-    value = (np.arange(count, dtype=np.uint32) ^ a[:4]) * a[1:]
+    value = (indices.astype(np.uint32) ^ a[:4]) * a[1:]
     value ^= value >> 16
     pool = _MIX_MULT_L * prefix.pool[:, None] - _MIX_MULT_R * value  # wraps mod 2**32
     pool ^= pool >> 16
@@ -187,114 +179,39 @@ def _request_state_words(seed: int, count: int) -> np.ndarray:
     return np.ascontiguousarray(value.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-def _pcg64_state(words: list[int]) -> dict[str, Any]:
-    """The ``PCG64.state`` that seeding from these four uint64 words gives."""
-    s0, s1, i0, i1 = words
-    inc = (((i0 << 64) | i1) << 1 | 1) & _MASK128
-    state = ((inc + ((s0 << 64) | s1)) * _PCG64_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
-
-
-def _words(raw: np.ndarray) -> list[int]:
-    """The 32-bit words of PCG64's raw outputs, each output's low half first."""
-    return raw.astype("<u8", copy=False).view("<u4").tolist()
-
-
-def _bounded(w: list[int], k: int, span: int) -> tuple[int, int]:
-    """(``integers(0, span + 1)``, next word) drawn from the words `w[k:]`.
-
-    A 64-bit draw after an odd number of words moves the buffered half-word
-    `w[k]` to just past the raw outputs it read, where the next 32-bit draw
-    finds it.
-    """
-    if span == 0:
-        return 0, k
-    n = span + 1
-    if span > _MASK32:
-        q = (k + 1) // 2
-        threshold = (_MASK64 - span) % n
-        m = (w[2 * q] | w[2 * q + 1] << 32) * n
-        while m & _MASK64 < threshold:
-            q += 1
-            m = (w[2 * q] | w[2 * q + 1] << 32) * n
-        if k % 2:
-            w[2 * q + 1] = w[k]
-            return m >> 64, 2 * q + 1
-        return m >> 64, 2 * q + 2
-    m = w[k] * n
-    k += 1
-    if m & _MASK32 < n:
-        threshold = (_MASK32 - span) % n
-        while m & _MASK32 < threshold:
-            m = w[k] * n
-            k += 1
-    return m >> 32, k
-
-
-class _Arange(dict):
-    """``arange(n)`` as a dict of the entries that moved."""
-
-    def __missing__(self, i: int) -> int:
-        return i
-
-
-def _sample(w: list[int], k: int, n: int, size: int) -> tuple[list[int], int]:
-    """(``choice(n, size, replace=False)``, next word) drawn from the words
-    `w[k:]`; n is at most 2**32. `_bounded` is inlined: it runs per pick."""
-    tail = n > 10000 and size > n // 50  # numpy shuffles the tail of arange(n)
-    if tail:
-        picks: Any = _Arange()
-        top, bottom = n - 1, max(n - size, 1)
-    else:  # Floyd's method, then a shuffle
-        picks = [0] if n == size else []  # j = 0 takes no word
-        seen = set(picks)
-        for j in range(max(n - size, 1), n):
-            m = w[k] * (j + 1)
-            k += 1
-            if m & _MASK32 <= j:
-                threshold = (_MASK32 - j) % (j + 1)
-                while m & _MASK32 < threshold:
-                    m = w[k] * (j + 1)
-                    k += 1
-            v = m >> 32
-            if v in seen:
-                v = j
-            seen.add(v)
-            picks.append(v)
-        top, bottom = size - 1, 1
-    for i in range(top, bottom - 1, -1):
-        m = w[k] * (i + 1)
-        k += 1
-        if m & _MASK32 <= i:
-            threshold = (_MASK32 - i) % (i + 1)
-            while m & _MASK32 < threshold:
-                m = w[k] * (i + 1)
-                k += 1
-        j = m >> 32
-        picks[i], picks[j] = picks[j], picks[i]
-    return ([picks[i] for i in range(n - size, n)] if tail else picks), k
-
-
+# (chain_length, catalog_size, heads_per_request, num_candidates, flow_rate)
+_Shape = tuple[tuple[int, int], int, tuple[int, int], int, tuple[float, float]]
 _Draws = list[tuple[list[int], list[int], float]]
 
+# `_request_draws` takes the batch pass from this many requests per raw
+# output of a request's block (11 requests at the default shape), and the
+# pass draws chains and head sets up to `_BATCH_MAX_LENGTH` long; see the
+# module docstring for the measurements.
+_BATCH_PER_OUTPUT = 1
+_BATCH_MAX_LENGTH = 64
 
-def _request_draws(
-    bitgen: np.random.PCG64, state_words: np.ndarray,
-    chain_length: tuple[int, int], catalog_size: int,
-    heads_per_request: tuple[int, int], num_candidates: int,
-    flow_rate: tuple[float, float],
-) -> _Draws:
-    """(chain indices, head indices, flow rate) of each request whose stream
-    is seeded from a row of `state_words` (see the module docstring): by
-    `_draws_batch` from `_BATCH_PER_OUTPUT` requests per raw output of a
-    request's block on, else by `_draws_each`. `bitgen` is set to the
-    streams the per-request code reads."""
-    shape = (chain_length, catalog_size, heads_per_request, num_candidates, flow_rate)
-    if len(state_words) < _BATCH_PER_OUTPUT * _block(chain_length, heads_per_request,
-                                                     num_candidates):
-        return _draws_each(bitgen, state_words.tolist(), *shape)
-    return _draws_batch(bitgen, state_words, *shape)
+
+def _request_draws(seed: int, count: int, shape: _Shape) -> _Draws:
+    """(chain indices, head indices, flow rate) of requests 0 to `count` - 1
+    of the batch (see the module docstring): by `_draws_batch` from
+    `_BATCH_PER_OUTPUT` requests per raw output of a request's block on, if
+    the pass covers the shape, else by `_draws_each`."""
+    chain_length, _, heads_per_request, num_candidates, _ = shape
+    if (count >= _BATCH_PER_OUTPUT * _block(chain_length, heads_per_request, num_candidates)
+            and _covered(shape)):
+        return _draws_batch(seed, np.arange(count), *shape)
+    return _draws_each(seed, range(count), *shape)
+
+
+def _covered(shape: _Shape) -> bool:
+    """Whether the batch pass draws `shape`: head counts with a span below
+    2**32, populations of at most 2**32, whose Floyd picks take one word
+    each, and chains and head sets up to `_BATCH_MAX_LENGTH` long. The
+    length bound keeps numpy's tail shuffle out: it needs a size above n //
+    50 > 200."""
+    (_, c_hi), catalog_size, (h_lo, h_hi), num_candidates, _ = shape
+    return (h_hi - h_lo <= _MASK32 and max(catalog_size, num_candidates) <= 2**32
+            and max(c_hi, min(h_hi, num_candidates)) <= _BATCH_MAX_LENGTH)
 
 
 def _block(chain_length: tuple[int, int], heads_per_request: tuple[int, int],
@@ -304,54 +221,24 @@ def _block(chain_length: tuple[int, int], heads_per_request: tuple[int, int],
 
 
 def _draws_each(
-    bitgen: np.random.PCG64, state_words: list[list[int]],
+    seed: int, indices: Iterable[int],
     chain_length: tuple[int, int], catalog_size: int,
     heads_per_request: tuple[int, int], num_candidates: int,
     flow_rate: tuple[float, float],
 ) -> _Draws:
-    """`_request_draws`, one request at a time, on `bitgen` set to each
-    stream in turn.
-
-    Each stream's block holds the raw outputs its draws take when no word is
-    rejected; a request that runs past its block reads its stream again with
-    a block twice as long. Lemire's method rejects less than half of the
-    words, so a request that still runs past 256 blocks is a fault, and its
-    IndexError is raised.
-    """
-    (c_lo, c_hi), (h_lo, h_hi), (lo, hi) = chain_length, heads_per_request, flow_rate
-    block = _block(chain_length, heads_per_request, num_candidates)
-    raws = []
-    for words in state_words:
-        bitgen.state = _pcg64_state(words)
-        raws.append(bitgen.random_raw(block))
-    flat = _words(np.concatenate(raws))
+    """The draws of each request in `indices`, by numpy's own ``Generator``
+    calls on its stream."""
+    (c_lo, c_hi), (h_lo, h_hi) = chain_length, heads_per_request
     out = []
-    for i, words in enumerate(state_words):
-        w = flat[2 * block * i:2 * block * (i + 1)]
-        while True:
-            try:
-                length, k = _bounded(w, 0, c_hi - c_lo)
-                chain, k = _sample(w, k, catalog_size, c_lo + length)
-                count, k = _bounded(w, k, h_hi - h_lo)
-                heads, k = _sample(w, k, num_candidates, min(h_lo + count, num_candidates))
-                q = (k + 1) // 2
-                u = (w[2 * q] >> 11 | w[2 * q + 1] << 21) * 2.0**-53
-                break
-            except IndexError:
-                if len(w) > 256 * block:
-                    raise
-                bitgen.state = _pcg64_state(words)
-                w = _words(bitgen.random_raw(len(w)))
-        out.append((chain, heads, lo + (hi - lo) * u))
+    for idx in indices:
+        rng = _rng(seed, "request", idx)
+        length = int(rng.integers(c_lo, c_hi + 1))
+        chain = rng.choice(catalog_size, length, replace=False).tolist()
+        count = min(int(rng.integers(h_lo, h_hi + 1)), num_candidates)
+        heads = rng.choice(num_candidates, count, replace=False).tolist()
+        out.append((chain, heads, float(rng.uniform(*flow_rate))))
     return out
 
-
-# `_request_draws` takes the batch pass from this many requests per raw
-# output of a request's block (44 requests at the default shape), and the
-# pass draws chains and head sets up to `_BATCH_MAX_LENGTH` long; see the
-# module docstring for the measurements.
-_BATCH_PER_OUTPUT = 4
-_BATCH_MAX_LENGTH = 64
 
 # uint64 operands for the batch pass: numpy 1.x casts uint64 combined with
 # a Python int to float64.
@@ -387,15 +274,16 @@ def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _raw_streams(state_words: np.ndarray, block: int) -> np.ndarray:
     """Row i is ``random_raw(block)`` of PCG64 seeded from the uint64 words
-    ``state_words[i]`` (see `_pcg64_state`), as one uint64 array.
+    ``state_words[i]``, as one uint64 array.
 
-    Output t reads the state x * M**(t + 2) + inc * (1 + M + ... + M**(t +
-    1)) modulo 2**128, with x = inc + initstate: seeding steps the LCG once
-    from x, and each output steps it once more. On 64-bit words the low
-    word is the sum of the two low-by-low products modulo 2**64; the high
-    word adds their high halves (`_mulhi`), the four cross products modulo
-    2**64 and the carry of the low sum. The output is XSL-RR: ``rotr64(hi ^
-    lo, hi >> 58)``.
+    Seeding from words (s0, s1, i0, i1) sets inc = (i0 i1) * 2 + 1 and x =
+    inc + (s0 s1) as 128-bit numbers. Output t then reads the state x *
+    M**(t + 2) + inc * (1 + M + ... + M**(t + 1)) modulo 2**128: seeding
+    steps the LCG once from x, and each output steps it once more. On
+    64-bit words the low word is the sum of the two low-by-low products
+    modulo 2**64; the high word adds their high halves (`_mulhi`), the four
+    cross products modulo 2**64 and the carry of the low sum. The output is
+    XSL-RR: ``rotr64(hi ^ lo, hi >> 58)``.
     """
     s0, s1, i0, i1 = (col[:, None] for col in state_words.T)
     inc_lo, inc_hi = (i1 << _U1) | _U1, (i0 << _U1) | (i1 >> _U63)
@@ -411,36 +299,24 @@ def _raw_streams(state_words: np.ndarray, block: int) -> np.ndarray:
     return (v >> rot) | (v << ((_U64 - rot) & _U63))
 
 
-def _covered(n: int, size: int) -> bool:
-    """Whether the batch pass draws ``choice(n, k, replace=False)`` for
-    every k up to `size`: by Floyd's method on 32-bit words, and no longer
-    than `_BATCH_MAX_LENGTH`. numpy's tail shuffle needs k > n // 50 > 200."""
-    return n <= 2**32 and size <= _BATCH_MAX_LENGTH
-
-
 def _draws_batch(
-    bitgen: np.random.PCG64, state_words: np.ndarray,
+    seed: int, indices: np.ndarray,
     chain_length: tuple[int, int], catalog_size: int,
     heads_per_request: tuple[int, int], num_candidates: int,
     flow_rate: tuple[float, float],
 ) -> _Draws:
-    """`_request_draws` for every request at once, by uint64 array code.
+    """`_draws_each` for every request at once, by uint64 array code, on a
+    shape the pass covers (`_covered`).
 
     The raw outputs come from `_raw_streams`, and every draw runs over the
     requests as a column: the word a request reads next is at its own
     position `at` in the flat word array. Words are read as if none is
     rejected; a request with a rejected word is drawn again by
-    `_draws_each`. A shape with a 64-bit span, or with chains or head sets
-    longer than `_BATCH_MAX_LENGTH`, is drawn by `_draws_each` whole.
+    `_draws_each`.
     """
     (c_lo, c_hi), (h_lo, h_hi), (lo, hi) = chain_length, heads_per_request, flow_rate
-    h_top = min(h_hi, num_candidates)
-    if not (h_hi - h_lo <= _MASK32 and _covered(catalog_size, c_hi)
-            and _covered(num_candidates, h_top)):
-        return _draws_each(bitgen, state_words.tolist(), chain_length, catalog_size,
-                           heads_per_request, num_candidates, flow_rate)
     block = _block(chain_length, heads_per_request, num_candidates)
-    raw = _raw_streams(state_words, block)
+    raw = _raw_streams(_request_state_words(seed, indices), block)
     count = len(raw)
     words = raw.astype("<u8").view("<u4").astype(np.uint64).ravel()
     at = np.arange(0, 2 * block * count, 2 * block)
@@ -476,12 +352,12 @@ def _draws_batch(
     chains = sample(catalog_size, lengths, c_hi)
     counts = np.minimum(np.uint64(h_lo) + bounded(np.uint64(h_hi - h_lo)),
                         np.uint64(num_candidates))
-    heads = sample(num_candidates, counts, h_top)
+    heads = sample(num_candidates, counts, min(h_hi, num_candidates))
     u = (raw.ravel().take((at + 1) // 2) >> _U11) * 2.0**-53
     out = list(zip(chains, heads, (lo + (hi - lo) * u).tolist()))
     again = np.flatnonzero(rejected)
     if len(again):
-        redrawn = _draws_each(bitgen, state_words[again].tolist(), chain_length,
+        redrawn = _draws_each(seed, indices[again].tolist(), chain_length,
                               catalog_size, heads_per_request, num_candidates, flow_rate)
         for i, draw in zip(again.tolist(), redrawn):
             out[i] = draw
@@ -520,6 +396,10 @@ _RANGE_FIELDS = {"degree", "heads_per_request", "num_destinations", "chain_lengt
                  "link_cost", "node_memory_mb", "nf_memory_mb", "nf_cpu_cores",
                  "flow_rate_mbps"}
 _INT_RANGE_FIELDS = {"degree", "heads_per_request", "num_destinations", "chain_length"}
+# Ranges of quantities an instance needs positive (link costs, demands,
+# capacities, flow rates): an upper bound of 0 makes every draw 0.
+_POSITIVE_RANGE_FIELDS = {"link_cost", "node_memory_mb", "nf_memory_mb", "nf_cpu_cores",
+                          "flow_rate_mbps"}
 
 
 def validate_params(params: ScenarioParams) -> None:
@@ -540,6 +420,8 @@ def validate_params(params: ScenarioParams) -> None:
             raise ValueError(f"{name}: negative lower bound {lo}")
         if name in _INT_RANGE_FIELDS and hi >= 2**63:  # numpy's int64 draws
             raise ValueError(f"{name}: upper bound {hi} is not below 2**63")
+        if name in _POSITIVE_RANGE_FIELDS and not hi > 0:
+            raise ValueError(f"{name}: upper bound must be > 0")
     if params.degree[0] < 1:
         raise ValueError("degree: lower bound must be >= 1")
     if params.chain_length[0] < 1:
@@ -555,8 +437,8 @@ def validate_params(params: ScenarioParams) -> None:
         raise ValueError("link_capacity_mbps: must be > 0")
     if not params.node_cpu_cores > 0:
         raise ValueError("node_cpu_cores: must be > 0")
-    if not params.placement_cost >= 0:
-        raise ValueError("placement_cost: must be >= 0")
+    if not 0 <= params.placement_cost < math.inf:
+        raise ValueError("placement_cost: must be finite and >= 0")
     if params.stay_probability is not None and not 0.0 <= params.stay_probability <= 1.0:
         raise ValueError("stay_probability: must be in [0, 1]")
     if not 0.0 <= params.transit_fraction <= 1.0:
@@ -741,11 +623,9 @@ def generate_instance(params: ScenarioParams, seed: int) -> ProblemInstance:
     mobility = MobilityProfile(destinations=destinations, stay_probability=stay)
 
     req_width = len(str(params.batch_size - 1))
-    # The mobility draws are done, so its bit generator serves the requests.
-    draws = _request_draws(
-        rng_mob.bit_generator, _request_state_words(seed, params.batch_size),
+    draws = _request_draws(seed, params.batch_size, (
         params.chain_length, len(nf_ids), params.heads_per_request, len(candidates),
-        params.flow_rate_mbps)
+        params.flow_rate_mbps))
     requests = [ServiceRequest(id=f"r{idx:0{req_width}d}",
                                chain=tuple(map(nf_ids.__getitem__, chain)),
                                flow_rate_mbps=rate,

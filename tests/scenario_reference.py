@@ -7,10 +7,10 @@ each tree node scans every placed node and each top-up link scans every
 node with `degree_ok`. `tests/test_scenario.py::TestGraphBuilder` checks the
 package's builder against this one.
 
-`requests` is the generator's request loop from before the draws were read
-from raw PCG64 outputs: numpy ``Generator`` calls on each request's own
-stream, built by `_rng`. `tests/test_request_draws.py` checks the
-generated requests against it.
+`requests` is the generator's request loop: numpy ``Generator`` calls on
+each request's own stream, built by `_rng`. The package's per-request path,
+`_draws_each`, makes the same calls, and its batch pass must equal them.
+`tests/test_request_draws.py` checks the generated requests against it.
 """
 
 from __future__ import annotations

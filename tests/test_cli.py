@@ -396,6 +396,16 @@ class TestBench:
         assert json.loads(capsys.readouterr().err)["error"].startswith(f"{field}: ")
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_generation_error_exits_2(self, tmp_path, capsys, jobs):
+        # valid parameters that no graph can satisfy fail in the trials
+        code = main(["bench", "--sweep", "num_candidates=1,2", "--trials", "1",
+                     "--set", "degree=2,2", "--jobs", jobs, "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert json.loads(err) == {"error": "cannot satisfy degree >= 2 with 2 nodes"}
+        assert not (tmp_path / "r").exists()
+
     def test_rho_sweep_shape(self, tmp_path):
         outdir = tmp_path / "results"
         code = main([

@@ -1,21 +1,21 @@
 """The generator's request draws against numpy's own ``Generator`` calls.
 
-`_request_draws` reads each request's raw PCG64 outputs and repeats numpy's
-algorithms in integer code, one request at a time (`_draws_each`) or, for a
-batch of `_BATCH_PER_OUTPUT` requests per raw output of a request's block
-or more, for the whole batch in one array pass (`_draws_batch`). Here
-every request is drawn both ways on the same stream, ``SeedSequence(seed,
-spawn_key=(7, idx))``: with ``integers``, ``choice(replace=False)`` and
-``uniform``, as the generator once called them, and with each of the two
-paths, the batch pass called directly whatever the batch size.
+`_request_draws` draws a small batch, or a shape the batch pass does not
+cover, with `_draws_each`: the reference loop, numpy's ``integers``,
+``choice(replace=False)`` and ``uniform`` on each request's stream,
+``SeedSequence(seed, spawn_key=(7, idx))``. From `_BATCH_PER_OUTPUT`
+requests per raw output of a request's block on it takes `_draws_batch`, a
+uint64 array pass that repeats numpy's algorithms on the streams' raw
+outputs. Here every request is drawn by numpy on that stream and by each
+path, the batch pass called directly whatever the batch size.
 Populations reach 2**31 + 5, where Lemire's method rejects about half of
 the words, and numpy's tail-shuffle branch of ``choice``. No population
 here makes numpy build a large array.
 
 The batch pass's raw streams are checked against ``PCG64.random_raw``
-itself, and a request with a rejected word must be redrawn by the
-per-request code and still match. `generate_instance` equals
-`scenario_reference.requests` on both sides of that batch size.
+itself, and a request with a rejected word must be redrawn by
+`_draws_each` and still match. `generate_instance` equals
+`scenario_reference.requests` on both sides of the crossover.
 """
 
 import numpy as np
@@ -28,10 +28,8 @@ from pccplace import scenario
 from pccplace.scenario import (
     _BATCH_PER_OUTPUT,
     ScenarioParams,
-    _bounded,
     _draws_batch,
     _draws_each,
-    _pcg64_state,
     _raw_streams,
     _request_state_words,
     generate_instance,
@@ -54,43 +52,33 @@ def numpy_draws(seed, idx, chain_length, catalog_size, heads_per_request,
     return chain, heads, float(rng.uniform(*flow_rate))
 
 
-class CountingPCG64:
-    """The PCG64 interface the draws use, counting ``random_raw`` calls."""
-
-    def __init__(self):
-        self.bitgen = np.random.PCG64()
-        self.raw_calls = 0
-
-    @property
-    def state(self):
-        return self.bitgen.state
-
-    @state.setter
-    def state(self, value):
-        self.bitgen.state = value
-
-    def random_raw(self, size):
-        self.raw_calls += 1
-        return self.bitgen.random_raw(size)
+def batch(seed, indices, *shape):
+    return _draws_batch(seed, np.array(indices), *shape)
 
 
-def each(bitgen, words, *shape):
-    return _draws_each(bitgen, words.tolist(), *shape)
-
-
-def assert_draws_match(seed, indices, shape, flow_rate=FLOW, draws=each):
-    """`draws` (`each` or `_draws_batch`) equals numpy on every request;
-    returns the number of ``random_raw`` calls it made."""
-    words = _request_state_words(seed, max(indices) + 1)[indices]
-    bitgen = CountingPCG64()
-    got = draws(bitgen, words, *shape, flow_rate)
+def assert_draws_match(seed, indices, shape, flow_rate=FLOW, draws=_draws_each):
+    """`draws` (`_draws_each` or `batch`) equals numpy on every request."""
+    got = draws(seed, indices, *shape, flow_rate)
     assert len(got) == len(indices)
     for idx, (chain, heads, rate) in zip(indices, got):
         want_chain, want_heads, want_rate = numpy_draws(seed, idx, *shape, flow_rate)
         assert chain == want_chain, (seed, idx)
         assert heads == want_heads, (seed, idx)
         assert rate.hex() == want_rate.hex(), (seed, idx)
-    return bitgen.raw_calls
+
+
+@pytest.fixture
+def handed(monkeypatch):
+    """The indices each call of `_draws_each` draws, call by call."""
+    calls = []
+    draws_each = scenario._draws_each
+
+    def spy(seed, indices, *shape):
+        calls.append(list(indices))
+        return draws_each(seed, indices, *shape)
+
+    monkeypatch.setattr(scenario, "_draws_each", spy)
+    return calls
 
 
 # (chain_length, catalog_size, heads_per_request, num_candidates)
@@ -113,7 +101,7 @@ SHAPES = {
 }
 
 
-# Shapes the batch pass hands to `_draws_each` whole: a 64-bit span, or a
+# Shapes `_request_draws` hands to `_draws_each` whole: a 64-bit span, or a
 # chain or head set longer than 64, numpy's tail shuffle among them.
 UNCOVERED = {"wide", "tail-shuffle-10001", "tail-shuffle-20000", "floyd-at-the-edges",
              "64-bit-head-count", "64-bit-after-half-word"}
@@ -127,28 +115,34 @@ def test_equals_numpy(seed, shape):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", SHAPES)
-def test_batch_equals_numpy(seed, name):
-    indices = INDICES + list(range(8, 40))
-    raw_calls = assert_draws_match(seed, indices, SHAPES[name], draws=_draws_batch)
+def test_batch_equals_numpy(seed, name, handed, monkeypatch):
     if name in UNCOVERED:
-        assert raw_calls >= len(indices)
-    elif "rejections" not in name:
-        assert raw_calls == 0  # no word of these spans is rejected here
+        # from the crossover on, an uncovered shape still skips the pass
+        monkeypatch.setattr(scenario, "_BATCH_PER_OUTPUT", 0)
+        monkeypatch.setattr(scenario, "_draws_batch", None)
+        indices = list(range(40))
+        assert_draws_match(seed, indices, SHAPES[name], draws=lambda seed, indices, *shape:
+                           scenario._request_draws(seed, len(indices), shape))
+        assert handed == [indices]
+        return
+    assert scenario._covered((*SHAPES[name], FLOW))
+    assert_draws_match(seed, INDICES + list(range(8, 40)), SHAPES[name], draws=batch)
+    if "rejections" not in name:
+        assert handed == []  # no word of these spans is rejected here
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_raw_streams_equal_random_raw(seed):
-    words = _request_state_words(seed, 5000)[INDICES]
+    words = _request_state_words(seed, np.array(INDICES))
     for block in range(1, 61):
         raw = _raw_streams(words, block)
         assert raw.dtype == np.uint64 and raw.shape == (len(INDICES), block)
-        for row, state_words in zip(raw, words.tolist()):
-            bitgen = np.random.PCG64()
-            bitgen.state = _pcg64_state(state_words)
-            assert row.tolist() == bitgen.random_raw(block).tolist(), (seed, block)
+        for row, idx in zip(raw, INDICES):
+            want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(7, idx)))
+            assert row.tolist() == want.random_raw(block).tolist(), (seed, block)
 
 
-def test_batch_redraws_rejected_requests(monkeypatch):
+def test_batch_redraws_rejected_requests(handed):
     # One word a request: the chain's single pick from 2**31 + 5, the low
     # half of the stream's first raw output. Lemire's method rejects it when
     # the low half of word * (2**31 + 5) is below (2**32 - 1 - span) %
@@ -158,7 +152,6 @@ def test_batch_redraws_rejected_requests(monkeypatch):
     indices = list(range(60))
     span = 2**31 + 4
     shape = ((1, 1), span + 1, (1, 1), 1)
-    words = _request_state_words(3, len(indices))
     rejected = []
     for idx in indices:
         raw = np.random.PCG64(np.random.SeedSequence(3, spawn_key=(7, idx))).random_raw(1)
@@ -166,56 +159,13 @@ def test_batch_redraws_rejected_requests(monkeypatch):
         if (word * (span + 1)) & 0xFFFF_FFFF < (2**32 - 1 - span) % (span + 1):
             rejected.append(idx)
     assert 10 < len(rejected) < 50
-    handed = []
-    draws_each = scenario._draws_each
-
-    def spy(bitgen, state_words, *args):
-        handed.extend(map(tuple, state_words))
-        return draws_each(bitgen, state_words, *args)
-
-    monkeypatch.setattr(scenario, "_draws_each", spy)
-    assert_draws_match(3, indices, shape, draws=_draws_batch)
-    assert handed == [tuple(words[idx].tolist()) for idx in rejected]
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_bounded_equals_integers(seed):
-    # 32- and 64-bit spans in turn, each after an odd and an even number of
-    # words: a 64-bit draw leaves a buffered half-word for the next 32-bit
-    # one. 2**62 + 1 and 2**31 + 4 reject about a quarter and half of draws.
-    spans = [10, 2**40, 7, 2**31 + 4, 2**62 + 1, 2**62 + 1, 3, 0, 2**32 - 1,
-             2**63 - 1, 2**33, 5, 2**31 + 4, 2**62 + 1, 9] * 4
-    rng = np.random.Generator(np.random.PCG64(seed))
-    want = [int(rng.integers(0, span + 1)) for span in spans]
-    w = np.random.PCG64(seed).random_raw(300).astype("<u8").view("<u4").tolist()
-    got, k = [], 0
-    for span in spans:
-        value, k = _bounded(w, k, span)
-        got.append(value)
-    assert got == want
-
-
-def test_rejections_read_past_the_block():
-    # half of the words are rejected at 2**31 + 5: the re-read runs
-    assert assert_draws_match(3, list(range(40)), SHAPES["rejections"]) > 40
-
-
-def test_fault_raises_after_bounded_rereads(monkeypatch):
-    # an IndexError that more words cannot cure must surface, not loop
-    def broken(w, k, n, size):
-        return [][0]
-
-    monkeypatch.setattr(scenario, "_sample", broken)
-    bitgen = CountingPCG64()
-    words = _request_state_words(1, 1).tolist()
-    with pytest.raises(IndexError):
-        _draws_each(bitgen, words, *SHAPES["default"], FLOW)
-    assert bitgen.raw_calls == 1 + 8  # the block, then 2, 4, ..., 256 blocks
+    assert_draws_match(3, indices, shape, draws=batch)
+    assert handed == [rejected]
 
 
 def test_flow_rate_range():
     for flow_rate in [(0.0, 1.0), (5.0, 5.0), (1e-3, 1e300)]:
-        for draws in (each, _draws_batch):
+        for draws in (_draws_each, batch):
             assert_draws_match(11, INDICES, SHAPES["default"], flow_rate, draws)
 
 
@@ -242,7 +192,10 @@ def test_random_shapes_equal_numpy(seed, idx, shape):
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**130), idx=st.integers(0, 2**16), shape=shapes())
 def test_random_shapes_batch_equal_numpy(seed, idx, shape):
-    assert_draws_match(seed, [idx, idx + 1, idx + 5], shape, draws=_draws_batch)
+    # a shape the pass does not cover is drawn by `_draws_each`, as
+    # `_request_draws` would
+    draws = batch if scenario._covered((*shape, FLOW)) else _draws_each
+    assert_draws_match(seed, [idx, idx + 1, idx + 5], shape, draws=draws)
 
 
 def requests_outline(requests):
@@ -250,23 +203,37 @@ def requests_outline(requests):
 
 
 DEFAULT_BATCH_MIN = _BATCH_PER_OUTPUT * (5 + 5 + 1)  # chains and heads up to 5
+# batch sizes at K=30 on both sides of the crossover, and desk shapes as
+# perfbench's desk corpora draw them
+BATCHES = {str(b): ScenarioParams(num_candidates=30, batch_size=b)
+           for b in (1, 2, DEFAULT_BATCH_MIN - 1, DEFAULT_BATCH_MIN, 43, 44, 2000)}
+BATCHES.update({f"desk-K{k}-{b}": ScenarioParams(
+    num_candidates=k, batch_size=b, chain_length=(1, 2), heads_per_request=(1, 2),
+    num_destinations=(1, 1)) for k in (2, 5) for b in (1, 2)})
 
 
-@pytest.mark.parametrize("batch_size", [DEFAULT_BATCH_MIN - 1, DEFAULT_BATCH_MIN, 2000])
+@pytest.mark.parametrize("params", BATCHES.values(), ids=BATCHES.keys())
 @pytest.mark.parametrize("seed", [0, 2**130 + 12345])
-def test_generate_instance_equals_reference(batch_size, seed):
-    params = ScenarioParams(num_candidates=30, batch_size=batch_size)
+def test_generate_instance_equals_reference(params, seed):
     assert (requests_outline(generate_instance(params, seed).requests)
             == requests_outline(scenario_reference.requests(params, seed)))
 
 
 @pytest.mark.parametrize("shape", [SHAPES["default"], ((3, 5), 10, (1, 20), 200)])
 @pytest.mark.parametrize("below", [True, False])
-def test_batch_pass_from_batch_min(shape, below):
+def test_batch_pass_from_batch_min(shape, below, handed, monkeypatch):
     # the crossover is `_BATCH_PER_OUTPUT` requests per raw output of a
-    # request's block; below it each request's stream is read by its own call
+    # request's block; below it each request's stream is read by numpy
     (_, c_hi), _, (_, h_hi), num_candidates = shape
     count = _BATCH_PER_OUTPUT * (c_hi + min(h_hi, num_candidates) + 1) - below
-    bitgen = CountingPCG64()
-    scenario._request_draws(bitgen, _request_state_words(4, count), *shape, FLOW)
-    assert bitgen.raw_calls == (count if below else 0)
+    passes = []
+    draws_batch = scenario._draws_batch
+
+    def spy(seed, indices, *args):
+        passes.append(indices.tolist())
+        return draws_batch(seed, indices, *args)
+
+    monkeypatch.setattr(scenario, "_draws_batch", spy)
+    scenario._request_draws(4, count, (*shape, FLOW))
+    assert passes == ([] if below else [list(range(count))])
+    assert handed == ([list(range(count))] if below else [])

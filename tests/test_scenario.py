@@ -11,7 +11,6 @@ from pccplace.scenario import (
     GenerationError,
     ScenarioParams,
     _build_graph,
-    _pcg64_state,
     _request_state_words,
     _rng,
     generate_instance,
@@ -218,6 +217,25 @@ class TestParams:
         with pytest.raises(ValueError, match=field):
             validate_params(dataclasses.replace(ScenarioParams(), **{field: value}))
 
+    @pytest.mark.parametrize("field, value", [
+        ("placement_cost", math.inf),
+        ("link_cost", (0.0, 0.0)),
+        ("flow_rate_mbps", (0.0, 0.0)),
+        ("nf_memory_mb", (0.0, 0.0)),
+        ("nf_cpu_cores", (0.0, 0.0)),
+        ("node_memory_mb", (0.0, 0.0)),
+    ])
+    def test_invalid_instance_params_name_field(self, field, value):
+        # each would yield only instances that fail validation on an entity
+        # such as r0 or f0; the field is named before anything is built
+        params = dataclasses.replace(ScenarioParams(), **{field: value})
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            validate_params(params)
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            generate_instance(params, 1)
+        if isinstance(value, tuple):  # a zero lower bound alone stays valid
+            validate_params(dataclasses.replace(params, **{field: (0.0, 1.0)}))
+
     @pytest.mark.parametrize("field", ["degree", "heads_per_request",
                                        "num_destinations", "chain_length"])
     def test_int_range_beyond_int64_names_field(self, field):
@@ -255,14 +273,15 @@ class TestParams:
 
 
 class TestRequestStreams:
-    """The one-pass request streams against numpy's SeedSequence and PCG64."""
+    """The batch pass's seeding words against numpy's SeedSequence."""
 
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**130 + 12345]
     INDICES = [0, 1, 2**16, 4999]
 
     @pytest.fixture(scope="class")
     def words(self):
-        return {seed: _request_state_words(seed, 2**16 + 1) for seed in self.SEEDS}
+        return {seed: _request_state_words(seed, np.arange(2**16 + 1))
+                for seed in self.SEEDS}
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_words_equal_seed_sequence_state(self, words, seed):
@@ -270,30 +289,6 @@ class TestRequestStreams:
             ref = np.random.SeedSequence(entropy=seed, spawn_key=(7, idx))
             assert words[seed].dtype == np.uint64
             assert words[seed][idx].tolist() == ref.generate_state(4, np.uint64).tolist()
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_state_equals_seeded_pcg64(self, words, seed):
-        for idx in self.INDICES:
-            ref = np.random.PCG64(
-                np.random.SeedSequence(entropy=seed, spawn_key=(7, idx)))
-            assert _pcg64_state(words[seed][idx].tolist()) == ref.state
-            assert ref.state == _rng(seed, "request", idx).bit_generator.state
-
-    def test_reused_generator_draws_as_a_fresh_stream(self):
-        # a buffered 32-bit half-word must not leak from one request's
-        # stream into the next one's
-        words = _request_state_words(5, 3).tolist()
-        bitgen = np.random.PCG64()
-        reused = np.random.Generator(bitgen)
-        for idx in range(3):
-            bitgen.random_raw()
-            reused.integers(0, 2**31, dtype=np.uint32)  # leaves half a word buffered
-            bitgen.state = _pcg64_state(words[idx])
-            fresh = _rng(5, "request", idx)
-            assert (reused.integers(0, 2**31, size=5, dtype=np.uint32).tolist()
-                    == fresh.integers(0, 2**31, size=5, dtype=np.uint32).tolist())
-            assert reused.choice(10, 4, replace=False).tolist() == \
-                fresh.choice(np.arange(10), 4, replace=False).tolist()
 
 
 class TestGraphBuilder:
