@@ -6,6 +6,14 @@ branch and bound with an admissible lower bound. It is intended for small
 instances (|K| <= 6, |R| <= 3, chains up to 3, up to 2 heads and 2
 evaluation destinations); anything larger should use the heuristics.
 
+Presolve: on an instance whose capacities provably cannot bind
+(:func:`_capacities_cannot_bind`), the program is uncapacitated and the
+search drops the 5a-5d accounting, as MIP presolve drops rows that no
+point can violate (Achterberg et al., INFORMS J. Computing 32(2), 2020).
+It then never tests a visit against the capacity ledger and keeps the
+hostings only if the placement term reads them. Since every test it skips
+would pass, its results and statistics are those of the ledger search.
+
 `export_lp` writes the fully linearized 0-1 program in LP text format with
 a documented variable-naming contract so external MILP solvers can
 cross-validate the optimum.
@@ -49,12 +57,15 @@ class SearchStats:
     `expanded` counts frontier nodes expanded (the budget's unit), `leaves`
     the complete assignments evaluated, the first incumbent's dive
     included. `stop` is "complete" when the search proved its answer,
-    "node_budget" or "wall_time" when that budget ended it.
+    "node_budget" or "wall_time" when that budget ended it. `presolved`
+    tells whether the capacity rows 5a-5d were presolved away, since no
+    assignment could violate them (:func:`solve_exact`).
     """
 
     expanded: int
     leaves: int
     stop: str
+    presolved: bool = False
 
 
 def ExactResult(placement: Placement | None, cost: CostReport | None,
@@ -144,6 +155,78 @@ def _extended(sums: tuple[float, float, float],
     return head, chain, tail + terms[-1]
 
 
+# Relative margin of the capacity certificate, and the most charges one load
+# may take for the margin to cover their rounding (see _capacities_cannot_bind).
+_MARGIN = 2.0 ** -30
+_MAX_CHARGES = 2 ** 20
+
+
+def _capacities_cannot_bind(instance: ProblemInstance, paths: PathTable) -> bool:
+    """Whether no 5a-5d row can bind, whatever the search assigns.
+
+    Three conditions, all required:
+
+    - every candidate has a `node_resources` entry, since
+      :meth:`Ledger.can_host` refuses a node without one;
+    - the sum of every (request, nf) demand fits every candidate's memory
+      and cpu: a node's 5a load sums the demands of distinct hostings at
+      it, a subset of those;
+    - the worst per-pair flow W, the sum over requests of rate * |heads| *
+      |destinations| * (L + 1), is at most the least finite budget in
+      :attr:`PathTable.bottleneck_list`, which is at most any budget the
+      search reads: a visit charges a (table, pair) at most once, and a
+      request has |heads| * |destinations| * L visits.
+
+    Margin. Each test compares fl(sum * (1 + 2**-30)) with a capacity, the
+    sum taken left to right in float, and the certificate needs N, the sum
+    of |heads| * |destinations| * (L + 1) over requests, to be at most
+    2**20. N bounds the visits, so no load takes more than N charges, and
+    each sum has at most N terms. Let u = 2**-53 and S be the exact sum a
+    test bounds (total demand or W), so the exact sum of any load's charges
+    is at most S. All terms are nonnegative, and a float add or product of
+    them rounds by at most a factor 1 +- u. A load, the running sum of at
+    most N charges from 0.0, is then at most S * (1 + u)**N < S * (1 +
+    2**-32). The test's sum, after a rounding per rate * count product and
+    per add, is at least S * (1 - u)**N >= S * (1 - 2**-33), so the scaled
+    value, rounded once more, is at least S * (1 - 2**-33) * (1 + 2**-30) *
+    (1 - u) > S * (1 + 2**-31). If that value is subnormal, S is too, every
+    add and product on both sides is exact, and a load is at most S while
+    the value is at least S. Either way a capacity the test passes holds
+    every load, so :meth:`Ledger.fits` could only return True. A negative
+    or NaN demand or rate refuses the certificate.
+    """
+    resources = instance.node_resources
+    caps = []
+    for k in instance.network.candidates:
+        cap = resources.get(k)
+        if cap is None:
+            return False
+        caps.append(cap)
+    n_dests = len(instance.destination_weights)
+    memory_mb = cpu_cores = flow = 0.0
+    charges = 0
+    for req in instance.requests:
+        if not req.flow_rate_mbps >= 0:
+            return False
+        count = len(req.heads) * n_dests * (len(req.chain) + 1)
+        charges += count
+        flow += req.flow_rate_mbps * count
+        for nf in req.chain:
+            demand = instance.catalog[nf]
+            if not (demand.memory_mb >= 0 and demand.cpu_cores >= 0):
+                return False
+            memory_mb += demand.memory_mb
+            cpu_cores += demand.cpu_cores
+    if charges > _MAX_CHARGES:
+        return False
+    scale = 1.0 + _MARGIN
+    memory_mb, cpu_cores = memory_mb * scale, cpu_cores * scale
+    if not all(memory_mb <= cap.memory_mb and cpu_cores <= cap.cpu_cores for cap in caps):
+        return False
+    least = min((b for b in paths.bottleneck_list if b < math.inf), default=math.inf)
+    return flow * scale <= least
+
+
 class _SearchState:
     """Chain pins, bound terms and capacity loads of one prefix assignment.
 
@@ -155,13 +238,24 @@ class _SearchState:
     prefix is its placement term plus, per chain, the weighted
     `_hop_minimum` over all hops with the chain's positions pinned.
 
+    Presolve: where :func:`_capacities_cannot_bind` holds (`presolved`),
+    :meth:`Ledger.fits` could only return True, so there is no ledger and no
+    fits test. The state keeps `hosted` itself, and charges a hosting to it
+    only if the instance has placing costs, since only the placement term
+    reads it. Every child list, bound and leaf total is then the ledger
+    search's, bit for bit.
+
     Rows: a variable's children depend on the prefix only through its own
     chain's pins (its visit on the previous pin, its chain term on all of
     them) and through the loads and hostings, which `children` reads live.
     So each (variable index, pinned prefix of its chain) has one row, built
-    on first use: per candidate in sorted order, its visit, its weighted
-    chain term, its placing cost and, at the chain's last position, the
-    chain's weighted hop costs. `children`, `assign` and `leaf_total` read it.
+    on first use: per candidate in sorted order, its hosting key, its visit
+    (None when presolved), its weighted chain term, its placing cost and,
+    at the chain's last position, the chain's weighted hop costs.
+    `children`, `assign` and `leaf_total` read it. A chain's rows form a
+    trie, whose node is [row or None, {pin: child node}]; `_at` holds, per
+    chain, the node of its next position under its current pins, which
+    `assign` moves down by the new pin and `undo` restores.
 
     Leaf prefix: branch order completes the chains in `pair_order` order,
     and its last variable is the last position of the last chain. So when a
@@ -179,15 +273,21 @@ class _SearchState:
         self.paths = paths
         self.variables = variables
         self.candidates = sorted(instance.network.candidates)
-        self.ledger = Ledger(instance, paths)
-        # per variable: pinned prefix of its chain -> {node: (visit, chain
-        # term, placing cost, the chain's hop costs or None)}
-        self._rows: list[dict[tuple, dict[str, tuple]]] = [{} for _ in variables]
+        self.presolved = _capacities_cannot_bind(instance, paths)
+        self.ledger = None if self.presolved else Ledger(instance, paths)
+        # the hostings charged so far: the ledger's, or when presolved, kept
+        # here if placing costs read them
+        self.hosted: dict[tuple[str, str, str], bool] = (
+            {} if self.ledger is None else self.ledger.hosted)
+        self._hosting = self.presolved and bool(instance.placement_cost)
         self.assignment: list[str] = []
         self.placement_term = 0.0
         self.pins = [[None] * len(req.chain) for req, _, _ in instance.pair_order]
         self.chain_terms = [self._chain_term(c) for c in range(len(self.pins))]
-        self._journal: list[tuple[float, float]] = []
+        self._at: list[list] = [[None, {}] for _ in self.pins]
+        # per assigned variable: placement term, chain term and trie node
+        # before it, and the hosting it added to `hosted` when presolved
+        self._journal: list[tuple[float, float, list, tuple | None]] = []
         # (head, chain, tail) sums after each complete chain, in pair_order
         self._sums: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)]
 
@@ -199,23 +299,23 @@ class _SearchState:
     def _row(self) -> dict[str, tuple]:
         """The next variable's row, for the current pins of its chain."""
         var = self.variables[len(self.assignment)]
-        pins = self.pins[var.chain]
-        prefix = tuple(pins[:var.l - 1])
-        rows = self._rows[len(self.assignment)]
-        row = rows.get(prefix)
+        node = self._at[var.chain]
+        row = node[0]
         if row is None:
             w = self.instance.destination_weights[var.d]
             cost = self.paths.cost
-            row = rows[prefix] = {}
+            pins = self.pins[var.chain]
+            prevs = pins[var.l - 2:var.l - 1] if var.l > 1 else ()
+            row = node[0] = {}
             for k in self.candidates:
-                visit = self.ledger.visit(var.req, var.l, k, var.s, var.d,
-                                          prefix[-1:], True)
+                visit = None if self.ledger is None else self.ledger.visit(
+                    var.req, var.l, k, var.s, var.d, prevs, True)
                 pins[var.l - 1] = k
                 terms = None
                 if var.l == len(pins):
                     nodes = (var.s, *pins, var.d)
                     terms = tuple(w * cost(a, b) for a, b in zip(nodes, nodes[1:]))
-                row[k] = (visit, self._chain_term(var.chain),
+                row[k] = ((var.req.id, var.nf, k), visit, self._chain_term(var.chain),
                           self.instance.placing_cost(var.nf, k), terms)
             pins[var.l - 1] = None
         return row
@@ -233,14 +333,14 @@ class _SearchState:
         for c, term in enumerate(self.chain_terms):
             if c != var.chain:
                 others += term
-        fits = self.ledger.fits
-        hosted = self.ledger.hosted
+        fits = None if self.ledger is None else self.ledger.fits
+        hosted = self.hosted
         placement_term = self.placement_term
         out = []
-        for k, (visit, term, place, _) in self._row().items():
-            if fits(visit):
+        for k, (host, visit, term, place, _) in self._row().items():
+            if fits is None or fits(visit):
                 # a zero placing cost would add +0.0, which changes nothing
-                charged = (placement_term + place if place and visit[0] not in hosted
+                charged = (placement_term + place if place and host not in hosted
                            else placement_term)
                 out.append((k, charged + (others + term)))
         return out
@@ -252,36 +352,52 @@ class _SearchState:
         :func:`cost_of_routes` of the completed state, bit for bit, which
         equals :func:`evaluate_cost` of the corresponding placement.
         """
-        var = self.variables[len(self.assignment)]
-        head, chain, tail = _extended(self._sums[-1], self._row()[k][3])
+        host, _, _, _, terms = self._row()[k]
+        head, chain, tail = _extended(self._sums[-1], terms)
         placement = 0.0
         if self.instance.placement_cost:  # otherwise every placing cost is zero
-            placement = _placement_term(
-                self.instance, self.ledger.hosted.keys() | {(var.req.id, var.nf, k)})
+            placement = _placement_term(self.instance, self.hosted.keys() | {host})
         # cost_of_routes adds a penalty term of +0.0, which changes nothing
         return placement + head + chain + tail
 
     def assign(self, k: str) -> None:
         var = self.variables[len(self.assignment)]
-        visit, term, place, terms = self._row()[k]
-        self._journal.append((self.placement_term, self.chain_terms[var.chain]))
-        if place and visit[0] not in self.ledger.hosted:
+        host, visit, term, place, terms = self._row()[k]
+        c = var.chain
+        node = self._at[c]
+        hosted = self.hosted
+        added = host if self._hosting and host not in hosted else None
+        self._journal.append((self.placement_term, self.chain_terms[c], node, added))
+        if place and host not in hosted:
             self.placement_term += place
-        self.ledger.charge(visit)
-        self.pins[var.chain][var.l - 1] = k
-        self.chain_terms[var.chain] = term
+        if self.ledger is not None:
+            self.ledger.charge(visit)
+        elif added is not None:
+            hosted[added] = True
+        self.pins[c][var.l - 1] = k
+        self.chain_terms[c] = term
         if terms is not None:
             self._sums.append(_extended(self._sums[-1], terms))
+        else:
+            kids = node[1]
+            child = kids.get(k)
+            if child is None:
+                child = kids[k] = [None, {}]
+            self._at[c] = child
         self.assignment.append(k)
 
     def undo(self) -> None:
         var = self.variables[len(self.assignment) - 1]
+        c = var.chain
         self.assignment.pop()
-        self.placement_term, self.chain_terms[var.chain] = self._journal.pop()
-        self.pins[var.chain][var.l - 1] = None
+        self.placement_term, self.chain_terms[c], self._at[c], added = self._journal.pop()
+        self.pins[c][var.l - 1] = None
         if var.l == len(var.req.chain):
             self._sums.pop()
-        self.ledger.undo()
+        if self.ledger is not None:
+            self.ledger.undo()
+        elif added is not None:
+            del self.hosted[added]
 
     def goto(self, assignment: Sequence[str]) -> None:
         """Make `assignment` the current prefix via the common prefix."""
@@ -355,6 +471,17 @@ def solve_exact(
     whose bound lies within 1e-9 relative of the best total found so far and
     compares them by their evaluated totals.
 
+    Presolve: at the root, :func:`_capacities_cannot_bind` certifies, with
+    a relative margin of 2**-30 that covers the rounding of the ledger's
+    running sums (the proof is in its docstring), that no assignment can
+    violate a 5a-5d row. Where it holds, the search skips every
+    :meth:`Ledger.fits` test and charge, and tracks hostings only when the
+    instance has placing costs. A skipped test could only have passed, so
+    the search expands the same nodes in the same order and evaluates the
+    same leaves: status, cost, placement and statistics, budget stops and
+    their incumbents included, equal the ledger search's. `stats.presolved`
+    records which search ran.
+
     Returns status "optimal" with the proven optimum, "infeasible" when the
     feasible set is empty, or "budget_exceeded" with the best incumbent
     found (if any) once the node or wall-time budget trips; the result's
@@ -376,7 +503,7 @@ def solve_exact(
     expanded = leaves = 0
 
     def result(status: str, stop: str) -> SolveResult:
-        stats = SearchStats(expanded, leaves, stop)
+        stats = SearchStats(expanded, leaves, stop, presolved=state.presolved)
         if best is None:
             return ExactResult(None, None, status, stats)
         placement = build_placement_per_pair(instance, dict(zip(keys, best[1])))

@@ -397,7 +397,9 @@ _RANGE_FIELDS = {"degree", "heads_per_request", "num_destinations", "chain_lengt
                  "flow_rate_mbps"}
 _INT_RANGE_FIELDS = {"degree", "heads_per_request", "num_destinations", "chain_length"}
 # Ranges of quantities an instance needs positive (link costs, demands,
-# capacities, flow rates): an upper bound of 0 makes every draw 0.
+# capacities, flow rates): an upper bound of 0 makes every draw 0, and with a
+# lower bound of 0 a draw is hi * u for u a multiple of 2**-53, so an upper
+# bound whose least nonzero draw hi * 2**-53 rounds to 0 draws 0 too.
 _POSITIVE_RANGE_FIELDS = {"link_cost", "node_memory_mb", "nf_memory_mb", "nf_cpu_cores",
                           "flow_rate_mbps"}
 
@@ -422,6 +424,9 @@ def validate_params(params: ScenarioParams) -> None:
             raise ValueError(f"{name}: upper bound {hi} is not below 2**63")
         if name in _POSITIVE_RANGE_FIELDS and not hi > 0:
             raise ValueError(f"{name}: upper bound must be > 0")
+        if name in _POSITIVE_RANGE_FIELDS and lo == 0 and not hi * 2**-53 > 0:
+            raise ValueError(f"{name}: upper bound {hi} is too small for a lower "
+                             f"bound of 0: its least nonzero draw rounds to 0")
     if params.degree[0] < 1:
         raise ValueError("degree: lower bound must be >= 1")
     if params.chain_length[0] < 1:

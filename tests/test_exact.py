@@ -12,7 +12,9 @@ from pccplace.exact import (
     ExportSizeError,
     SearchStats,
     SolveBudget,
+    _MARGIN,
     _SearchState,
+    _capacities_cannot_bind,
     _variables,
     export_lp,
     lower_bound,
@@ -119,7 +121,7 @@ class TestSolveExact:
         # the greedy dive has evaluated its one leaf by then
         by_time = solve_exact(tiny1, paths, SolveBudget(wall_time_s=-1.0))
         assert by_time.status == "budget_exceeded"
-        assert by_time.stats == SearchStats(0, 1, "wall_time")
+        assert by_time.stats == SearchStats(0, 1, "wall_time", presolved=True)
 
     def test_stats_stay_out_of_equality_and_repr(self, tiny1):
         res = solve_exact(tiny1, paths_for(tiny1))
@@ -204,6 +206,73 @@ class TestSolveExact:
         assert mixed >= 12
 
 
+class TestCapacityPresolve:
+    """`_capacities_cannot_bind`, the certificate that drops the 5a-5d ledger."""
+
+    @staticmethod
+    def instance(rate=1.0, catalog=None, node_resources=None, capacity=2000.0):
+        return make_instance(
+            links=[(u, v, cost, capacity) for u, v, cost in PATH_LINKS],
+            candidates=["b", "c"], gateway="a", attachment="a",
+            requests=[("r1", ["f1", "f2"], rate, ["a"])], destinations={"d": 1.0},
+            catalog=catalog or {"f1": (10.0, 0.125), "f2": (20.0, 0.25)},
+            node_resources=node_resources)
+
+    @staticmethod
+    def certified(inst):
+        return _capacities_cannot_bind(inst, paths_for(inst))
+
+    def test_roomy_instance_is_certified_and_says_so(self):
+        inst = self.instance()
+        assert self.certified(inst)
+        assert solve_exact(inst, paths_for(inst)).stats.presolved
+
+    def test_candidate_without_resources_is_refused(self):
+        # can_host refuses c, so the search must keep testing it
+        inst = self.instance(node_resources={"b": (1000.0, 8.0)})
+        assert not self.certified(inst)
+        res = solve_exact(inst, paths_for(inst))
+        assert not res.stats.presolved
+        assert {k for _, _, k in res.placement.x} == {"b"}
+
+    @pytest.mark.parametrize("memory, certified", [
+        (30.0, False),  # the total demand itself
+        (30.0 * (1 + 2**-31), False),  # within the margin
+        (math.nextafter(30.0 * (1 + _MARGIN), 0.0), False),
+        (30.0 * (1 + _MARGIN), True),  # the least capacity the margin passes
+        (30.0 * (1 + 2**-20), True),
+    ])
+    def test_total_demand_needs_the_margin_below_capacity(self, memory, certified):
+        inst = self.instance(node_resources={"b": (memory, 8.0), "c": (1000.0, 8.0)})
+        assert self.certified(inst) is certified
+
+    def test_cpu_sum_equal_to_capacity_is_refused(self):
+        # the demands sum to 0.6 in real arithmetic, but the ledger's
+        # running sum is 0.6000000000000001 and binds
+        assert not self.certified(cpu_sum_instance())
+
+    def test_infinite_capacities_and_budgets_are_certified(self):
+        inst = self.instance(rate=1e300, capacity=math.inf, catalog={
+            "f1": (1e300, 1e300), "f2": (1e300, 1e300)},
+            node_resources={k: (math.inf, math.inf) for k in "bc"})
+        assert min(paths_for(inst).bottleneck_list) == math.inf
+        assert self.certified(inst)
+
+    def test_worst_flow_needs_the_margin_below_least_budget(self):
+        # one head, two destinations (d and the attachment), L = 2
+        count = 1 * 2 * 3
+        budget = 600.0
+        assert self.certified(self.instance(rate=budget / count / (1 + 2 * _MARGIN),
+                                            capacity=budget))
+        assert not self.certified(self.instance(rate=budget / count, capacity=budget))
+        assert not self.certified(self.instance(rate=budget / count * (1 + _MARGIN),
+                                                capacity=budget))
+
+    def test_negative_demand_is_refused(self):
+        inst = self.instance(catalog={"f1": (10.0, 0.125), "f2": (-20.0, 0.25)})
+        assert not self.certified(inst)
+
+
 class TestLowerBound:
     def test_fully_assigned_equals_evaluated_total(self, tiny1):
         paths = paths_for(tiny1)
@@ -243,7 +312,7 @@ class TestLowerBound:
         assert lower_bound(inst, paths, {}) == math.inf
         res = solve_exact(inst, paths)
         assert res.status == "infeasible"
-        assert res.stats == SearchStats(0, 0, "complete")
+        assert res.stats == SearchStats(0, 0, "complete", presolved=False)
 
 
 class TestExportLp:

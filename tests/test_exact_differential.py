@@ -13,7 +13,8 @@ import random
 
 import pytest
 
-from pccplace.exact import SolveBudget, _SearchState, _variables, solve_exact
+from pccplace.exact import (SolveBudget, _capacities_cannot_bind, _SearchState,
+                            _variables, solve_exact)
 from pccplace.graph import shortest_paths
 from pccplace.scenario import ScenarioParams, generate_instance
 
@@ -37,10 +38,10 @@ def _generated(placement_cost, count):
     return out
 
 
-def _mixed_placement_costs(count):
-    """Generated instances with a different placing cost per (nf, node)."""
+def _mixed_placement_costs(instances):
+    """The instances with a different placing cost per (nf, node)."""
     out = []
-    for inst in _generated(0.0, count):
+    for inst in instances:
         rng = random.Random(len(out))
         costs = {nf: {k: rng.choice((0.0, 0.1, 0.2, 0.3, 7.5))
                       for k in sorted(inst.network.candidates)}
@@ -62,7 +63,9 @@ CORPORA = {
     "tight": _tight_corpus,
     "placement_cost_2": lambda: _generated(2.0, 24),
     "placement_cost_35": lambda: _generated(35.0, 24),
-    "mixed_placement_costs": lambda: _mixed_placement_costs(16),
+    "mixed_placement_costs": lambda: _mixed_placement_costs(_generated(0.0, 16)),
+    # certified slack capacities: the presolved search tracks hostings alone
+    "slack_placement_costs": lambda: _mixed_placement_costs(_slack_corpus()),
     "cpu_sum": lambda: [cpu_sum_instance()],
 }
 
@@ -118,3 +121,15 @@ def test_node_values_match_reference(corpus):
                 prefix.append(k)
                 ours.assign(k)
                 ref.assign(k)
+
+
+def test_presolve_covers_slack_not_tight():
+    # the benchmarked slack corpus takes the presolved search, and the tight
+    # corpus the ledger search, so both stay exercised
+    def certified(instances):
+        return [_capacities_cannot_bind(inst, shortest_paths(inst.network,
+                                                             inst.relevant_nodes))
+                for inst in instances]
+
+    assert certified(_slack_corpus()) == [True] * 120
+    assert certified(_tight_corpus()) == [False] * 80

@@ -224,6 +224,13 @@ class TestParams:
         ("nf_memory_mb", (0.0, 0.0)),
         ("nf_cpu_cores", (0.0, 0.0)),
         ("node_memory_mb", (0.0, 0.0)),
+        # a zero lower bound with an upper bound whose least nonzero draw,
+        # hi * 2**-53, rounds to 0
+        ("link_cost", (0.0, 5e-324)),
+        ("flow_rate_mbps", (0.0, 5e-324)),
+        ("nf_memory_mb", (0.0, 5e-324)),
+        ("nf_cpu_cores", (0.0, 1e-320)),
+        ("node_memory_mb", (0.0, 2.0**-1022)),
     ])
     def test_invalid_instance_params_name_field(self, field, value):
         # each would yield only instances that fail validation on an entity
@@ -235,6 +242,8 @@ class TestParams:
             generate_instance(params, 1)
         if isinstance(value, tuple):  # a zero lower bound alone stays valid
             validate_params(dataclasses.replace(params, **{field: (0.0, 1.0)}))
+            # the least upper bound whose least nonzero draw is nonzero
+            validate_params(dataclasses.replace(params, **{field: (0.0, 2.0**-1021)}))
 
     @pytest.mark.parametrize("field", ["degree", "heads_per_request",
                                        "num_destinations", "chain_length"])
