@@ -227,10 +227,13 @@ def _cmd_bench(args) -> int:
 
 
 def _at_least(convert, low):
-    """argparse type: `convert` the value and reject it below `low`."""
+    """argparse type: `convert` the value and reject NaN, or a value below
+    `low`."""
     def check(raw: str):
         value = convert(raw)
-        if not value >= low:
+        if math.isnan(value):
+            raise argparse.ArgumentTypeError(f"{raw!r} is not a number")
+        if value < low:
             raise argparse.ArgumentTypeError(f"{raw!r} is below {low}")
         return value
     check.__name__ = convert.__name__  # argparse names it in its messages

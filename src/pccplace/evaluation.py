@@ -42,15 +42,19 @@ aggregated over everything mapped to that pair. The loads of these families
 loads by the int pair code that also indexes the path table's budgets;
 node ids reappear only in its hosting keys and violation rows, and code
 order is id order.
-The exact search charges it visit by visit,
-:func:`check_constraints` in batch, and the greedy fill position by position
-(:meth:`Ledger.place`), after a prefix of whole chains at their anchors in
-one array pass (:meth:`Ledger.place_chains`), each with the charges the
-checker makes, so what either solver places has no 5a-5d row.
+The exact search charges it visit by visit and :func:`check_constraints`
+in batch. The greedy fill charges a prefix of whole chains at their
+anchors in one array pass over their routes (:meth:`Ledger.place_routes`),
+then the rest node resources first, position by position, and checks
+their flows once on its finished routes, by the same array pass
+(:meth:`Ledger.fitting_prefix`); only where a flow would overflow does it
+charge flows position by position (:meth:`Ledger.place`). Each makes the
+charges the checker makes, so what either solver places has no 5a-5d row.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -154,10 +158,12 @@ class Ledger:
 
     Families 5b-5d are bounded by per-pair bottleneck budgets. The exact
     search and :func:`check_constraints` charge visit by visit
-    (:meth:`visit`, :meth:`fits`, :meth:`charge`); the greedy fill charges a
-    position's visits for all its (head, destination) pairs at once
-    (:meth:`place`), and first the requests whose whole chains fit at their
-    anchors, all at once (:meth:`place_chains`).
+    (:meth:`visit`, :meth:`fits`, :meth:`charge`). The greedy fill charges
+    whole requests from an int route array in one pass
+    (:meth:`place_routes`, with :meth:`fitting_prefix` its test alone),
+    node resources alone position by position (:meth:`can_host`,
+    :meth:`add_demand`), and, where flows bind, a position's visits for all
+    its (head, destination) pairs at once (:meth:`place`).
 
     One representation, on int node ids (:attr:`graph.EdgeNetwork.node_index`):
     `load` is a list indexed by int node id, holding (memory, cpu) for a
@@ -165,7 +171,8 @@ class Ledger:
     table of `flows` is a dict keyed by the pair code ``a * n + b`` of int
     ids a and b (n the node count), the code that indexes
     :attr:`graph.PathTable.bottleneck_list`, from which every budget is
-    read. :meth:`place`, :meth:`can_host` and :meth:`full` take int ids;
+    read. :meth:`place`, :meth:`can_host`, :meth:`add_demand` and
+    :meth:`full` take int ids;
     :meth:`visit` takes node ids and resolves them to codes once per visit.
     `hosted` keeps (request, nf, node id) keys, which the exact search and
     :func:`check_constraints` read. Beyond those keys, node ids are looked
@@ -184,11 +191,12 @@ class Ledger:
     :func:`check_constraints` charges in the exact search's variable order
     (request, position, head, destination), hosting demand at the first
     visit of each (request, nf, node), then the hostings with no visit in
-    sorted order. :meth:`place_chains` charges the loads that its
+    sorted order. :meth:`place_routes` charges the loads that its
     requests' :meth:`place` calls would, each family's with one
-    ``np.bincount`` over its charges in the order those calls make them:
-    bincount adds a bin's weights one at a time in index order from 0.0, so
-    each load is the same running sum, bit for bit
+    ``np.bincount`` over its charges listed request by request in batch
+    order, which within a request changes no load (:meth:`fitting_prefix`
+    says why): bincount adds a bin's weights one at a time in index order
+    from 0.0, so each load is the same running sum, bit for bit
     (``tests/test_summation_order.py`` checks the property). Nothing is
     summed in set order. A node with no entry in
     `node_resources` has no 5a row (AGW's gateway is unlimited) and
@@ -364,74 +372,130 @@ class Ledger:
         self._host((req.id, nf, self._ids[node]), nf, node)
         return True
 
-    def place_chains(self, anchors: Sequence[int]) -> int:
-        """Host whole chains at their anchors for the longest prefix of
+    def add_demand(self, nf: str, node: int) -> None:
+        """Charge one hosting of `nf` at the int node id `node` to 5a only.
+
+        It adds `nf`'s demand to the node's load as :meth:`place` does, and
+        records no hosting, no flow and nothing for :meth:`undo`; the node
+        must have a `node_resources` entry, as :meth:`can_host` passing
+        shows. The greedy fill hosts with it, testing only :meth:`can_host`,
+        and then checks its routes' flows once with :meth:`fitting_prefix`;
+        the flows and hostings of this ledger are not read again.
+        """
+        load, demand = self.load[node], self._demand[nf]
+        self.load[node] = (load[0] + demand[0], load[1] + demand[1])
+
+    def place_routes(self, routes: np.ndarray) -> int:
+        """Host the int route array `routes` for the longest prefix of
         requests that fits; the length of that prefix.
 
-        `anchors` holds an int node id for each request of a prefix of
-        `instance.requests`. The ledger must have nothing charged. Request
-        r fits if calling :meth:`can_host` and then :meth:`place` at its
-        anchor for l = 1..L, with the anchor before position l > 1 and
-        nothing after it, in batch order, would pass every check for it and
-        for all requests before it. Those calls charge 5a demand at the
-        anchor per position, 5b rate per (head, destination) pair whose
-        head is not the anchor, and 5d rate per pair whose destination is
-        not the anchor; a co-located chain charges no 5c. The loads they
-        leave, and only those, are charged here, and the hostings are
-        recorded in (request, position) order, so `load`, `flows` and
-        `hosted` are as after those calls, bit for bit (see the class
-        docstring). Nothing is recorded for :meth:`undo`. The prefix ends
-        at the first anchor without a `node_resources` entry, which
-        :meth:`can_host` refuses.
-
-        Loads only grow, so the prefix of n requests fits exactly when each
-        load after all its charges is within capacity: every earlier check
-        tested a smaller running sum. Each family's loads are one
-        ``np.bincount`` of its charges in charge order, which adds them one
-        at a time from 0.0 as the ledger does, and each family's capacities
-        are gathered by bin from an array: node capacities by int id,
-        budgets from :attr:`graph.PathTable.bottleneck_matrix` by pair
-        code. The longest prefix that fits 5a is found first, then the
-        longest part of it that fits 5b and 5d, each by testing the whole
-        length and, if it does not fit, by bisection
-        (:func:`_longest_prefix`).
+        `routes` has a row for each request of a prefix of
+        `instance.requests` and a column per position, as
+        :func:`cost_of_route_array` takes it: the int node id hosting the
+        position, or -1 where it is unhosted or past the chain. The ledger
+        must have nothing charged. The prefix is :meth:`fitting_prefix`'s.
+        Its loads, and only those, are charged, and its hostings are
+        recorded in (request, position) order, so `load` and `flows` are,
+        bit for bit, and `hosted` holds the keys, as after the
+        :meth:`can_host` and :meth:`place` calls that :meth:`fitting_prefix`
+        describes. Nothing is recorded for :meth:`undo`.
         """
         if self.hosted or any(self.flows):
-            raise ValueError("place_chains needs a ledger with nothing charged")
+            raise ValueError("place_routes needs a ledger with nothing charged")
+        n, nodes, flows, (owners, nf_of, at) = self._route_charges(routes)
+        for (k, memory), (_, cpu) in zip(*(family.loads(n) for family in nodes)):
+            self.load[k] = (memory, cpu)
+        for table, family in zip(self.flows, flows):
+            table.update(family.loads(n))
+        end = np.searchsorted(owners, n)
+        self.hosted.update(dict.fromkeys(zip(
+            map([req.id for req in self._instance.requests[:n]].__getitem__,
+                owners[:end].tolist()),
+            map(list(self._demand).__getitem__, nf_of[:end].tolist()),
+            map(self._ids.__getitem__, at[:end].tolist())), True))
+        return n
+
+    def fitting_prefix(self, routes: np.ndarray) -> int:
+        """The number of leading requests of the int route array `routes`
+        (as :meth:`place_routes` takes it) whose loads fit, charged from
+        nothing; this ledger's own loads are neither read nor changed.
+
+        Request r fits if hosting its positions with :meth:`can_host` and
+        then :meth:`place`, its positions on one node in chain order, in
+        batch order, would pass every check for it and for all requests
+        before it. Those calls charge 5a demand per hosted position; 5b
+        rate per (head, destination) pair whose first position is hosted
+        off its head; 5c rate per pair and per hop between consecutive
+        positions hosted at both ends on distinct nodes; and 5d rate per
+        pair whose last position is hosted off its destination. The prefix
+        ends at the first request with a position on a node without a
+        `node_resources` entry, which :meth:`can_host` refuses.
+
+        Why this is exact: every charge a request makes to one flow pair is
+        its rate, so within a request the order of its charges to a pair
+        does not change the sum, and its charges to one node come in chain
+        order; only the batch order of requests matters, and the charges
+        here are listed request by request. Loads only grow, so the prefix
+        of n requests fits exactly when each load after all its charges is
+        within capacity: every earlier check tested a smaller running sum.
+        Each family's loads are one ``np.bincount`` of its charges in
+        charge order, which adds them one at a time from 0.0 as the ledger
+        does, and are compared with an array of capacities by bin: node
+        capacities by int id, budgets from
+        :attr:`graph.PathTable.bottleneck_matrix` by pair code. The longest
+        prefix that fits 5a is found first, then the longest part of it
+        that fits 5b-5d, each by testing the whole length and, if it does
+        not fit, by bisection (:func:`_longest_prefix`).
+        """
+        return self._route_charges(routes)[0]
+
+    def _route_charges(self, routes: np.ndarray) -> tuple:
+        """:meth:`fitting_prefix`'s length n, the 5a charges (memory, cpu)
+        and the 5b-5d charges as :class:`_Charges`, and the request, nf
+        (by catalog position) and int node of each hosted position, in
+        (request, position) order."""
         instance, caps, n_ids = self._instance, self._caps, self._n
-        m = next((r for r, a in enumerate(anchors) if caps[a] is None), len(anchors))
-        anchors = np.array(anchors[:m], dtype=np.intp)
-        requests = instance.requests[:m]
-        owners = np.repeat(np.arange(m), [len(req.chain) for req in requests])
-        position = {nf: i for i, nf in enumerate(self._demand)}
-        demand = np.array(list(self._demand.values()), dtype=np.float64).reshape(-1, 2)[
-            [position[nf] for req in requests for nf in req.chain]]
+        requests = instance.requests[:len(routes)]
+        owners, position = np.nonzero(routes >= 0)  # hosted entries, row-major
+        at = routes[owners, position]
+        capless = np.array([cap is None for cap in caps])[at]
+        m = int(owners[capless][0]) if capless.any() else len(requests)
+        cut = np.searchsorted(owners, m)
+        owners, position, at = owners[:cut], position[:cut], at[:cut]
+        lengths = np.array([len(req.chain) for req in requests[:m]], dtype=np.intp)
+        nfs = {nf: i for i, nf in enumerate(self._demand)}
+        nf_of = np.fromiter(map(nfs.__getitem__, itertools.chain.from_iterable(
+            req.chain for req in requests[:m])), dtype=np.intp)[
+            (np.cumsum(lengths) - lengths)[owners] + position]  # each entry's nf
+        demand = np.array(list(self._demand.values()), dtype=np.float64).reshape(-1, 2)[nf_of]
         capacity = np.array([(math.nan, math.nan) if cap is None else cap for cap in caps],
                             dtype=np.float64).reshape(-1, 2)
         # 5a first: the flows need testing only over the prefix it leaves
-        nodes = [_Charges(anchors[owners], n_ids, demand[:, j], owners, m, capacity[:, j])
+        nodes = [_Charges(at, n_ids, demand[:, j], owners, m, capacity[:, j])
                  for j in (0, 1)]
         m = _longest_prefix(nodes, m)
         pairs = instance.pair_arrays
-        owners = pairs.request[:np.searchsorted(pairs.request, m)]
-        at = anchors[owners]
-        rate = np.array([req.flow_rate_mbps for req in requests[:m]], dtype=np.float64)[owners]
+        pair_request = pairs.request[:np.searchsorted(pairs.request, m)]
+        rate = np.array([req.flow_rate_mbps for req in requests[:m]], dtype=np.float64)
+        before, after = routes[:m, :-1], routes[:m, 1:]
+        chained = (before >= 0) & (after >= 0) & (before != after)
+        hop_request = np.nonzero(chained)[0]
+        # each pair of a request charges each of its hops at one rate, so a
+        # request's 5c charges may be listed hop by hop
+        per_hop = np.bincount(pair_request, minlength=m)[hop_request]
         budgets = self._paths.bottleneck_matrix.reshape(-1)
         flows = []
-        for start, end in ((pairs.head[:len(at)], at), (at, pairs.dest[:len(at)])):  # 5b, 5d
-            charged = start != end
+        for start, end, owner in (
+                (pairs.head[:len(pair_request)], routes[pair_request, 0], pair_request),  # 5b
+                (np.repeat(before[chained], per_hop), np.repeat(after[chained], per_hop),
+                 np.repeat(hop_request, per_hop)),  # 5c
+                (routes[pair_request, lengths[pair_request] - 1], pairs.dest[:len(pair_request)],
+                 pair_request)):  # 5d
+            charged = (start >= 0) & (end >= 0) & (start != end)
+            owner = owner[charged]
             flows.append(_Charges(start[charged] * n_ids + end[charged], n_ids * n_ids,
-                                  rate[charged], owners[charged], m, budgets))
-        n = _longest_prefix(flows, m)
-        for (k, memory), (_, cpu) in zip(*(family.loads(n) for family in nodes)):
-            self.load[k] = (memory, cpu)
-        for table, family in zip(self.flows[::2], flows):
-            table.update(family.loads(n))
-        ids = self._ids
-        self.hosted.update(((req.id, nf, ids[a]), True)
-                           for req, a in zip(requests[:n], anchors[:n].tolist())
-                           for nf in req.chain)
-        return n
+                                  rate[owner], owner, m, budgets))
+        return _longest_prefix(flows, m), nodes, flows, (owners, nf_of, at)
 
     def _resolve(self, req: ServiceRequest) -> None:
         """Set :meth:`place`'s terms of `req`: its head int ids in order,
@@ -478,37 +542,30 @@ class Ledger:
 
 
 class _Charges:
-    """The charges of one capacity family that :meth:`Ledger.place_chains`
+    """The charges of one capacity family that :meth:`Ledger.place_routes`
     makes, in charge order, each to a bin (an int node id, or a pair
-    code), with the capacity of every bin charged."""
+    code), with the capacity of every bin."""
 
     def __init__(self, keys: np.ndarray, size: int, charges: np.ndarray,
                  owners: np.ndarray, n_requests: int, capacity: np.ndarray):
         # keys: the bin of each charge, in [0, size); owners: its request;
         # capacity: the capacity of each bin in [0, size)
-        used = np.flatnonzero(np.bincount(keys, minlength=size))
-        slot = np.zeros(size, dtype=np.intp)
-        slot[used] = np.arange(len(used))
-        self.bins = used.tolist()  # the bins charged, ascending
-        self.slots = slot[keys]  # the position in `bins` of each charge's bin
-        self.charges = charges
+        self.keys, self.size, self.charges, self.capacity = keys, size, charges, capacity
         self.ends = np.searchsorted(owners, np.arange(n_requests + 1))  # charges of the first n
-        self.capacity = capacity[used]
 
     def sums(self, n: int) -> np.ndarray:
         """Each bin's load after the charges of the first n requests, added
         in charge order from 0.0."""
         end = self.ends[n]
-        return np.bincount(self.slots[:end], self.charges[:end], minlength=len(self.bins))
+        return np.bincount(self.keys[:end], self.charges[:end], minlength=self.size)
 
     def fits(self, n: int) -> bool:
         return not (self.sums(n) > self.capacity).any()
 
-    def loads(self, n: int) -> list[tuple[int, float]]:
+    def loads(self, n: int) -> Iterable[tuple[int, float]]:
         """(bin, load) of each bin that the first n requests charge, by bin."""
-        sums = self.sums(n).tolist()
-        hit = np.bincount(self.slots[:self.ends[n]], minlength=len(self.bins))
-        return [(self.bins[j], sums[j]) for j in np.flatnonzero(hit).tolist()]
+        hit = np.flatnonzero(np.bincount(self.keys[:self.ends[n]], minlength=self.size))
+        return zip(hit.tolist(), self.sums(n)[hit].tolist())
 
 
 def _longest_prefix(families: list[_Charges], m: int) -> int:

@@ -29,11 +29,16 @@ frees a trial's objects with cyclic garbage collection off.
 The fill is request by request, but where capacity does not bind, as in
 the paper's sweeps, it would host each request's whole chain at the head it
 anchors at. So it first charges the longest prefix of requests whose whole
-chains fit at their anchors in one array pass
-(:meth:`evaluation.Ledger.place_chains`), which leaves the ledger as the
+chains fit at their anchors in one array pass over their routes
+(:meth:`evaluation.Ledger.place_routes`), which leaves the ledger as the
 request-by-request fill would, bit for bit, and runs that fill only from
-the first request that does not fit; `_greedy_chain_fill` says why this is
-exact. Every result is priced from one int route per request
+the first request that does not fit. That fill tests and charges node
+resources (5a) alone, position by position; the flow budgets (5b-5d) are
+checked once, by the same array pass over the finished routes
+(:meth:`evaluation.Ledger.fitting_prefix`). Where a flow would overflow,
+the fill keeps the requests before it and resumes there, charging flows
+position by position. `_greedy_chain_fill` says why all of this is exact.
+Every result is priced from one int route per request
 (:func:`_solve_result`), and its (request, position) -> node map is built
 only when its placement is read.
 """
@@ -149,22 +154,21 @@ def _greedy_chain_fill(
     node host the not-yet-hosted chain positions in chain order wherever
     the node has room (:meth:`evaluation.Ledger.can_host`) and so do the
     request's 5b-5d flows as :func:`evaluation.check_constraints` charges
-    them for every (head, destination) pair
-    (:meth:`evaluation.Ledger.place`). So the placement has no 5a-5d row.
-    One pass suffices: loads only grow, and a position's charges only grow
-    as its neighbours get hosted, so a (position, node) that failed once
-    would fail again. Each node is visited once per request, so a
-    request's positions on one node are hosted in chain order, as
-    :meth:`evaluation.Ledger.place`'s float policy needs. Positions still
-    unhosted are reported as unplaced and penalized in the cost report,
-    which is computed from the hosts, one int route per request, as
-    :func:`_solve_result` explains.
+    them for every (head, destination) pair (:meth:`evaluation.Ledger.place`
+    tests them). So the placement has no 5a-5d row. One pass suffices:
+    loads only grow, and a position's charges only grow as its neighbours
+    get hosted, so a (position, node) that failed once would fail again.
+    Each node is visited once per request, so a request's positions on one
+    node are hosted in chain order, as the ledger's float policy needs.
+    Positions still unhosted are reported as unplaced and penalized in the
+    cost report, which is computed from the hosts, one int route per
+    request, as :func:`_solve_result` explains.
 
-    Refusals are final. Node loads here only grow, because
-    :meth:`evaluation.Ledger.place` undoes only its own flow charges and
-    charges the hosting demand only after every flow fits. So an (nf,
-    node) pair that :meth:`evaluation.Ledger.can_host` refused is not
-    tested again in the call, and a node that refuses something and is
+    Refusals are final. Node loads only grow within a run of the loop,
+    which only ever adds demand (with `place`, only once the flows fit).
+    So an (nf, node) pair that
+    :meth:`evaluation.Ledger.can_host` refused is not tested again in a
+    run of the loop, and a node that refuses something and is
     :meth:`evaluation.Ledger.full` (no NF of the catalog fits it) would
     refuse every later test. The scans skip such nodes, which leaves every
     decision as it was: once node capacity binds, most of a request's
@@ -173,30 +177,50 @@ def _greedy_chain_fill(
     The scans run on int node ids, and so do the ledger calls: the anchor
     is the first of the sorted head ids at the least cost to the target,
     the on-path candidates come from the anchor's int predecessor walk, and
-    no node id is looked up in the loop. The fallback order, all candidates by
-    (distance from the anchor head, id), is sorted once per anchor head in
-    a call (:func:`_by_distance`), and only for a request that the on-path
-    candidates cannot fill. It is filtered again, without the nodes that
-    have become full, whenever more nodes are full than when the anchor
-    last used it; the request then filters out its on-path nodes.
+    no node id is looked up in the loop. The fallback order, all candidates
+    by (distance from the anchor head, id), is sorted once per anchor head
+    in a run (:func:`_by_distance`), and only for a request that the
+    on-path candidates cannot fill. It is filtered again, without the nodes
+    that have become full, whenever more nodes are full than when the
+    anchor last used it; the request then filters out its on-path nodes.
     Filtering keeps the order of a sorted list.
 
     The prefix. Until the first request that does not fit whole at its
     anchor, the fill hosts every request's whole chain there, and
-    :meth:`evaluation.Ledger.place_chains` charges all of those requests
+    :meth:`evaluation.Ledger.place_routes` charges all of those requests
     at once. Take a request whose anchor s* is a candidate with
     `node_resources`: s* is the first node of its route, so the on-path
     scan tests s* first, and before the first refusal no node is full and
     no (nf, node) refused. If every check passes at s*, the scan hosts all
     the positions there, in chain order, with no chain flow between them.
-    Loads only grow, so every check of the first n requests passes
-    exactly when the loads after hosting them whole at their anchors are
-    within capacity; `place_chains` finds the longest such prefix and
-    leaves the ledger as the `place` calls would. The prefix therefore
-    ends at the first request that does not fit, or at the first anchor
-    that is no candidate, whichever comes first. Its routes are its
-    anchors, and the scans start from it with nothing full or refused and
-    no fallback order sorted, as they would have.
+    Loads only grow, so every check of the first n requests passes exactly
+    when the loads after hosting them whole at their anchors are within
+    capacity; `place_routes` finds the longest such prefix and leaves the
+    ledger as the `place` calls would. The prefix therefore ends at the
+    first request that does not fit, or at the first anchor that is no
+    candidate, whichever comes first. Its routes are its anchors, and the
+    loop starts from it with nothing full or refused and no fallback order
+    sorted, as it would have.
+
+    Flows last. From the prefix on, the loop tests and charges 5a alone
+    (:meth:`evaluation.Ledger.add_demand`), as if every flow fitted, and
+    then :meth:`evaluation.Ledger.fitting_prefix` checks 5a-5d on the
+    finished routes in one array pass, unless the prefix already covers
+    every request. The two fills agree on every request that pass accepts:
+    if the first p requests' flows fit when all of them are charged, every
+    :meth:`evaluation.Ledger.place` call among them would have tested a
+    running sum no larger, so would have passed, and with no flow refused
+    the two fills test and charge the same 5a loads and make the same
+    decisions. So where p covers the batch, as in every sweep the
+    benchmark runs, the routes are the position-by-position fill's. Where p
+    falls short, the fill resets: a fresh ledger charged with the first p
+    routes (:meth:`evaluation.Ledger.place_routes`), which is the ledger
+    that fill holds after p requests; later routes cleared; and the loop
+    resumed from request p with flows charged by `place`, its caches of
+    full nodes, refusals and fallback orders empty. Those caches only skip
+    tests whose answer is known, so starting them empty changes no
+    decision, and the ones the 5a-only run built may be wrong, since its
+    loads after request p are not the resumed fill's.
     """
     ids, index = instance.network.node_ids, instance.network.node_index
     candidate = [False] * len(ids)
@@ -204,57 +228,77 @@ def _greedy_chain_fill(
         candidate[index[k]] = True
     candidate_ids = np.flatnonzero(candidate)
     requests = instance.requests
-    anchors = _anchors(instance, paths, index[target])
-    ledger = Ledger(instance, paths)
-    # whole chains at their anchors, up to the first anchor that is no candidate
-    whole = next((r for r, a in enumerate(anchors) if not candidate[a]), len(anchors))
-    first = ledger.place_chains(anchors[:whole])
+    goal = index[target]
+    anchors = _anchors(instance, paths, goal)
     routes = _chain_routes(instance, anchors)
-    routes[first:] = -1  # the loop below hosts the rest
 
-    unplaced: list[tuple[str, int, str]] = []
-    full = [False] * len(ids)  # int node id -> no NF of the catalog fits
-    n_full = 0
-    fallback: dict[int, tuple[int, list[int]]] = {}  # anchor -> (n_full, order)
-    refused: list[set[str]] = [set() for _ in ids]  # int node id -> NFs without room
-    for req, s_star, row in zip(requests[first:], anchors[first:], routes[first:]):
-        route = paths.id_sequence(s_star, index[target])
-        on_path = [k for k in route if candidate[k] and not full[k]]
-        pending = dict(enumerate(req.chain, start=1))
-        at: list[int | None] = [None] * (len(req.chain) + 2)  # position -> int host id
-        for scan in (on_path, None):
-            if scan is None:
-                seen, order = fallback.get(s_star, (-1, None))
-                if order is None:
-                    order = _by_distance(paths, s_star, candidate_ids).tolist()
-                if seen != n_full:
-                    order = [k for k in order if not full[k]]
-                fallback[s_star] = (n_full, order)
-                on_set = set(route)
-                scan = (k for k in order if k not in on_set)
-            for k in scan:
-                no_room = refused[k]
-                # pending holds positions in ascending order and only shrinks
-                for l in tuple(pending):
-                    nf = pending[l]
-                    if nf in no_room:
-                        continue
-                    if not ledger.can_host(nf, k):
-                        no_room.add(nf)
-                        if not full[k] and ledger.full(k):
-                            full[k] = True
-                            n_full += 1
-                    elif ledger.place(req, l, k, at[l - 1], at[l + 1]):
+    def fill(ledger: Ledger, start: int, flows: bool) -> list[tuple[int, int, str]]:
+        """Fill requests `start` on into `routes` and `ledger`, charging
+        their flows by :meth:`evaluation.Ledger.place` if `flows` is set;
+        the (request index, position, nf) left unplaced."""
+        unplaced: list[tuple[int, int, str]] = []
+        full = [False] * len(ids)  # int node id -> no NF of the catalog fits
+        n_full = 0
+        fallback: dict[int, tuple[int, list[int]]] = {}  # anchor -> (n_full, order)
+        refused: list[set[str]] = [set() for _ in ids]  # int node id -> NFs without room
+        for r in range(start, len(requests)):
+            req, s_star, row = requests[r], anchors[r], routes[r]
+            route = paths.id_sequence(s_star, goal)
+            on_path = [k for k in route if candidate[k] and not full[k]]
+            pending = dict(enumerate(req.chain, start=1))
+            at: list[int | None] = [None] * (len(req.chain) + 2)  # position -> int host id
+            for scan in (on_path, None):
+                if scan is None:
+                    seen, order = fallback.get(s_star, (-1, None))
+                    if order is None:
+                        order = _by_distance(paths, s_star, candidate_ids).tolist()
+                    if seen != n_full:
+                        order = [k for k in order if not full[k]]
+                    fallback[s_star] = (n_full, order)
+                    on_set = set(route)
+                    scan = (k for k in order if k not in on_set)
+                for k in scan:
+                    no_room = refused[k]
+                    # pending holds positions in ascending order and only shrinks
+                    for l in tuple(pending):
+                        nf = pending[l]
+                        if nf in no_room:
+                            continue
+                        if not ledger.can_host(nf, k):
+                            no_room.add(nf)
+                            if not full[k] and ledger.full(k):
+                                full[k] = True
+                                n_full += 1
+                            continue
+                        if not flows:
+                            ledger.add_demand(nf, k)
+                        elif not ledger.place(req, l, k, at[l - 1], at[l + 1]):
+                            continue
                         at[l] = k
                         row[l - 1] = k
                         del pending[l]
+                    if not pending:
+                        break
                 if not pending:
                     break
-            if not pending:
-                break
-        unplaced.extend((req.id, l, nf) for l, nf in pending.items())
+            unplaced.extend((r, l, nf) for l, nf in pending.items())
+        return unplaced
 
-    return _solve_result(instance, paths, routes, tuple(unplaced))
+    ledger = Ledger(instance, paths)
+    # whole chains at their anchors, up to the first anchor that is no candidate
+    whole = next((r for r, a in enumerate(anchors) if not candidate[a]), len(anchors))
+    first = ledger.place_routes(routes[:whole])
+    routes[first:] = -1  # the loop below hosts the rest
+    unplaced = fill(ledger, first, flows=False)
+    if first < len(requests):
+        fits = ledger.fitting_prefix(routes)
+        if fits < len(requests):
+            ledger = Ledger(instance, paths)
+            ledger.place_routes(routes[:fits])
+            routes[fits:] = -1
+            unplaced = [u for u in unplaced if u[0] < fits] + fill(ledger, fits, flows=True)
+    return _solve_result(instance, paths, routes,
+                         tuple((requests[r].id, l, nf) for r, l, nf in unplaced))
 
 
 # The last fill `_shared_fill` ran: weak references to its instance, paths

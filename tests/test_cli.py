@@ -268,6 +268,14 @@ class TestSolve:
                      flag, value]) == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "NaN"])
+    def test_nan_budget_is_reported_as_not_a_number(self, tiny1_file, value, capsys):
+        assert main(["solve", "--instance", tiny1_file, "--algo", "exact",
+                     "--budget-seconds", value]) == 2
+        err = capsys.readouterr().err
+        assert f"{value!r} is not a number" in err
+        assert "is below" not in err
+
     def test_zero_budget_returns_dive_incumbent(self, tiny1_file, capsys):
         code = main(["solve", "--instance", tiny1_file, "--algo", "exact",
                      "--budget-nodes", "0", "--budget-seconds", "0"])

@@ -11,7 +11,7 @@ a comparison (a boolean mask).
 
 ``np.bincount`` with weights is allowed, and the guard does not flag it: it
 adds each bin's weights one at a time in index order, starting from 0.0,
-which is the loop's ``+=`` bin by bin. ``Ledger.place_chains`` rests on
+which is the loop's ``+=`` bin by bin. ``Ledger.place_routes`` rests on
 this to charge many loads at once, bit for bit as ``Ledger.place`` would;
 `test_bincount_adds_in_index_order` checks the property.
 """
