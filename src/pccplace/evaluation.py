@@ -40,16 +40,22 @@ aggregated over everything mapped to that pair. The loads of these families
 (5a node resources, 5b-5d head, chain and tail flow) are kept by one
 :class:`Ledger`, in one representation: 5a loads by int node id, 5b-5d
 loads by the int pair code that also indexes the path table's budgets;
-node ids reappear only in its hosting keys and violation rows, and code
-order is id order.
-The exact search charges it visit by visit and :func:`check_constraints`
-in batch. The greedy fill charges a prefix of whole chains at their
-anchors in one array pass over their routes (:meth:`Ledger.place_routes`),
-then the rest node resources first, position by position, and checks
-their flows once on its finished routes, by the same array pass
-(:meth:`Ledger.fitting_prefix`); only where a flow would overflow does it
-charge flows position by position (:meth:`Ledger.place`). Each makes the
-charges the checker makes, so what either solver places has no 5a-5d row.
+node ids reappear only in its violation rows, and code order is id order.
+It keeps loads only. 5a charges a node's demand once per hosting and 5b-5d
+once per visit, so a caller that visits one hosting many times, as the
+exact search and :func:`check_constraints` do, keeps the (request, nf,
+node) hostings it has charged and marks the visit that opens one. The
+greedy fill hosts each (request, position) once, and `validate_instance`
+rejects a function repeated within a chain, so it needs no such key.
+The exact search charges the ledger visit by visit and
+:func:`check_constraints` in batch. The greedy fill charges a prefix of
+whole chains at their anchors in one array pass over their routes
+(:meth:`Ledger.place_routes`), then the rest node resources first,
+position by position, and checks their flows once on its finished routes,
+by the same array pass (:meth:`Ledger.fitting_prefix`); only where a flow
+would overflow does it charge flows position by position
+(:meth:`Ledger.place`). Each makes the charges the checker makes, so what
+either solver places has no 5a-5d row.
 """
 
 from __future__ import annotations
@@ -174,31 +180,31 @@ class Ledger:
     read. :meth:`place`, :meth:`can_host`, :meth:`add_demand` and
     :meth:`full` take int ids;
     :meth:`visit` takes node ids and resolves them to codes once per visit.
-    `hosted` keeps (request, nf, node id) keys, which the exact search and
-    :func:`check_constraints` read. Beyond those keys, node ids are looked
-    up only in :meth:`violations`, which lists rows by int id and by code:
-    int order is id order (node ids are numbered in sorted order), and code
-    a * n + b orders pairs by a, then b, so that is sorted id order.
+    Beyond that, node ids are looked up only in :meth:`violations`, which
+    lists rows by int id and by code: int order is id order (node ids are
+    numbered in sorted order), and code a * n + b orders pairs by a, then
+    b, so that is sorted id order. The ledger keeps no hostings: the caller
+    of :meth:`fits` and :meth:`charge` says whether a visit opens one, and
+    :meth:`place` and :meth:`add_demand` each open one.
 
     Float policy: a load is the running float sum of its charges, in the
     order they were charged; a hosting's demand is charged once, at the
-    first charge naming its (request, nf, node). Demands and rates are
-    positive, so charging visits one at a time under :meth:`fits` accepts
-    exactly the loads that :meth:`violations` passes, bit for bit, when both
-    charge in one order. :meth:`fits` tests each flow of a charge on its
-    own, so a charge must name each (table, pair) at most once, as
-    :meth:`visit` does for distinct `prevs`.
-    :func:`check_constraints` charges in the exact search's variable order
-    (request, position, head, destination), hosting demand at the first
-    visit of each (request, nf, node), then the hostings with no visit in
-    sorted order. :meth:`place_routes` charges the loads that its
-    requests' :meth:`place` calls would, each family's with one
-    ``np.bincount`` over its charges listed request by request in batch
-    order, which within a request changes no load (:meth:`fitting_prefix`
-    says why): bincount adds a bin's weights one at a time in index order
-    from 0.0, so each load is the same running sum, bit for bit
-    (``tests/test_summation_order.py`` checks the property). Nothing is
-    summed in set order. A node with no entry in
+    charge its caller marks new. Demands and rates are positive, so
+    charging visits one at a time under :meth:`fits` accepts exactly the
+    loads that :meth:`violations` passes, bit for bit, when both charge in
+    one order. :meth:`fits` tests each flow of a charge on its own, so a
+    charge must name each (table, pair) at most once, as :meth:`visit` does
+    for distinct `prevs`. :func:`check_constraints` charges in the exact
+    search's variable order (request, position, head, destination), marking
+    new the first visit of each hosted (request, nf, node), then the
+    hostings with no visit in sorted order. :meth:`place_routes` charges
+    the loads that its requests' :meth:`place` calls would, each family's
+    with one ``np.bincount`` over its charges listed request by request in
+    batch order, which within a request changes no load
+    (:meth:`fitting_prefix` says why): bincount adds a bin's weights one at
+    a time in index order from 0.0, so each load is the same running sum,
+    bit for bit (``tests/test_summation_order.py`` checks the property).
+    Nothing is summed in set order. A node with no entry in
     `node_resources` has no 5a row (AGW's gateway is unlimited) and
     :meth:`can_host` refuses it, so solvers host only on nodes with declared
     resources.
@@ -219,9 +225,6 @@ class Ledger:
         # (memory, cpu) per int node id with a capacity entry, else None
         self.load: list[tuple[float, float] | None] = [
             None if cap is None else (0.0, 0.0) for cap in self._caps]
-        # the hostings charged so far; a dict, so that undo restores it as it
-        # restores the loads
-        self.hosted: dict[tuple[str, str, str], bool] = {}
         self.flows: tuple[dict[int, float], ...] = ({}, {}, {})  # 5b-5d, by pair code
         self._saved: list[tuple[object, object, object]] = []  # (table, key, old or None)
         self._marks: list[int] = []
@@ -229,16 +232,17 @@ class Ledger:
         self._terms: tuple = ()
 
     def visit(self, req: ServiceRequest, l: int, node: str, head: str, dest: str,
-              prevs: Iterable[str], hosting: bool) -> tuple:
+              prevs: Iterable[str]) -> tuple:
         """Charges of visiting position `l` of `req` at `node` for (head, dest).
 
-        The tuple (hosting or None, nf, int node id, rate, flows) is
-        resolved once, flows holding a (table, pair code, budget) per 5b-5d
-        row; each of `prevs`, the nodes at position l - 1, adds a chain-hop
-        flow. Unless `hosting` is set, the visit charges no node demand.
-        Nodes are given by id, and must be relevant to the path table, as
-        the exact search's candidates and the nodes of a placement that
-        passes the index check are.
+        The tuple (nf, int node id, rate, flows) is resolved once, flows
+        holding a (table, pair code, budget) per 5b-5d row; each of `prevs`,
+        the nodes at position l - 1, adds a chain-hop flow. The node demand
+        is charged only where the caller marks the visit as opening a
+        hosting (:meth:`fits`, :meth:`charge`). Nodes are given by id, and
+        must be relevant to the path table, as the exact search's
+        candidates and the nodes of a placement that passes the index check
+        are.
         """
         budgets, index, n = self._budgets, self._index, self._n
         k = index[node]
@@ -253,9 +257,7 @@ class Ledger:
         if l == len(req.chain):
             code = k * n + index[dest]
             flows.append((tail_flow, code, budgets[code]))
-        nf = req.chain[l - 1]
-        return ((req.id, nf, node) if hosting else None, nf, k,
-                req.flow_rate_mbps, flows)
+        return req.chain[l - 1], k, req.flow_rate_mbps, flows
 
     def can_host(self, nf: str, node: int) -> bool:
         """Whether the int node id `node` has room for one more hosting of
@@ -274,39 +276,26 @@ class Ledger:
         it."""
         return not any(self.can_host(nf, node) for nf in self._demand)
 
-    def fits(self, visit: tuple) -> bool:
-        """Whether charging `visit` keeps every load it adds to within capacity."""
-        host, nf, node, rate, flows = visit
-        if host is not None and host not in self.hosted and not self.can_host(nf, node):
+    def fits(self, visit: tuple, new: bool) -> bool:
+        """Whether charging `visit`, with its demand if `new` (it opens a
+        hosting), keeps every load it adds to within capacity."""
+        nf, node, rate, flows = visit
+        if new and not self.can_host(nf, node):
             return False
         for table, pair, budget in flows:
             if table.get(pair, 0.0) + rate > budget:
                 return False
         return True
 
-    def _host(self, host: tuple[str, str, str], nf: str, node: int) -> None:
-        if host not in self.hosted:
-            self._saved.append((self.hosted, host, None))
-            self.hosted[host] = True
-            load = self.load[node]
-            if load is not None:
-                self._saved.append((self.load, node, load))
-                demand = self._demand[nf]
-                self.load[node] = (load[0] + demand[0], load[1] + demand[1])
-
-    def host(self, request: str, nf: str, node: str) -> None:
-        """Charge a hosting at the node id `node`: its demand, unless it is
-        already hosted."""
-        self._marks.append(len(self._saved))
-        self._host((request, nf, node), nf, self._index[node])
-
-    def charge(self, visit: tuple) -> None:
-        """Charge a visit: its hosting as :meth:`host` does, then its flows."""
-        host, nf, node, rate, flows = visit
+    def charge(self, visit: tuple, new: bool) -> None:
+        """Charge a visit: its demand if `new` (it opens a hosting), then
+        its flows."""
+        nf, node, rate, flows = visit
         saved = self._saved
         self._marks.append(len(saved))
-        if host is not None:
-            self._host(host, nf, node)
+        if new and self.load[node] is not None:  # no 5a row without node_resources
+            saved.append((self.load, node, self.load[node]))
+            self.add_demand(nf, node)
         for table, pair, _ in flows:
             old = table.get(pair)
             saved.append((table, pair, old))
@@ -318,23 +307,25 @@ class Ledger:
         fit; whether it did.
 
         The caller tests the hosting demand (5a) with :meth:`can_host`
-        first. The flows are those :func:`check_constraints` charges for a
-        placement that visits the position at `node` for every (head,
-        destination) pair, as :func:`model.build_placement` builds it: if
-        l = 1, head flow (s, node) once per destination for each head s;
-        chain flow (before, node) and (node, after) once per pair, where
-        `before` and `after` are the int ids hosting positions l - 1 and
-        l + 1 (None while unhosted); and if l = L, tail flow (node, d) once
-        per head for each destination d. The n charges of one pair are
-        added one at a time, so a load matches the checker's bit for bit
-        when requests are placed in batch order and a request's positions
-        on one node in chain order; rates are positive, so testing the last
-        sum covers the earlier ones. A self pair has an infinite budget and
-        is not charged, and the pairs of one call are distinct. A flow over
-        its budget undoes the call's charges, so nothing stays charged
-        unless every flow fits; :meth:`undo` reverts a call that returned
-        True. What depends on `req` alone is resolved once for consecutive
-        calls on one request (:meth:`_resolve`).
+        first, so the node has a `node_resources` entry; a call that
+        returns True charges the demand once, since a (request, position)
+        is hosted once. The flows are those :func:`check_constraints`
+        charges for a placement that visits the position at `node` for
+        every (head, destination) pair, as :func:`model.build_placement`
+        builds it: if l = 1, head flow (s, node) once per destination for
+        each head s; chain flow (before, node) and (node, after) once per
+        pair, where `before` and `after` are the int ids hosting positions
+        l - 1 and l + 1 (None while unhosted); and if l = L, tail flow
+        (node, d) once per head for each destination d. The n charges of
+        one pair are added one at a time, so a load matches the checker's
+        bit for bit when requests are placed in batch order and a request's
+        positions on one node in chain order; rates are positive, so
+        testing the last sum covers the earlier ones. A self pair has an
+        infinite budget and is not charged, and the pairs of one call are
+        distinct. A flow over its budget undoes the call's charges, so
+        nothing stays charged unless every flow fits; :meth:`undo` reverts
+        a call that returned True. What depends on `req` alone is resolved
+        once for consecutive calls on one request (:meth:`_resolve`).
         """
         if req is not self._request:
             self._resolve(req)
@@ -368,19 +359,21 @@ class Ledger:
             if load > budgets[code]:
                 self.undo()
                 return False
-        nf = req.chain[l - 1]
-        self._host((req.id, nf, self._ids[node]), nf, node)
+        saved.append((self.load, node, self.load[node]))
+        self.add_demand(req.chain[l - 1], node)
         return True
 
     def add_demand(self, nf: str, node: int) -> None:
         """Charge one hosting of `nf` at the int node id `node` to 5a only.
 
-        It adds `nf`'s demand to the node's load as :meth:`place` does, and
-        records no hosting, no flow and nothing for :meth:`undo`; the node
-        must have a `node_resources` entry, as :meth:`can_host` passing
-        shows. The greedy fill hosts with it, testing only :meth:`can_host`,
-        and then checks its routes' flows once with :meth:`fitting_prefix`;
-        the flows and hostings of this ledger are not read again.
+        It adds `nf`'s demand to the node's load, and records no flow and
+        nothing for :meth:`undo` (:meth:`charge` and :meth:`place` record
+        the load it replaces); the node must have a `node_resources` entry,
+        as :meth:`can_host` passing shows. The greedy fill hosts with it,
+        testing only :meth:`can_host`, and then checks its routes' flows
+        once with :meth:`fitting_prefix`; the flows of this ledger are not
+        read again. :func:`check_constraints` charges with it the hostings
+        that no visit charged.
         """
         load, demand = self.load[node], self._demand[nf]
         self.load[node] = (load[0] + demand[0], load[1] + demand[1])
@@ -393,26 +386,19 @@ class Ledger:
         `instance.requests` and a column per position, as
         :func:`cost_of_route_array` takes it: the int node id hosting the
         position, or -1 where it is unhosted or past the chain. The ledger
-        must have nothing charged. The prefix is :meth:`fitting_prefix`'s.
-        Its loads, and only those, are charged, and its hostings are
-        recorded in (request, position) order, so `load` and `flows` are,
-        bit for bit, and `hosted` holds the keys, as after the
+        must have nothing charged: no flow, and every load at (0.0, 0.0).
+        The prefix is :meth:`fitting_prefix`'s. Its loads, and only those,
+        are charged, so `load` and `flows` are, bit for bit, as after the
         :meth:`can_host` and :meth:`place` calls that :meth:`fitting_prefix`
         describes. Nothing is recorded for :meth:`undo`.
         """
-        if self.hosted or any(self.flows):
+        if any(self.flows) or any(load not in (None, (0.0, 0.0)) for load in self.load):
             raise ValueError("place_routes needs a ledger with nothing charged")
-        n, nodes, flows, (owners, nf_of, at) = self._route_charges(routes)
+        n, nodes, flows = self._route_charges(routes)
         for (k, memory), (_, cpu) in zip(*(family.loads(n) for family in nodes)):
             self.load[k] = (memory, cpu)
         for table, family in zip(self.flows, flows):
             table.update(family.loads(n))
-        end = np.searchsorted(owners, n)
-        self.hosted.update(dict.fromkeys(zip(
-            map([req.id for req in self._instance.requests[:n]].__getitem__,
-                owners[:end].tolist()),
-            map(list(self._demand).__getitem__, nf_of[:end].tolist()),
-            map(self._ids.__getitem__, at[:end].tolist())), True))
         return n
 
     def fitting_prefix(self, routes: np.ndarray) -> int:
@@ -450,10 +436,8 @@ class Ledger:
         return self._route_charges(routes)[0]
 
     def _route_charges(self, routes: np.ndarray) -> tuple:
-        """:meth:`fitting_prefix`'s length n, the 5a charges (memory, cpu)
-        and the 5b-5d charges as :class:`_Charges`, and the request, nf
-        (by catalog position) and int node of each hosted position, in
-        (request, position) order."""
+        """:meth:`fitting_prefix`'s length n, and the 5a charges (memory,
+        cpu) and the 5b-5d charges as :class:`_Charges`."""
         instance, caps, n_ids = self._instance, self._caps, self._n
         requests = instance.requests[:len(routes)]
         owners, position = np.nonzero(routes >= 0)  # hosted entries, row-major
@@ -495,7 +479,7 @@ class Ledger:
             owner = owner[charged]
             flows.append(_Charges(start[charged] * n_ids + end[charged], n_ids * n_ids,
                                   rate[owner], owner, m, budgets))
-        return _longest_prefix(flows, m), nodes, flows, (owners, nf_of, at)
+        return _longest_prefix(flows, m), nodes, flows
 
     def _resolve(self, req: ServiceRequest) -> None:
         """Set :meth:`place`'s terms of `req`: its head int ids in order,
@@ -508,7 +492,7 @@ class Ledger:
                        req.flow_rate_mbps, dests, heads * dests, heads)
 
     def undo(self) -> None:
-        """Revert the last :meth:`charge`, :meth:`host` or :meth:`place` exactly."""
+        """Revert the last :meth:`charge` or :meth:`place` exactly."""
         saved = self._saved
         for _ in range(len(saved) - self._marks.pop()):
             table, key, old = saved.pop()
@@ -773,6 +757,7 @@ def check_constraints(
 
     ledger = Ledger(instance, paths)
     dests = sorted(instance.destination_weights)
+    unvisited = set(placement.x)  # the hostings no visit has charged yet
     for req in instance.requests:
         pairs = [(s, d) for s in sorted(req.heads) for d in dests]
         for l, nf in enumerate(req.chain, start=1):
@@ -781,10 +766,13 @@ def check_constraints(
                 # placements with duplicate visits charge every implied pair
                 prevs = y_nodes.get((req.id, s, d, req.chain[l - 2]), ()) if l > 1 else ()
                 for k in y_nodes.get((req.id, s, d, nf), ()):
-                    ledger.charge(ledger.visit(req, l, k, s, d, prevs,
-                                               (req.id, nf, k) in placement.x))
-    for (r, i, k) in sorted(placement.x - ledger.hosted.keys()):
-        ledger.host(r, i, k)
+                    new = (req.id, nf, k) in unvisited
+                    unvisited.discard((req.id, nf, k))
+                    ledger.charge(ledger.visit(req, l, k, s, d, prevs), new)
+    index = instance.network.node_index
+    for (r, i, k) in sorted(unvisited):
+        if ledger.load[index[k]] is not None:  # no 5a row without node_resources
+            ledger.add_demand(i, index[k])
     out = ledger.violations()
 
     for req, s, d in instance.pair_order:

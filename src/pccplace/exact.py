@@ -10,9 +10,9 @@ Presolve: on an instance whose capacities provably cannot bind
 (:func:`_capacities_cannot_bind`), the program is uncapacitated and the
 search drops the 5a-5d accounting, as MIP presolve drops rows that no
 point can violate (Achterberg et al., INFORMS J. Computing 32(2), 2020).
-It then never tests a visit against the capacity ledger and keeps the
-hostings only if the placement term reads them. Since every test it skips
-would pass, its results and statistics are those of the ledger search.
+It then keeps no capacity ledger and never tests a visit against one.
+Since every test it skips would pass, its results and statistics are those
+of the ledger search.
 
 `export_lp` writes the fully linearized 0-1 program in LP text format with
 a documented variable-naming contract so external MILP solvers can
@@ -238,11 +238,14 @@ class _SearchState:
     prefix is its placement term plus, per chain, the weighted
     `_hop_minimum` over all hops with the chain's positions pinned.
 
+    Hostings: `hosted` holds the prefix's (request, nf, node) hostings, and
+    the journal the one each variable added. A variable whose hosting is
+    not in it opens one: it adds the placing cost and charges the node
+    demand (its visit marked new). This is the same with or without a ledger.
+
     Presolve: where :func:`_capacities_cannot_bind` holds (`presolved`),
     :meth:`Ledger.fits` could only return True, so there is no ledger and no
-    fits test. The state keeps `hosted` itself, and charges a hosting to it
-    only if the instance has placing costs, since only the placement term
-    reads it. Every child list, bound and leaf total is then the ledger
+    fits test. Every child list, bound and leaf total is then the ledger
     search's, bit for bit.
 
     Rows: a variable's children depend on the prefix only through its own
@@ -275,18 +278,14 @@ class _SearchState:
         self.candidates = sorted(instance.network.candidates)
         self.presolved = _capacities_cannot_bind(instance, paths)
         self.ledger = None if self.presolved else Ledger(instance, paths)
-        # the hostings charged so far: the ledger's, or when presolved, kept
-        # here if placing costs read them
-        self.hosted: dict[tuple[str, str, str], bool] = (
-            {} if self.ledger is None else self.ledger.hosted)
-        self._hosting = self.presolved and bool(instance.placement_cost)
+        self.hosted: set[tuple[str, str, str]] = set()  # the prefix's hostings
         self.assignment: list[str] = []
         self.placement_term = 0.0
         self.pins = [[None] * len(req.chain) for req, _, _ in instance.pair_order]
         self.chain_terms = [self._chain_term(c) for c in range(len(self.pins))]
         self._at: list[list] = [[None, {}] for _ in self.pins]
         # per assigned variable: placement term, chain term and trie node
-        # before it, and the hosting it added to `hosted` when presolved
+        # before it, and the hosting it added to `hosted`, if any
         self._journal: list[tuple[float, float, list, tuple | None]] = []
         # (head, chain, tail) sums after each complete chain, in pair_order
         self._sums: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)]
@@ -309,7 +308,7 @@ class _SearchState:
             row = node[0] = {}
             for k in self.candidates:
                 visit = None if self.ledger is None else self.ledger.visit(
-                    var.req, var.l, k, var.s, var.d, prevs, True)
+                    var.req, var.l, k, var.s, var.d, prevs)
                 pins[var.l - 1] = k
                 terms = None
                 if var.l == len(pins):
@@ -338,7 +337,7 @@ class _SearchState:
         placement_term = self.placement_term
         out = []
         for k, (host, visit, term, place, _) in self._row().items():
-            if fits is None or fits(visit):
+            if fits is None or fits(visit, host not in hosted):
                 # a zero placing cost would add +0.0, which changes nothing
                 charged = (placement_term + place if place and host not in hosted
                            else placement_term)
@@ -356,7 +355,7 @@ class _SearchState:
         head, chain, tail = _extended(self._sums[-1], terms)
         placement = 0.0
         if self.instance.placement_cost:  # otherwise every placing cost is zero
-            placement = _placement_term(self.instance, self.hosted.keys() | {host})
+            placement = _placement_term(self.instance, self.hosted | {host})
         # cost_of_routes adds a penalty term of +0.0, which changes nothing
         return placement + head + chain + tail
 
@@ -365,15 +364,14 @@ class _SearchState:
         host, visit, term, place, terms = self._row()[k]
         c = var.chain
         node = self._at[c]
-        hosted = self.hosted
-        added = host if self._hosting and host not in hosted else None
-        self._journal.append((self.placement_term, self.chain_terms[c], node, added))
-        if place and host not in hosted:
-            self.placement_term += place
+        new = host not in self.hosted
+        self._journal.append((self.placement_term, self.chain_terms[c], node,
+                              host if new else None))
+        if new:
+            self.hosted.add(host)
+            self.placement_term += place  # +0.0 where placing is free: no change
         if self.ledger is not None:
-            self.ledger.charge(visit)
-        elif added is not None:
-            hosted[added] = True
+            self.ledger.charge(visit, new)
         self.pins[c][var.l - 1] = k
         self.chain_terms[c] = term
         if terms is not None:
@@ -396,8 +394,8 @@ class _SearchState:
             self._sums.pop()
         if self.ledger is not None:
             self.ledger.undo()
-        elif added is not None:
-            del self.hosted[added]
+        if added is not None:
+            self.hosted.remove(added)
 
     def goto(self, assignment: Sequence[str]) -> None:
         """Make `assignment` the current prefix via the common prefix."""
@@ -475,12 +473,11 @@ def solve_exact(
     a relative margin of 2**-30 that covers the rounding of the ledger's
     running sums (the proof is in its docstring), that no assignment can
     violate a 5a-5d row. Where it holds, the search skips every
-    :meth:`Ledger.fits` test and charge, and tracks hostings only when the
-    instance has placing costs. A skipped test could only have passed, so
-    the search expands the same nodes in the same order and evaluates the
-    same leaves: status, cost, placement and statistics, budget stops and
-    their incumbents included, equal the ledger search's. `stats.presolved`
-    records which search ran.
+    :meth:`Ledger.fits` test and charge. A skipped test could only have
+    passed, so the search expands the same nodes in the same order and
+    evaluates the same leaves: status, cost, placement and statistics,
+    budget stops and their incumbents included, equal the ledger search's.
+    `stats.presolved` records which search ran.
 
     Returns status "optimal" with the proven optimum, "infeasible" when the
     feasible set is empty, or "budget_exceeded" with the best incumbent

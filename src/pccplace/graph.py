@@ -99,11 +99,14 @@ class EdgeNetwork:
 
     @cached_property
     def adjacency(self) -> dict[str, tuple[tuple[str, float], ...]]:
-        """node -> sorted tuple of (neighbor, cost)."""
+        """node -> sorted tuple of (neighbor, cost), over the links whose
+        endpoints are both nodes (``model.validate_instance`` reports the
+        others)."""
         adj: dict[str, list[tuple[str, float]]] = {n: [] for n in self.nodes}
         for ln in self.link_map.values():
-            adj[ln.u].append((ln.v, ln.cost))
-            adj[ln.v].append((ln.u, ln.cost))
+            if ln.u in adj and ln.v in adj:
+                adj[ln.u].append((ln.v, ln.cost))
+                adj[ln.v].append((ln.u, ln.cost))
         return {n: tuple(sorted(nbrs)) for n, nbrs in adj.items()}
 
     def is_connected(self) -> bool:

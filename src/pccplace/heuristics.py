@@ -46,8 +46,7 @@ only when its placement is read.
 from __future__ import annotations
 
 import weakref
-from collections.abc import Iterator, Mapping
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -57,7 +56,7 @@ from .evaluation import Ledger, SolveResult, cost_of_route_array
 # (ROADMAP item 4).
 from .evaluation import evaluate_cost  # noqa: F401
 from .graph import PathTable
-from .model import ProblemInstance, build_placement
+from .model import Placement, ProblemInstance, build_placement
 
 
 def _solve_result(instance: ProblemInstance, paths: PathTable, routes: np.ndarray,
@@ -73,39 +72,21 @@ def _solve_result(instance: ProblemInstance, paths: PathTable, routes: np.ndarra
     the placement, bit for bit, as the :mod:`evaluation` module docstring
     argues.
 
-    The builder is a :func:`functools.partial` of this module's
-    `build_placement` attribute, looked up now, so the result pickles and a
-    wrapper set on the attribute sees the build; its hosts map is a
-    :class:`_RouteHosts` of `routes`.
+    The builder is a :func:`functools.partial` of :func:`_route_placement`,
+    so the result pickles.
     """
     cost = cost_of_route_array(instance, paths, routes)
-    return SolveResult(partial(build_placement, instance, _RouteHosts(instance, routes)),
-                       cost, "ok", unplaced)
+    return SolveResult(partial(_route_placement, instance, routes), cost, "ok", unplaced)
 
 
-class _RouteHosts(Mapping):
-    """(request id, 1-based position) -> hosting node of an int route array,
-    as :func:`model.build_placement` takes it; the dict is built on first
-    read."""
-
-    def __init__(self, instance: ProblemInstance, routes: np.ndarray):
-        self._instance, self._routes = instance, routes
-
-    @cached_property
-    def _hosts(self) -> dict[tuple[str, int], str]:
-        ids = self._instance.network.node_ids
-        return {(req.id, l): ids[k]
-                for req, row in zip(self._instance.requests, self._routes.tolist())
-                for l, k in enumerate(row, start=1) if k >= 0}
-
-    def __getitem__(self, key: tuple[str, int]) -> str:
-        return self._hosts[key]
-
-    def __iter__(self) -> Iterator[tuple[str, int]]:
-        return iter(self._hosts)
-
-    def __len__(self) -> int:
-        return len(self._hosts)
+def _route_placement(instance: ProblemInstance, routes: np.ndarray) -> Placement:
+    """The placement of the int route array `routes`, by this module's
+    `build_placement` attribute, looked up at the call, so that a wrapper
+    set on the attribute sees the build."""
+    ids = instance.network.node_ids
+    return build_placement(instance, {
+        (req.id, l): ids[k] for req, row in zip(instance.requests, routes.tolist())
+        for l, k in enumerate(row, start=1) if k >= 0})
 
 
 def _chain_routes(instance: ProblemInstance, nodes) -> np.ndarray:

@@ -5,7 +5,11 @@ A verbatim copy of `_Var`, `_variables`, `_hop_minimum`, `_SearchState` and
 running sums per complete chain and child bounds from cached rows: each
 leaf is priced by `cost_of_routes` over every chain. The only additions are
 two counters, marked "# counter", that `solve_exact` returns beside its
-result: nodes expanded and leaves evaluated.
+result: nodes expanded and leaves evaluated. The parts of `Ledger` that the
+search calls (`__init__`, `visit`, `can_host`, `fits`, `_host`, `charge`,
+`undo`) are copied, verbatim but for the docstrings, as
+`pccplace.evaluation` had them while the ledger kept its own hostings, so
+this search does not follow changes to the package's ledger API.
 `tests/test_exact_differential.py` checks the package's search against this
 one solve by solve and node by node.
 """
@@ -16,12 +20,103 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from pccplace.evaluation import Ledger, SolveResult, cost_of_routes, evaluate_cost
+from pccplace.evaluation import SolveResult, cost_of_routes, evaluate_cost
 from pccplace.exact import ExactResult, SolveBudget
 from pccplace.graph import PathTable, shortest_paths
 from pccplace.model import ProblemInstance, ServiceRequest, build_placement_per_pair
+
+
+class Ledger:
+    def __init__(self, instance: ProblemInstance, paths: PathTable):
+        network = instance.network
+        self._instance, self._paths = instance, paths
+        self._ids, self._index = network.node_ids, network.node_index
+        self._n = len(self._ids)
+        self._budgets = paths.bottleneck_list
+        # (memory, cpu) capacity per int node id, None without an entry
+        self._caps: list[tuple[float, float] | None] = [None] * self._n
+        for k, cap in instance.node_resources.items():
+            self._caps[self._index[k]] = cap.as_tuple()
+        self._demand = {nf: dem.as_tuple() for nf, dem in instance.catalog.items()}
+        self._dests = sorted(self._index[d] for d in instance.destination_weights)
+        # (memory, cpu) per int node id with a capacity entry, else None
+        self.load: list[tuple[float, float] | None] = [
+            None if cap is None else (0.0, 0.0) for cap in self._caps]
+        # the hostings charged so far; a dict, so that undo restores it as it
+        # restores the loads
+        self.hosted: dict[tuple[str, str, str], bool] = {}
+        self.flows: tuple[dict[int, float], ...] = ({}, {}, {})  # 5b-5d, by pair code
+        self._saved: list[tuple[object, object, object]] = []  # (table, key, old or None)
+        self._marks: list[int] = []
+        self._request: ServiceRequest | None = None  # the request `_terms` are of
+        self._terms: tuple = ()
+
+    def visit(self, req: ServiceRequest, l: int, node: str, head: str, dest: str,
+              prevs: Iterable[str], hosting: bool) -> tuple:
+        budgets, index, n = self._budgets, self._index, self._n
+        k = index[node]
+        head_flow, pair_flow, tail_flow = self.flows
+        flows = []
+        if l == 1:
+            code = index[head] * n + k
+            flows.append((head_flow, code, budgets[code]))
+        for p in prevs:
+            code = index[p] * n + k
+            flows.append((pair_flow, code, budgets[code]))
+        if l == len(req.chain):
+            code = k * n + index[dest]
+            flows.append((tail_flow, code, budgets[code]))
+        nf = req.chain[l - 1]
+        return ((req.id, nf, node) if hosting else None, nf, k,
+                req.flow_rate_mbps, flows)
+
+    def can_host(self, nf: str, node: int) -> bool:
+        load = self.load[node]
+        if load is None:
+            return False
+        cap, demand = self._caps[node], self._demand[nf]
+        return load[0] + demand[0] <= cap[0] and load[1] + demand[1] <= cap[1]
+
+    def fits(self, visit: tuple) -> bool:
+        host, nf, node, rate, flows = visit
+        if host is not None and host not in self.hosted and not self.can_host(nf, node):
+            return False
+        for table, pair, budget in flows:
+            if table.get(pair, 0.0) + rate > budget:
+                return False
+        return True
+
+    def _host(self, host: tuple[str, str, str], nf: str, node: int) -> None:
+        if host not in self.hosted:
+            self._saved.append((self.hosted, host, None))
+            self.hosted[host] = True
+            load = self.load[node]
+            if load is not None:
+                self._saved.append((self.load, node, load))
+                demand = self._demand[nf]
+                self.load[node] = (load[0] + demand[0], load[1] + demand[1])
+
+    def charge(self, visit: tuple) -> None:
+        host, nf, node, rate, flows = visit
+        saved = self._saved
+        self._marks.append(len(saved))
+        if host is not None:
+            self._host(host, nf, node)
+        for table, pair, _ in flows:
+            old = table.get(pair)
+            saved.append((table, pair, old))
+            table[pair] = rate if old is None else old + rate
+
+    def undo(self) -> None:
+        saved = self._saved
+        for _ in range(len(saved) - self._marks.pop()):
+            table, key, old = saved.pop()
+            if old is None:
+                del table[key]
+            else:
+                table[key] = old
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,23 @@ class TestValidate:
         assert [v["code"] for v in json.loads(capsys.readouterr().out)] == [code]
 
 
+    def test_unknown_link_endpoint_exits_2(self, tmp_path, capsys):
+        path = unknown_endpoint_file(tmp_path)
+        assert main(["validate", "--instance", path]) == 2
+        assert json.loads(capsys.readouterr().out) == [
+            {"code": "UnknownLinkEndpoint", "detail": "link n0-zz"}]
+
+
+def unknown_endpoint_file(tmp_path):
+    """A generated instance with a link from n0 to zz, which is no node."""
+    data = instance_to_dict(generate_instance(ScenarioParams(), 0))
+    data["network"]["links"].append({"u": "n0", "v": "zz", "cost": 1.0,
+                                     "capacity_mbps": 1.0})
+    path = tmp_path / "unknown-endpoint.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 class TestSolve:
     def test_exact_prints_total(self, tiny1_file, tmp_path, capsys):
         out = tmp_path / "sol.json"
@@ -259,6 +276,15 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "InfiniteLinkCost" in json.loads(captured.err)["error"]
+
+    @pytest.mark.parametrize("algo", ["exact", "ppcc"])
+    def test_unknown_link_endpoint_exits_2(self, tmp_path, algo, capsys):
+        path = unknown_endpoint_file(tmp_path)
+        assert main(["solve", "--instance", path, "--algo", algo]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "invalid instance: UnknownLinkEndpoint: link n0-zz"}
 
     @pytest.mark.parametrize("flag,value", [
         ("--budget-nodes", "-5"), ("--budget-seconds", "-1"),

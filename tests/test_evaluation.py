@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -222,6 +223,26 @@ class TestCheckConstraints:
         assert [v for v in violations if v.constraint == "5a"
                 and v.index == ("b", "memory_mb") and v.slack < 0]
 
+    def test_demand_charged_once_per_hosting(self):
+        # r1 visits its hosting (r1, f1, b) for four (head, destination)
+        # pairs; r2 is visited at c, and x also names (r2, f1, b) and
+        # (r2, f1, a), which no visit backs. b's memory holds 70: the two
+        # hostings there charge 40 each, once, whatever the visits; a has no
+        # node_resources entry, so no 5a row.
+        inst = make_instance(
+            links=PATH_LINKS, candidates=["b", "c"], gateway="a", attachment="a",
+            requests=[("r1", ["f1"], 1.0, ["a", "c"]), ("r2", ["f1"], 1.0, ["a"])],
+            destinations={"d": 0.6}, stay=0.4,
+            catalog={"f1": (40.0, 1.0)},
+            node_resources={"b": (70.0, 8.0), "c": (1000.0, 8.0)})
+        placement = build_placement(inst, {("r1", 1): "b", ("r2", 1): "c"})
+        assert len([v for v in placement.y if v[:3] == ("r1", "f1", "b")]) == 4
+        placement = Placement(x=placement.x | {("r2", "f1", "b"), ("r2", "f1", "a")},
+                              y=placement.y)
+        got = [(v.constraint, v.index, v.slack)
+               for v in check_constraints(inst, placement, paths_for(inst))]
+        assert got == [("5a", ("b", "memory_mb"), -10.0)]
+
     def test_visit_without_hosting_flags_5f(self, tiny1):
         paths = paths_for(tiny1)
         good = build_placement(tiny1, {("r1", 1): "b"})
@@ -259,6 +280,13 @@ class TestCheckConstraints:
                 check_constraints(tiny1, bad, paths)
 
 
+def host_at_b(ledger, inst, nf):
+    """Charge a visit at b that opens a hosting of `nf`, for r1's only
+    (head, destination) pair (a, d)."""
+    req = dataclasses.replace(inst.requests[0], chain=(nf,))
+    ledger.charge(ledger.visit(req, 1, "b", "a", "d", ()), True)
+
+
 class TestLedger:
     def test_node_accounting(self):
         inst = make_instance(
@@ -267,15 +295,21 @@ class TestLedger:
             catalog={"f1": (40.0, 1.0), "f2": (70.0, 1.0)},
             node_resources={"b": (100.0, 4.0)})
         ledger = Ledger(inst, paths_for(inst))
-        assert ledger.can_host("f1", B)
-        ledger.host("r1", "f1", "b")
+        (r1,) = inst.requests
+        first, second = (ledger.visit(r1, 1, "b", "a", "d", ()),
+                         ledger.visit(r1, 2, "b", "a", "d", ("b",)))
+        assert ledger.can_host("f1", B) and ledger.fits(first, True)
+        ledger.charge(first, True)
         assert ledger.load[B] == (40.0, 1.0)
         assert not ledger.can_host("f2", B)
-        ledger.host("r1", "f1", "b")  # demand is charged once per hosting
+        # the caller marks which visit opens a hosting: only that one is
+        # charged, and tested for, node demand
+        assert not ledger.fits(second, True) and ledger.fits(second, False)
+        ledger.charge(first, False)
         assert ledger.load[B] == (40.0, 1.0)
         ledger.undo()
         ledger.undo()
-        assert ledger.load[B] == (0.0, 0.0) and not ledger.hosted
+        assert ledger.load[B] == (0.0, 0.0) and ledger.flows == ({}, {}, {})
         assert not ledger.can_host("f1", A)  # no node_resources entry
         assert ledger.load[A] is None
 
@@ -298,10 +332,10 @@ class TestLedger:
         inst = self._full_instance()
         ledger = Ledger(inst, paths_for(inst))
         if first is not None:
-            ledger.host("r0", first, "b")
-        for i in range(fill_ups):
+            host_at_b(ledger, inst, first)
+        for _ in range(fill_ups):
             assert not ledger.full(B) and ledger.can_host("f3", B)
-            ledger.host(f"r{i + 1}", "f3", "b")
+            host_at_b(ledger, inst, "f3")
         assert ledger.full(B) and not ledger.can_host("f3", B)
         ledger.undo()  # loads shrink only by undo
         assert not ledger.full(B)
@@ -309,8 +343,8 @@ class TestLedger:
     def test_full_node_hosts_no_nf(self):
         inst = self._full_instance()
         ledger = Ledger(inst, paths_for(inst))
-        for i, nf in enumerate(("f1", "f3", "f3", "f3", "f3")):
-            ledger.host(f"r{i}", nf, "b")
+        for nf in ("f1", "f3", "f3", "f3", "f3"):
+            host_at_b(ledger, inst, nf)
             verdicts = {nf: ledger.can_host(nf, B) for nf in inst.catalog}
             assert ledger.full(B) == (not any(verdicts.values())), verdicts
         assert ledger.full(B)
@@ -324,19 +358,19 @@ class TestLedger:
             destinations={"b": 1.0})
         ledger = Ledger(inst, paths_for(inst))
         r1, r2 = inst.requests
-        first = ledger.visit(r1, 1, "b", "a", "b", (), True)
-        second = ledger.visit(r2, 1, "b", "a", "b", (), True)
-        assert ledger.fits(first)
-        ledger.charge(first)
-        assert not ledger.fits(second)  # head flow 8 over the a->b budget 5
-        ledger.charge(second)
+        first = ledger.visit(r1, 1, "b", "a", "b", ())
+        second = ledger.visit(r2, 1, "b", "a", "b", ())
+        assert ledger.fits(first, True)
+        ledger.charge(first, True)
+        assert not ledger.fits(second, True)  # head flow 8 over the a->b budget 5
+        ledger.charge(second, True)
         assert [(v.constraint, v.index, v.slack) for v in ledger.violations()] \
             == [("5b", ("a", "b"), -3.0)]
         ledger.undo()
-        assert ledger.violations() == [] and not ledger.fits(second)
+        assert ledger.violations() == [] and not ledger.fits(second, True)
         ledger.undo()
-        assert ledger.fits(second)
-        assert ledger.flows == ({}, {}, {}) and not ledger.hosted
+        assert ledger.fits(second, True)
+        assert ledger.flows == ({}, {}, {}) and ledger.load == [None, (0.0, 0.0)]
 
     def test_rows_follow_the_families_in_sorted_key_order(self):
         inst = make_instance(
@@ -345,7 +379,7 @@ class TestLedger:
             requests=[("r1", ["f1"], 6.0, ["a"])], destinations={"d": 1.0},
             node_resources={"b": (5.0, 8.0)})
         ledger = Ledger(inst, paths_for(inst))
-        ledger.charge(ledger.visit(inst.requests[0], 1, "b", "a", "d", (), True))
+        ledger.charge(ledger.visit(inst.requests[0], 1, "b", "a", "d", ()), True)
         assert [(v.constraint, v.index, v.slack) for v in ledger.violations()] == [
             ("5a", ("b", "memory_mb"), -5.0),
             ("5b", ("a", "b"), -1.0),
@@ -400,11 +434,12 @@ class TestLedger:
             assert placed.place(req, 1, B, None, C)
             for l in (1, 2):
                 prevs = (at[l - 1],) if l > 1 else ()
-                for s in sorted(req.heads):
-                    for d in sorted(inst.destination_weights):
-                        checked.charge(checked.visit(req, l, at[l], s, d, prevs, True))
+                pairs = [(s, d) for s in sorted(req.heads)
+                         for d in sorted(inst.destination_weights)]
+                for s, d in pairs:  # the first visit opens the hosting
+                    checked.charge(checked.visit(req, l, at[l], s, d, prevs),
+                                   (s, d) == pairs[0])
         assert placed.load == checked.load
-        assert placed.hosted == checked.hosted
         assert placed.flows == tuple({pair: load for pair, load in table.items()
                                       if pair // 4 != pair % 4}  # no self pair
                                      for table in checked.flows)

@@ -346,10 +346,10 @@ class TestLedger:
     def test_rate_above_capacity_does_not_fit(self):
         ledger, (req,) = path_ledger(rates=(1600.0,))
         assert not ledger.place(req, 1, C, None, None)
-        assert ledger.flows == ({}, {}, {}) and not ledger.hosted
-        over = ledger.visit(req, 1, "c", "a", "d", (), True)
-        assert not ledger.fits(over)
-        ledger.charge(over)  # charging does not test; violations() reports
+        assert ledger.flows == ({}, {}, {}) and ledger.load[C] == (0.0, 0.0)
+        over = ledger.visit(req, 1, "c", "a", "d", ())
+        assert not ledger.fits(over, True)
+        ledger.charge(over, True)  # charging does not test; violations() reports
         assert rows(ledger) == [("5b", ("a", "c"), -100.0)]
 
     def test_undo_restores_loads(self):
@@ -358,9 +358,9 @@ class TestLedger:
         assert ledger.place(r2, 1, C, None, None)
         ledger.undo()
         assert ledger.flows == ({code(A, B): 0.1}, {}, {code(B, D): 0.1})
-        assert list(ledger.hosted) == [("r1", "f1", "b")]
+        assert (ledger.load[B], ledger.load[C]) == ((10.0, 0.125), (0.0, 0.0))
         ledger.undo()
-        assert ledger.flows == ({}, {}, {}) and not ledger.hosted
+        assert ledger.flows == ({}, {}, {})
         assert ledger.load[B] == (0.0, 0.0)
 
 
@@ -372,14 +372,14 @@ class TestResiduals:
         for rate in (1e9, float("inf")):
             ledger, (req,) = path_ledger(rates=(rate,), chain=("f1", "f2", "f3"))
             assert ledger.place(req, 2, C, C, C)
-            assert ledger.fits(ledger.visit(req, 2, "c", "a", "d", ("c",), False))
+            assert ledger.fits(ledger.visit(req, 2, "c", "a", "d", ("c",)), False)
 
     def test_consume_zero_length_path_is_noop(self):
         ledger, (req,) = path_ledger(rates=(1e9,), chain=("f1", "f2", "f3"))
         assert ledger.place(req, 2, C, C, C)
         assert ledger.flows == ({}, {}, {}) and ledger.violations() == []
         ledger.undo()
-        assert ledger.flows == ({}, {}, {}) and not ledger.hosted
+        assert ledger.flows == ({}, {}, {}) and ledger.load[C] == (0.0, 0.0)
 
 
 def one_node_network():

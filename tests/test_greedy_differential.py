@@ -72,8 +72,8 @@ def _instance(name, seed):
 
 
 def _fingerprint(result):
-    hosts = result.build.args[1]  # the partial's (instance, hosts)
-    return (sorted(hosts.items()), result.unplaced,
+    routes = result.build.args[1]  # the partial's (instance, routes)
+    return (routes.tolist(), result.unplaced,
             {field: value.hex() for field, value in result.cost.to_dict().items()})
 
 

@@ -12,6 +12,7 @@ from pccplace.model import (
     Placement,
     Violation,
     build_placement,
+    instance_from_dict,
     instance_from_json,
     instance_to_dict,
     instance_to_json,
@@ -74,6 +75,15 @@ class TestValidateInstance:
         )
         found = codes(validate_instance(bad))
         assert {"NonPositiveLinkCost", "SelfLoopLink", "DuplicateLink"} <= found
+
+    def test_unknown_link_endpoint(self):
+        # a link to a node outside `nodes` is reported, not a KeyError from
+        # the adjacency that the connectivity check builds
+        data = instance_to_dict(generate_instance(ScenarioParams(), 0))
+        data["network"]["links"].append({"u": "n0", "v": "zz", "cost": 1.0,
+                                         "capacity_mbps": 1.0})
+        found = validate_instance(instance_from_dict(data))
+        assert [(v.code, v.detail) for v in found] == [("UnknownLinkEndpoint", "link n0-zz")]
 
     def test_infinite_link_cost(self):
         bad = make_instance(

@@ -3,8 +3,8 @@ fill's use of it.
 
 `place_routes` charges the longest prefix of requests of an int route array
 whose loads fit, in one array pass; `fitting_prefix` returns that length and
-charges nothing. After `place_routes`, the ledger's loads, flows and
-hostings must be, float for float (compared by `.hex()`), those that calling
+charges nothing. After `place_routes`, the ledger's loads and flows must
+be, float for float (compared by `.hex()`), those that calling
 `can_host` and `place` position by position leaves over the same prefix,
 and the prefix must end at the first request that replay refuses. Two kinds
 of routes are checked: whole chains at their anchors, which the fill charges
@@ -70,15 +70,14 @@ def exact(x):
     return type(x).__name__, x.hex()
 
 
-def state(ledger, ordered=True):
-    """The ledger's loads by int node id, flows by pair code and hostings
-    (in insertion order, or sorted), every float exactly."""
+def state(ledger):
+    """The ledger's loads by int node id and flows by pair code, every
+    float exactly."""
     return ([None if load is None else tuple(map(exact, load)) for load in ledger.load],
-            [{code: exact(load) for code, load in table.items()} for table in ledger.flows],
-            list(ledger.hosted) if ordered else sorted(ledger.hosted))
+            [{code: exact(load) for code, load in table.items()} for table in ledger.flows])
 
 
-def assert_places_as_replay(instance, paths, routes, calls, ordered=True):
+def assert_places_as_replay(instance, paths, routes, calls):
     """`place_routes` and `fitting_prefix` on `routes` against the replay of
     `calls` over as many requests; the ledger `place_routes` charged and
     the prefix length."""
@@ -86,7 +85,7 @@ def assert_places_as_replay(instance, paths, routes, calls, ordered=True):
     assert Ledger(instance, paths).fitting_prefix(routes) == n
     ledger = Ledger(instance, paths)
     assert ledger.place_routes(routes) == n
-    assert state(ledger, ordered) == state(want, ordered)
+    assert state(ledger) == state(want)
     return ledger, n
 
 
@@ -303,10 +302,8 @@ class TestFillRoutes:
         m = len(inst.requests)
         for target in sorted(set(_targets(inst).values())):
             calls = fill_calls(monkeypatch, inst, paths, target)
-            hosts = dict(_greedy_chain_fill(inst, paths, target).build.args[1])
-            routes = greedy_reference._routes(inst, hosts)
-            # within a request the fill hosts by node, not by position
-            ledger, n = assert_places_as_replay(inst, paths, routes, calls, ordered=False)
+            routes = _greedy_chain_fill(inst, paths, target).build.args[1]
+            ledger, n = assert_places_as_replay(inst, paths, routes, calls)
             assert n == m
             # one budget per family at the load after a request j that charges
             # it: j fits at equality and the next request charging it does not
@@ -321,8 +318,7 @@ class TestFillRoutes:
                 cap = history[j][i]
                 for budget, want in ((cap, after), (math.nextafter(cap, 0.0), j)):
                     tight, tight_paths = with_budget(inst, paths, family, key, budget)
-                    _, n = assert_places_as_replay(tight, tight_paths, routes, calls,
-                                                   ordered=False)
+                    _, n = assert_places_as_replay(tight, tight_paths, routes, calls)
                     assert n == want, (family, budget)
 
 
@@ -365,10 +361,10 @@ class Spy:
         self.demands = 0
 
 
-def hosted_from(result, inst, r):
-    """The number of positions `result` hosts in requests r on."""
-    ids = {req.id: i for i, req in enumerate(inst.requests)}
-    return sum(1 for req_id, _ in result.build.args[1] if ids[req_id] >= r)
+def hosted_from(result, r):
+    """The number of positions `result` hosts in requests r on, read from
+    the int route array its builder holds."""
+    return int((result.build.args[1][r:] >= 0).sum())
 
 
 FLOW_CASES = [(name, seed) for name in ("flow-tight", "flow-and-cpu-tight-K50")
@@ -403,7 +399,7 @@ class TestFillFastPath:
             assert 0 < n < m
             assert spy.fitting == [m]
             assert spy.placed == []
-            assert spy.demands == hosted_from(got, inst, n) > 0
+            assert spy.demands == hosted_from(got, n) > 0
 
     @pytest.mark.parametrize("name, seed", FLOW_CASES,
                              ids=[f"{n}-{s}" for n, s in FLOW_CASES])
@@ -464,9 +460,12 @@ class TestRouteHosts:
         for algo in (heuristics.ppcc, heuristics.agw):
             result = algo(inst, paths)
             assert built == []
-            hosts = dict(result.build.args[1])
+            ids = inst.network.node_ids
+            hosts = {(req.id, l): ids[k]
+                     for req, row in zip(inst.requests, result.build.args[1].tolist())
+                     for l, k in enumerate(row, start=1) if k >= 0}
             assert result.placement == build(inst, hosts)
             assert len(built) == 1
             built.clear()
         gateway = inst.network.gateway
-        assert set(heuristics.agw(inst, paths).build.args[1].values()) == {gateway}
+        assert {k for _, _, k in heuristics.agw(inst, paths).placement.x} == {gateway}
