@@ -277,7 +277,8 @@ def run_sweep(
         _check_desk_scale(probe)
 
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the fork start method starts every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             per_task = list(pool.map(_run_trial, tasks))
     else:
         per_task = [_run_trial(t) for t in tasks]

@@ -281,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--params", help="JSON file of generator parameters")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--jobs", type=_at_least(int, 1), default=1)
+    p.add_argument("--jobs", type=_at_least(int, 1), default=1,
+                   help="worker processes, at most one per trial; output does not depend on it")
     p.add_argument("--format", choices=["csv", "json", "both"], default="csv")
     p.add_argument("--measure-runtime", action="store_true",
                    help="record wall times, which exclude cyclic-GC pauses; "

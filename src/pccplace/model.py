@@ -2,9 +2,12 @@
 
 All types are immutable after construction. Semantic invariants are checked
 by :func:`validate_instance`, which returns violations as data rather than
-raising, so callers (CLI `validate`, the generator's self-check) can report
-every problem at once. Parsing problems, by contrast, are structural and
-raise :class:`ParseError` with a JSON path.
+raising, so a caller can report every problem at once. It is the check on
+instances from outside the program: CLI `validate`, `solve` and `export-lp`
+run it on every instance they read. Generated instances are valid by
+construction (see :func:`scenario.generate_instance`) and skip it. Parsing
+problems, by contrast, are structural and raise :class:`ParseError` with a
+JSON path.
 """
 
 from __future__ import annotations
@@ -386,7 +389,10 @@ def _require(obj: Any, path: str, typ: type, what: str) -> Any:
 def _number(obj: Any, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ParseError(path, f"expected number, got {type(obj).__name__}")
-    return float(obj)
+    try:
+        return float(obj)
+    except OverflowError:  # an integer literal beyond float range
+        raise ParseError(path, "number is out of float range") from None
 
 
 def _check_keys(obj: Mapping[str, Any], path: str, required: Iterable[str]) -> None:
@@ -539,7 +545,7 @@ def instance_from_dict(data: Any) -> ProblemInstance:
 def instance_from_json(text: str) -> ProblemInstance:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # an integer literal over int's digit limit too
         raise ParseError("$", f"invalid JSON: {exc}") from exc
     return instance_from_dict(data)
 

@@ -108,7 +108,6 @@ from .model import (
     ProblemInstance,
     Resources,
     ServiceRequest,
-    validate_instance,
 )
 
 
@@ -397,9 +396,10 @@ _RANGE_FIELDS = {"degree", "heads_per_request", "num_destinations", "chain_lengt
                  "flow_rate_mbps"}
 _INT_RANGE_FIELDS = {"degree", "heads_per_request", "num_destinations", "chain_length"}
 # Ranges of quantities an instance needs positive (link costs, demands,
-# capacities, flow rates): an upper bound of 0 makes every draw 0, and with a
-# lower bound of 0 a draw is hi * u for u a multiple of 2**-53, so an upper
-# bound whose least nonzero draw hi * 2**-53 rounds to 0 draws 0 too.
+# capacities, flow rates): with a lower bound of 0 a draw is hi * u for u a
+# multiple of 2**-53, so an upper bound whose least nonzero draw hi * 2**-53
+# rounds to 0, an upper bound of 0 among them, draws 0 for many u, not only
+# for u = 0 (which `generate_instance` checks for).
 _POSITIVE_RANGE_FIELDS = {"link_cost", "node_memory_mb", "nf_memory_mb", "nf_cpu_cores",
                           "flow_rate_mbps"}
 
@@ -422,8 +422,6 @@ def validate_params(params: ScenarioParams) -> None:
             raise ValueError(f"{name}: negative lower bound {lo}")
         if name in _INT_RANGE_FIELDS and hi >= 2**63:  # numpy's int64 draws
             raise ValueError(f"{name}: upper bound {hi} is not below 2**63")
-        if name in _POSITIVE_RANGE_FIELDS and not hi > 0:
-            raise ValueError(f"{name}: upper bound must be > 0")
         if name in _POSITIVE_RANGE_FIELDS and lo == 0 and not hi * 2**-53 > 0:
             raise ValueError(f"{name}: upper bound {hi} is too small for a lower "
                              f"bound of 0: its least nonzero draw rounds to 0")
@@ -581,6 +579,19 @@ def generate_instance(params: ScenarioParams, seed: int) -> ProblemInstance:
     probability masses are uniform positives normalized to 1 minus the stay
     probability; request chains hold distinct NFs; heads are candidate
     subsets. All numeric draws are uniform within their configured ranges.
+
+    The instance is valid by construction, so `model.validate_instance` is
+    not run on it: `validate_params` and the construction steps rule out
+    each of its violations but two, which are checked here and raise
+    GenerationError naming the field. A drawn link cost, node memory, NF
+    demand or flow rate must be positive and finite: a range with lower
+    bound 0 draws 0 when numpy's double is 0, and a draw near the largest
+    float can round to inf. And the destination masses must not all draw 0.
+    A destination's probability is then m * fl((1 - stay) / S) for its mass
+    m and the masses' float sum S >= m, so at most 1. With the stay
+    probability the n destination probabilities sum to 1 within (2n + 2) *
+    2**-53, inside `model.MOBILITY_MASS_TOL` for up to 4 million
+    destinations, so on any graph of up to 4 million nodes.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed: must be a non-negative integer, got {seed!r}")
@@ -604,15 +615,13 @@ def generate_instance(params: ScenarioParams, seed: int) -> ProblemInstance:
     node_resources = {k: Resources(memory_mb=mb, cpu_cores=params.node_cpu_cores)
                       for k, mb in zip(candidates, memory)}
 
-    rng_cat = _rng(seed, "catalog")
     nf_width = len(str(params.catalog_size - 1))
-    catalog = {}
-    for i in range(params.catalog_size):
-        catalog[f"f{i:0{nf_width}d}"] = Resources(
-            memory_mb=float(rng_cat.uniform(*params.nf_memory_mb)),
-            cpu_cores=float(rng_cat.uniform(*params.nf_cpu_cores)),
-        )
-    nf_ids = sorted(catalog)
+    nf_ids = [f"f{i:0{nf_width}d}" for i in range(params.catalog_size)]
+    # One sized draw gives the floats of one scalar draw of memory, then one
+    # of cpu, per NF, in order.
+    nf_memory, nf_cpu = _rng(seed, "catalog").uniform(
+        *zip(params.nf_memory_mb, params.nf_cpu_cores), size=(len(nf_ids), 2)).T.tolist()
+    catalog = dict(zip(nf_ids, map(Resources, nf_memory, nf_cpu)))
 
     rng_mob = _rng(seed, "mobility")
     stay = (float(rng_mob.uniform(0.0, 1.0))
@@ -623,6 +632,8 @@ def generate_instance(params: ScenarioParams, seed: int) -> ProblemInstance:
     dest_nodes = [str(x) for x in rng_mob.choice(non_attachment, size=n_dest,
                                                  replace=False)]
     masses = rng_mob.uniform(size=n_dest)
+    if not masses.any():
+        raise GenerationError("destinations: every destination mass drew 0")
     scale = (1.0 - stay) / float(np.sum(masses))
     destinations = {d: float(m * scale) for d, m in zip(dest_nodes, masses)}
     mobility = MobilityProfile(destinations=destinations, stay_probability=stay)
@@ -642,7 +653,13 @@ def generate_instance(params: ScenarioParams, seed: int) -> ProblemInstance:
         placement_cost = {nf: {k: params.placement_cost for k in candidates}
                           for nf in nf_ids}
 
-    instance = ProblemInstance(
+    for field, values in (
+            ("link_cost", [ln.cost for ln in links]), ("node_memory_mb", memory),
+            ("nf_memory_mb", nf_memory), ("nf_cpu_cores", nf_cpu),
+            ("flow_rate_mbps", [rate for _, _, rate in draws])):
+        if not all(0 < v < math.inf for v in values):
+            raise GenerationError(f"{field}: a draw is 0 or infinite")
+    return ProblemInstance(
         network=network,
         catalog=catalog,
         node_resources=node_resources,
@@ -650,8 +667,3 @@ def generate_instance(params: ScenarioParams, seed: int) -> ProblemInstance:
         placement_cost=placement_cost,
         mobility=mobility,
     )
-    problems = validate_instance(instance)
-    if problems:
-        raise GenerationError(
-            f"generated instance is invalid: {problems[0]}")
-    return instance

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from pccplace import bench
 from pccplace.bench import (
     ALGORITHMS,
     EmptyTableError,
@@ -79,6 +80,32 @@ class TestRunSweep:
         serial = table_to_csv(run_sweep(spec, small_params(), **kwargs, jobs=1))
         parallel = table_to_csv(run_sweep(spec, small_params(), **kwargs, jobs=2))
         assert serial == parallel
+
+    def test_workers_at_most_one_per_trial(self, monkeypatch):
+        # a stand-in pool: records its size and maps in this process, so no
+        # worker is started whatever --jobs asks for
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        spec = SweepSpec(axis="stay_probability", values=(0.0, 1.0))
+        kwargs = dict(trials=2, algorithms=("ppcc", "spba"))
+        serial = table_to_csv(run_sweep(spec, small_params(), **kwargs, jobs=1))
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+        for jobs, workers in [(2, 2), (4, 4), (5000, 4)]:
+            assert table_to_csv(run_sweep(spec, small_params(), **kwargs, jobs=jobs)) == serial
+            assert sizes.pop() == workers
 
     def test_exact_requires_desk_scale(self):
         spec = SweepSpec(axis="batch_size", values=(50,))

@@ -202,6 +202,23 @@ class TestValidate:
         assert json.loads(capsys.readouterr().out) == [
             {"code": "UnknownLinkEndpoint", "detail": "link n0-zz"}]
 
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, tiny1, capsys):
+        path = huge_stay_file(tmp_path, tiny1)
+        assert main(["validate", "--instance", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "$.mobility.stay_probability: number is out of float range"}
+
+
+def huge_stay_file(tmp_path, tiny1):
+    """tiny1 with a 401-digit integer stay probability, beyond float range."""
+    text = instance_to_json(tiny1).replace('"stay_probability": 0.0',
+                                           '"stay_probability": 1' + "0" * 400)
+    path = tmp_path / "huge-stay.json"
+    path.write_text(text)
+    return str(path)
+
 
 def unknown_endpoint_file(tmp_path):
     """A generated instance with a link from n0 to zz, which is no node."""
@@ -285,6 +302,15 @@ class TestSolve:
         assert captured.out == ""
         assert json.loads(captured.err) == {
             "error": "invalid instance: UnknownLinkEndpoint: link n0-zz"}
+
+    @pytest.mark.parametrize("algo", ["exact", "ppcc"])
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, tiny1, algo, capsys):
+        path = huge_stay_file(tmp_path, tiny1)
+        assert main(["solve", "--instance", path, "--algo", algo]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "$.mobility.stay_probability: number is out of float range"}
 
     @pytest.mark.parametrize("flag,value", [
         ("--budget-nodes", "-5"), ("--budget-seconds", "-1"),

@@ -229,6 +229,18 @@ class TestInstanceSerialization:
         with pytest.raises(ParseError):
             instance_from_json("{not json")
 
+    @pytest.mark.parametrize("digits, path", [
+        (400, "$.mobility.stay_probability"),  # float() overflows
+        (5000, "$"),  # json.loads passes int's string-conversion limit
+    ])
+    def test_integer_beyond_float_range_has_path(self, tiny1, digits, path):
+        text = instance_to_json(tiny1)
+        assert text.count('"stay_probability": 0.0') == 1
+        text = text.replace('"stay_probability": 0.0', '"stay_probability": 1' + "0" * digits)
+        with pytest.raises(ParseError) as err:
+            instance_from_json(text)
+        assert err.value.path == path
+
     def test_generated_instance_round_trips_bit_exactly(self):
         params = ScenarioParams(num_candidates=20, batch_size=10)
         inst = generate_instance(params, seed=42)

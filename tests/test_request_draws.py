@@ -170,8 +170,8 @@ def test_flow_rate_range():
 
 
 @st.composite
-def shapes(draw):
-    big = draw(st.booleans())
+def shapes(draw, big=st.booleans()):
+    big = draw(big)
     catalog_size = draw(st.integers(1, 2**31 + 5) if big else st.integers(1, 30))
     num_candidates = draw(st.integers(1, 2**31 + 5) if big else st.integers(1, 30))
     c_hi = draw(st.integers(1, min(catalog_size, 12)))

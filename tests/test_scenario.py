@@ -1,11 +1,15 @@
 import dataclasses
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scenario_reference
+from pccplace import scenario
 from pccplace.model import instance_to_json, validate_instance
 from pccplace.scenario import (
     GenerationError,
@@ -18,6 +22,7 @@ from pccplace.scenario import (
     params_to_dict,
     validate_params,
 )
+from test_request_draws import shapes
 
 
 class TestGenerateInstance:
@@ -182,10 +187,109 @@ class TestGenerateInstance:
         assert [r.chain for r in a.requests] == [r.chain for r in b.requests]
         assert [r.heads for r in a.requests] == [r.heads for r in b.requests]
 
+    # field: (stream it is drawn from, flat index of a forced draw in each
+    # `uniform` call on that stream); a catalog draw is memory then cpu per NF
+    FORCED = {"link_cost": ("link_cost", -1), "node_memory_mb": ("node_resources", -1),
+              "nf_memory_mb": ("catalog", -2), "nf_cpu_cores": ("catalog", -1),
+              "flow_rate_mbps": ("request", -1)}
+
+    @pytest.mark.parametrize("value", [0.0, math.inf])
+    @pytest.mark.parametrize("field", FORCED)
+    def test_forced_draw_names_field(self, monkeypatch, field, value):
+        # 0 is drawn from a zero lower bound when numpy's double is 0, and a
+        # draw near the largest float can round to inf
+        stream, at = self.FORCED[field]
+        force_draws(monkeypatch, stream, at, value)
+        params = ScenarioParams(num_candidates=6, batch_size=3, link_cost=(0.0, 100.0),
+                                node_memory_mb=(0.0, 16384.0), nf_memory_mb=(0.0, 50.0),
+                                nf_cpu_cores=(0.0, 0.25), flow_rate_mbps=(0.0, 10.0))
+        with pytest.raises(GenerationError, match=f"^{field}: a draw is 0 or infinite$"):
+            generate_instance(params, 0)
+
+    def test_all_destination_masses_zero_raises(self, monkeypatch):
+        force_draws(monkeypatch, "mobility", slice(None), 0.0)
+        with pytest.raises(GenerationError, match="^destinations: every destination mass"):
+            generate_instance(ScenarioParams(num_candidates=6, num_destinations=(3, 3)), 0)
+
     def test_too_small_for_degree_raises(self):
         with pytest.raises(GenerationError):
             generate_instance(
                 ScenarioParams(num_candidates=1, transit_fraction=0.0), seed=0)
+
+
+def force_draws(monkeypatch, stream, at, value):
+    """Make each ``uniform`` call on `stream` return numpy's draw with its
+    flat element(s) `at` set to `value`; every other call is numpy's."""
+    rng = scenario._rng
+
+    class Forced:
+        def __init__(self, real):
+            self.real = real
+
+        def uniform(self, *args, **kwargs):
+            out = np.array(self.real.uniform(*args, **kwargs))
+            out.flat[at] = value
+            return out if out.ndim else out[()]
+
+        def __getattr__(self, name):
+            return getattr(self.real, name)
+
+    def forced_rng(seed, name, index=None):
+        real = rng(seed, name, index)
+        return Forced(real) if name == stream else real
+
+    monkeypatch.setattr(scenario, "_rng", forced_rng)
+
+
+# Range bounds from 0 and subnormals to the largest float.
+BOUNDS = st.one_of(st.just(0.0), st.floats(0.0, 2.0**-1000),
+                   st.floats(0.0, sys.float_info.max))
+
+
+@st.composite
+def positive_ranges(draw):
+    lo, hi = sorted((draw(BOUNDS), draw(BOUNDS)))
+    if lo == 0 and not hi * 2**-53 > 0:  # validate_params refuses such a range
+        hi = 2.0**-1021  # the least it accepts
+    return lo, hi
+
+
+@st.composite
+def scenario_params(draw):
+    """Parameters `validate_params` accepts: graphs of up to 60 nodes, request
+    shapes as `test_request_draws.shapes` draws them at that size, and every
+    positive range drawn by `positive_ranges`."""
+    chain_length, catalog_size, heads_per_request, num_candidates = draw(
+        shapes(big=st.just(False)))
+    d_lo = draw(st.integers(1, 6))
+    n_lo = draw(st.integers(1, 40))
+    return ScenarioParams(
+        num_candidates=num_candidates, batch_size=draw(st.integers(1, 60)),
+        degree=(d_lo, draw(st.integers(d_lo, 8))), heads_per_request=heads_per_request,
+        num_destinations=(n_lo, draw(st.integers(n_lo, 80))),
+        chain_length=chain_length, catalog_size=catalog_size,
+        link_capacity_mbps=draw(st.floats(0.0, math.inf, exclude_min=True)),
+        node_cpu_cores=draw(st.floats(0.0, math.inf, exclude_min=True)),
+        placement_cost=draw(BOUNDS),
+        stay_probability=draw(st.none() | st.floats(0.0, 1.0)),
+        transit_fraction=draw(st.floats(0.0, 1.0)),
+        **{field: draw(positive_ranges()) for field in (
+            "link_cost", "node_memory_mb", "nf_memory_mb", "nf_cpu_cores", "flow_rate_mbps")})
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=scenario_params(), seed=st.integers(0, 2**70))
+def test_generated_instances_are_valid(params, seed):
+    # valid by construction, or refused by the graph builder with its own error
+    validate_params(params)
+    try:
+        inst = generate_instance(params, seed)
+    except GenerationError as exc:
+        with pytest.raises(GenerationError) as built:
+            _build_graph(params, seed)
+        assert str(built.value) == str(exc)
+        return
+    assert validate_instance(inst) == []
 
 
 class TestParams:
