@@ -90,7 +90,8 @@ def _load_valid_instance(path: str) -> model.ProblemInstance | int:
 def _cmd_generate(args) -> int:
     try:
         params = _load_params(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    # RecursionError: arrays or objects nested deeper than the decoder recurses
+    except (ValueError, OSError, json.JSONDecodeError, RecursionError) as exc:
         return _fail(EXIT_USAGE, f"invalid params: {exc}")
     try:
         instance = scenario.generate_instance(params, args.seed)
@@ -199,6 +200,11 @@ def _parse_sweep(spec: str) -> SweepSpec:
 def _cmd_bench(args) -> int:
     try:
         params = _load_params(args)
+    except RecursionError as exc:  # --params nested deeper than the decoder recurses
+        return _fail(EXIT_USAGE, f"invalid params: {exc}")
+    except (ValueError, OSError) as exc:
+        return _fail(EXIT_USAGE, str(exc))
+    try:
         spec = _parse_sweep(args.sweep)
         algorithms = tuple(a.strip() for a in args.algos.split(","))
         table = bench_mod.run_sweep(

@@ -47,15 +47,15 @@ exact search and :func:`check_constraints` do, keeps the (request, nf,
 node) hostings it has charged and marks the visit that opens one. The
 greedy fill hosts each (request, position) once, and `validate_instance`
 rejects a function repeated within a chain, so it needs no such key.
-The exact search charges the ledger visit by visit and
-:func:`check_constraints` in batch. The greedy fill charges a prefix of
-whole chains at their anchors in one array pass over their routes
-(:meth:`Ledger.place_routes`), then the rest node resources first,
+The exact search and :func:`check_constraints` charge one (head,
+destination) pair per :meth:`Ledger.visit`. The greedy fill charges a
+prefix of whole chains at their anchors in one array pass over their
+routes (:meth:`Ledger.place_routes`), then the rest node resources first,
 position by position, and checks their flows once on its finished routes,
-by the same array pass (:meth:`Ledger.fitting_prefix`); only where a flow
-would overflow does it charge flows position by position
-(:meth:`Ledger.place`). Each makes the charges the checker makes, so what
-either solver places has no 5a-5d row.
+by the same pass (:meth:`Ledger.fitting_prefix`); only where a flow would
+overflow does it charge visits, all of a position's pairs per visit. Each
+makes the charges the checker makes, so what either solver places has no
+5a-5d row.
 """
 
 from __future__ import annotations
@@ -162,14 +162,11 @@ class ConstraintViolation:
 class Ledger:
     """The loads of capacity families 5a-5d.
 
-    Families 5b-5d are bounded by per-pair bottleneck budgets. The exact
-    search and :func:`check_constraints` charge visit by visit
-    (:meth:`visit`, :meth:`fits`, :meth:`charge`). The greedy fill charges
-    whole requests from an int route array in one pass
-    (:meth:`place_routes`, with :meth:`fitting_prefix` its test alone),
-    node resources alone position by position (:meth:`can_host`,
-    :meth:`add_demand`), and, where flows bind, a position's visits for all
-    its (head, destination) pairs at once (:meth:`place`).
+    Families 5b-5d are bounded by per-pair bottleneck budgets. The greedy
+    fill charges whole requests from an int route array in one pass
+    (:meth:`place_routes`, with :meth:`fitting_prefix` its test alone) and
+    node resources alone (:meth:`can_host`, :meth:`add_demand`); every
+    other charge is a visit (:meth:`visit`, :meth:`fits`, :meth:`charge`).
 
     One representation, on int node ids (:attr:`graph.EdgeNetwork.node_index`):
     `load` is a list indexed by int node id, holding (memory, cpu) for a
@@ -177,87 +174,99 @@ class Ledger:
     table of `flows` is a dict keyed by the pair code ``a * n + b`` of int
     ids a and b (n the node count), the code that indexes
     :attr:`graph.PathTable.bottleneck_list`, from which every budget is
-    read. :meth:`place`, :meth:`can_host`, :meth:`add_demand` and
-    :meth:`full` take int ids;
-    :meth:`visit` takes node ids and resolves them to codes once per visit.
-    Beyond that, node ids are looked up only in :meth:`violations`, which
-    lists rows by int id and by code: int order is id order (node ids are
-    numbered in sorted order), and code a * n + b orders pairs by a, then
-    b, so that is sorted id order. The ledger keeps no hostings: the caller
-    of :meth:`fits` and :meth:`charge` says whether a visit opens one, and
-    :meth:`place` and :meth:`add_demand` each open one.
+    read. Every method takes int ids; node ids are looked up only in
+    :meth:`violations`, which lists rows by int id and by code: int order
+    is id order (node ids are numbered in sorted order), and code a * n + b
+    orders pairs by a, then b, so that is sorted id order. The ledger keeps
+    no hostings: the caller of :meth:`fits` and :meth:`charge` says whether
+    a visit opens one, and :meth:`add_demand` opens one.
 
     Float policy: a load is the running float sum of its charges, in the
-    order they were charged; a hosting's demand is charged once, at the
-    charge its caller marks new. Demands and rates are positive, so
-    charging visits one at a time under :meth:`fits` accepts exactly the
-    loads that :meth:`violations` passes, bit for bit, when both charge in
-    one order. :meth:`fits` tests each flow of a charge on its own, so a
-    charge must name each (table, pair) at most once, as :meth:`visit` does
-    for distinct `prevs`. :func:`check_constraints` charges in the exact
-    search's variable order (request, position, head, destination), marking
-    new the first visit of each hosted (request, nf, node), then the
-    hostings with no visit in sorted order. :meth:`place_routes` charges
-    the loads that its requests' :meth:`place` calls would, each family's
-    with one ``np.bincount`` over its charges listed request by request in
-    batch order, which within a request changes no load
-    (:meth:`fitting_prefix` says why): bincount adds a bin's weights one at
-    a time in index order from 0.0, so each load is the same running sum,
-    bit for bit (``tests/test_summation_order.py`` checks the property).
-    Nothing is summed in set order. A node with no entry in
-    `node_resources` has no 5a row (AGW's gateway is unlimited) and
-    :meth:`can_host` refuses it, so solvers host only on nodes with declared
-    resources.
+    order they were charged, one add at a time (a flow charged `count`
+    times takes `count` adds of its rate); a hosting's demand is charged
+    once, at the charge its caller marks new. Demands and rates are
+    positive, so charging visits one at a time under :meth:`fits` accepts
+    exactly the loads that :meth:`violations` passes, bit for bit, when
+    both charge in one order. :meth:`fits` tests each flow of a visit on
+    its own, after all its adds, so a visit names each (table, pair) at
+    most once, as :meth:`visit` does. :func:`check_constraints` charges in
+    the exact search's variable order (request, position, head,
+    destination), marking new the first visit of each hosted (request, nf,
+    node), then the hostings with no visit in sorted order.
+    :meth:`place_routes` charges the loads that visiting its requests'
+    positions would, each family's with one ``np.bincount`` over its
+    charges listed request by request in batch order, which within a
+    request changes no load (:meth:`fitting_prefix` says why): bincount
+    adds a bin's weights one at a time in index order from 0.0, so each
+    load is the same running sum, bit for bit
+    (``tests/test_summation_order.py`` checks the property). Nothing is
+    summed in set order. A node with no entry in `node_resources` has no 5a
+    row (AGW's gateway is unlimited) and :meth:`can_host` refuses it, so
+    solvers host only on nodes with declared resources.
     """
 
     def __init__(self, instance: ProblemInstance, paths: PathTable):
         network = instance.network
         self._instance, self._paths = instance, paths
-        self._ids, self._index = network.node_ids, network.node_index
+        self._ids = network.node_ids
         self._n = len(self._ids)
         self._budgets = paths.bottleneck_list
         # (memory, cpu) capacity per int node id, None without an entry
         self._caps: list[tuple[float, float] | None] = [None] * self._n
         for k, cap in instance.node_resources.items():
-            self._caps[self._index[k]] = cap.as_tuple()
+            self._caps[network.node_index[k]] = cap.as_tuple()
         self._demand = {nf: dem.as_tuple() for nf, dem in instance.catalog.items()}
-        self._dests = sorted(self._index[d] for d in instance.destination_weights)
         # (memory, cpu) per int node id with a capacity entry, else None
         self.load: list[tuple[float, float] | None] = [
             None if cap is None else (0.0, 0.0) for cap in self._caps]
         self.flows: tuple[dict[int, float], ...] = ({}, {}, {})  # 5b-5d, by pair code
         self._saved: list[tuple[object, object, object]] = []  # (table, key, old or None)
         self._marks: list[int] = []
-        self._request: ServiceRequest | None = None  # the request `_terms` are of
-        self._terms: tuple = ()
 
-    def visit(self, req: ServiceRequest, l: int, node: str, head: str, dest: str,
-              prevs: Iterable[str]) -> tuple:
-        """Charges of visiting position `l` of `req` at `node` for (head, dest).
+    def visit(self, req: ServiceRequest, l: int, node: int, heads: Sequence[int],
+              dests: Sequence[int], prevs: Iterable[int] = (),
+              nexts: Iterable[int] = ()) -> tuple:
+        """Charges of visiting position `l` of `req` at the int node id
+        `node` for every (head, destination) pair in `heads` x `dests`.
 
-        The tuple (nf, int node id, rate, flows) is resolved once, flows
-        holding a (table, pair code, budget) per 5b-5d row; each of `prevs`,
-        the nodes at position l - 1, adds a chain-hop flow. The node demand
-        is charged only where the caller marks the visit as opening a
-        hosting (:meth:`fits`, :meth:`charge`). Nodes are given by id, and
-        must be relevant to the path table, as the exact search's
-        candidates and the nodes of a placement that passes the index check
-        are.
+        The tuple is (nf, node, rate, flows), flows holding a (table, pair
+        code, budget, count) per 5b-5d pair charged `count` times: if l = 1,
+        head flow (s, node) len(dests) times for each head s; chain flow
+        (p, node) for each p of `prevs`, the hosts of position l - 1, and
+        (node, q) for each q of `nexts`, the hosts of l + 1, len(heads) *
+        len(dests) times; and if l is the last position, tail flow (node, d)
+        len(heads) times for each destination d. A self pair uses no link,
+        so its budget is +inf, and it is never listed. The node demand is
+        charged only where the caller marks the visit as opening a hosting
+        (:meth:`fits`, :meth:`charge`). Ids are distinct within each
+        argument, of nodes relevant to the path table, as the exact
+        search's candidates and the nodes of a placement that passes the
+        index check are.
         """
-        budgets, index, n = self._budgets, self._index, self._n
-        k = index[node]
+        budgets, n = self._budgets, self._n
         head_flow, pair_flow, tail_flow = self.flows
+        per_pair = len(heads) * len(dests)
         flows = []
         if l == 1:
-            code = index[head] * n + k
-            flows.append((head_flow, code, budgets[code]))
+            for s in heads:
+                if s != node:
+                    code = s * n + node
+                    flows.append((head_flow, code, budgets[code], len(dests)))
         for p in prevs:
-            code = index[p] * n + k
-            flows.append((pair_flow, code, budgets[code]))
+            if p != node:
+                code = p * n + node
+                flows.append((pair_flow, code, budgets[code], per_pair))
+        for q in nexts:
+            if q != node:
+                code = node * n + q
+                flows.append((pair_flow, code, budgets[code], per_pair))
         if l == len(req.chain):
-            code = k * n + index[dest]
-            flows.append((tail_flow, code, budgets[code]))
-        return req.chain[l - 1], k, req.flow_rate_mbps, flows
+            row = node * n
+            for d in dests:
+                if d != node:
+                    code = row + d
+                    flows.append((tail_flow, code, budgets[code], len(heads)))
+        return req.chain[l - 1], node, req.flow_rate_mbps, flows
 
     def can_host(self, nf: str, node: int) -> bool:
         """Whether the int node id `node` has room for one more hosting of
@@ -278,98 +287,45 @@ class Ledger:
 
     def fits(self, visit: tuple, new: bool) -> bool:
         """Whether charging `visit`, with its demand if `new` (it opens a
-        hosting), keeps every load it adds to within capacity."""
+        hosting), keeps every load it adds to within capacity: each flow is
+        tested after its `count` adds, as :meth:`charge` would make them."""
         nf, node, rate, flows = visit
         if new and not self.can_host(nf, node):
             return False
-        for table, pair, budget in flows:
-            if table.get(pair, 0.0) + rate > budget:
+        for table, pair, budget, count in flows:
+            load = table.get(pair, 0.0) + rate
+            if count > 1:  # a visit of one pair, the exact search's, skips the loop
+                for _ in range(count - 1):
+                    load += rate
+            if load > budget:
                 return False
         return True
 
     def charge(self, visit: tuple, new: bool) -> None:
         """Charge a visit: its demand if `new` (it opens a hosting), then
-        its flows."""
+        each flow's rate `count` times, one add at a time from its stored
+        load."""
         nf, node, rate, flows = visit
         saved = self._saved
         self._marks.append(len(saved))
         if new and self.load[node] is not None:  # no 5a row without node_resources
             saved.append((self.load, node, self.load[node]))
             self.add_demand(nf, node)
-        for table, pair, _ in flows:
+        for table, pair, _, count in flows:
             old = table.get(pair)
             saved.append((table, pair, old))
-            table[pair] = rate if old is None else old + rate
-
-    def place(self, req: ServiceRequest, l: int, node: int,
-              before: int | None, after: int | None) -> bool:
-        """Host position `l` of `req` at the int node id `node` if its flows
-        fit; whether it did.
-
-        The caller tests the hosting demand (5a) with :meth:`can_host`
-        first, so the node has a `node_resources` entry; a call that
-        returns True charges the demand once, since a (request, position)
-        is hosted once. The flows are those :func:`check_constraints`
-        charges for a placement that visits the position at `node` for
-        every (head, destination) pair, as :func:`model.build_placement`
-        builds it: if l = 1, head flow (s, node) once per destination for
-        each head s; chain flow (before, node) and (node, after) once per
-        pair, where `before` and `after` are the int ids hosting positions
-        l - 1 and l + 1 (None while unhosted); and if l = L, tail flow
-        (node, d) once per head for each destination d. The n charges of
-        one pair are added one at a time, so a load matches the checker's
-        bit for bit when requests are placed in batch order and a request's
-        positions on one node in chain order; rates are positive, so
-        testing the last sum covers the earlier ones. A self pair has an
-        infinite budget and is not charged, and the pairs of one call are
-        distinct. A flow over its budget undoes the call's charges, so
-        nothing stays charged unless every flow fits; :meth:`undo` reverts
-        a call that returned True. What depends on `req` alone is resolved
-        once for consecutive calls on one request (:meth:`_resolve`).
-        """
-        if req is not self._request:
-            self._resolve(req)
-        heads, last, rate, n_head, n_pair, n_tail = self._terms
-        head_flow, pair_flow, tail_flow = self.flows
-        n = self._n
-        keys = []  # (table, pair code, number of charges)
-        if l == 1:
-            for s in heads:
-                if s != node:
-                    keys.append((head_flow, s * n + node, n_head))
-        if before is not None and before != node:
-            keys.append((pair_flow, before * n + node, n_pair))
-        if after is not None and after != node:
-            keys.append((pair_flow, node * n + after, n_pair))
-        if l == last:
-            row = node * n
-            for d in self._dests:
-                if d != node:
-                    keys.append((tail_flow, row + d, n_tail))
-        budgets = self._budgets
-        saved = self._saved
-        self._marks.append(len(saved))
-        for table, code, count in keys:
-            old = table.get(code)
-            load = 0.0 if old is None else old
-            for _ in range(count):
+            load = rate if old is None else old + rate
+            for _ in range(count - 1):
                 load += rate
-            saved.append((table, code, old))
-            table[code] = load
-            if load > budgets[code]:
-                self.undo()
-                return False
-        saved.append((self.load, node, self.load[node]))
-        self.add_demand(req.chain[l - 1], node)
-        return True
+            table[pair] = load
 
     def add_demand(self, nf: str, node: int) -> None:
         """Charge one hosting of `nf` at the int node id `node` to 5a only.
 
         It adds `nf`'s demand to the node's load, and records no flow and
-        nothing for :meth:`undo` (:meth:`charge` and :meth:`place` record
-        the load it replaces); the node must have a `node_resources` entry,
-        as :meth:`can_host` passing shows. The greedy fill hosts with it,
+        nothing for :meth:`undo` (:meth:`charge` records the load it
+        replaces); the node must have a `node_resources` entry, as
+        :meth:`can_host` passing shows. The greedy fill hosts with it,
         testing only :meth:`can_host`, and then checks its routes' flows
         once with :meth:`fitting_prefix`; the flows of this ledger are not
         read again. :func:`check_constraints` charges with it the hostings
@@ -389,8 +345,8 @@ class Ledger:
         must have nothing charged: no flow, and every load at (0.0, 0.0).
         The prefix is :meth:`fitting_prefix`'s. Its loads, and only those,
         are charged, so `load` and `flows` are, bit for bit, as after the
-        :meth:`can_host` and :meth:`place` calls that :meth:`fitting_prefix`
-        describes. Nothing is recorded for :meth:`undo`.
+        visits that :meth:`fitting_prefix` describes. Nothing is recorded
+        for :meth:`undo`.
         """
         if any(self.flows) or any(load not in (None, (0.0, 0.0)) for load in self.load):
             raise ValueError("place_routes needs a ledger with nothing charged")
@@ -406,20 +362,24 @@ class Ledger:
         (as :meth:`place_routes` takes it) whose loads fit, charged from
         nothing; this ledger's own loads are neither read nor changed.
 
-        Request r fits if hosting its positions with :meth:`can_host` and
-        then :meth:`place`, its positions on one node in chain order, in
-        batch order, would pass every check for it and for all requests
-        before it. Those calls charge 5a demand per hosted position; 5b
-        rate per (head, destination) pair whose first position is hosted
-        off its head; 5c rate per pair and per hop between consecutive
-        positions hosted at both ends on distinct nodes; and 5d rate per
-        pair whose last position is hosted off its destination. The prefix
-        ends at the first request with a position on a node without a
-        `node_resources` entry, which :meth:`can_host` refuses.
+        Request r fits if visiting its positions in batch order, its
+        positions on one node in chain order, each marked new for all its
+        (head, destination) pairs with its neighbours' hosts so far
+        (:meth:`visit`), would pass every :meth:`fits` for it and for all
+        requests before it, each visit charged once it passes. Those visits
+        charge 5a demand per hosted position; 5b rate per (head,
+        destination) pair whose first position is hosted off its head; 5c
+        rate per pair and per hop between consecutive positions hosted at
+        both ends on distinct nodes, at the visit of whichever end comes
+        later; and 5d rate per pair whose last position is hosted off its
+        destination. The prefix ends at the first request with a position
+        on a node without a `node_resources` entry, which :meth:`can_host`
+        refuses.
 
         Why this is exact: every charge a request makes to one flow pair is
-        its rate, so within a request the order of its charges to a pair
-        does not change the sum, and its charges to one node come in chain
+        its rate, and a visit adds it once per charge, so within a request
+        neither the order of its charges to a pair nor which visit makes
+        them changes the sum, and its charges to one node come in chain
         order; only the batch order of requests matters, and the charges
         here are listed request by request. Loads only grow, so the prefix
         of n requests fits exactly when each load after all its charges is
@@ -481,18 +441,8 @@ class Ledger:
                                   rate[owner], owner, m, budgets))
         return _longest_prefix(flows, m), nodes, flows
 
-    def _resolve(self, req: ServiceRequest) -> None:
-        """Set :meth:`place`'s terms of `req`: its head int ids in order,
-        last position and rate, and the number of charges per head, chain
-        and tail pair."""
-        heads, dests = len(req.heads), len(self._dests)
-        index = self._index
-        self._request = req
-        self._terms = (sorted(index[s] for s in req.heads), len(req.chain),
-                       req.flow_rate_mbps, dests, heads * dests, heads)
-
     def undo(self) -> None:
-        """Revert the last :meth:`charge` or :meth:`place` exactly."""
+        """Revert the last :meth:`charge` exactly."""
         saved = self._saved
         for _ in range(len(saved) - self._marks.pop()):
             table, key, old = saved.pop()
@@ -750,29 +700,30 @@ def check_constraints(
     policy), so the verdict is the search's, bit for bit.
     """
     _check_indices(instance, placement)
-    y_nodes: dict[tuple[str, str, str, str], list[str]] = {}
+    index = instance.network.node_index
+    y_nodes: dict[tuple[str, str, str, str], list[int]] = {}  # -> int node ids
     y_sorted = sorted(placement.y)
     for (r, i, k, s, d) in y_sorted:
-        y_nodes.setdefault((r, s, d, i), []).append(k)
+        y_nodes.setdefault((r, s, d, i), []).append(index[k])
 
     ledger = Ledger(instance, paths)
-    dests = sorted(instance.destination_weights)
-    unvisited = set(placement.x)  # the hostings no visit has charged yet
+    dests = [(d, (index[d],)) for d in sorted(instance.destination_weights)]
+    # the hostings no visit has charged yet, by int node id: int order is id order
+    unvisited = {(r, i, index[k]) for r, i, k in placement.x}
     for req in instance.requests:
-        pairs = [(s, d) for s in sorted(req.heads) for d in dests]
+        pairs = [(s, (index[s],), d, dest) for s in sorted(req.heads) for d, dest in dests]
         for l, nf in enumerate(req.chain, start=1):
-            for s, d in pairs:
+            for s, head, d, dest in pairs:
                 # chain flow is the literal sum of y-products, so malformed
                 # placements with duplicate visits charge every implied pair
                 prevs = y_nodes.get((req.id, s, d, req.chain[l - 2]), ()) if l > 1 else ()
                 for k in y_nodes.get((req.id, s, d, nf), ()):
                     new = (req.id, nf, k) in unvisited
                     unvisited.discard((req.id, nf, k))
-                    ledger.charge(ledger.visit(req, l, k, s, d, prevs), new)
-    index = instance.network.node_index
+                    ledger.charge(ledger.visit(req, l, k, head, dest, prevs), new)
     for (r, i, k) in sorted(unvisited):
-        if ledger.load[index[k]] is not None:  # no 5a row without node_resources
-            ledger.add_demand(i, index[k])
+        if ledger.load[k] is not None:  # no 5a row without node_resources
+            ledger.add_demand(i, k)
     out = ledger.violations()
 
     for req, s, d in instance.pair_order:

@@ -304,11 +304,15 @@ class _SearchState:
             w = self.instance.destination_weights[var.d]
             cost = self.paths.cost
             pins = self.pins[var.chain]
-            prevs = pins[var.l - 2:var.l - 1] if var.l > 1 else ()
+            ledger = self.ledger
+            if ledger is not None:  # the visit's pair and previous pin, by int id
+                index = self.instance.network.node_index
+                head, dest = (index[var.s],), (index[var.d],)
+                prevs = (index[pins[var.l - 2]],) if var.l > 1 else ()
             row = node[0] = {}
             for k in self.candidates:
-                visit = None if self.ledger is None else self.ledger.visit(
-                    var.req, var.l, k, var.s, var.d, prevs)
+                visit = None if ledger is None else ledger.visit(
+                    var.req, var.l, index[k], head, dest, prevs)
                 pins[var.l - 1] = k
                 terms = None
                 if var.l == len(pins):

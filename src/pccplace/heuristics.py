@@ -37,7 +37,8 @@ resources (5a) alone, position by position; the flow budgets (5b-5d) are
 checked once, by the same array pass over the finished routes
 (:meth:`evaluation.Ledger.fitting_prefix`). Where a flow would overflow,
 the fill keeps the requests before it and resumes there, charging flows
-position by position. `_greedy_chain_fill` says why all of this is exact.
+position by position (:meth:`evaluation.Ledger.visit`).
+`_greedy_chain_fill` says why all of this is exact.
 Every result is priced from one int route per request
 (:func:`_solve_result`), and its (request, position) -> node map is built
 only when its placement is read.
@@ -135,10 +136,12 @@ def _greedy_chain_fill(
     node host the not-yet-hosted chain positions in chain order wherever
     the node has room (:meth:`evaluation.Ledger.can_host`) and so do the
     request's 5b-5d flows as :func:`evaluation.check_constraints` charges
-    them for every (head, destination) pair (:meth:`evaluation.Ledger.place`
-    tests them). So the placement has no 5a-5d row. One pass suffices:
-    loads only grow, and a position's charges only grow as its neighbours
-    get hosted, so a (position, node) that failed once would fail again.
+    them: one visit for every (head, destination) pair, with the hosts of
+    positions l - 1 and l + 1 so far (:meth:`evaluation.Ledger.visit`),
+    marked new, since a (request, position) is hosted once. So the
+    placement has no 5a-5d row. One pass suffices: loads only grow, and a
+    position's charges only grow as its neighbours get hosted, so a
+    (position, node) that failed once would fail again.
     Each node is visited once per request, so a request's positions on one
     node are hosted in chain order, as the ledger's float policy needs.
     Positions still unhosted are reported as unplaced and penalized in the
@@ -146,25 +149,25 @@ def _greedy_chain_fill(
     request, as :func:`_solve_result` explains.
 
     Refusals are final. Node loads only grow within a run of the loop,
-    which only ever adds demand (with `place`, only once the flows fit).
-    So an (nf, node) pair that
-    :meth:`evaluation.Ledger.can_host` refused is not tested again in a
-    run of the loop, and a node that refuses something and is
-    :meth:`evaluation.Ledger.full` (no NF of the catalog fits it) would
-    refuse every later test. The scans skip such nodes, which leaves every
-    decision as it was: once node capacity binds, most of a request's
+    which only ever adds demand (with flows, only once they fit). So an
+    (nf, node) pair that :meth:`evaluation.Ledger.can_host` refused is not
+    tested again in a run of the loop, and a node that refuses something
+    and is :meth:`evaluation.Ledger.full` (no NF of the catalog fits it)
+    would refuse every later test. The scans skip such nodes, which leaves
+    every decision as it was: once node capacity binds, most of a request's
     fallback tests would hit nodes with no room for anything.
 
     The scans run on int node ids, and so do the ledger calls: the anchor
     is the first of the sorted head ids at the least cost to the target,
     the on-path candidates come from the anchor's int predecessor walk, and
-    no node id is looked up in the loop. The fallback order, all candidates
-    by (distance from the anchor head, id), is sorted once per anchor head
-    in a run (:func:`_by_distance`), and only for a request that the
-    on-path candidates cannot fill. It is filtered again, without the nodes
-    that have become full, whenever more nodes are full than when the
-    anchor last used it; the request then filters out its on-path nodes.
-    Filtering keeps the order of a sorted list.
+    no node id is looked up in the loop but, where flows are charged, a
+    request's heads. The fallback order, all candidates by (distance from
+    the anchor head, id), is sorted once per anchor head in a run
+    (:func:`_by_distance`), and only for a request that the on-path
+    candidates cannot fill. It is filtered again, without the nodes that
+    have become full, whenever more nodes are full than when the anchor
+    last used it; the request then filters out its on-path nodes. Filtering
+    keeps the order of a sorted list.
 
     The prefix. Until the first request that does not fit whole at its
     anchor, the fill hosts every request's whole chain there, and
@@ -177,8 +180,8 @@ def _greedy_chain_fill(
     Loads only grow, so every check of the first n requests passes exactly
     when the loads after hosting them whole at their anchors are within
     capacity; `place_routes` finds the longest such prefix and leaves the
-    ledger as the `place` calls would. The prefix therefore ends at the
-    first request that does not fit, or at the first anchor that is no
+    ledger as those positions' visits would. The prefix therefore ends at
+    the first request that does not fit, or at the first anchor that is no
     candidate, whichever comes first. Its routes are its anchors, and the
     loop starts from it with nothing full or refused and no fallback order
     sorted, as it would have.
@@ -189,19 +192,19 @@ def _greedy_chain_fill(
     finished routes in one array pass, unless the prefix already covers
     every request. The two fills agree on every request that pass accepts:
     if the first p requests' flows fit when all of them are charged, every
-    :meth:`evaluation.Ledger.place` call among them would have tested a
-    running sum no larger, so would have passed, and with no flow refused
-    the two fills test and charge the same 5a loads and make the same
-    decisions. So where p covers the batch, as in every sweep the
+    :meth:`evaluation.Ledger.fits` test of a visit among them would have
+    tested a running sum no larger, so would have passed, and with no flow
+    refused the two fills test and charge the same 5a loads and make the
+    same decisions. So where p covers the batch, as in every sweep the
     benchmark runs, the routes are the position-by-position fill's. Where p
     falls short, the fill resets: a fresh ledger charged with the first p
     routes (:meth:`evaluation.Ledger.place_routes`), which is the ledger
     that fill holds after p requests; later routes cleared; and the loop
-    resumed from request p with flows charged by `place`, its caches of
-    full nodes, refusals and fallback orders empty. Those caches only skip
-    tests whose answer is known, so starting them empty changes no
-    decision, and the ones the 5a-only run built may be wrong, since its
-    loads after request p are not the resumed fill's.
+    resumed from request p with flows charged by visits, its caches of full
+    nodes, refusals and fallback orders empty. Those caches only skip tests
+    whose answer is known, so starting them empty changes no decision, and
+    the ones the 5a-only run built may be wrong, since its loads after
+    request p are not the resumed fill's.
     """
     ids, index = instance.network.node_ids, instance.network.node_index
     candidate = [False] * len(ids)
@@ -215,9 +218,11 @@ def _greedy_chain_fill(
 
     def fill(ledger: Ledger, start: int, flows: bool) -> list[tuple[int, int, str]]:
         """Fill requests `start` on into `routes` and `ledger`, charging
-        their flows by :meth:`evaluation.Ledger.place` if `flows` is set;
-        the (request index, position, nf) left unplaced."""
+        their flows by visits (:meth:`evaluation.Ledger.visit`) if `flows`
+        is set; the (request index, position, nf) left unplaced."""
         unplaced: list[tuple[int, int, str]] = []
+        if flows:
+            dests = sorted(index[d] for d in instance.destination_weights)
         full = [False] * len(ids)  # int node id -> no NF of the catalog fits
         n_full = 0
         fallback: dict[int, tuple[int, list[int]]] = {}  # anchor -> (n_full, order)
@@ -227,7 +232,9 @@ def _greedy_chain_fill(
             route = paths.id_sequence(s_star, goal)
             on_path = [k for k in route if candidate[k] and not full[k]]
             pending = dict(enumerate(req.chain, start=1))
-            at: list[int | None] = [None] * (len(req.chain) + 2)  # position -> int host id
+            if flows:
+                heads = sorted(index[s] for s in req.heads)
+                at: list[tuple[int, ...]] = [()] * (len(req.chain) + 2)  # position -> (host,)
             for scan in (on_path, None):
                 if scan is None:
                     seen, order = fallback.get(s_star, (-1, None))
@@ -253,9 +260,12 @@ def _greedy_chain_fill(
                             continue
                         if not flows:
                             ledger.add_demand(nf, k)
-                        elif not ledger.place(req, l, k, at[l - 1], at[l + 1]):
-                            continue
-                        at[l] = k
+                        else:
+                            visit = ledger.visit(req, l, k, heads, dests, at[l - 1], at[l + 1])
+                            if not ledger.fits(visit, True):
+                                continue
+                            ledger.charge(visit, True)
+                            at[l] = (k,)
                         row[l - 1] = k
                         del pending[l]
                     if not pending:

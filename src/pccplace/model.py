@@ -545,7 +545,9 @@ def instance_from_dict(data: Any) -> ProblemInstance:
 def instance_from_json(text: str) -> ProblemInstance:
     try:
         data = json.loads(text)
-    except ValueError as exc:  # an integer literal over int's digit limit too
+    # ValueError: an integer literal over int's digit limit too;
+    # RecursionError: arrays or objects nested deeper than the decoder recurses
+    except (ValueError, RecursionError) as exc:
         raise ParseError("$", f"invalid JSON: {exc}") from exc
     return instance_from_dict(data)
 

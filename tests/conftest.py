@@ -69,6 +69,26 @@ def make_instance(
 PATH_LINKS = [("a", "b", 1.0), ("b", "c", 2.0), ("c", "d", 3.0)]
 
 
+def fill_visit(ledger, instance, req, l, node, before=None, after=None):
+    """The visit the greedy fill charges where flows bind: position `l` of
+    `req` at the int node id `node` for every (head, destination) pair, with
+    the int ids hosting positions l - 1 and l + 1 (None while unhosted)."""
+    index = instance.network.node_index
+    return ledger.visit(req, l, node, sorted(index[s] for s in req.heads),
+                        sorted(index[d] for d in instance.destination_weights),
+                        () if before is None else (before,),
+                        () if after is None else (after,))
+
+
+def charge_if_fits(ledger, visit):
+    """Charge `visit`, marked new, if it fits, as the greedy fill does;
+    whether it did."""
+    if not ledger.fits(visit, True):
+        return False
+    ledger.charge(visit, True)
+    return True
+
+
 @pytest.fixture
 def tiny1():
     """Path graph a-b-c-d (costs 1, 2, 3), K={b,c}, one single-NF request

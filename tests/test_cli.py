@@ -69,6 +69,20 @@ BAD_PARAMS_IDS = ["null", "number", "list", "range_on_scalar", "fractional_degre
                   "string_scalar", "float_overflow"]
 
 
+def deeply_nested_file(tmp_path):
+    """A JSON file of 100 000 `[`, nested deeper than the decoder recurses."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    return str(path)
+
+
+def assert_one_error_line(capsys, prefix):
+    """The command printed one JSON error line starting with `prefix`."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].startswith(prefix)
+
+
 def params_args(tmp_path, content, sets):
     args = []
     if content is not None:
@@ -90,6 +104,14 @@ class TestGenerate:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"].startswith(
             f"invalid params: {field}: ")
+        assert not out.exists()
+
+    def test_deeply_nested_params_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main(["generate", "--seed", "1", "--out", str(out),
+                     "--params", deeply_nested_file(tmp_path)])
+        assert code == 2
+        assert_one_error_line(capsys, "invalid params: ")
         assert not out.exists()
 
     def test_integral_float_params_accepted(self, tmp_path):
@@ -158,6 +180,10 @@ class TestGenerate:
 
 
 class TestValidate:
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        assert main(["validate", "--instance", deeply_nested_file(tmp_path)]) == 2
+        assert_one_error_line(capsys, "$: invalid JSON: ")
+
     def test_corrupted_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -231,6 +257,13 @@ def unknown_endpoint_file(tmp_path):
 
 
 class TestSolve:
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sol.json"
+        assert main(["solve", "--instance", deeply_nested_file(tmp_path),
+                     "--algo", "ppcc", "--out", str(out)]) == 2
+        assert_one_error_line(capsys, "$: invalid JSON: ")
+        assert not out.exists()
+
     def test_exact_prints_total(self, tiny1_file, tmp_path, capsys):
         out = tmp_path / "sol.json"
         code = main(["solve", "--instance", tiny1_file, "--algo", "exact",
@@ -375,6 +408,13 @@ class TestSolve:
 
 
 class TestExportLp:
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "model.lp"
+        assert main(["export-lp", "--instance", deeply_nested_file(tmp_path),
+                     "--out", str(out)]) == 2
+        assert_one_error_line(capsys, "$: invalid JSON: ")
+        assert not out.exists()
+
     def test_output_begins_with_minimize(self, tiny1_file, tmp_path):
         out = tmp_path / "model.lp"
         assert main(["export-lp", "--instance", tiny1_file,
@@ -446,6 +486,13 @@ class TestExportLp:
 
 
 class TestBench:
+    def test_deeply_nested_params_exit_2(self, tmp_path, capsys):
+        code = main(["bench", "--sweep", "batch_size=2", "--trials", "1",
+                     "--params", deeply_nested_file(tmp_path), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert_one_error_line(capsys, "invalid params: ")
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("content, sets, field", BAD_PARAMS, ids=BAD_PARAMS_IDS)
     def test_bad_params_exit_2_naming_field(self, tmp_path, capsys, content,
                                             sets, field):

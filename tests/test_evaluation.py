@@ -25,7 +25,7 @@ from pccplace.model import (
     build_placement,
 )
 
-from conftest import PATH_LINKS, make_instance
+from conftest import PATH_LINKS, charge_if_fits, fill_visit, make_instance
 
 # int node ids of PATH_LINKS' path a-b-c-d (positions in sorted id order)
 A, B, C, D = range(4)
@@ -284,7 +284,7 @@ def host_at_b(ledger, inst, nf):
     """Charge a visit at b that opens a hosting of `nf`, for r1's only
     (head, destination) pair (a, d)."""
     req = dataclasses.replace(inst.requests[0], chain=(nf,))
-    ledger.charge(ledger.visit(req, 1, "b", "a", "d", ()), True)
+    ledger.charge(ledger.visit(req, 1, B, (A,), (D,)), True)
 
 
 class TestLedger:
@@ -296,8 +296,8 @@ class TestLedger:
             node_resources={"b": (100.0, 4.0)})
         ledger = Ledger(inst, paths_for(inst))
         (r1,) = inst.requests
-        first, second = (ledger.visit(r1, 1, "b", "a", "d", ()),
-                         ledger.visit(r1, 2, "b", "a", "d", ("b",)))
+        first, second = (ledger.visit(r1, 1, B, (A,), (D,)),
+                         ledger.visit(r1, 2, B, (A,), (D,), (B,)))
         assert ledger.can_host("f1", B) and ledger.fits(first, True)
         ledger.charge(first, True)
         assert ledger.load[B] == (40.0, 1.0)
@@ -358,8 +358,8 @@ class TestLedger:
             destinations={"b": 1.0})
         ledger = Ledger(inst, paths_for(inst))
         r1, r2 = inst.requests
-        first = ledger.visit(r1, 1, "b", "a", "b", ())
-        second = ledger.visit(r2, 1, "b", "a", "b", ())
+        first = ledger.visit(r1, 1, B, (A,), (B,))  # a, b are ids 0, 1 here too
+        second = ledger.visit(r2, 1, B, (A,), (B,))
         assert ledger.fits(first, True)
         ledger.charge(first, True)
         assert not ledger.fits(second, True)  # head flow 8 over the a->b budget 5
@@ -379,7 +379,7 @@ class TestLedger:
             requests=[("r1", ["f1"], 6.0, ["a"])], destinations={"d": 1.0},
             node_resources={"b": (5.0, 8.0)})
         ledger = Ledger(inst, paths_for(inst))
-        ledger.charge(ledger.visit(inst.requests[0], 1, "b", "a", "d", ()), True)
+        ledger.charge(ledger.visit(inst.requests[0], 1, B, (A,), (D,)), True)
         assert [(v.constraint, v.index, v.slack) for v in ledger.violations()] == [
             ("5a", ("b", "memory_mb"), -5.0),
             ("5b", ("a", "b"), -1.0),
@@ -417,9 +417,10 @@ class TestLedger:
 
     def test_place_charges_what_the_checker_charges(self):
         # Heads a and c, destinations d and the attachment a, chain f1 f2 at
-        # b and c, position 2 placed first: every load place leaves equals
-        # the one left by the checker's charging, visit by visit, bit for
-        # bit. Self pairs, whose budget is infinite, are not charged.
+        # b and c, position 2 hosted first: every load the fill's counted
+        # visits (all pairs at once) leave equals the one left by the
+        # checker's one-pair visits, bit for bit. Neither charges a self
+        # pair, whose budget is infinite.
         inst = make_instance(
             links=PATH_LINKS, candidates=["b", "c"], gateway="a", attachment="a",
             requests=[("r1", ["f1", "f2"], 0.1, ["a", "c"]),
@@ -427,22 +428,23 @@ class TestLedger:
             destinations={"d": 0.6}, stay=0.4,
             catalog={"f1": (10.0, 0.1), "f2": (10.0, 0.2)})
         paths = paths_for(inst)
-        at = {1: "b", 2: "c"}
+        index = inst.network.node_index
+        at = {1: B, 2: C}
         placed, checked = Ledger(inst, paths), Ledger(inst, paths)
         for req in inst.requests:
-            assert placed.place(req, 2, C, None, None)
-            assert placed.place(req, 1, B, None, C)
+            assert charge_if_fits(placed, fill_visit(placed, inst, req, 2, C))
+            assert charge_if_fits(placed, fill_visit(placed, inst, req, 1, B, after=C))
             for l in (1, 2):
                 prevs = (at[l - 1],) if l > 1 else ()
-                pairs = [(s, d) for s in sorted(req.heads)
+                pairs = [(index[s], index[d]) for s in sorted(req.heads)
                          for d in sorted(inst.destination_weights)]
                 for s, d in pairs:  # the first visit opens the hosting
-                    checked.charge(checked.visit(req, l, at[l], s, d, prevs),
+                    checked.charge(checked.visit(req, l, at[l], (s,), (d,), prevs),
                                    (s, d) == pairs[0])
         assert placed.load == checked.load
-        assert placed.flows == tuple({pair: load for pair, load in table.items()
-                                      if pair // 4 != pair % 4}  # no self pair
-                                     for table in checked.flows)
+        assert [{pair: load.hex() for pair, load in table.items()} for table in placed.flows] \
+            == [{pair: load.hex() for pair, load in table.items()} for table in checked.flows]
+        assert not any(pair // 4 == pair % 4 for table in placed.flows for pair in table)
 
     def test_verdict_independent_of_hash_seed(self):
         # 0.1 + 0.2 + 0.3 cores on a 0.6-core node: the checker's verdict

@@ -10,7 +10,7 @@ from pccplace.evaluation import Ledger
 from pccplace.graph import DisconnectedGraphError, EdgeNetwork, link_key, shortest_paths
 from pccplace.scenario import ScenarioParams, generate_instance
 
-from conftest import make_instance, make_network
+from conftest import charge_if_fits, make_instance, make_network
 import paths_reference
 
 
@@ -313,6 +313,16 @@ def rows(ledger):
     return [(v.constraint, v.index, v.slack) for v in ledger.violations()]
 
 
+def host(ledger, req, l, node, before=None, after=None):
+    """Visit position `l` of `req` at the int node id `node` for
+    `path_ledger`'s one (head, destination) pair (a, d), with the int ids
+    hosting positions l - 1 and l + 1, and charge it if it fits, as the
+    greedy fill does; whether it did."""
+    return charge_if_fits(ledger, ledger.visit(
+        req, l, node, (A,), (D,), () if before is None else (before,),
+        () if after is None else (after,)))
+
+
 class TestLedger:
     """Flow accounting of `evaluation.Ledger` on a path: the budget of a pair
     is the smallest link capacity on its stored path."""
@@ -321,41 +331,41 @@ class TestLedger:
         # head flow a->c crosses the 1500 Mbps link b-c
         for rate, fits in ((1500.0, True), (1500.5, False)):
             ledger, (req,) = path_ledger(rates=(rate,))
-            assert ledger.place(req, 1, C, None, None) is fits
+            assert host(ledger, req, 1, C) is fits
 
     def test_fit_after_charge(self):
         # tail flow b->d crosses b-c: 600 there leaves room for 900, not 900.5
         ledger, (r1, r2, r3) = path_ledger(rates=(600.0, 900.0, 900.5))
-        assert ledger.place(r1, 1, B, None, None)
-        assert not ledger.place(r3, 1, B, None, None)
-        assert ledger.place(r2, 1, B, None, None)
+        assert host(ledger, r1, 1, B)
+        assert not host(ledger, r3, 1, B)
+        assert host(ledger, r2, 1, B)
         assert ledger.flows[2] == {code(B, D): 1500.0}
 
     def test_charge_64kbps(self):
         ledger, (req,) = path_ledger(rates=(0.064,))
-        assert ledger.place(req, 1, B, None, None)
+        assert host(ledger, req, 1, B)
         assert ledger.flows == ({code(A, B): 0.064}, {}, {code(B, D): 0.064})
         assert ledger.violations() == []
 
     def test_two_charges_add_up(self):
         ledger, (r1, r2) = path_ledger(rates=(10.0, 10.0))
-        assert ledger.place(r1, 1, C, None, None)
-        assert ledger.place(r2, 1, C, None, None)
+        assert host(ledger, r1, 1, C)
+        assert host(ledger, r2, 1, C)
         assert ledger.flows == ({code(A, C): 20.0}, {}, {code(C, D): 20.0})
 
     def test_rate_above_capacity_does_not_fit(self):
         ledger, (req,) = path_ledger(rates=(1600.0,))
-        assert not ledger.place(req, 1, C, None, None)
+        assert not host(ledger, req, 1, C)
         assert ledger.flows == ({}, {}, {}) and ledger.load[C] == (0.0, 0.0)
-        over = ledger.visit(req, 1, "c", "a", "d", ())
+        over = ledger.visit(req, 1, C, (A,), (D,))
         assert not ledger.fits(over, True)
         ledger.charge(over, True)  # charging does not test; violations() reports
         assert rows(ledger) == [("5b", ("a", "c"), -100.0)]
 
     def test_undo_restores_loads(self):
         ledger, (r1, r2) = path_ledger(rates=(0.1, 0.2))
-        assert ledger.place(r1, 1, B, None, None)
-        assert ledger.place(r2, 1, C, None, None)
+        assert host(ledger, r1, 1, B)
+        assert host(ledger, r2, 1, C)
         ledger.undo()
         assert ledger.flows == ({code(A, B): 0.1}, {}, {code(B, D): 0.1})
         assert (ledger.load[B], ledger.load[C]) == ((10.0, 0.125), (0.0, 0.0))
@@ -371,12 +381,12 @@ class TestResiduals:
     def test_single_node_path_is_infinite(self):
         for rate in (1e9, float("inf")):
             ledger, (req,) = path_ledger(rates=(rate,), chain=("f1", "f2", "f3"))
-            assert ledger.place(req, 2, C, C, C)
-            assert ledger.fits(ledger.visit(req, 2, "c", "a", "d", ("c",)), False)
+            assert host(ledger, req, 2, C, C, C)
+            assert ledger.fits(ledger.visit(req, 2, C, (A,), (D,), (C,)), False)
 
     def test_consume_zero_length_path_is_noop(self):
         ledger, (req,) = path_ledger(rates=(1e9,), chain=("f1", "f2", "f3"))
-        assert ledger.place(req, 2, C, C, C)
+        assert host(ledger, req, 2, C, C, C)
         assert ledger.flows == ({}, {}, {}) and ledger.violations() == []
         ledger.undo()
         assert ledger.flows == ({}, {}, {}) and ledger.load[C] == (0.0, 0.0)

@@ -229,6 +229,12 @@ class TestInstanceSerialization:
         with pytest.raises(ParseError):
             instance_from_json("{not json")
 
+    @pytest.mark.parametrize("opener", ["[", '{"a": '])
+    def test_nesting_beyond_the_decoder_is_a_parse_error(self, opener):
+        with pytest.raises(ParseError) as err:
+            instance_from_json(opener * 100_000)
+        assert err.value.path == "$"
+
     @pytest.mark.parametrize("digits, path", [
         (400, "$.mobility.stay_probability"),  # float() overflows
         (5000, "$"),  # json.loads passes int's string-conversion limit

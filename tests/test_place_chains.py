@@ -1,18 +1,19 @@
-"""`Ledger.place_routes` against a replay of `Ledger.place`, and the greedy
-fill's use of it.
+"""`Ledger.place_routes` against a replay of the fill's visits, and the
+greedy fill's use of it.
 
 `place_routes` charges the longest prefix of requests of an int route array
 whose loads fit, in one array pass; `fitting_prefix` returns that length and
 charges nothing. After `place_routes`, the ledger's loads and flows must
-be, float for float (compared by `.hex()`), those that calling
-`can_host` and `place` position by position leaves over the same prefix,
-and the prefix must end at the first request that replay refuses. Two kinds
-of routes are checked: whole chains at their anchors, which the fill charges
-first, and the fill's finished routes on every corpus of
-`test_greedy_differential`, replayed in the fill's own order, under their
-own budgets and under one budget per family set to a running load and to
-one ulp below it. The fill charges flows with `place` only from the first
-request whose flows do not fit in its finished routes.
+be, float for float (compared by `.hex()`), those that visiting each
+position for all of its request's (head, destination) pairs (`visit`) and
+charging it where `fits` passes leaves over the same prefix, and the prefix
+must end at the first request that replay refuses. Two kinds of routes are
+checked: whole chains at their anchors, which the fill charges first, and
+the fill's finished routes on every corpus of `test_greedy_differential`,
+replayed in the fill's own order, under their own budgets and under one
+budget per family set to a running load and to one ulp below it. The fill
+charges flows visit by visit only from the first request whose flows do
+not fit in its finished routes.
 """
 
 import copy
@@ -28,7 +29,7 @@ from pccplace.heuristics import _chain_routes, _greedy_chain_fill
 from pccplace.model import Resources
 from pccplace.scenario import ScenarioParams, generate_instance
 
-from conftest import make_instance
+from conftest import charge_if_fits, fill_visit, make_instance
 import greedy_reference
 from test_greedy_differential import CASES, CORPORA, _fingerprint, _instance, _targets
 
@@ -38,9 +39,10 @@ FLOWS = ("5b", "5c", "5d")
 
 def replaying(instance, paths, calls, m):
     """Charge `calls`, each (request, position, int node, int node before or
-    None, int node after or None), by `can_host` and `place`, request by
-    request over the first m requests; yield the ledger after each request
-    that fits, and stop at the first that does not, its charges undone."""
+    None, int node after or None), as the fill's visits where `fits`
+    passes, request by request over the first m requests; yield the ledger
+    after each request that fits, and stop at the first that does not, its
+    charges undone."""
     ledger = Ledger(instance, paths)
     by_request = {}
     for call in calls:
@@ -48,8 +50,8 @@ def replaying(instance, paths, calls, m):
     for req in instance.requests[:m]:
         placed = 0
         for _, l, k, before, after in by_request.get(req.id, ()):
-            if not (ledger.can_host(req.chain[l - 1], k)
-                    and ledger.place(req, l, k, before, after)):
+            if not charge_if_fits(ledger, fill_visit(ledger, instance, req, l, k,
+                                                     before, after)):
                 for _ in range(placed):
                     ledger.undo()
                 return
@@ -90,8 +92,8 @@ def assert_places_as_replay(instance, paths, routes, calls):
 
 
 def anchor_calls(instance, anchors):
-    """The `place` calls that host each whole chain at its anchor, in
-    chain order."""
+    """The calls that host each whole chain at its anchor, in chain
+    order."""
     return [(req, l, a, a if l > 1 else None, None)
             for req, a in zip(instance.requests, anchors)
             for l in range(1, len(req.chain) + 1)]
@@ -220,7 +222,8 @@ class TestAgainstReplay:
         inst = chain_instance()
         paths = shortest_paths(inst.network, inst.relevant_nodes)
         ledger = Ledger(inst, paths)
-        assert ledger.place(inst.requests[0], 1, at_k(inst)[0], None, None)
+        assert charge_if_fits(ledger, fill_visit(ledger, inst, inst.requests[0], 1,
+                                                 at_k(inst)[0]))
         with pytest.raises(ValueError, match="nothing charged"):
             ledger.place_routes(_chain_routes(inst, at_k(inst)))
 
@@ -238,8 +241,8 @@ class TestAgainstReplay:
 
 
 def fill_calls(monkeypatch, inst, paths, target):
-    """The `place` calls that hosted a position in the reference fill toward
-    `target`, in its order, on int node ids."""
+    """The calls of the reference ledger that hosted a position in the
+    reference fill toward `target`, in its order, on int node ids."""
     index = inst.network.node_index
     calls = []
     place = greedy_reference.Ledger.place
@@ -324,14 +327,14 @@ class TestFillRoutes:
 
 class Spy:
     """Records the prefix lengths `place_routes` and `fitting_prefix`
-    return, the request of every `place` call and the number of
+    return, the request of every `visit` call and the number of
     `add_demand` calls."""
 
     def __init__(self, monkeypatch):
-        self.prefix, self.fitting, self.placed = [], [], []
+        self.prefix, self.fitting, self.visited = [], [], []
         self.demands = 0
         place_routes, fitting_prefix = Ledger.place_routes, Ledger.fitting_prefix
-        place, add_demand = Ledger.place, Ledger.add_demand
+        visit, add_demand = Ledger.visit, Ledger.add_demand
 
         def spy_place_routes(ledger, routes):
             self.prefix.append(place_routes(ledger, routes))
@@ -341,9 +344,9 @@ class Spy:
             self.fitting.append(fitting_prefix(ledger, routes))
             return self.fitting[-1]
 
-        def spy_place(ledger, req, *args):
-            self.placed.append(req)
-            return place(ledger, req, *args)
+        def spy_visit(ledger, req, *args):
+            self.visited.append(req)
+            return visit(ledger, req, *args)
 
         def spy_add_demand(ledger, *args):
             self.demands += 1
@@ -351,13 +354,13 @@ class Spy:
 
         monkeypatch.setattr(Ledger, "place_routes", spy_place_routes)
         monkeypatch.setattr(Ledger, "fitting_prefix", spy_fitting_prefix)
-        monkeypatch.setattr(Ledger, "place", spy_place)
+        monkeypatch.setattr(Ledger, "visit", spy_visit)
         monkeypatch.setattr(Ledger, "add_demand", spy_add_demand)
 
     def clear(self):
         self.prefix.clear()
         self.fitting.clear()
-        self.placed.clear()
+        self.visited.clear()
         self.demands = 0
 
 
@@ -379,7 +382,7 @@ class TestFillFastPath:
         spy = Spy(monkeypatch)
         for target in set(_targets(inst).values()):
             _greedy_chain_fill(inst, paths, target)
-        assert spy.placed == []
+        assert spy.visited == []
         assert spy.demands == 0
         assert spy.fitting == []  # the prefix covers the batch: no final pass
         assert set(spy.prefix) == {len(inst.requests)}
@@ -387,7 +390,7 @@ class TestFillFastPath:
     @pytest.mark.parametrize("seed", CORPORA["cpu-tight-K200"][1])
     def test_tight_fill_checks_flows_once(self, monkeypatch, seed):
         # node cpu ends the prefix; the rest is hosted testing 5a alone, and
-        # its flows all fit, so `place` is never called
+        # its flows all fit, so no position is visited
         inst = generate_instance(CORPORA["cpu-tight-K200"][0], seed)
         paths = shortest_paths(inst.network, inst.relevant_nodes)
         m = len(inst.requests)
@@ -398,7 +401,7 @@ class TestFillFastPath:
             (n,) = spy.prefix
             assert 0 < n < m
             assert spy.fitting == [m]
-            assert spy.placed == []
+            assert spy.visited == []
             assert spy.demands == hosted_from(got, n) > 0
 
     @pytest.mark.parametrize("name, seed", FLOW_CASES,
@@ -406,7 +409,7 @@ class TestFillFastPath:
     def test_flow_fill_places_from_the_first_request_whose_flows_overflow(
             self, monkeypatch, name, seed):
         # flows bind: the fill keeps the p requests whose flows fit and
-        # resumes at p, charging flows with `place`, as the reference does
+        # resumes at p, charging flows visit by visit, as the reference does
         inst = generate_instance(CORPORA[name][0], seed)
         paths = shortest_paths(inst.network, inst.relevant_nodes)
         m = len(inst.requests)
@@ -418,8 +421,8 @@ class TestFillFastPath:
             first, p = spy.prefix
             assert spy.fitting == [p]
             assert first <= p < m
-            assert spy.placed[0] is inst.requests[p]
-            assert min(position[req.id] for req in spy.placed) == p
+            assert spy.visited[0] is inst.requests[p]
+            assert min(position[req.id] for req in spy.visited) == p
             want = greedy_reference.greedy_chain_fill(inst, paths, target)
             assert _fingerprint(got) == _fingerprint(want)
 
@@ -440,7 +443,7 @@ class TestFillFastPath:
         assert spy.prefix == [2]
         assert spy.demands == 4  # r3 and r4, two positions each
         assert spy.fitting == [4]
-        assert spy.placed == []
+        assert spy.visited == []
         want = greedy_reference.greedy_chain_fill(inst, paths, "d")
         assert _fingerprint(got) == _fingerprint(want)
 
