@@ -173,13 +173,14 @@ class Ledger:
     node with a `node_resources` entry and None for any other; each 5b-5d
     table of `flows` is a dict keyed by the pair code ``a * n + b`` of int
     ids a and b (n the node count), the code that indexes
-    :attr:`graph.PathTable.bottleneck_list`, from which every budget is
-    read. Every method takes int ids; node ids are looked up only in
-    :meth:`violations`, which lists rows by int id and by code: int order
-    is id order (node ids are numbered in sorted order), and code a * n + b
-    orders pairs by a, then b, so that is sorted id order. The ledger keeps
-    no hostings: the caller of :meth:`fits` and :meth:`charge` says whether
-    a visit opens one, and :meth:`add_demand` opens one.
+    :attr:`graph.PathTable.bottleneck_list`, from which :meth:`visit` and
+    :meth:`violations` read budgets. Every method takes int ids; node ids
+    are looked up only in :meth:`violations`, which lists rows by int id
+    and by code: int order is id order (node ids are numbered in sorted
+    order), and code a * n + b orders pairs by a, then b, so that is sorted
+    id order. The ledger keeps no hostings: the caller of :meth:`fits` and
+    :meth:`charge` says whether a visit opens one, and :meth:`add_demand`
+    opens one.
 
     Float policy: a load is the running float sum of its charges, in the
     order they were charged, one add at a time (a flow charged `count`
@@ -210,7 +211,6 @@ class Ledger:
         self._instance, self._paths = instance, paths
         self._ids = network.node_ids
         self._n = len(self._ids)
-        self._budgets = paths.bottleneck_list
         # (memory, cpu) capacity per int node id, None without an entry
         self._caps: list[tuple[float, float] | None] = [None] * self._n
         for k, cap in instance.node_resources.items():
@@ -243,7 +243,7 @@ class Ledger:
         search's candidates and the nodes of a placement that passes the
         index check are.
         """
-        budgets, n = self._budgets, self._n
+        budgets, n = self._paths.bottleneck_list, self._n
         head_flow, pair_flow, tail_flow = self.flows
         per_pair = len(heads) * len(dests)
         flows = []
@@ -465,7 +465,7 @@ class Ledger:
                 slack = cap - used
                 if slack < 0:
                     out.append(ConstraintViolation("5a", (ids[k], resource), slack))
-        budgets = self._budgets
+        budgets = self._paths.bottleneck_list
         for family, table in zip(("5b", "5c", "5d"), self.flows):
             for code in sorted(table):  # an infinite budget never goes negative
                 slack = budgets[code] - table[code]

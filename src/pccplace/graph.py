@@ -17,12 +17,11 @@ smaller network runs the heap Dijkstra for every source, since there the
 relaxation's fixed cost outweighs the searches. A table keeps its costs
 and bottlenecks as node-by-node matrices indexed by int node id
 (:attr:`PathTable.cost_matrix`, :attr:`PathTable.bottleneck_matrix`), for
-array code, and as flat lists of their Python floats indexed by the pair
-code ``i * n + j``, for scalar code; both hold the floats of one
-computation. Per relevant source it keeps the predecessor array of its
-shortest-path tree. Node sequences and :class:`PathInfo` records are
-built when read, since the solvers read a sequence at most once per
-request.
+array code; scalar code reads flat lists of their Python floats, indexed
+by the pair code ``i * n + j`` and built from the matrices on first read.
+Per relevant source it keeps the predecessor array of its shortest-path
+tree. Node sequences and :class:`PathInfo` records are built when read,
+since the solvers read a sequence at most once per request.
 """
 
 from __future__ import annotations
@@ -144,21 +143,26 @@ class PathTable:
     Stored: `cost_matrix` and `bottleneck_matrix`, read-only float64
     arrays, node count by node count, indexed by int node id
     (:attr:`EdgeNetwork.node_index`), NaN wherever an entry names a node
-    outside the relevant set; the same floats as two flat lists of Python
-    floats, `cost_list` and `bottleneck_list`, where entry ``i * n + j``
-    (the pair code, n the node count) is entry [i, j] of the matrix; and,
-    per relevant source, the predecessor array of its shortest-path tree
-    over int node ids, from which :meth:`sequence` walks the node sequence
-    back from the target. `max_cost` is the largest cost, one max over the
-    relevant block of the cost matrix taken when the table is built, since
-    every priced result reads it. :attr:`pairs` is a read-only view that
-    builds each :class:`PathInfo` when it is read.
+    outside the relevant set; and, per relevant source, the predecessor
+    array of its shortest-path tree over int node ids, from which
+    :meth:`sequence` walks the node sequence back from the target.
+    `max_cost` is the largest cost, one max over the relevant block of the
+    cost matrix taken when the table is built, since every priced result
+    reads it. :attr:`pairs` is a read-only view that builds each
+    :class:`PathInfo` when it is read.
 
     Array code (the greedy fill's pricing and candidate order, the
     ledger's prefix pass) gathers many entries at once from the matrices.
-    Scalar code reads one Python float at a time from the lists, with no
-    numpy scalar in between: :meth:`cost` and :meth:`bottleneck` by node
-    id (the exact search, `export_lp`), the ledger by pair code. Pair codes
+    Scalar code reads one Python float at a time, with no numpy scalar in
+    between, from `cost_list` and `bottleneck_list`: the matrices' floats
+    as flat lists, entry ``i * n + j`` (the pair code, n the node count)
+    being entry [i, j], each built on its first read. :meth:`cost` and
+    :meth:`bottleneck` read them by node id (the exact search,
+    `export_lp`), the ledger by pair code. Two threads reading a list first
+    at once may each build it; both build equal lists. The lists are not
+    `functools.cached_property` values: those write through the instance
+    ``__dict__``, which on CPython 3.11 unspecialises every attribute read
+    on the table (desk-size `solve_exact` ran about 3 % slower). Pair codes
     sort as their (a, b) pairs do, since int order is id order. Entry [i,
     j] of the cost matrix equals ``cost(a, b)`` for relevant nodes a and b
     with ids i and j, so it is exactly symmetric.
@@ -176,9 +180,22 @@ class PathTable:
         self._at = {a: index[a] for a in relevant}
         self.cost_matrix = cost_matrix
         self.bottleneck_matrix = bottleneck_matrix
-        self.cost_list: list[float] = cost_matrix.ravel().tolist()
-        self.bottleneck_list: list[float] = bottleneck_matrix.ravel().tolist()
         self._preds = preds
+        # set here, not on first read, to keep attribute reads specialised
+        self._cost_list: list[float] | None = None
+        self._bottleneck_list: list[float] | None = None
+
+    @property
+    def cost_list(self) -> list[float]:
+        if self._cost_list is None:
+            self._cost_list = self.cost_matrix.ravel().tolist()
+        return self._cost_list
+
+    @property
+    def bottleneck_list(self) -> list[float]:
+        if self._bottleneck_list is None:
+            self._bottleneck_list = self.bottleneck_matrix.ravel().tolist()
+        return self._bottleneck_list
 
     def _missing(self, a: str, b: str) -> KeyError:
         return KeyError(f"no path entry for pair ({a!r}, {b!r}); "
@@ -192,7 +209,7 @@ class PathTable:
     def cost(self, a: str, b: str) -> float:
         at = self._at
         try:
-            return self.cost_list[at[a] * self._n + at[b]]
+            return (self._cost_list or self.cost_list)[at[a] * self._n + at[b]]
         except KeyError:
             raise self._missing(a, b) from None
 
@@ -211,7 +228,7 @@ class PathTable:
     def bottleneck(self, a: str, b: str) -> float:
         at = self._at
         try:
-            return self.bottleneck_list[at[a] * self._n + at[b]]
+            return (self._bottleneck_list or self.bottleneck_list)[at[a] * self._n + at[b]]
         except KeyError:
             raise self._missing(a, b) from None
 
@@ -341,17 +358,20 @@ def _walk(pred: list[int], v: int) -> list[int]:
 
 
 def _relax(adj: list[list[tuple[int, float, float]]], sources: list[int],
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Shortest paths from every int node id of `sources` at once: cost,
-    predecessor and bottleneck arrays, node by source.
+    predecessor and bottleneck arrays, node by source, and `rows`, the row
+    of each int node id in them.
 
     Column j of each array is what ``_dijkstra(adj, sources[j])`` returns,
-    bit for bit. The costs come from a relaxation of a (node + 1) x source
-    array: 0.0 at each source and +inf elsewhere; in each round every node
-    takes the least of its own value and ``D[u] + w`` over its in-links,
-    one degree position (slot) at a time, through a padded in-neighbour
-    table whose padding points at an extra all-+inf row. The rounds stop at
-    the first that changes nothing.
+    bit for bit, node v's entry in row ``rows[v]``. Rows hold the nodes by
+    in-degree, descending, ties by id, so the nodes with an in-link in
+    degree position (slot) s are the leading rows: a sliced layout, with no
+    padding. The costs come from a relaxation of a node x source array:
+    0.0 at each source and +inf elsewhere; in each round every node takes
+    the least of its own value and ``D[u] + w`` over its in-links, one slot
+    at a time, in place over the slot's rows. The rounds stop at the first
+    that changes nothing.
 
     Why the floats are Dijkstra's: both are the least left-to-right path
     sums. Rounding is monotone, so ``fl(d + w)`` never falls as d falls,
@@ -378,41 +398,48 @@ def _relax(adj: list[list[tuple[int, float, float]]], sources: list[int],
     absorbed costs do.
     """
     n, m = len(adj), len(sources)
-    deg = max(map(len, adj), default=0)
-    pad = [(n, math.inf, math.inf)]  # the padding in-link, from the +inf row
-    # slot-major in-neighbour table: tails (deg x n), costs, capacities
-    table = np.array([nbrs + pad * (deg - len(nbrs)) for nbrs in adj])
-    tails, costs, caps = table.reshape(n, deg, 3).transpose(2, 1, 0).copy()
-    tails = tails.astype(np.intp)
-    costs = costs[:, :, None]
+    degree = np.fromiter(map(len, adj), np.intp, n)
+    order = np.argsort(-degree, kind="stable")  # the node id of each row
+    rows = np.empty(n, np.intp)
+    rows[order] = np.arange(n)
+    ids = order.tolist()
+    slots = []  # per slot: its row count c and, per row, the in-link's tail row, cost, capacity
+    for s in range(int(degree.max(initial=0))):
+        c = int(np.count_nonzero(degree > s))
+        tail, cost, cap = np.array([adj[v][s] for v in ids[:c]]).T
+        slots.append((c, rows[tail.astype(np.intp)], cost[:, None], cap[:, None]))
     cols = np.arange(m)
-    dist = np.full((n + 1, m), math.inf)
-    dist[sources, cols] = 0.0
-    body = dist[:n]
-    before = np.empty_like(body)
+    held = rows[sources]
+    dist = np.full((n, m), math.inf)
+    dist[held, cols] = 0.0
+    before, gathered = np.empty_like(dist), np.empty_like(dist)
     while True:
-        np.copyto(before, body)
-        for u, w in zip(tails, costs):
-            near = dist[u]
+        np.copyto(before, dist)
+        for c, u, w, _ in slots:
+            near, body = gathered[:c], dist[:c]
+            dist.take(u, axis=0, out=near, mode="clip")  # "clip": not buffered
             np.minimum(body, np.add(near, w, out=near), out=body)
-        if np.array_equal(before, body):
+        if np.array_equal(before, dist):
             break
     del before
 
     ties = np.zeros((n, m), np.intp)
-    pred = np.full((n, m), -1, np.intp)
+    pred = np.full((n, m), -1, np.intp)  # rows until the trees are read
     link_cap = np.full((n, m), math.inf)
     cheaper = np.zeros((n, m), bool)
-    for u, w, cap in zip(tails, costs, caps):
-        near = dist[u]
-        tied = near + w == body
-        ties += tied
-        np.copyto(pred, u[:, None], where=tied)
-        np.copyto(link_cap, cap[:, None], where=tied)
-        np.copyto(cheaper, near < body, where=tied)
+    for c, u, w, cap in slots:
+        near, body = gathered[:c], dist[:c]
+        dist.take(u, axis=0, out=near, mode="clip")
+        less = near < body
+        tied = np.add(near, w, out=near) == body
+        ties[:c] += tied
+        np.copyto(pred[:c], u[:, None], where=tied)
+        np.copyto(link_cap[:c], cap, where=tied)
+        np.copyto(cheaper[:c], less, where=tied)
+    del gathered
     unique = (ties == 1) & cheaper
     del ties, cheaper
-    unique[sources, cols] = True  # a source has no tied in-link
+    unique[held, cols] = True  # a source has no tied in-link
     rerun = np.flatnonzero(~unique.all(axis=0)).tolist()
 
     # Pointer doubling over flat indices: `up` is the 2**k-th ancestor's
@@ -427,19 +454,23 @@ def _relax(adj: list[list[tuple[int, float, float]]], sources: list[int],
         if np.array_equal(higher, up):
             break
         up = higher
+    del up, higher
+    pred = np.append(order, -1)[pred]  # rows to node ids; -1 stays -1
     for j in rerun:
-        _, pred[:, j], link_cap[:, j] = _dijkstra(adj, sources[j])
-    return body, pred, link_cap
+        _, tree, bn = _dijkstra(adj, sources[j])
+        pred[:, j], link_cap[:, j] = np.take(tree, order), np.take(bn, order)
+    return dist, pred, link_cap, rows
 
 
 def _each_source(adj: list[list[tuple[int, float, float]]], sources: list[int],
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_relax`'s arrays from one :func:`_dijkstra` run per source."""
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_relax`'s arrays from one :func:`_dijkstra` run per source,
+    row v for int node id v."""
     shape = (len(adj), len(sources))
     dist, pred, bn = np.empty(shape), np.empty(shape, np.intp), np.empty(shape)
     for j, source in enumerate(sources):
         dist[:, j], pred[:, j], bn[:, j] = _dijkstra(adj, source)
-    return dist, pred, bn
+    return dist, pred, bn, np.arange(len(adj))
 
 
 # The node count from which `shortest_paths` takes `_relax`; below it the
@@ -483,10 +514,11 @@ def shortest_paths(
     node list and :func:`_adjacency`; its floats and trees are
     :func:`_dijkstra`'s, which it runs itself only for a source whose tree
     has a tie. Below `_RELAX_MIN_NODES` nodes :func:`_dijkstra` runs for
-    every source instead (:func:`_each_source`). The cost
-    of a pair is taken from the smaller endpoint's column, once, into one
-    canonical array; the cost matrix is filled from it, and the cost list
-    from the matrix, so they hold the same floats.
+    every source instead (:func:`_each_source`). The gathers that take the
+    search's relevant rows also put them in id order. The cost of a pair
+    is taken from the smaller endpoint's column, once, into one canonical
+    array; the cost matrix is filled from it, and the cost list from the
+    matrix, so they hold the same floats.
     """
     rel = sorted(set(relevant))
     missing = [n for n in rel if n not in network.nodes]
@@ -500,18 +532,19 @@ def shortest_paths(
     adj = _adjacency(network)
     rel_ids = [index[b] for b in rel]
     search = _relax if len(ids) >= _RELAX_MIN_NODES else _each_source
-    dist, pred, bn = search(adj, rel_ids)
+    dist, pred, bn, rows = search(adj, rel_ids)
     at = np.array(rel_ids, dtype=np.intp)
-    preds = dict(zip(rel, pred.T.tolist()))
+    held = rows[at]  # the rows of the relevant nodes
+    preds = dict(zip(rel, pred[rows].T.tolist()))
     del pred
-    dist = dist[at].T  # relevant x relevant, source by target, both in id order
+    dist = dist[held].T  # relevant x relevant, source by target, both in id order
     # Canonical cost from the smaller endpoint's column: entry [i, j] comes
     # from source min(i, j), so P_ab == P_ba exactly despite float summation
     # order.
     i = np.arange(len(rel))
     canonical = np.where(i[:, None] <= i, dist, dist.T)
     matrices = []
-    for block in (canonical, bn[at].T):
+    for block in (canonical, bn[held].T):
         matrix = np.full((len(ids), len(ids)), np.nan)
         matrix[at[:, None], at] = block
         matrix.flags.writeable = False

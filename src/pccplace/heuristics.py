@@ -262,7 +262,7 @@ def _greedy_chain_fill(
                             ledger.add_demand(nf, k)
                         else:
                             visit = ledger.visit(req, l, k, heads, dests, at[l - 1], at[l + 1])
-                            if not ledger.fits(visit, True):
+                            if not ledger.fits(visit, False):  # can_host passed
                                 continue
                             ledger.charge(visit, True)
                             at[l] = (k,)

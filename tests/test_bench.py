@@ -348,3 +348,24 @@ class TestTracedAttributes:
         called.discard("pccplace.exact.lower_bound")
         called.discard("pccplace.heuristics.evaluate_cost")
         assert {name for name in called if not calls[name]} == set()
+
+
+class TestPathLists:
+    @pytest.mark.parametrize("algorithms", [("ppcc",), ("spba",), ("agw",),
+                                            ("ppcc", "spba", "agw")])
+    def test_sweep_builds_no_flat_list(self, monkeypatch, algorithms):
+        # the heuristics and their pricing read the path matrices only, so
+        # the Python-float lists, built on first read, are never built
+        # (until then the table holds None in their place)
+        tables = []
+
+        def keeping(*args):
+            tables.append(shortest_paths(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(bench, "shortest_paths", keeping)
+        run_sweep(SweepSpec(axis="batch_size", values=(4, 40)),
+                  small_params(node_cpu_cores=1.0), trials=2, algorithms=algorithms)
+        assert len(tables) == 4
+        for table in tables:
+            assert (table._cost_list, table._bottleneck_list) == (None, None)

@@ -499,17 +499,24 @@ def assert_matches_dijkstra(network, relevant):
     return table
 
 
+def bits(array):
+    return array.dtype, array.shape, array.tobytes()
+
+
 def relax_reruns(dijkstra_runs, network, relevant):
     """The nodes `graph._relax` runs `_dijkstra` for, over the adjacency
-    `shortest_paths` builds, whatever the node count; its arrays equal one
-    `_dijkstra` run per source."""
+    `shortest_paths` builds, whatever the node count; its arrays, each row
+    read at its node's place (`rows`), equal one `_dijkstra` run per
+    source bit for bit."""
     adj = graph._adjacency(network)
     sources = [network.node_index[b] for b in sorted(relevant)]
     start = len(dijkstra_runs)
-    got = graph._relax(adj, sources)
+    *got, rows = graph._relax(adj, sources)
     reruns = [network.node_ids[v] for v in dijkstra_runs[start:]]
-    for array, want in zip(got, graph._each_source(adj, sources)):
-        assert np.array_equal(array, want)
+    want = graph._each_source(adj, sources)
+    assert np.array_equal(want[3], np.arange(len(adj)))
+    for array, expected in zip(got, want[:3]):
+        assert bits(array[rows]) == bits(expected)
     return reruns
 
 
@@ -600,3 +607,83 @@ class TestFuzzAgainstDijkstra:
         inst = generate_instance(params, seed)
         net = redrawn_capacities(inst.network, rng)
         assert_matches_dijkstra(net, inst.relevant_nodes)
+
+
+def tied_sources(network, relevant):
+    """The relevant nodes from which some other node has no unique tied
+    in-link, or one whose tail is no cheaper: by `_dijkstra`'s costs, one
+    in-link at a time."""
+    adj, index = graph._adjacency(network), network.node_index
+    out = []
+    for a in sorted(relevant):
+        dist = graph._dijkstra(adj, index[a])[0]
+        for v, nbrs in enumerate(adj):
+            tails = [u for u, w, _ in nbrs if dist[u] + w == dist[v]]
+            if v != index[a] and (len(tails) != 1 or not dist[tails[0]] < dist[v]):
+                out.append(a)
+                break
+    return out
+
+
+def hub_network(rng, n, costs):
+    """n nodes on a random tree plus a few links, and the hub n17 linked to
+    every other node."""
+    nodes = [f"n{i:02d}" for i in range(n)]
+    present = {link_key(nodes[i], nodes[rng.randrange(i)]) for i in range(1, n)}
+    for _ in range(n // 4):
+        present.add(link_key(*rng.sample(nodes, 2)))
+    present |= {link_key("n17", v) for v in nodes if v != "n17"}
+    return make_network([(u, v, rng.choice(costs), float(rng.randint(1, 50)))
+                         for u, v in sorted(present)],
+                        candidates=nodes, gateway=nodes[0], attachment=nodes[-1])
+
+
+def circulant_network(n, costs):
+    """Node i linked to i +- 1 and i +- 3 (mod n): every in-degree is 4."""
+    nodes = [f"n{i:02d}" for i in range(n)]
+    present = sorted({link_key(nodes[i], nodes[(i + step) % n])
+                      for i in range(n) for step in (1, 3)})
+    return make_network([(u, v, costs[i % len(costs)], float(1 + i % 7))
+                         for i, (u, v) in enumerate(present)],
+                        candidates=nodes, gateway=nodes[0], attachment=nodes[-1])
+
+
+class TestSlicedSlots:
+    """`_relax` relaxes each degree position (slot) over the leading rows
+    alone, the nodes by in-degree, descending: on networks whose in-degrees
+    differ widely, and on one where they are all equal, its arrays are
+    `_dijkstra`'s bit for bit, and it reruns exactly the sources whose
+    trees have a tie or an absorbed cost."""
+
+    COSTS = {"float": None, "integer": (1.0, 2.0, 3.0), "absorbed": (1e-20, 1.0)}
+
+    @pytest.mark.parametrize("kind", COSTS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hub_network(self, dijkstra_runs, kind, seed):
+        rng = random.Random(seed)
+        costs = self.COSTS[kind] or tuple(rng.uniform(0.5, 10.0) for _ in range(200))
+        net = hub_network(rng, 40, costs)
+        adj = graph._adjacency(net)
+        degrees = [len(nbrs) for nbrs in adj]
+        assert max(degrees) >= 4 * sum(degrees) / len(degrees)
+        *_, rows = graph._relax(adj, [0])
+        order = np.argsort(rows)  # the node id of each row
+        assert [(-degrees[v], v) for v in order] == sorted((-d, v) for v, d in enumerate(degrees))
+        nodes = sorted(net.nodes)
+        for relevant in (nodes, rng.sample(nodes, 9)):
+            want = tied_sources(net, relevant)
+            assert relax_reruns(dijkstra_runs, net, relevant) == want
+            assert bool(want) == (kind != "float")
+            assert_matches_reference(net, relevant)
+
+    @pytest.mark.parametrize("costs", [(1.5, 2.25, 0.75, 3.125), (1.0, 2.0), (1e-20, 1.0)],
+                             ids=["float", "integer", "absorbed"])
+    def test_equal_degrees(self, dijkstra_runs, costs):
+        net = circulant_network(20, costs)
+        adj = graph._adjacency(net)
+        assert {len(nbrs) for nbrs in adj} == {4}
+        *_, rows = graph._relax(adj, [0])
+        assert np.array_equal(rows, np.arange(20))  # ties by id
+        nodes = sorted(net.nodes)
+        assert relax_reruns(dijkstra_runs, net, nodes) == tied_sources(net, nodes)
+        assert_matches_reference(net, nodes)

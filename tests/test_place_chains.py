@@ -293,7 +293,7 @@ def with_budget(inst, paths, family, key, cap):
     tight = copy.copy(paths)
     tight.bottleneck_matrix = paths.bottleneck_matrix.copy()
     tight.bottleneck_matrix.flat[key] = cap
-    tight.bottleneck_list = tight.bottleneck_matrix.ravel().tolist()
+    tight._bottleneck_list = None  # rebuilt from the new matrix on first read
     return inst, tight
 
 
@@ -425,6 +425,41 @@ class TestFillFastPath:
             assert min(position[req.id] for req in spy.visited) == p
             want = greedy_reference.greedy_chain_fill(inst, paths, target)
             assert _fingerprint(got) == _fingerprint(want)
+
+    @pytest.mark.parametrize("seed", CORPORA["flow-tight"][1])
+    def test_flow_fill_tests_node_room_once(self, monkeypatch, seed):
+        # where flows are charged, a (position, node) that passed `can_host`
+        # has only its flows tested by `fits`: one `can_host` call per test
+        inst = generate_instance(CORPORA["flow-tight"][0], seed)
+        paths = shortest_paths(inst.network, inst.relevant_nodes)
+        events = []
+        can_host, visit, fits = Ledger.can_host, Ledger.visit, Ledger.fits
+
+        def spy_can_host(ledger, nf, node):
+            events.append(("can_host", nf, node))
+            return can_host(ledger, nf, node)
+
+        def spy_visit(ledger, req, l, node, *args):
+            events.append(("visit", req.chain[l - 1], node))
+            return visit(ledger, req, l, node, *args)
+
+        def spy_fits(ledger, *args):
+            verdict = fits(ledger, *args)
+            events.append(("fits",))
+            return verdict
+
+        monkeypatch.setattr(Ledger, "can_host", spy_can_host)
+        monkeypatch.setattr(Ledger, "visit", spy_visit)
+        monkeypatch.setattr(Ledger, "fits", spy_fits)
+        for target in set(_targets(inst).values()):
+            events.clear()
+            _greedy_chain_fill(inst, paths, target)
+            visits = [i for i, event in enumerate(events) if event[0] == "visit"]
+            assert visits
+            for i in visits:  # from the test of room to the verdict on flows
+                tested = events[i - 1:events.index(("fits",), i)]
+                assert [e for e in tested if e[0] == "can_host"] == [
+                    ("can_host", *events[i][1:])]
 
     @pytest.mark.parametrize("h_resources", [False, True])
     def test_non_candidate_anchor_ends_the_prefix(self, monkeypatch, h_resources):
