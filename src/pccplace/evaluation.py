@@ -13,7 +13,8 @@ destination) chain in a Python loop. :func:`evaluate_cost` calls it on a
 placement's visit plan, and :func:`exact.lower_bound` on a partial
 assignment of a desk instance, where a call takes microseconds and numpy's
 fixed cost would dominate; the exact search keeps its running sums chain
-by chain (``exact._SearchState``). :func:`cost_of_route_array` prices one
+by chain (``exact._SearchState``), on int node ids, reading costs from
+:attr:`graph.PathTable.cost_list`. :func:`cost_of_route_array` prices one
 int route per request, the shape of every greedy result, with array
 operations on :attr:`graph.PathTable.cost_matrix`; the heuristics call it
 without building their placement, which :class:`SolveResult` builds on
@@ -48,14 +49,15 @@ node) hostings it has charged and marks the visit that opens one. The
 greedy fill hosts each (request, position) once, and `validate_instance`
 rejects a function repeated within a chain, so it needs no such key.
 The exact search and :func:`check_constraints` charge one (head,
-destination) pair per :meth:`Ledger.visit`. The greedy fill charges a
-prefix of whole chains at their anchors in one array pass over their
-routes (:meth:`Ledger.place_routes`), then the rest node resources first,
-position by position, and checks their flows once on its finished routes,
-by the same pass (:meth:`Ledger.fitting_prefix`); only where a flow would
-overflow does it charge visits, all of a position's pairs per visit. Each
-makes the charges the checker makes, so what either solver places has no
-5a-5d row.
+destination) pair per :meth:`Ledger.visit`; the search holds int ids
+already, and the checker converts a placement's once. The greedy fill
+charges a prefix of whole chains at their anchors in one array pass over
+their routes (:meth:`Ledger.place_routes`), then the rest node resources
+first, position by position, and checks their flows once on its finished
+routes, by the same pass (:meth:`Ledger.fitting_prefix`); only where a
+flow would overflow does it charge visits, all of a position's pairs per
+visit. Each makes the charges the checker makes, so what either solver
+places has no 5a-5d row.
 """
 
 from __future__ import annotations

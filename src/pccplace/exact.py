@@ -84,15 +84,14 @@ def ExactResult(placement: Placement | None, cost: CostReport | None,
 
 @dataclass(frozen=True)
 class _Var:
-    """One decision: which node hosts chain position `l` of `req` for (s, d).
+    """One decision: which node hosts chain position `l` of `req` in a chain.
 
-    `chain` indexes (req, s, d) in the instance's `pair_order`.
+    `chain` indexes (req, head, destination) in the instance's `pair_order`
+    and ``_SearchState.chains``; a variable holds no node id.
     """
 
     req: ServiceRequest
     l: int
-    s: str
-    d: str
     nf: str
     chain: int
 
@@ -101,28 +100,22 @@ def _variables(instance: ProblemInstance) -> list[_Var]:
     """Decision variables in branch order: request, position, head, destination."""
     out = []
     for req in instance.requests:
-        chains = [(c, s, d) for c, (r, s, d) in enumerate(instance.pair_order)
-                  if r is req]
+        chains = [c for c, (r, _, _) in enumerate(instance.pair_order) if r is req]
         for l, nf in enumerate(req.chain, start=1):
-            for c, s, d in chains:
-                out.append(_Var(req, l, s, d, nf, c))
+            out.extend(_Var(req, l, nf, c) for c in chains)
     return out
 
 
-def _hop_minimum(
-    paths: PathTable,
-    s: str,
-    d: str,
-    pins: Sequence[str | None],
-    candidates: Sequence[str],
-    count_pinned: bool,
-) -> float:
+def _hop_minimum(costs: list[float], n: int, s: int, d: int, pins: Sequence[int | None],
+                 candidates: Sequence[int], count_pinned: bool) -> float:
     """Least routing cost of the chain s -> pins -> d over its completions.
 
-    `pins` holds the hosting node of each position, or None where the
-    position is free to take any candidate. This is a min-plus dynamic
-    program (Viterbi) over the layers of the chain, O(L * K^2). Hops whose
-    two endpoints are fixed count only when `count_pinned` is set.
+    Nodes are int node ids, and `costs` is :attr:`PathTable.cost_list`,
+    read by pair code ``a * n + b``. `pins` holds the hosting node of each
+    position, or None where the position is free to take any candidate.
+    This is a min-plus dynamic program (Viterbi) over the layers of the
+    chain, O(L * K^2). Hops whose two endpoints are fixed count only when
+    `count_pinned` is set.
     """
     layer = {s: 0.0}
     prev_free = False
@@ -132,12 +125,12 @@ def _hop_minimum(
         nxt = {}
         for k in (candidates if free else (pin,)):
             if counted:
-                nxt[k] = min(v + paths.cost(a, k) for a, v in layer.items())
+                nxt[k] = min(v + costs[a * n + k] for a, v in layer.items())
             else:
                 nxt[k] = min(layer.values())
         layer, prev_free = nxt, free
     if count_pinned or prev_free:
-        return min(v + paths.cost(a, d) for a, v in layer.items())
+        return min(v + costs[a * n + d] for a, v in layer.items())
     return min(layer.values())
 
 
@@ -268,18 +261,29 @@ class _SearchState:
     extended by this chain's terms (`_extended`); `assign` pushes them. At a
     leaf's parent they cover every chain but the last, and a leaf extends
     them by the last chain's terms with its own node.
+
+    Ids: candidates, pins, rows and assignments hold int node ids
+    (:attr:`EdgeNetwork.node_index`). Int order is id order, so assignment
+    vectors, heap entries and the dive's (bound, node) minimum compare as on
+    node ids, and :func:`solve_exact`'s tie policy holds. Hosting keys keep
+    node ids, so :func:`_placement_term` sums them in sorted id order.
     """
 
     def __init__(self, instance: ProblemInstance, paths: PathTable,
                  variables: Sequence[_Var]):
+        network = instance.network
+        index, weights = network.node_index, instance.destination_weights
         self.instance = instance
-        self.paths = paths
         self.variables = variables
-        self.candidates = sorted(instance.network.candidates)
+        self.ids = network.node_ids
+        self.costs, self.n = paths.cost_list, len(self.ids)
+        self.candidates = sorted(index[k] for k in network.candidates)
+        # (head, destination, weight) per chain of pair_order
+        self.chains = [(index[s], index[d], weights[d]) for _, s, d in instance.pair_order]
         self.presolved = _capacities_cannot_bind(instance, paths)
         self.ledger = None if self.presolved else Ledger(instance, paths)
         self.hosted: set[tuple[str, str, str]] = set()  # the prefix's hostings
-        self.assignment: list[str] = []
+        self.assignment: list[int] = []
         self.placement_term = 0.0
         self.pins = [[None] * len(req.chain) for req, _, _ in instance.pair_order]
         self.chain_terms = [self._chain_term(c) for c in range(len(self.pins))]
@@ -291,35 +295,32 @@ class _SearchState:
         self._sums: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)]
 
     def _chain_term(self, c: int) -> float:
-        _req, s, d = self.instance.pair_order[c]
-        return self.instance.destination_weights[d] * _hop_minimum(
-            self.paths, s, d, self.pins[c], self.candidates, True)
+        s, d, w = self.chains[c]
+        return w * _hop_minimum(self.costs, self.n, s, d, self.pins[c],
+                                self.candidates, True)
 
-    def _row(self) -> dict[str, tuple]:
+    def _row(self) -> dict[int, tuple]:
         """The next variable's row, for the current pins of its chain."""
         var = self.variables[len(self.assignment)]
         node = self._at[var.chain]
         row = node[0]
         if row is None:
-            w = self.instance.destination_weights[var.d]
-            cost = self.paths.cost
+            s, d, w = self.chains[var.chain]
+            costs, n, ids = self.costs, self.n, self.ids
             pins = self.pins[var.chain]
             ledger = self.ledger
-            if ledger is not None:  # the visit's pair and previous pin, by int id
-                index = self.instance.network.node_index
-                head, dest = (index[var.s],), (index[var.d],)
-                prevs = (index[pins[var.l - 2]],) if var.l > 1 else ()
+            prevs = (pins[var.l - 2],) if var.l > 1 else ()
             row = node[0] = {}
             for k in self.candidates:
                 visit = None if ledger is None else ledger.visit(
-                    var.req, var.l, index[k], head, dest, prevs)
+                    var.req, var.l, k, (s,), (d,), prevs)
                 pins[var.l - 1] = k
                 terms = None
                 if var.l == len(pins):
-                    nodes = (var.s, *pins, var.d)
-                    terms = tuple(w * cost(a, b) for a, b in zip(nodes, nodes[1:]))
-                row[k] = ((var.req.id, var.nf, k), visit, self._chain_term(var.chain),
-                          self.instance.placing_cost(var.nf, k), terms)
+                    nodes = (s, *pins, d)
+                    terms = tuple(w * costs[a * n + b] for a, b in zip(nodes, nodes[1:]))
+                row[k] = ((var.req.id, var.nf, ids[k]), visit, self._chain_term(var.chain),
+                          self.instance.placing_cost(var.nf, ids[k]), terms)
             pins[var.l - 1] = None
         return row
 
@@ -329,7 +330,7 @@ class _SearchState:
             terms += term
         return self.placement_term + terms
 
-    def children(self) -> list[tuple[str, float]]:
+    def children(self) -> list[tuple[int, float]]:
         """(node, bound) for every feasible value of the next variable."""
         var = self.variables[len(self.assignment)]
         others = 0.0
@@ -348,7 +349,7 @@ class _SearchState:
                 out.append((k, charged + (others + term)))
         return out
 
-    def leaf_total(self, k: str) -> float:
+    def leaf_total(self, k: int) -> float:
         """Objective total of the current prefix completed by `k`.
 
         The prefix must lack only the last variable. The total is
@@ -363,7 +364,7 @@ class _SearchState:
         # cost_of_routes adds a penalty term of +0.0, which changes nothing
         return placement + head + chain + tail
 
-    def assign(self, k: str) -> None:
+    def assign(self, k: int) -> None:
         var = self.variables[len(self.assignment)]
         host, visit, term, place, terms = self._row()[k]
         c = var.chain
@@ -401,7 +402,7 @@ class _SearchState:
         if added is not None:
             self.hosted.remove(added)
 
-    def goto(self, assignment: Sequence[str]) -> None:
+    def goto(self, assignment: Sequence[int]) -> None:
         """Make `assignment` the current prefix via the common prefix."""
         common = 0
         for have, want in zip(self.assignment, assignment):
@@ -435,10 +436,12 @@ def lower_bound(
     in exact arithmetic. An instance with no candidate node has no feasible
     point, so its bound is ``math.inf``.
     """
-    weights = instance.destination_weights
-    candidates = sorted(instance.network.candidates)
-    if not candidates:
+    weights, index = instance.destination_weights, instance.network.node_index
+    if not instance.network.candidates:
         return math.inf
+    # int ids of the table's nodes: any other node is a KeyError, as in cost()
+    at = {k: index[k] for k in paths.relevant}
+    candidates = sorted(at[k] for k in instance.network.candidates)
     routes = [[partial.get((req.id, s, d, l)) for l in range(1, len(req.chain) + 1)]
               for req, s, d in instance.pair_order]
     hosted = {(req.id, nf, k)
@@ -447,7 +450,9 @@ def lower_bound(
     committed = cost_of_routes(instance, paths, hosted, routes).total
     relax_term = 0.0
     for (req, s, d), nodes in zip(instance.pair_order, routes):
-        relax_term += weights[d] * _hop_minimum(paths, s, d, nodes, candidates, False)
+        pins = [None if k is None else at[k] for k in nodes]
+        relax_term += weights[d] * _hop_minimum(paths.cost_list, len(index), at[s], at[d],
+                                                pins, candidates, False)
     return committed + relax_term
 
 
@@ -499,7 +504,6 @@ def solve_exact(
         raise ValueError("instance has no chain positions to place")
     if not instance.network.candidates:
         return ExactResult(None, None, "infeasible", SearchStats(0, 0, "complete"))
-    keys = [(v.req.id, v.s, v.d, v.l) for v in variables]
     state = _SearchState(instance, paths, variables)
     expanded = leaves = 0
 
@@ -507,16 +511,19 @@ def solve_exact(
         stats = SearchStats(expanded, leaves, stop, presolved=state.presolved)
         if best is None:
             return ExactResult(None, None, status, stats)
-        placement = build_placement_per_pair(instance, dict(zip(keys, best[1])))
+        order, ids = instance.pair_order, state.ids
+        placement = build_placement_per_pair(instance, {
+            (v.req.id, *order[v.chain][1:], v.l): ids[k]
+            for v, k in zip(variables, best[1])})
         return ExactResult(placement, evaluate_cost(instance, placement, paths),
                            status, stats)
 
     # (total, assignment) of the best complete assignment so far. Complete
     # assignments are evaluated as they are generated, never queued.
-    best: tuple[float, tuple[str, ...]] | None = None
+    best: tuple[float, tuple[int, ...]] | None = None
     limit = math.inf  # nodes with a larger bound cannot win
 
-    def offer(k: str) -> None:
+    def offer(k: int) -> None:
         nonlocal best, limit, leaves
         leaves += 1
         candidate = (state.leaf_total(k), (*state.assignment, k))
@@ -535,7 +542,7 @@ def solve_exact(
     state.goto(())
 
     start = time.perf_counter()
-    heap: list[tuple[float, tuple[str, ...]]] = [(state.bound(), ())]
+    heap: list[tuple[float, tuple[int, ...]]] = [(state.bound(), ())]
     while heap:
         bound, assignment = heapq.heappop(heap)
         if bound > limit:

@@ -145,7 +145,7 @@ class PathTable:
     (:attr:`EdgeNetwork.node_index`), NaN wherever an entry names a node
     outside the relevant set; and, per relevant source, the predecessor
     array of its shortest-path tree over int node ids, from which
-    :meth:`sequence` walks the node sequence back from the target.
+    :meth:`id_sequence` walks the node sequence back from the target.
     `max_cost` is the largest cost, one max over the relevant block of the
     cost matrix taken when the table is built, since every priced result
     reads it. :attr:`pairs` is a read-only view that builds each
@@ -156,16 +156,17 @@ class PathTable:
     Scalar code reads one Python float at a time, with no numpy scalar in
     between, from `cost_list` and `bottleneck_list`: the matrices' floats
     as flat lists, entry ``i * n + j`` (the pair code, n the node count)
-    being entry [i, j], each built on its first read. :meth:`cost` and
-    :meth:`bottleneck` read them by node id (the exact search,
-    `export_lp`), the ledger by pair code. Two threads reading a list first
-    at once may each build it; both build equal lists. The lists are not
-    `functools.cached_property` values: those write through the instance
-    ``__dict__``, which on CPython 3.11 unspecialises every attribute read
-    on the table (desk-size `solve_exact` ran about 3 % slower). Pair codes
-    sort as their (a, b) pairs do, since int order is id order. Entry [i,
-    j] of the cost matrix equals ``cost(a, b)`` for relevant nodes a and b
-    with ids i and j, so it is exactly symmetric.
+    being entry [i, j], each built on its first read. The exact search and
+    the ledger read them by pair code, and :meth:`cost` and
+    :meth:`bottleneck` by node id (`export_lp`, `cost_of_routes`). Two
+    threads reading a list first at once may each build it; both build
+    equal lists. The lists are not `functools.cached_property` values:
+    those write through the instance ``__dict__``, which on CPython 3.11
+    unspecialises every attribute read on the table (desk-size
+    `solve_exact` ran about 3 % slower). Pair codes sort as their (a, b)
+    pairs do, since int order is id order. Entry [i, j] of the cost matrix
+    equals ``cost(a, b)`` for relevant nodes a and b with ids i and j, so
+    it is exactly symmetric.
     """
 
     def __init__(self, relevant: frozenset[str], ids: tuple[str, ...],
@@ -202,7 +203,9 @@ class PathTable:
                         f"is the node in the relevant set?")
 
     def info(self, a: str, b: str) -> PathInfo:
-        return PathInfo(self.cost(a, b), self.sequence(a, b), self.bottleneck(a, b))
+        cost, ids = self.cost(a, b), self._ids  # cost raises for a missing pair
+        nodes = tuple(ids[v] for v in self.id_sequence(self._at[a], self._at[b]))
+        return PathInfo(cost, nodes, self.bottleneck(a, b))
 
     # The accessors below look the pair up directly, since the solvers and
     # the evaluator call them in their inner loops.
@@ -212,13 +215,6 @@ class PathTable:
             return (self._cost_list or self.cost_list)[at[a] * self._n + at[b]]
         except KeyError:
             raise self._missing(a, b) from None
-
-    def sequence(self, a: str, b: str) -> tuple[str, ...]:
-        at = self._at
-        if a not in at or b not in at:
-            raise self._missing(a, b)
-        ids = self._ids
-        return tuple(ids[v] for v in self.id_sequence(at[a], at[b]))
 
     def id_sequence(self, a: int, b: int) -> list[int]:
         """The stored a -> b node sequence as int node ids, for relevant

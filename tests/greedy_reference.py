@@ -3,8 +3,10 @@
 The code of `_greedy_chain_fill` and `_by_distance` as `pccplace.heuristics`
 had it, and of the parts of `Ledger` that the fill calls (`__init__`,
 `can_host`, `_host`, `place`, `undo`) as `pccplace.evaluation` had it,
-verbatim but for the docstrings, from before full nodes left the fallback
-scan and `Ledger.place` resolved each request once: the fallback order keeps
+verbatim but for the docstrings and the on-path read (the stored sequence
+by int id, mapped to node ids, since `PathTable.sequence` is gone), from
+before full nodes left the fallback scan and `Ledger.place` resolved each
+request once: the fallback order keeps
 every candidate, and `place` rebuilds its flow keys on every call. The fill
 prices its hosts with the package's `_solve_result`, as the int route array
 that `_routes` builds from them.
@@ -120,7 +122,8 @@ def greedy_chain_fill(
     refused: set[tuple[str, str]] = set()  # (nf, node) without room
     for req in instance.requests:
         s_star = min(sorted(req.heads), key=lambda s: (paths.cost(s, target), s))
-        on_path = [n for n in paths.sequence(s_star, target) if n in candidates]
+        on_path = [ids[v] for v in paths.id_sequence(index[s_star], index[target])
+                   if ids[v] in candidates]
         pending = dict(enumerate(req.chain, start=1))
         at: list[str | None] = [None] * (len(req.chain) + 2)  # position -> host
         for scan in (on_path, None):

@@ -184,7 +184,8 @@ class TestSolveExact:
         for inst in [cpu_sum_instance()] + [tight_instance(i) for i in range(24)]:
             paths = paths_for(inst)
             variables = _variables(inst)
-            keys = [(v.req.id, v.s, v.d, v.l) for v in variables]
+            keys = [(v.req.id, *inst.pair_order[v.chain][1:], v.l) for v in variables]
+            index = inst.network.node_index  # the search runs on int node ids
             state = _SearchState(inst, paths, variables)
             outcomes = set()
             for combo in itertools.product(sorted(inst.network.candidates),
@@ -192,10 +193,10 @@ class TestSolveExact:
                 state.goto(())
                 accepted = True
                 for k in combo:
-                    if k not in dict(state.children()):
+                    if index[k] not in dict(state.children()):
                         accepted = False
                         break
-                    state.assign(k)
+                    state.assign(index[k])
                 placement = build_placement_per_pair(inst, dict(zip(keys, combo)))
                 rows = {v.constraint for v in check_constraints(inst, placement, paths)}
                 assert accepted == rows.isdisjoint({"5a", "5b", "5c", "5d"}), combo
@@ -303,6 +304,24 @@ class TestLowerBound:
             if res.status != "optimal":
                 continue
             assert lower_bound(instance, paths, {}) <= res.total + 1e-9
+
+    @pytest.mark.parametrize("partial", [
+        {("r1", "a", "d", 1): "t"},
+        {("r1", "a", "d", 2): "t"},  # no priced hop reads it; the relaxation does
+        {("r1", "a", "d", 3): "t"},
+        {("r1", "a", "d", 1): "b", ("r1", "a", "d", 2): "t"},
+        {("r1", "a", "a", 2): "zz"},  # not a node at all
+    ])
+    def test_node_outside_the_table_is_a_key_error(self, partial):
+        # t only carries traffic between b and c, so the table has no entry for it
+        inst = make_instance(
+            links=[("a", "b", 1.0), ("b", "t", 1.0), ("t", "c", 1.0), ("c", "d", 1.0)],
+            candidates=["b", "c"], gateway="a", attachment="a",
+            requests=[("r1", ["f1", "f2", "f3"], 1.0, ["a"])], destinations={"d": 1.0})
+        paths = paths_for(inst)
+        assert "t" not in paths.relevant
+        with pytest.raises(KeyError):
+            lower_bound(inst, paths, partial)
 
     def test_no_candidate_is_infinite(self):
         inst = make_instance(links=[("a", "b", 1.0)], candidates=[], gateway="a",

@@ -16,6 +16,7 @@ import pytest
 from pccplace.exact import (SolveBudget, _capacities_cannot_bind, _SearchState,
                             _variables, solve_exact)
 from pccplace.graph import shortest_paths
+from pccplace.model import instance_from_dict, instance_to_dict
 from pccplace.scenario import ScenarioParams, generate_instance
 
 import exact_reference
@@ -50,6 +51,29 @@ def _mixed_placement_costs(instances):
     return out
 
 
+def _relabelled(instances):
+    """The instances renamed node n{i} -> n{7 * i + 3}, so that string order
+    and digit order of node ids differ (n10 < n3), with link costs rounded
+    to positive integers, so that totals tie exactly."""
+    out = []
+    for inst in instances:
+        data = instance_to_dict(inst)
+        name = {k: f"n{7 * int(k[1:]) + 3}" for k in data["network"]["nodes"]}
+
+        def rename(x):
+            if isinstance(x, dict):
+                return {rename(k): rename(v) for k, v in x.items()}
+            if isinstance(x, list):
+                return [rename(v) for v in x]
+            return name.get(x, x)
+
+        data = rename(data)
+        for link in data["network"]["links"]:
+            link["cost"] = float(max(1, round(link["cost"])))
+        out.append(instance_from_dict(data))
+    return out
+
+
 def _fingerprint(result):
     cost = None if result.cost is None else {
         name: value.hex() for name, value in result.cost.to_dict().items()}
@@ -67,6 +91,9 @@ CORPORA = {
     # certified slack capacities: the presolved search tracks hostings alone
     "slack_placement_costs": lambda: _mixed_placement_costs(_slack_corpus()),
     "cpu_sum": lambda: [cpu_sum_instance()],
+    # tight and certified slack instances whose node ids sort apart from
+    # their digits, with exact ties
+    "relabelled_ties": lambda: _relabelled(_generated(0.0, 16) + _slack_corpus()[:16]),
 }
 
 
@@ -96,6 +123,8 @@ def test_node_values_match_reference(corpus):
         ours = _SearchState(inst, paths, _variables(inst))
         ref = exact_reference._SearchState(inst, paths,
                                            exact_reference._variables(inst))
+        # ours runs on int node ids, the reference on node id strings
+        index, ids = inst.network.node_index, inst.network.node_ids
         last = len(ours.variables) - 1
         rng = random.Random(i)
         prefix = []
@@ -103,24 +132,60 @@ def test_node_values_match_reference(corpus):
             # restart from a random prefix of the last walk, so goto undoes
             # part of the path and assigns the rest
             prefix = prefix[:rng.randrange(len(prefix) + 1)]
-            ours.goto(prefix)
+            ours.goto([index[k] for k in prefix])
             ref.goto(prefix)
             assert ours.bound().hex() == ref.bound().hex(), (corpus, i, prefix)
             while True:
-                children = [(k, b.hex()) for k, b in ours.children()]
+                children = [(ids[k], b.hex()) for k, b in ours.children()]
                 assert children == [(k, b.hex()) for k, b in ref.children()], (
                     corpus, i, prefix)
                 if not children:
                     break
                 if len(prefix) == last:
                     for k, _ in children:
-                        assert ours.leaf_total(k).hex() == ref.leaf_total(k).hex(), (
+                        assert ours.leaf_total(index[k]).hex() == ref.leaf_total(k).hex(), (
                             corpus, i, prefix, k)
                     break
                 k = rng.choice(children)[0]
                 prefix.append(k)
-                ours.assign(k)
+                ours.assign(index[k])
                 ref.assign(k)
+
+
+def test_relabelled_corpus_has_exact_ties():
+    # Some optimum is reached by two assignments with the same float total,
+    # so the lexicographic tie rule decides the result; the int search and
+    # the string reference then agree only if int order is id order.
+    tied = 0
+    for inst in CORPORA["relabelled_ties"]():
+        paths = shortest_paths(inst.network, inst.relevant_nodes)
+        assert sorted(inst.network.nodes) != sorted(inst.network.nodes,
+                                                    key=lambda k: int(k[1:]))
+        result = solve_exact(inst, paths)
+        if result.status != "optimal":
+            continue
+        # count the optimal leaves with the string reference, under the
+        # search's own limit on the admissible bounds
+        state = exact_reference._SearchState(inst, paths, exact_reference._variables(inst))
+        last = len(state.variables) - 1
+        limit = result.total + 1e-9 * max(1.0, result.total)
+        optima = 0
+
+        def walk():
+            nonlocal optima
+            for k, bound in state.children():
+                if bound > limit:
+                    continue
+                if len(state.assignment) < last:
+                    state.assign(k)
+                    walk()
+                    state.undo()
+                else:
+                    optima += state.leaf_total(k) == result.total
+
+        walk()
+        tied += optima >= 2
+    assert tied > 0
 
 
 def test_presolve_covers_slack_not_tight():
