@@ -222,8 +222,6 @@ class Ledger:
         self.load: list[tuple[float, float] | None] = [
             None if cap is None else (0.0, 0.0) for cap in self._caps]
         self.flows: tuple[dict[int, float], ...] = ({}, {}, {})  # 5b-5d, by pair code
-        self._saved: list[tuple[object, object, object]] = []  # (table, key, old or None)
-        self._marks: list[int] = []
 
     def visit(self, req: ServiceRequest, l: int, node: int, heads: Sequence[int],
               dests: Sequence[int], prevs: Iterable[int] = (),
@@ -303,13 +301,13 @@ class Ledger:
                 return False
         return True
 
-    def charge(self, visit: tuple, new: bool) -> None:
+    def charge(self, visit: tuple, new: bool) -> list[tuple[object, object, object]]:
         """Charge a visit: its demand if `new` (it opens a hosting), then
         each flow's rate `count` times, one add at a time from its stored
-        load."""
+        load. Returns its undo record for :meth:`undo`: the (table, key, old
+        load or None) of each load it changed; the ledger keeps none."""
         nf, node, rate, flows = visit
-        saved = self._saved
-        self._marks.append(len(saved))
+        saved = []
         if new and self.load[node] is not None:  # no 5a row without node_resources
             saved.append((self.load, node, self.load[node]))
             self.add_demand(nf, node)
@@ -320,6 +318,7 @@ class Ledger:
             for _ in range(count - 1):
                 load += rate
             table[pair] = load
+        return saved
 
     def add_demand(self, nf: str, node: int) -> None:
         """Charge one hosting of `nf` at the int node id `node` to 5a only.
@@ -443,11 +442,10 @@ class Ledger:
                                   rate[owner], owner, m, budgets))
         return _longest_prefix(flows, m), nodes, flows
 
-    def undo(self) -> None:
-        """Revert the last :meth:`charge` exactly."""
-        saved = self._saved
-        for _ in range(len(saved) - self._marks.pop()):
-            table, key, old = saved.pop()
+    def undo(self, saved: list[tuple[object, object, object]]) -> None:
+        """Revert exactly the :meth:`charge` that returned `saved`; every
+        charge made after it must be reverted first."""
+        for table, key, old in reversed(saved):
             if old is None:
                 del table[key]
             else:

@@ -6,6 +6,13 @@ branch and bound with an admissible lower bound. It is intended for small
 instances (|K| <= 6, |R| <= 3, chains up to 3, up to 2 heads and 2
 evaluation destinations); anything larger should use the heuristics.
 
+Search nodes are immutable records, built one from another, from which the
+search expands any frontier entry without replaying the path to it, trading
+memory for recomputation as best-first branch and bound does (Morrison,
+Jacobson, Sauppe and Sewell, Discrete Optimization 19, 2016). Only the
+capacity ledger, whose loads are running float sums, follows the record
+the search expands.
+
 Presolve: on an instance whose capacities provably cannot bind
 (:func:`_capacities_cannot_bind`), the program is uncapacitated and the
 search drops the 5a-5d accounting, as MIP presolve drops rows that no
@@ -221,46 +228,55 @@ def _capacities_cannot_bind(instance: ProblemInstance, paths: PathTable) -> bool
 
 
 class _SearchState:
-    """Chain pins, bound terms and capacity loads of one prefix assignment.
+    """The search's records and what they share: chain tries and the ledger.
 
-    `assign` extends the prefix by the next variable in branch order and
-    `undo` reverts the last one exactly, restoring saved values rather than
-    subtracting, so `goto` moves between frontier nodes through their common
-    prefix without float drift. The capacity loads are a :class:`Ledger`,
-    charged one visit per variable in the checker's order. The bound of the
-    prefix is its placement term plus, per chain, the weighted
-    `_hop_minimum` over all hops with the chain's positions pinned.
+    Records: a prefix assignment is an immutable tuple (parent, node, depth,
+    at, sums, placement_term, hosted, charge): the record one variable
+    shorter and the int node id this one assigns (None at `root`); the
+    prefix's length; per chain of `pair_order`, its trie node under its
+    pins; the (head, chain, tail) running sums of the complete chains; the
+    prefix's (request, nf, node) hostings, None where nothing reads them,
+    and their placing cost; and the (visit, opens a hosting) the ledger
+    charges for `node`, None when presolved. :meth:`child` builds a record
+    from its parent's; :meth:`children`, :meth:`leaf_total` and
+    :meth:`bound` read a record alone. Each value is computed once, by the
+    float operations, on the operands and in the order of a walk that
+    assigns and undoes variables one at a time, so every bound, child bound
+    and leaf total is that walk's bit for bit, and the heap order and the
+    tie policy do not depend on the path the search took to a record.
 
-    Hostings: `hosted` holds the prefix's (request, nf, node) hostings, and
-    the journal the one each variable added. A variable whose hosting is
-    not in it opens one: it adds the placing cost and charges the node
-    demand (its visit marked new). This is the same with or without a ledger.
+    Chain tries: a variable's children depend on the prefix only through
+    its own chain's pins (its visit on the previous pin, its chain term on
+    all of them) and through the loads and hostings. A chain's trie node is
+    [row or None, pins, term, hops]: its pins (None where free), its
+    weighted `_hop_minimum` under them (for pins without a free position,
+    its one route's hop sum, added in the same order), which the bound sums
+    with the placement term, and, once pinned throughout, its weighted hop
+    costs in route order. The row of the chain's next variable is built on
+    first use: per candidate in sorted order, its hosting key, its visit
+    (None when presolved), its placing cost and its trie node.
 
-    Presolve: where :func:`_capacities_cannot_bind` holds (`presolved`),
-    :meth:`Ledger.fits` could only return True, so there is no ledger and no
-    fits test. Every child list, bound and leaf total is then the ledger
-    search's, bit for bit.
+    Ledger replay: a running float sum cannot ride on a record, so only the
+    capacity :class:`Ledger`, charged one visit per variable in the
+    checker's order, follows the records. `_charged` lists the (record, undo
+    record) of each charge it holds, and :meth:`children` undoes those off
+    the record's path, newest first, then charges the rest of the path in
+    path order. Undo restores saved loads rather than subtracting, so the
+    loads are those of charging the path from nothing.
 
-    Rows: a variable's children depend on the prefix only through its own
-    chain's pins (its visit on the previous pin, its chain term on all of
-    them) and through the loads and hostings, which `children` reads live.
-    So each (variable index, pinned prefix of its chain) has one row, built
-    on first use: per candidate in sorted order, its hosting key, its visit
-    (None when presolved), its weighted chain term, its placing cost and,
-    at the chain's last position, the chain's weighted hop costs.
-    `children`, `assign` and `leaf_total` read it. A chain's rows form a
-    trie, whose node is [row or None, {pin: child node}]; `_at` holds, per
-    chain, the node of its next position under its current pins, which
-    `assign` moves down by the new pin and `undo` restores.
+    Hostings: a variable whose hosting is not in its parent's opens one: it
+    adds the placing cost and charges the node demand (its visit marked
+    new). Without a ledger and placing costs nothing reads hostings, and a
+    record carries none. Presolve: where :func:`_capacities_cannot_bind`
+    holds (`presolved`), :meth:`Ledger.fits` could only return True, so
+    there is no ledger, and every child list, bound and leaf total is the
+    ledger search's, bit for bit.
 
     Leaf prefix: branch order completes the chains in `pair_order` order,
-    and its last variable is the last position of the last chain. So when a
-    chain completes, the chains before it are complete, and the running
-    head, chain and tail sums of :func:`cost_of_routes`, which sums each
-    family over the chains in `pair_order`, are the previous chain's sums
-    extended by this chain's terms (`_extended`); `assign` pushes them. At a
-    leaf's parent they cover every chain but the last, and a leaf extends
-    them by the last chain's terms with its own node.
+    and its last variable is the last position of the last chain. So the
+    running sums of :func:`cost_of_routes`, which sums each family over the
+    chains in `pair_order`, extend the previous complete chain's by this
+    chain's hops (`_extended`), and a leaf extends its parent's.
 
     Ids: candidates, pins, rows and assignments hold int node ids
     (:attr:`EdgeNetwork.node_index`). Int order is id order, so assignment
@@ -282,137 +298,114 @@ class _SearchState:
         self.chains = [(index[s], index[d], weights[d]) for _, s, d in instance.pair_order]
         self.presolved = _capacities_cannot_bind(instance, paths)
         self.ledger = None if self.presolved else Ledger(instance, paths)
-        self.hosted: set[tuple[str, str, str]] = set()  # the prefix's hostings
-        self.assignment: list[int] = []
-        self.placement_term = 0.0
-        self.pins = [[None] * len(req.chain) for req, _, _ in instance.pair_order]
-        self.chain_terms = [self._chain_term(c) for c in range(len(self.pins))]
-        self._at: list[list] = [[None, {}] for _ in self.pins]
-        # per assigned variable: placement term, chain term and trie node
-        # before it, and the hosting it added to `hosted`, if any
-        self._journal: list[tuple[float, float, list, tuple | None]] = []
-        # (head, chain, tail) sums after each complete chain, in pair_order
-        self._sums: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)]
+        self._charged: list[tuple[tuple, list]] = []
+        tries = tuple(self._trie_node(c, (None,) * len(req.chain))
+                      for c, (req, _, _) in enumerate(instance.pair_order))
+        hosted = (frozenset() if self.ledger is not None or instance.placement_cost
+                  else None)
+        self.root = (None, None, 0, tries, (0.0, 0.0, 0.0), 0.0, hosted, None)
 
-    def _chain_term(self, c: int) -> float:
-        s, d, w = self.chains[c]
-        return w * _hop_minimum(self.costs, self.n, s, d, self.pins[c],
-                                self.candidates, True)
+    def _trie_node(self, c: int, pins: tuple[int | None, ...]) -> list:
+        (s, d, w), costs, n = self.chains[c], self.costs, self.n
+        if None in pins:
+            term = _hop_minimum(costs, n, s, d, pins, self.candidates, True)
+            return [None, pins, w * term, None]
+        # one route: the sum that _hop_minimum's one-entry layers add up
+        nodes = (s, *pins, d)
+        hops = [costs[a * n + b] for a, b in zip(nodes, nodes[1:])]
+        total = 0.0
+        for hop in hops:
+            total += hop
+        return [None, pins, w * total, tuple(w * hop for hop in hops)]
 
-    def _row(self) -> dict[int, tuple]:
-        """The next variable's row, for the current pins of its chain."""
-        var = self.variables[len(self.assignment)]
-        node = self._at[var.chain]
+    def _row(self, record: tuple) -> dict[int, tuple]:
+        """The row of the variable after `record`, under its chain's pins."""
+        var = self.variables[record[2]]
+        node = record[3][var.chain]
         row = node[0]
         if row is None:
-            s, d, w = self.chains[var.chain]
-            costs, n, ids = self.costs, self.n, self.ids
-            pins = self.pins[var.chain]
-            ledger = self.ledger
-            prevs = (pins[var.l - 2],) if var.l > 1 else ()
+            s, d, _ = self.chains[var.chain]
+            ids, ledger = self.ids, self.ledger
+            pins, i = node[1], var.l - 1
+            prevs = (pins[i - 1],) if i else ()
             row = node[0] = {}
             for k in self.candidates:
                 visit = None if ledger is None else ledger.visit(
                     var.req, var.l, k, (s,), (d,), prevs)
-                pins[var.l - 1] = k
-                terms = None
-                if var.l == len(pins):
-                    nodes = (s, *pins, d)
-                    terms = tuple(w * costs[a * n + b] for a, b in zip(nodes, nodes[1:]))
-                row[k] = ((var.req.id, var.nf, ids[k]), visit, self._chain_term(var.chain),
-                          self.instance.placing_cost(var.nf, ids[k]), terms)
-            pins[var.l - 1] = None
+                row[k] = ((var.req.id, var.nf, ids[k]), visit,
+                          self.instance.placing_cost(var.nf, ids[k]),
+                          self._trie_node(var.chain, (*pins[:i], k, *pins[i + 1:])))
         return row
 
-    def bound(self) -> float:
+    def _reach(self, record: tuple) -> None:
+        """Make the ledger's loads those of charging `record`'s path."""
+        charged, path, depth = self._charged, [], record[2]
+        # up to the deepest record of the path that the ledger has charged
+        while depth > len(charged) or depth and charged[depth - 1][0] is not record:
+            path.append(record)
+            record, depth = record[0], depth - 1
+        for _, saved in reversed(charged[depth:]):
+            self.ledger.undo(saved)
+        del charged[depth:]
+        for record in reversed(path):
+            charged.append((record, self.ledger.charge(*record[7])))
+
+    def bound(self, record: tuple) -> float:
         terms = 0.0
-        for term in self.chain_terms:
-            terms += term
-        return self.placement_term + terms
+        for node in record[3]:
+            terms += node[2]
+        return record[5] + terms
 
-    def children(self) -> list[tuple[int, float]]:
-        """(node, bound) for every feasible value of the next variable."""
-        var = self.variables[len(self.assignment)]
+    def children(self, record: tuple) -> list[tuple[int, float]]:
+        """(node, bound) for every feasible value of the variable after `record`."""
+        _, _, depth, at, _, placement_term, hosted, _ = record
+        c = self.variables[depth].chain
         others = 0.0
-        for c, term in enumerate(self.chain_terms):
-            if c != var.chain:
-                others += term
-        fits = None if self.ledger is None else self.ledger.fits
-        hosted = self.hosted
-        placement_term = self.placement_term
-        out = []
-        for k, (host, visit, term, place, _) in self._row().items():
-            if fits is None or fits(visit, host not in hosted):
-                # a zero placing cost would add +0.0, which changes nothing
-                charged = (placement_term + place if place and host not in hosted
-                           else placement_term)
-                out.append((k, charged + (others + term)))
-        return out
+        for node in at[:c]:
+            others += node[2]
+        for node in at[c + 1:]:
+            others += node[2]
+        fits = None
+        if self.ledger is not None:
+            self._reach(record)
+            fits = self.ledger.fits
+        row = at[c][0] or self._row(record)
+        # a zero placing cost would add +0.0, which changes nothing
+        return [(k, (placement_term + place if place and host not in hosted
+                     else placement_term) + (others + node[2]))
+                for k, (host, visit, place, node) in row.items()
+                if fits is None or fits(visit, host not in hosted)]
 
-    def leaf_total(self, k: int) -> float:
-        """Objective total of the current prefix completed by `k`.
+    def child(self, record: tuple, k: int) -> tuple:
+        """The record of `record`'s prefix extended by `k`; :meth:`children`
+        has built the row it reads."""
+        _, _, depth, at, sums, placement_term, hosted, _ = record
+        c = self.variables[depth].chain
+        host, visit, place, node = at[c][0][k]
+        new = hosted is not None and host not in hosted
+        if new:
+            hosted = hosted | {host}
+            placement_term += place
+        if node[3] is not None:  # the chain is complete
+            sums = _extended(sums, node[3])
+        return (record, k, depth + 1, at[:c] + (node,) + at[c + 1:], sums, placement_term,
+                hosted, None if visit is None else (visit, new))
 
-        The prefix must lack only the last variable. The total is
-        :func:`cost_of_routes` of the completed state, bit for bit, which
-        equals :func:`evaluate_cost` of the corresponding placement.
+    def leaf_total(self, record: tuple, k: int) -> float:
+        """Objective total of `record`'s prefix completed by `k`.
+
+        The prefix must lack only the last variable, and :meth:`children`
+        has built the row read. The total is :func:`cost_of_routes` of the
+        completed state, bit for bit, which equals :func:`evaluate_cost` of
+        the corresponding placement.
         """
-        host, _, _, _, terms = self._row()[k]
-        head, chain, tail = _extended(self._sums[-1], terms)
+        host, _, _, node = record[3][self.variables[record[2]].chain][0][k]
+        head, chain, tail = _extended(record[4], node[3])
         placement = 0.0
         if self.instance.placement_cost:  # otherwise every placing cost is zero
-            placement = _placement_term(self.instance, self.hosted | {host})
+            placement = _placement_term(self.instance, record[6] | {host})
         # cost_of_routes adds a penalty term of +0.0, which changes nothing
         return placement + head + chain + tail
-
-    def assign(self, k: int) -> None:
-        var = self.variables[len(self.assignment)]
-        host, visit, term, place, terms = self._row()[k]
-        c = var.chain
-        node = self._at[c]
-        new = host not in self.hosted
-        self._journal.append((self.placement_term, self.chain_terms[c], node,
-                              host if new else None))
-        if new:
-            self.hosted.add(host)
-            self.placement_term += place  # +0.0 where placing is free: no change
-        if self.ledger is not None:
-            self.ledger.charge(visit, new)
-        self.pins[c][var.l - 1] = k
-        self.chain_terms[c] = term
-        if terms is not None:
-            self._sums.append(_extended(self._sums[-1], terms))
-        else:
-            kids = node[1]
-            child = kids.get(k)
-            if child is None:
-                child = kids[k] = [None, {}]
-            self._at[c] = child
-        self.assignment.append(k)
-
-    def undo(self) -> None:
-        var = self.variables[len(self.assignment) - 1]
-        c = var.chain
-        self.assignment.pop()
-        self.placement_term, self.chain_terms[c], self._at[c], added = self._journal.pop()
-        self.pins[c][var.l - 1] = None
-        if var.l == len(var.req.chain):
-            self._sums.pop()
-        if self.ledger is not None:
-            self.ledger.undo()
-        if added is not None:
-            self.hosted.remove(added)
-
-    def goto(self, assignment: Sequence[int]) -> None:
-        """Make `assignment` the current prefix via the common prefix."""
-        common = 0
-        for have, want in zip(self.assignment, assignment):
-            if have != want:
-                break
-            common += 1
-        while len(self.assignment) > common:
-            self.undo()
-        for k in assignment[common:]:
-            self.assign(k)
 
 
 def lower_bound(
@@ -467,7 +460,11 @@ def solve_exact(
     variable order, trying candidate nodes in sorted order; the frontier is
     ordered by (lower bound, assignment vector), so the search is
     deterministic. A greedy dive along the least child bound supplies the
-    first incumbent.
+    first incumbent. A frontier entry is (bound, assignment, record), the
+    :class:`_SearchState` record of its parent (the root's holds the root):
+    the entry's own is built only if it is expanded. Assignments are unique,
+    so records never enter a heap comparison. Presolved and ledger searches
+    share this loop: a ledger search's loads follow the record it expands.
 
     Tie policy: the result is bit-identical to exhaustive enumeration. Its
     total is the least float :func:`evaluate_cost` total over all feasible
@@ -523,28 +520,30 @@ def solve_exact(
     best: tuple[float, tuple[int, ...]] | None = None
     limit = math.inf  # nodes with a larger bound cannot win
 
-    def offer(k: int) -> None:
+    def offer(record: tuple, assignment: tuple[int, ...], k: int) -> None:
         nonlocal best, limit, leaves
         leaves += 1
-        candidate = (state.leaf_total(k), (*state.assignment, k))
+        candidate = (state.leaf_total(record, k), (*assignment, k))
         if best is None or candidate < best:
             best = candidate
             limit = best[0] + 1e-9 * max(1.0, abs(best[0]))
 
     # Greedy dive along the least child bound for a first incumbent, so a
     # budget-limited run can still return a feasible point.
-    while children := state.children():
+    record, assignment = state.root, ()
+    while children := state.children(record):
         k = min(children, key=lambda kb: (kb[1], kb[0]))[0]
-        if len(state.assignment) == nvars - 1:
-            offer(k)
+        if len(assignment) == nvars - 1:
+            offer(record, assignment, k)
             break
-        state.assign(k)
-    state.goto(())
+        record, assignment = state.child(record, k), (*assignment, k)
 
     start = time.perf_counter()
-    heap: list[tuple[float, tuple[int, ...]]] = [(state.bound(), ())]
+    # (bound, assignment, the parent's record, or the root's at the root)
+    heap: list[tuple[float, tuple[int, ...], tuple]] = [
+        (state.bound(state.root), (), state.root)]
     while heap:
-        bound, assignment = heapq.heappop(heap)
+        bound, assignment, record = heapq.heappop(heap)
         if bound > limit:
             break  # the search is complete
         if expanded >= budget.max_nodes_expanded:
@@ -553,15 +552,16 @@ def solve_exact(
                 and time.perf_counter() - start > budget.wall_time_s):
             return result("budget_exceeded", "wall_time")
         expanded += 1
-        state.goto(assignment)
+        if assignment:
+            record = state.child(record, assignment[-1])
         last = len(assignment) == nvars - 1
-        for k, child_bound in state.children():
+        for k, child_bound in state.children(record):
             if child_bound > limit:
                 continue
             if last:
-                offer(k)
+                offer(record, assignment, k)
             else:
-                heapq.heappush(heap, (child_bound, assignment + (k,)))
+                heapq.heappush(heap, (child_bound, assignment + (k,), record))
     return result("infeasible" if best is None else "optimal", "complete")
 
 

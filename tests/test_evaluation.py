@@ -282,9 +282,9 @@ class TestCheckConstraints:
 
 def host_at_b(ledger, inst, nf):
     """Charge a visit at b that opens a hosting of `nf`, for r1's only
-    (head, destination) pair (a, d)."""
+    (head, destination) pair (a, d); the charge's undo record."""
     req = dataclasses.replace(inst.requests[0], chain=(nf,))
-    ledger.charge(ledger.visit(req, 1, B, (A,), (D,)), True)
+    return ledger.charge(ledger.visit(req, 1, B, (A,), (D,)), True)
 
 
 class TestLedger:
@@ -299,16 +299,16 @@ class TestLedger:
         first, second = (ledger.visit(r1, 1, B, (A,), (D,)),
                          ledger.visit(r1, 2, B, (A,), (D,), (B,)))
         assert ledger.can_host("f1", B) and ledger.fits(first, True)
-        ledger.charge(first, True)
+        opened = ledger.charge(first, True)
         assert ledger.load[B] == (40.0, 1.0)
         assert not ledger.can_host("f2", B)
         # the caller marks which visit opens a hosting: only that one is
         # charged, and tested for, node demand
         assert not ledger.fits(second, True) and ledger.fits(second, False)
-        ledger.charge(first, False)
+        again = ledger.charge(first, False)
         assert ledger.load[B] == (40.0, 1.0)
-        ledger.undo()
-        ledger.undo()
+        ledger.undo(again)
+        ledger.undo(opened)
         assert ledger.load[B] == (0.0, 0.0) and ledger.flows == ({}, {}, {})
         assert not ledger.can_host("f1", A)  # no node_resources entry
         assert ledger.load[A] is None
@@ -335,9 +335,9 @@ class TestLedger:
             host_at_b(ledger, inst, first)
         for _ in range(fill_ups):
             assert not ledger.full(B) and ledger.can_host("f3", B)
-            host_at_b(ledger, inst, "f3")
+            last = host_at_b(ledger, inst, "f3")
         assert ledger.full(B) and not ledger.can_host("f3", B)
-        ledger.undo()  # loads shrink only by undo
+        ledger.undo(last)  # loads shrink only by undo
         assert not ledger.full(B)
 
     def test_full_node_hosts_no_nf(self):
@@ -361,14 +361,14 @@ class TestLedger:
         first = ledger.visit(r1, 1, B, (A,), (B,))  # a, b are ids 0, 1 here too
         second = ledger.visit(r2, 1, B, (A,), (B,))
         assert ledger.fits(first, True)
-        ledger.charge(first, True)
+        charged = ledger.charge(first, True)
         assert not ledger.fits(second, True)  # head flow 8 over the a->b budget 5
-        ledger.charge(second, True)
+        over = ledger.charge(second, True)
         assert [(v.constraint, v.index, v.slack) for v in ledger.violations()] \
             == [("5b", ("a", "b"), -3.0)]
-        ledger.undo()
+        ledger.undo(over)
         assert ledger.violations() == [] and not ledger.fits(second, True)
-        ledger.undo()
+        ledger.undo(charged)
         assert ledger.fits(second, True)
         assert ledger.flows == ({}, {}, {}) and ledger.load == [None, (0.0, 0.0)]
 

@@ -190,13 +190,13 @@ class TestSolveExact:
             outcomes = set()
             for combo in itertools.product(sorted(inst.network.candidates),
                                            repeat=len(variables)):
-                state.goto(())
+                record = state.root
                 accepted = True
                 for k in combo:
-                    if index[k] not in dict(state.children()):
+                    if index[k] not in dict(state.children(record)):
                         accepted = False
                         break
-                    state.assign(index[k])
+                    record = state.child(record, index[k])
                 placement = build_placement_per_pair(inst, dict(zip(keys, combo)))
                 rows = {v.constraint for v in check_constraints(inst, placement, paths)}
                 assert accepted == rows.isdisjoint({"5a", "5b", "5c", "5d"}), combo

@@ -1,11 +1,12 @@
 """The exact search against its prefix-by-prefix reference.
 
 `exact_reference.py` is the search as it was before leaf totals came from
-running sums per complete chain and child bounds from cached rows. Both must
-agree on every solve, budget stops included: status, the bits of every
-`CostReport` field, the placement, nodes expanded and leaves evaluated; and
-at every node of random walks through the search tree, on the bits of the
-bound, of every child bound and of every leaf total.
+running sums per complete chain and child bounds from cached rows, and
+before search nodes became records. Both must agree on every solve, budget
+stops included: status, the bits of every `CostReport` field, the placement,
+nodes expanded and leaves evaluated; and at every node of random walks
+through the search tree, which restart at records of earlier walks, on the
+bits of the bound, of every child bound and of every leaf total.
 """
 
 import dataclasses
@@ -36,6 +37,20 @@ def _generated(placement_cost, count):
             heads_per_request=(2, 2), num_destinations=(1, 1),
             node_cpu_cores=0.5, placement_cost=placement_cost)
         out.append(generate_instance(params, seed=40_000 + 100 * i))
+    return out
+
+
+def _two_destinations(count):
+    """Chains up to 3, 2 heads x (2 destinations and the attachment node):
+    6 chains per request, whose variables interleave, so frontier jumps
+    cross many chains. Nodes that fit 1-3 NFs and roomy ones alternate."""
+    out = []
+    for i in range(count):
+        params = ScenarioParams(
+            num_candidates=2 + i % 3, batch_size=1 + i % 2, chain_length=(1, 3),
+            heads_per_request=(2, 2), num_destinations=(2, 2),
+            node_cpu_cores=(32.0, 0.5)[i % 2])
+        out.append(generate_instance(params, seed=50_000 + 100 * i))
     return out
 
 
@@ -91,6 +106,7 @@ CORPORA = {
     # certified slack capacities: the presolved search tracks hostings alone
     "slack_placement_costs": lambda: _mixed_placement_costs(_slack_corpus()),
     "cpu_sum": lambda: [cpu_sum_instance()],
+    "two_destinations": lambda: _two_destinations(16),
     # tight and certified slack instances whose node ids sort apart from
     # their digits, with exact ties
     "relabelled_ties": lambda: _relabelled(_generated(0.0, 16) + _slack_corpus()[:16]),
@@ -118,6 +134,7 @@ def test_search_matches_reference(corpus):
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 def test_node_values_match_reference(corpus):
+    crossings = 0
     for i, inst in enumerate(CORPORA[corpus]()[:40]):
         paths = shortest_paths(inst.network, inst.relevant_nodes)
         ours = _SearchState(inst, paths, _variables(inst))
@@ -127,29 +144,37 @@ def test_node_values_match_reference(corpus):
         index, ids = inst.network.node_index, inst.network.node_ids
         last = len(ours.variables) - 1
         rng = random.Random(i)
+        seen = [((), ours.root)]  # (prefix, record) of every node walked
         prefix = []
         for _walk in range(12):
-            # restart from a random prefix of the last walk, so goto undoes
-            # part of the path and assigns the rest
-            prefix = prefix[:rng.randrange(len(prefix) + 1)]
-            ours.goto([index[k] for k in prefix])
+            # restart from a record of any earlier walk: where it lies on
+            # another branch than the last walk's end, the ledger undoes
+            # part of that path and charges the rest of the record's
+            start, record = rng.choice(seen)
+            common = next((j for j, (a, b) in enumerate(zip(prefix, start)) if a != b),
+                          min(len(prefix), len(start)))
+            crossings += common < min(len(prefix), len(start))
+            prefix = list(start)
             ref.goto(prefix)
-            assert ours.bound().hex() == ref.bound().hex(), (corpus, i, prefix)
+            assert ours.bound(record).hex() == ref.bound().hex(), (corpus, i, prefix)
             while True:
-                children = [(ids[k], b.hex()) for k, b in ours.children()]
+                children = [(ids[k], b.hex()) for k, b in ours.children(record)]
                 assert children == [(k, b.hex()) for k, b in ref.children()], (
                     corpus, i, prefix)
                 if not children:
                     break
                 if len(prefix) == last:
                     for k, _ in children:
-                        assert ours.leaf_total(index[k]).hex() == ref.leaf_total(k).hex(), (
-                            corpus, i, prefix, k)
+                        assert ours.leaf_total(record, index[k]).hex() == ref.leaf_total(
+                            k).hex(), (corpus, i, prefix, k)
                     break
                 k = rng.choice(children)[0]
                 prefix.append(k)
-                ours.assign(index[k])
+                record = ours.child(record, index[k])
                 ref.assign(k)
+                seen.append((tuple(prefix), record))
+    # jumps across branches happened, not only back up the last path
+    assert crossings > 0
 
 
 def test_relabelled_corpus_has_exact_ties():
@@ -198,3 +223,4 @@ def test_presolve_covers_slack_not_tight():
 
     assert certified(_slack_corpus()) == [True] * 120
     assert certified(_tight_corpus()) == [False] * 80
+    assert set(certified(CORPORA["two_destinations"]())) == {True, False}

@@ -331,6 +331,14 @@ def host(ledger, req, l, node, before=None, after=None):
         () if after is None else (after,)))
 
 
+def charged(ledger, req, l, node, before=None, after=None):
+    """As `host`, for a visit that must fit; the charge's undo record."""
+    visit = ledger.visit(req, l, node, (A,), (D,), () if before is None else (before,),
+                         () if after is None else (after,))
+    assert ledger.fits(visit, True)
+    return ledger.charge(visit, True)
+
+
 class TestLedger:
     """Flow accounting of `evaluation.Ledger` on a path: the budget of a pair
     is the smallest link capacity on its stored path."""
@@ -372,12 +380,12 @@ class TestLedger:
 
     def test_undo_restores_loads(self):
         ledger, (r1, r2) = path_ledger(rates=(0.1, 0.2))
-        assert host(ledger, r1, 1, B)
-        assert host(ledger, r2, 1, C)
-        ledger.undo()
+        first = charged(ledger, r1, 1, B)
+        second = charged(ledger, r2, 1, C)
+        ledger.undo(second)
         assert ledger.flows == ({code(A, B): 0.1}, {}, {code(B, D): 0.1})
         assert (ledger.load[B], ledger.load[C]) == ((10.0, 0.125), (0.0, 0.0))
-        ledger.undo()
+        ledger.undo(first)
         assert ledger.flows == ({}, {}, {})
         assert ledger.load[B] == (0.0, 0.0)
 
@@ -394,9 +402,9 @@ class TestResiduals:
 
     def test_consume_zero_length_path_is_noop(self):
         ledger, (req,) = path_ledger(rates=(1e9,), chain=("f1", "f2", "f3"))
-        assert host(ledger, req, 2, C, C, C)
+        hosted = charged(ledger, req, 2, C, C, C)
         assert ledger.flows == ({}, {}, {}) and ledger.violations() == []
-        ledger.undo()
+        ledger.undo(hosted)
         assert ledger.flows == ({}, {}, {}) and ledger.load[C] == (0.0, 0.0)
 
 

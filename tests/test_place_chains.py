@@ -48,14 +48,14 @@ def replaying(instance, paths, calls, m):
     for call in calls:
         by_request.setdefault(call[0].id, []).append(call)
     for req in instance.requests[:m]:
-        placed = 0
+        placed = []  # the undo record of each charge of the request
         for _, l, k, before, after in by_request.get(req.id, ()):
-            if not charge_if_fits(ledger, fill_visit(ledger, instance, req, l, k,
-                                                     before, after)):
-                for _ in range(placed):
-                    ledger.undo()
+            visit = fill_visit(ledger, instance, req, l, k, before, after)
+            if not ledger.fits(visit, True):
+                for saved in reversed(placed):
+                    ledger.undo(saved)
                 return
-            placed += 1
+            placed.append(ledger.charge(visit, True))
         yield ledger
 
 

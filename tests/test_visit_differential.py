@@ -133,10 +133,11 @@ class SelfPairSpy:
             return out
 
         def spy_charge(ledger, v, new):
-            charge(ledger, v, new)
+            saved = charge(ledger, v, new)
             self.charges += 1
             self.self_visits += self.near[id(v[3])][1]
             self.check(ledger)
+            return saved
 
         def spy_place_routes(ledger, routes):
             out = place_routes(ledger, routes)
