@@ -29,11 +29,14 @@ cross-validate the optimum.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+import string
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence
 
 from .evaluation import (CostReport, Ledger, SolveResult, _placement_term,
                          cost_of_routes, evaluate_cost)
@@ -575,10 +578,7 @@ def _num(x: float) -> str:
     return repr(x)
 
 
-def _sanitize(token: str) -> str:
-    if not token or not all(c.isalnum() or c in "._-" for c in token):
-        raise ValueError(f"id {token!r} is not LP-safe (alphanumeric ._- only)")
-    return token
+_LP_ID_CHARS = frozenset(string.ascii_letters + string.digits + ".")
 
 
 def export_lp(instance: ProblemInstance, paths: PathTable | None = None) -> str:
@@ -589,6 +589,10 @@ def export_lp(instance: ProblemInstance, paths: PathTable | None = None) -> str:
       y_<request>_<nf>_<node>_<head>_<dest>
       z_<request>_<nf_i>_<nf_j>_<node_k>_<node_m>_<head>_<dest>
 
+    Every request, NF, candidate, head and destination id must be non-empty
+    and made of ASCII letters, digits and '.' only. So '_' only ever
+    separates ids, each name is unique, and all are valid CPLEX LP names.
+
     y/z variables exist only for NFs in the request's chain; z only for
     consecutive chain pairs (all other product terms carry zero
     coefficients everywhere). Objective coefficients are merged per
@@ -597,192 +601,123 @@ def export_lp(instance: ProblemInstance, paths: PathTable | None = None) -> str:
     budgets are omitted: a 5a row for a node resource of infinite capacity,
     as a 5b-5d row for a pair of infinite bottleneck. Raises
     :class:`ExportSizeError` when the model would exceed 10^6 variables,
-    and ValueError when the instance has no candidate node or an id is not
-    LP-safe.
+    and ValueError when it would have none (no candidate node or no
+    request) or an id breaks the rule above, naming the id.
     """
     if paths is None:
         paths = shortest_paths(instance.network, instance.relevant_nodes)
     weights = instance.destination_weights
-    dests = sorted(weights)
     candidates = sorted(instance.network.candidates)
-    if not candidates:
-        raise ValueError("instance has no candidate node, so the program has no variables")
+    requests, order = instance.requests, instance.pair_order
     K = len(candidates)
-
-    n_x = n_y = n_z = 0
-    for req in instance.requests:
-        L = len(req.chain)
-        sd = len(req.heads) * len(dests)
-        n_x += L * K
-        n_y += L * K * sd
-        n_z += max(0, L - 1) * K * K * sd
-    if n_x + n_y + n_z > EXPORT_VARIABLE_LIMIT:
+    positions = [(r.id, nf) for r in requests for nf in r.chain]
+    size = K * len(positions)
+    for r, _, _ in order:
+        size += len(r.chain) * K + (len(r.chain) - 1) * K * K
+    if not size:
+        raise ValueError("instance has no candidate node or no request, "
+                         "so the program has no variables")
+    if size > EXPORT_VARIABLE_LIMIT:
         raise ExportSizeError(
-            f"model has {n_x + n_y + n_z} variables, over the "
+            f"model has {size} variables, over the "
             f"{EXPORT_VARIABLE_LIMIT} export threshold")
+    for token in [*candidates, *weights,
+                  *(t for r in requests for t in (r.id, *r.chain, *r.heads))]:
+        if not token or not _LP_ID_CHARS.issuperset(token):
+            raise ValueError(f"id {token!r} is not LP-safe "
+                             f"(ASCII letters, digits and . only)")
+    per_request = [(r, [(s, d) for _, s, d in group])
+                   for r, group in itertools.groupby(order, key=itemgetter(0))]
 
-    def xname(r: str, i: str, k: str) -> str:
-        return f"x_{_sanitize(r)}_{_sanitize(i)}_{_sanitize(k)}"
-
-    def yname(r: str, i: str, k: str, s: str, d: str) -> str:
-        return "_".join(["y", _sanitize(r), _sanitize(i), _sanitize(k),
-                         _sanitize(s), _sanitize(d)])
-
-    def zname(r: str, i: str, j: str, k: str, m: str, s: str, d: str) -> str:
-        return "_".join(["z", _sanitize(r), _sanitize(i), _sanitize(j),
-                         _sanitize(k), _sanitize(m), _sanitize(s), _sanitize(d)])
-
-    x_vars: list[str] = []
-    y_vars: list[str] = []
-    z_vars: list[str] = []
-    objective: dict[str, float] = {}
-
-    for req in instance.requests:
-        heads = sorted(req.heads)
-        chain = req.chain
-        for nf in chain:
+    # every variable in Binaries order, to its merged objective coefficient
+    var: dict[str, float] = {}
+    for rid, nf in positions:
+        for k in candidates:
+            var[f"x_{rid}_{nf}_{k}"] = instance.placing_cost(nf, k)
+    for r, pairs in per_request:
+        for nf in r.chain:
             for k in candidates:
-                name = xname(req.id, nf, k)
-                x_vars.append(name)
-                c = instance.placing_cost(nf, k)
-                if c != 0.0:
-                    objective[name] = objective.get(name, 0.0) + c
-        for nf in chain:
+                var.update((f"y_{r.id}_{nf}_{k}_{s}_{d}", 0.0) for s, d in pairs)
+    for r, s, d in order:
+        w = weights[d]
+        for k in candidates:
+            var[f"y_{r.id}_{r.chain[0]}_{k}_{s}_{d}"] += w * paths.cost(s, k)
+            var[f"y_{r.id}_{r.chain[-1]}_{k}_{s}_{d}"] += w * paths.cost(k, d)
+        for i, j in zip(r.chain, r.chain[1:]):
             for k in candidates:
-                for s in heads:
-                    for d in dests:
-                        y_vars.append(yname(req.id, nf, k, s, d))
-        for s in heads:
-            for d in dests:
-                w = weights[d]
-                for k in candidates:
-                    name = yname(req.id, chain[0], k, s, d)
-                    coef = w * paths.cost(s, k)
-                    if coef != 0.0:
-                        objective[name] = objective.get(name, 0.0) + coef
-                    name = yname(req.id, chain[-1], k, s, d)
-                    coef = w * paths.cost(k, d)
-                    if coef != 0.0:
-                        objective[name] = objective.get(name, 0.0) + coef
-                for i, j in zip(chain, chain[1:]):
-                    for k in candidates:
-                        for m in candidates:
-                            name = zname(req.id, i, j, k, m, s, d)
-                            z_vars.append(name)
-                            coef = w * paths.cost(k, m)
-                            if coef != 0.0:
-                                objective[name] = objective.get(name, 0.0) + coef
+                for m in candidates:
+                    var[f"z_{r.id}_{i}_{j}_{k}_{m}_{s}_{d}"] = w * paths.cost(k, m)
 
-    lines: list[str] = []
-    lines.append("Minimize")
-    obj_terms = []
-    for name in x_vars + y_vars + z_vars:
-        if name in objective:
-            obj_terms.append(f"{_num(objective[name])} {name}")
-    lines.append(" obj: " + (" + ".join(obj_terms) if obj_terms else "0 " + x_vars[0]))
-    lines.append("Subject To")
+    objective = " + ".join(f"{_num(c)} {v}" for v, c in var.items() if c != 0.0)
+    lines = ["Minimize", " obj: " + (objective or "0 " + next(iter(var))), "Subject To"]
 
-    def row(name: str, terms: list[str], op: str, rhs: float) -> None:
-        lines.append(f" {name}: " + " + ".join(terms) + f" {op} {_num(rhs)}")
+    def row(name: str, op: str, rhs: float, terms: Iterable[str]) -> None:
+        """Append the row unless its right-hand side is infinite or it has
+        no terms; `terms` is only consumed for a finite right-hand side."""
+        if not math.isinf(rhs) and (body := " + ".join(terms)):
+            lines.append(f" {name}: {body} {op} {_num(rhs)}")
 
     # (5a) node capacity, one row per resource dimension
+    demand = instance.catalog
     for k in candidates:
         cap = instance.node_resources.get(k)
-        if cap is None:
-            continue
-        mem_terms = []
-        cpu_terms = []
-        for req in instance.requests:
-            for nf in req.chain:
-                dem = instance.catalog[nf]
-                mem_terms.append(f"{_num(dem.memory_mb)} {xname(req.id, nf, k)}")
-                cpu_terms.append(f"{_num(dem.cpu_cores)} {xname(req.id, nf, k)}")
-        if mem_terms and not math.isinf(cap.memory_mb):
-            row(f"cap_mem_{k}", mem_terms, "<=", cap.memory_mb)
-        if cpu_terms and not math.isinf(cap.cpu_cores):
-            row(f"cap_cpu_{k}", cpu_terms, "<=", cap.cpu_cores)
+        if cap is not None:
+            row(f"cap_mem_{k}", "<=", cap.memory_mb,
+                (f"{_num(demand[nf].memory_mb)} x_{rid}_{nf}_{k}" for rid, nf in positions))
+            row(f"cap_cpu_{k}", "<=", cap.cpu_cores,
+                (f"{_num(demand[nf].cpu_cores)} x_{rid}_{nf}_{k}" for rid, nf in positions))
 
+    # (5b)-(5d) flow budgets; a term is prefix + node(s) + suffix
+    head_terms: dict[str, list[tuple[str, str]]] = {}
+    tail_terms: dict[str, list[tuple[str, str]]] = {}
+    chain_terms: list[tuple[str, str]] = []
+    for r, s, d in order:
+        q = _num(r.flow_rate_mbps)
+        head_terms.setdefault(s, []).append((f"{q} y_{r.id}_{r.chain[0]}_", f"_{s}_{d}"))
+        tail_terms.setdefault(d, []).append((f"{q} y_{r.id}_{r.chain[-1]}_", f"_{s}_{d}"))
+        chain_terms += [(f"{q} z_{r.id}_{i}_{j}_", f"_{s}_{d}")
+                        for i, j in zip(r.chain, r.chain[1:])]
     # (5b) head-hop flow budgets per (head, node)
-    all_heads = sorted({s for req in instance.requests for s in req.heads})
-    for s in all_heads:
+    for s in sorted(head_terms):
         for k in candidates:
-            budget = paths.bottleneck(s, k)
-            if math.isinf(budget):
-                continue
-            terms = []
-            for req in instance.requests:
-                if s not in req.heads:
-                    continue
-                for d in dests:
-                    terms.append(f"{_num(req.flow_rate_mbps)} "
-                                 f"{yname(req.id, req.chain[0], k, s, d)}")
-            if terms:
-                row(f"flow_head_{s}_{k}", terms, "<=", budget)
-
+            row(f"flow_head_{s}_{k}", "<=", paths.bottleneck(s, k),
+                (p + k + t for p, t in head_terms[s]))
     # (5c) chain-hop flow budgets per ordered candidate pair, via z
     for k in candidates:
         for m in candidates:
-            budget = paths.bottleneck(k, m)
-            if math.isinf(budget):
-                continue
-            terms = []
-            for req in instance.requests:
-                for s in sorted(req.heads):
-                    for d in dests:
-                        for i, j in zip(req.chain, req.chain[1:]):
-                            terms.append(f"{_num(req.flow_rate_mbps)} "
-                                         f"{zname(req.id, i, j, k, m, s, d)}")
-            if terms:
-                row(f"flow_chain_{k}_{m}", terms, "<=", budget)
-
+            row(f"flow_chain_{k}_{m}", "<=", paths.bottleneck(k, m),
+                (f"{p}{k}_{m}{t}" for p, t in chain_terms))
     # (5d) tail-hop flow budgets per (node, destination)
     for k in candidates:
-        for d in dests:
-            budget = paths.bottleneck(k, d)
-            if math.isinf(budget):
-                continue
-            terms = []
-            for req in instance.requests:
-                for s in sorted(req.heads):
-                    terms.append(f"{_num(req.flow_rate_mbps)} "
-                                 f"{yname(req.id, req.chain[-1], k, s, d)}")
-            if terms:
-                row(f"flow_tail_{k}_{d}", terms, "<=", budget)
+        for d, terms in tail_terms.items():
+            row(f"flow_tail_{k}_{d}", "<=", paths.bottleneck(k, d),
+                (p + k + t for p, t in terms))
 
     # (5e) every chain position visited at least once
-    for req in instance.requests:
-        for s in sorted(req.heads):
-            for d in dests:
-                for l, nf in enumerate(req.chain, start=1):
-                    terms = [f"{yname(req.id, nf, k, s, d)}" for k in candidates]
-                    row(f"visit_{req.id}_{s}_{d}_{l}", terms, ">=", 1)
+    for r, s, d in order:
+        for l, nf in enumerate(r.chain, start=1):
+            row(f"visit_{r.id}_{s}_{d}_{l}", ">=", 1,
+                (f"y_{r.id}_{nf}_{k}_{s}_{d}" for k in candidates))
 
     # (5f) visits only where hosted
-    for req in instance.requests:
-        for nf in req.chain:
+    for r, pairs in per_request:
+        for nf in r.chain:
             for k in candidates:
-                for s in sorted(req.heads):
-                    for d in dests:
-                        lines.append(
-                            f" link_{req.id}_{nf}_{k}_{s}_{d}: "
-                            f"{yname(req.id, nf, k, s, d)} - {xname(req.id, nf, k)} <= 0")
+                x = f"{r.id}_{nf}_{k}"
+                lines += [f" link_{x}_{s}_{d}: y_{x}_{s}_{d} - x_{x} <= 0" for s, d in pairs]
 
     # (5g)-(5i) product-variable linking
-    for req in instance.requests:
-        for s in sorted(req.heads):
-            for d in dests:
-                for i, j in zip(req.chain, req.chain[1:]):
-                    for k in candidates:
-                        for m in candidates:
-                            z = zname(req.id, i, j, k, m, s, d)
-                            y1 = yname(req.id, i, k, s, d)
-                            y2 = yname(req.id, j, m, s, d)
-                            lines.append(f" prod_a_{z[2:]}: {z} - {y1} <= 0")
-                            lines.append(f" prod_b_{z[2:]}: {z} - {y2} <= 0")
-                            lines.append(f" prod_c_{z[2:]}: {z} - {y1} - {y2} >= -1")
+    for r, s, d in order:
+        for i, j in zip(r.chain, r.chain[1:]):
+            for k in candidates:
+                for m in candidates:
+                    z = f"{r.id}_{i}_{j}_{k}_{m}_{s}_{d}"
+                    y1, y2 = f"y_{r.id}_{i}_{k}_{s}_{d}", f"y_{r.id}_{j}_{m}_{s}_{d}"
+                    lines += [f" prod_a_{z}: z_{z} - {y1} <= 0",
+                              f" prod_b_{z}: z_{z} - {y2} <= 0",
+                              f" prod_c_{z}: z_{z} - {y1} - {y2} >= -1"]
 
     lines.append("Binaries")
-    for name in x_vars + y_vars + z_vars:
-        lines.append(f" {name}")
+    lines += [f" {v}" for v in var]
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -53,8 +53,7 @@ import numpy as np
 
 from .evaluation import Ledger, SolveResult, cost_of_route_array
 # Not called here: perfbench/tracing.py wraps `heuristics.evaluate_cost` by
-# name, so the name stays bound until the benchmark drops that patch
-# (ROADMAP item 4).
+# name, so the name stays bound until the benchmark change drops that patch.
 from .evaluation import evaluate_cost  # noqa: F401
 from .graph import PathTable
 from .model import Placement, ProblemInstance, build_placement

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from pccplace.graph import EdgeNetwork, Link
@@ -142,6 +144,27 @@ def tiny1_infeasible():
         destinations={"d": 1.0},
         node_resources={"b": (5.0, 8.0)},
     )
+
+
+def infinite_node_capacity_instance():
+    """Path a-b-c-d, chains f1-f2 and f1 headed at a; b has infinite memory
+    and c infinite CPU, so the LP export omits cap_mem_b and cap_cpu_c."""
+    return make_instance(
+        links=PATH_LINKS, candidates=["b", "c"], gateway="a", attachment="a",
+        requests=[("r1", ["f1", "f2"], 1.0, ["a"]), ("r2", ["f1"], 1.0, ["a"])],
+        destinations={"d": 1.0},
+        catalog={"f1": (10.0, 1.0), "f2": (10.0, 1.0)},
+        node_resources={"b": (math.inf, 1.0), "c": (1000.0, math.inf)})
+
+
+def colliding_ids_instance():
+    """A valid instance whose ids would give two LP variables one name when
+    joined by '_': request r hosts NF f_g and request r_f hosts NF g."""
+    return make_instance(
+        links=PATH_LINKS, candidates=["b", "c"], gateway="a", attachment="a",
+        requests=[("r", ["f_g"], 1.0, ["a"]), ("r_f", ["g"], 1.0, ["a"])],
+        destinations={"d": 1.0},
+        catalog={"f_g": (10.0, 0.125), "g": (10.0, 0.125)})
 
 
 def cpu_sum_instance():

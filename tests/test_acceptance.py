@@ -7,6 +7,7 @@ reproducible bit-for-bit.
 """
 
 import dataclasses
+import hashlib
 import math
 import random
 import time
@@ -21,7 +22,7 @@ from pccplace.heuristics import agw, ppcc, spba
 from pccplace.model import Placement, instance_to_json
 from pccplace.scenario import ScenarioParams, generate_instance
 
-from conftest import make_instance
+from conftest import infinite_node_capacity_instance, make_instance
 from oracle import enumerate_optimal
 
 JOBS = 4
@@ -474,6 +475,75 @@ def test_criterion_9_lp_export_cross_check(tiny1):
     ok = ok and evaluate_cost(tiny1, external, paths).total == 6.0
     assert report(9, "LP export cross-check", ok,
                   f"[exact: {exact_total}, external MILP: {optimum}]")
+
+
+# SHA-256 of export_lp's text per instance. External solvers and scripts
+# read these files by name, so a refactor of the export must keep every byte;
+# only a deliberate change to the LP text updates a digest. tiny1 merges head
+# and tail weights on one y variable, infcap omits its infinite 5a rows,
+# cost35 has placement costs, two heads, two destinations and no 5b-5d row
+# (infinite link capacity).
+EXPORT_LP_SHA256 = {
+    "slack0": "dfe31d0c85dcd92e8477421d597e0930667ef56b0a294d7c6e2638c54c4ea8f6",
+    "slack1": "fc29d154f40863c3588353310a8137b888ce03c2bb8f5ac666a6ee41224a7bc6",
+    "slack2": "ef691fd5104701f482b1af33d18aa2b196e778efc3f029aeb3a12435484ca7cc",
+    "slack3": "062b5576ff14923c15553ea6d6d407974740fe3fff5948ebf766f1c122615903",
+    "slack4": "dc160a63cfa34d6ea0d06bfdf7d7d30d7dfc529c3808d6736c31cae7036f9d3f",
+    "slack5": "9ce5a6983a9ca5d5575a0dec7c91b94af37c0e321525a0ca42a888038c03dbbd",
+    "slack6": "8a699fd074a76bc3588536cfbd24291d466bcd7008aacc92464168cc4eec7351",
+    "slack7": "3bbfec5b9f3621edccaec3274a1d831edd4ffbbd2d8f6d218603d5367e5fdd87",
+    "slack8": "28c3e0d49e66a95746ad4f0789770c2f3fd201d6d85a901e0a11c23f739e73c8",
+    "slack9": "68ca08acfd05778bb00276e752dbaa1dbf1d370c246935ac154dfcd261b15ea9",
+    "slack10": "487bc53acfd87ff5ee3e14ed48da704a9ff0f47f6b0cbf21ca5395a10348dfa1",
+    "slack11": "5572cac27130779c960811058b62b47b5551f65400e636832826e0760d0bcf84",
+    "tight0": "60c57c3ee1501b2c80ead13ed24251e06914b4d3dc1af5603685055ce8e36b77",
+    "tight1": "5e13afb4acb1cd46acae61959ffb6783ec8fdec9b59fe6854afbc741f16d1788",
+    "tight2": "8cb71771637b8e0ac6e1d6e818efa047b0d360e5fff4a38326c2d4633691ef1c",
+    "tight3": "4a9d2b1bf8589562052fbda4c4054ff762abe5b71b415dc6afc93e16781dcc42",
+    "tight4": "a4d435b081f421d0a532143c57ce8fb2e946a7c016723ae20fe8709fce9f01c0",
+    "tight5": "31987e701ba6853a1c784e2b87a693e0e853031792cd63f9f98a6d3e64166abb",
+    "tight6": "5a0d368df1e641d94337b48ee10eb17e13428ea0bf8ef7ef91d5e9e1f4dfb83c",
+    "tight7": "224b3379164e9a5b7623e17693858cae9bb1ef3dcd8cacf13582d38985be3d8b",
+    "tiny1": "91e624075486fc938965fc55e4cc1a5a9d360a57c2df6e07783c5ffd8047bed4",
+    "infcap": "8c969b954566c921911eac775308507e23d281c93b307c4f81ce6ce53c5e6e09",
+    "cost35": "fa33613e0358b16d128ca3454f60baceb7b61ba31a548a5b7fe15d669d731c2e",
+}
+
+
+def test_criterion_9_export_lp_text_pinned(tiny1):
+    corpus = ([(f"slack{i}", inst) for i, inst in enumerate(_slack_corpus()[:12])]
+              + [(f"tight{i}", inst) for i, inst in enumerate(_tight_corpus()[:8])]
+              + [("tiny1", tiny1), ("infcap", infinite_node_capacity_instance()),
+                 ("cost35", generate_instance(ScenarioParams(
+                     num_candidates=3, batch_size=2, chain_length=(1, 3),
+                     heads_per_request=(1, 2), num_destinations=(1, 2),
+                     placement_cost=3.5, link_capacity_mbps=math.inf), seed=7))])
+    digests = {name: hashlib.sha256(export_lp(inst).encode()).hexdigest()
+               for name, inst in corpus}
+    assert digests == EXPORT_LP_SHA256
+
+
+def test_criterion_9_milp_matches_exact_on_corpora():
+    """HiGHS on the export equals solve_exact's optimum on two-head slack
+    instances and on tight instances, whose 5a-5d rows can bind."""
+    pytest.importorskip("scipy.optimize", reason="needs scipy MILP")
+    from lp_check import solve_lp_with_milp
+
+    two_heads = [inst for inst in _slack_corpus()
+                 if any(len(req.heads) == 2 for req in inst.requests)][:4]
+    tight = []
+    for inst in _tight_corpus():
+        res = solve_exact(inst, paths_for(inst))
+        if res.status == "optimal":
+            tight.append((inst, res))
+        if len(tight) == 4:
+            break
+    cases = [(inst, solve_exact(inst, paths_for(inst))) for inst in two_heads] + tight
+    assert len(cases) == 8
+    for inst, res in cases:
+        assert res.status == "optimal"
+        optimum, _ = solve_lp_with_milp(export_lp(inst, paths_for(inst)))
+        assert optimum == pytest.approx(res.total, rel=1e-9, abs=0)
 
 
 def test_acceptance_seed_stability():

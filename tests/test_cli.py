@@ -15,7 +15,8 @@ from pccplace.graph import shortest_paths
 from pccplace.model import instance_to_dict, instance_to_json
 from pccplace.scenario import ScenarioParams, generate_instance
 
-from conftest import make_instance
+from conftest import (colliding_ids_instance, infinite_node_capacity_instance,
+                      make_instance)
 
 
 @pytest.fixture
@@ -433,6 +434,17 @@ class TestExportLp:
         assert code == 2
         assert "'r 1'" in json.loads(capsys.readouterr().err)["error"]
 
+    def test_colliding_names_exit_2_without_output(self, tmp_path, capsys):
+        # x_r_f_g_b would name f_g at b for r and g at b for r_f
+        path = tmp_path / "collide.json"
+        path.write_text(instance_to_json(colliding_ids_instance()))
+        out = tmp_path / "model.lp"
+        assert main(["validate", "--instance", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["export-lp", "--instance", str(path), "--out", str(out)]) == 2
+        assert "'f_g'" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
     def test_no_candidate_exits_2(self, no_candidate_file, tmp_path, capsys):
         code = main(["export-lp", "--instance", no_candidate_file,
                      "--out", str(tmp_path / "model.lp")])
@@ -457,14 +469,7 @@ class TestExportLp:
         pytest.importorskip("scipy.optimize", reason="needs scipy MILP")
         from lp_check import solve_lp_with_milp
 
-        inst = make_instance(
-            links=[("a", "b", 1.0), ("b", "c", 2.0), ("c", "d", 3.0)],
-            candidates=["b", "c"], gateway="a", attachment="a",
-            requests=[("r1", ["f1", "f2"], 1.0, ["a"]),
-                      ("r2", ["f1"], 1.0, ["a"])],
-            destinations={"d": 1.0},
-            catalog={"f1": (10.0, 1.0), "f2": (10.0, 1.0)},
-            node_resources={"b": (math.inf, 1.0), "c": (1000.0, math.inf)})
+        inst = infinite_node_capacity_instance()
         path = tmp_path / "inf.json"
         path.write_text(instance_to_json(inst))
         out = tmp_path / "model.lp"

@@ -21,10 +21,12 @@ from pccplace.exact import (
     solve_exact,
 )
 from pccplace.graph import shortest_paths
-from pccplace.model import build_placement, build_placement_per_pair
+from pccplace.model import (build_placement, build_placement_per_pair,
+                             validate_instance)
 from pccplace.scenario import ScenarioParams, generate_instance
 
-from conftest import PATH_LINKS, cpu_sum_instance, make_instance
+from conftest import (PATH_LINKS, colliding_ids_instance, cpu_sum_instance,
+                      make_instance)
 from oracle import enumerate_optimal
 
 
@@ -334,7 +336,38 @@ class TestLowerBound:
         assert res.stats == SearchStats(0, 0, "complete", presolved=False)
 
 
+def one_nf_instance(request="r1", nf="f1", candidate="b", head="a", dest="d"):
+    """Path head-candidate-dest with one single-NF request; ids as given."""
+    return make_instance(
+        links=[(head, candidate, 1.0), (candidate, dest, 2.0)],
+        candidates=[candidate], gateway=head, attachment=head,
+        requests=[(request, [nf], 1.0, [head])], destinations={dest: 1.0},
+        catalog={nf: (10.0, 0.125)})
+
+
 class TestExportLp:
+    def test_colliding_ids_rejected_naming_the_id(self):
+        inst = colliding_ids_instance()
+        assert validate_instance(inst) == []
+        with pytest.raises(ValueError, match="'f_g'"):
+            export_lp(inst)
+
+    @pytest.mark.parametrize("field", ["request", "nf", "candidate", "head", "dest"])
+    def test_hyphen_in_any_id_rejected(self, field):
+        inst = one_nf_instance(**{field: "n-1"})
+        assert validate_instance(inst) == []
+        with pytest.raises(ValueError, match="'n-1'"):
+            export_lp(inst)
+
+    def test_non_ascii_id_rejected(self):
+        # str.isalnum() holds for "é", but the LP format names are ASCII
+        with pytest.raises(ValueError, match="'f\u00e9'"):
+            export_lp(one_nf_instance(nf="f\u00e9"))
+
+    def test_dotted_ids_export(self):
+        text = export_lp(one_nf_instance(request="r.1", nf="f.1", candidate="n.2"))
+        assert " x_r.1_f.1_n.2\n" in text
+
     def test_starts_with_minimize(self, tiny1):
         assert export_lp(tiny1).startswith("Minimize")
 
