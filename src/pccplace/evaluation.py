@@ -12,13 +12,15 @@ Two functions compute it; the shape of the caller's routes decides which.
 destination) chain in a Python loop. :func:`evaluate_cost` calls it on a
 placement's visit plan, and :func:`exact.lower_bound` on a partial
 assignment of a desk instance, where a call takes microseconds and numpy's
-fixed cost would dominate; the exact search keeps its running sums chain
+fixed cost would dominate. The exact search keeps its running sums chain
 by chain (``exact._SearchState``), on int node ids, reading costs from
-:attr:`graph.PathTable.cost_list`. :func:`cost_of_route_array` prices one
-int route per request, the shape of every greedy result, with array
-operations on :attr:`graph.PathTable.cost_matrix`; the heuristics call it
-without building their placement, which :class:`SolveResult` builds on
-first read.
+:attr:`graph.PathTable.cost_list`, in the order :func:`cost_of_routes`
+adds them; :func:`exact.solve_exact` reports its winning leaf's terms as
+the result's cost. :func:`cost_of_route_array` prices one int route per
+request, the shape of every greedy result, with array operations on
+:attr:`graph.PathTable.cost_matrix`; the heuristics call it. No solver
+builds its placement to price it: :class:`SolveResult` builds it on first
+read.
 
 Both equal :func:`evaluate_cost` on the same visits bit for bit. Each term
 is the same product of the same floats. Each family is summed left to right
@@ -128,9 +130,10 @@ class SolveResult:
     zero-argument callable that returns the placement, or None where the
     placement is None. :attr:`placement` calls `build` on its first read
     and keeps the result, so a caller that reads only totals and unplaced
-    counts, as a sweep does, never builds a visit plan. Every solver's
-    `build` is a :func:`functools.partial` of module-level functions, so a
-    result pickles, read or not. Equality, hashing and repr cover the cost,
+    counts, as a sweep does, never builds a visit plan. Every solver
+    prices its own result, without the placement, and hands over a `build`
+    that makes it: a :func:`functools.partial` of module-level functions,
+    so a result pickles, read or not. Equality, hashing and repr cover the cost,
     status and unplaced positions only, never `build` or the placement.
     `stats` is the exact solver's :class:`exact.SearchStats` (None for a
     heuristic); it explains a run and, like `build`, is left out of

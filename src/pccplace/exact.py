@@ -21,6 +21,12 @@ It then keeps no capacity ledger and never tests a visit against one.
 Since every test it skips would pass, its results and statistics are those
 of the ledger search.
 
+Result: the search prices every leaf as it generates it, term by term as
+:func:`evaluation.cost_of_routes` sums them, so the winning leaf's own
+terms are the reported :class:`CostReport`, with no second pricing. The
+placement is built from the winning assignment only when the result's
+placement is first read, as the heuristics build theirs.
+
 `export_lp` writes the fully linearized 0-1 program in LP text format with
 a documented variable-naming contract so external MILP solvers can
 cross-validate the optimum.
@@ -39,7 +45,10 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .evaluation import (CostReport, Ledger, SolveResult, _placement_term,
-                         cost_of_routes, evaluate_cost)
+                         cost_of_routes)
+# Not called here: perfbench/tracing.py wraps `exact.evaluate_cost` by
+# name, so the name stays bound until the benchmark change drops that patch.
+from .evaluation import evaluate_cost  # noqa: F401
 from .graph import PathTable, shortest_paths
 from .model import (Placement, ProblemInstance, ServiceRequest,
                     build_placement_per_pair)
@@ -80,13 +89,14 @@ class SearchStats:
 
 def ExactResult(placement: Placement | None, cost: CostReport | None,
                 status: str, stats: SearchStats | None = None) -> SolveResult:
-    """The exact solver's result, from a placement it has built already.
+    """A :class:`SolveResult` from a placement the caller has built already.
 
-    The solver needs its placement for :func:`evaluate_cost`, so the
-    builder hands back an equal copy of it (a partial, so the result
-    pickles); no placement means no builder. The name is the result type's
-    earlier one, which the benchmark's tests still call with the first
-    three arguments.
+    A compatibility constructor for callers that hold a built placement;
+    :func:`solve_exact` builds its own result, placement on first read. The
+    builder hands back an equal copy of the placement (a partial, so the
+    result pickles); no placement means no builder. The name is the result
+    type's earlier one, which the benchmark's tests and two test modules
+    still call with the first three arguments.
     """
     return SolveResult(None if placement is None else partial(replace, placement),
                        cost, status, stats=stats)
@@ -114,6 +124,16 @@ def _variables(instance: ProblemInstance) -> list[_Var]:
         for l, nf in enumerate(req.chain, start=1):
             out.extend(_Var(req, l, nf, c) for c in chains)
     return out
+
+
+def _assignment_placement(instance: ProblemInstance, variables: Sequence[_Var],
+                          assignment: Sequence[int]) -> Placement:
+    """The placement of the int node ids `assignment` takes for `variables`,
+    by this module's `build_placement_per_pair` attribute, looked up at the
+    call, so that a wrapper set on the attribute sees the build."""
+    order, ids = instance.pair_order, instance.network.node_ids
+    return build_placement_per_pair(instance, {(v.req.id, *order[v.chain][1:], v.l): ids[k]
+                                               for v, k in zip(variables, assignment)})
 
 
 def _hop_minimum(costs: list[float], n: int, s: int, d: int, pins: Sequence[int | None],
@@ -241,7 +261,7 @@ class _SearchState:
     prefix's (request, nf, node) hostings, None where nothing reads them,
     and their placing cost; and the (visit, opens a hosting) the ledger
     charges for `node`, None when presolved. :meth:`child` builds a record
-    from its parent's; :meth:`children`, :meth:`leaf_total` and
+    from its parent's; :meth:`children`, :meth:`leaf_terms` and
     :meth:`bound` read a record alone. Each value is computed once, by the
     float operations, on the operands and in the order of a walk that
     assigns and undoes variables one at a time, so every bound, child bound
@@ -394,20 +414,26 @@ class _SearchState:
         return (record, k, depth + 1, at[:c] + (node,) + at[c + 1:], sums, placement_term,
                 hosted, None if visit is None else (visit, new))
 
-    def leaf_total(self, record: tuple, k: int) -> float:
-        """Objective total of `record`'s prefix completed by `k`.
+    def leaf_terms(self, record: tuple, k: int) -> tuple[float, float, float, float]:
+        """(placement, head, chain, tail) terms of `record`'s prefix
+        completed by `k`.
 
         The prefix must lack only the last variable, and :meth:`children`
-        has built the row read. The total is :func:`cost_of_routes` of the
-        completed state, bit for bit, which equals :func:`evaluate_cost` of
-        the corresponding placement.
+        has built the row read. Each term is :func:`cost_of_routes`'s of the
+        completed state, bit for bit, whose penalty term is +0.0.
         """
         host, _, _, node = record[3][self.variables[record[2]].chain][0][k]
         head, chain, tail = _extended(record[4], node[3])
         placement = 0.0
         if self.instance.placement_cost:  # otherwise every placing cost is zero
             placement = _placement_term(self.instance, record[6] | {host})
-        # cost_of_routes adds a penalty term of +0.0, which changes nothing
+        return placement, head, chain, tail
+
+    def leaf_total(self, record: tuple, k: int) -> float:
+        """Objective total of `record`'s prefix completed by `k`: the sum of
+        its :meth:`leaf_terms`, which is :func:`cost_of_routes`'s total, bit
+        for bit, since adding the penalty term's +0.0 changes nothing."""
+        placement, head, chain, tail = self.leaf_terms(record, k)
         return placement + head + chain + tail
 
 
@@ -430,8 +456,14 @@ def lower_bound(
     assigned input yields exactly the evaluated total, since every
     relaxation term is then zero; pinning a position never lowers the bound
     in exact arithmetic. An instance with no candidate node has no feasible
-    point, so its bound is ``math.inf``.
+    point, so its bound is ``math.inf``. A key that names no variable (an
+    unknown request, head or destination, or a position past the chain) is
+    a KeyError naming the least such key, raised before any pricing.
     """
+    unknown = partial.keys() - {(req.id, s, d, l) for req, s, d in instance.pair_order
+                                for l in range(1, len(req.chain) + 1)}
+    if unknown:
+        raise KeyError(min(unknown))
     weights, index = instance.destination_weights, instance.network.node_index
     if not instance.network.candidates:
         return math.inf
@@ -470,13 +502,19 @@ def solve_exact(
     share this loop: a ledger search's loads follow the record it expands.
 
     Tie policy: the result is bit-identical to exhaustive enumeration. Its
-    total is the least float :func:`evaluate_cost` total over all feasible
-    assignments, and among assignments with that total the
-    lexicographically smallest assignment vector wins. Assignments that tie
-    in real arithmetic can differ by a few ulp in float, so the search does
-    not stop at the first complete solution: it evaluates every assignment
-    whose bound lies within 1e-9 relative of the best total found so far and
-    compares them by their evaluated totals.
+    total is the least float objective total over all feasible assignments,
+    each total equal to :func:`evaluate_cost`'s bit for bit, and among
+    assignments with that total the lexicographically smallest assignment
+    vector wins. Assignments that tie in real arithmetic can differ by a
+    few ulp in float, so the search does not stop at the first complete
+    solution: it evaluates every assignment whose bound lies within 1e-9
+    relative of the best total found so far and compares them by their
+    evaluated totals.
+
+    The result's cost is the winning leaf's own terms
+    (:meth:`_SearchState.leaf_terms`), every field :func:`evaluate_cost`'s
+    on its placement bit for bit; the placement is built when the result's
+    placement is first read.
 
     Presolve: at the root, :func:`_capacities_cannot_bind` certifies, with
     a relative margin of 2**-30 that covers the rounding of the ledger's
@@ -503,30 +541,30 @@ def solve_exact(
     if nvars == 0:
         raise ValueError("instance has no chain positions to place")
     if not instance.network.candidates:
-        return ExactResult(None, None, "infeasible", SearchStats(0, 0, "complete"))
+        return SolveResult(None, None, "infeasible", stats=SearchStats(0, 0, "complete"))
     state = _SearchState(instance, paths, variables)
     expanded = leaves = 0
 
     def result(status: str, stop: str) -> SolveResult:
         stats = SearchStats(expanded, leaves, stop, presolved=state.presolved)
         if best is None:
-            return ExactResult(None, None, status, stats)
-        order, ids = instance.pair_order, state.ids
-        placement = build_placement_per_pair(instance, {
-            (v.req.id, *order[v.chain][1:], v.l): ids[k]
-            for v, k in zip(variables, best[1])})
-        return ExactResult(placement, evaluate_cost(instance, placement, paths),
-                           status, stats)
+            return SolveResult(None, None, status, stats=stats)
+        cost = CostReport.from_terms(*state.leaf_terms(*best[2:]))
+        build = partial(_assignment_placement, instance, variables, best[1])
+        return SolveResult(build, cost, status, stats=stats)
 
-    # (total, assignment) of the best complete assignment so far. Complete
-    # assignments are evaluated as they are generated, never queued.
-    best: tuple[float, tuple[int, ...]] | None = None
+    # (total, assignment, record, node) of the best complete assignment so
+    # far: `record` is its last variable's parent record and `node` the int
+    # node id that variable takes. Complete assignments are evaluated as
+    # they are generated, never queued; assignments are unique, so no
+    # comparison reaches the record.
+    best: tuple[float, tuple[int, ...], tuple, int] | None = None
     limit = math.inf  # nodes with a larger bound cannot win
 
     def offer(record: tuple, assignment: tuple[int, ...], k: int) -> None:
         nonlocal best, limit, leaves
         leaves += 1
-        candidate = (state.leaf_total(record, k), (*assignment, k))
+        candidate = (state.leaf_total(record, k), (*assignment, k), record, k)
         if best is None or candidate < best:
             best = candidate
             limit = best[0] + 1e-9 * max(1.0, abs(best[0]))

@@ -340,12 +340,18 @@ class TestTracedAttributes:
         res = ppcc(instance, paths)
         assert res.placement is res.placement
         assert calls[builds] == 1
-        solve_exact(instance, paths)
+        # The exact solver too builds its placement on the first read only.
+        exact_builds = "pccplace.exact.build_placement_per_pair"
+        res = solve_exact(instance, paths)
+        assert res.status == "optimal" and calls[exact_builds] == 0
+        assert res.placement is res.placement
+        assert calls[exact_builds] == 1
 
-        # The search evaluates bounds internally, and the heuristics cost
-        # their own routes; only these public attributes have to exist.
+        # The search evaluates bounds internally, and every solver costs its
+        # own result; only these public attributes have to exist.
         called = {f"{m}.{a}" for m, attrs in TRACED.items() for a in attrs}
         called.discard("pccplace.exact.lower_bound")
+        called.discard("pccplace.exact.evaluate_cost")
         called.discard("pccplace.heuristics.evaluate_cost")
         assert {name for name in called if not calls[name]} == set()
 

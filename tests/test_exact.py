@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from pccplace import exact
 from pccplace.evaluation import check_constraints, evaluate_cost
 from pccplace.exact import (
     ExportSizeError,
@@ -324,6 +325,27 @@ class TestLowerBound:
         assert "t" not in paths.relevant
         with pytest.raises(KeyError):
             lower_bound(inst, paths, partial)
+
+    @pytest.mark.parametrize("partial, key", [
+        ({("r9", "a", "d", 1): "b"}, ("r9", "a", "d", 1)),  # unknown request
+        ({("r1", "a", "d", 5): "b"}, ("r1", "a", "d", 5)),  # position past the chain
+        ({("r1", "a", "d", 0): "b"}, ("r1", "a", "d", 0)),  # positions start at 1
+        ({("r1", "b", "d", 1): "c"}, ("r1", "b", "d", 1)),  # head not of the request
+        ({("r1", "a", "c", 1): "b"}, ("r1", "a", "c", 1)),  # unknown destination
+        # the least unknown key is named; a valid one beside them changes nothing
+        ({("r1", "a", "d", 1): "b", ("r1", "a", "d", 2): "b", ("r0", "a", "d", 1): "b"},
+         ("r0", "a", "d", 1)),
+    ], ids=["request", "past-chain", "position-0", "head", "destination", "least"])
+    def test_key_naming_no_variable_is_a_key_error(self, tiny1, monkeypatch, partial, key):
+        paths = paths_for(tiny1)
+
+        def priced(*args, **kwargs):
+            raise AssertionError("priced before the keys were checked")
+
+        monkeypatch.setattr(exact, "cost_of_routes", priced)
+        with pytest.raises(KeyError) as caught:
+            lower_bound(tiny1, paths, partial)
+        assert caught.value.args == (key,)
 
     def test_no_candidate_is_infinite(self):
         inst = make_instance(links=[("a", "b", 1.0)], candidates=[], gateway="a",
